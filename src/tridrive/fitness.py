@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import defaults
 from .errors import ConfigError, DegenerateStatisticError, SchemaError, ValidationError
-from .model import FeatureSpec, FeatureType, Step, Trajectory, TrajectoryDataset
+from .model import FeatureSpec, FeatureType, Trajectory, TrajectoryDataset
 from .rewards import RewardSpec, RewardTrace, trace
 
 
@@ -90,17 +91,19 @@ def _feature_iqr(dataset: TrajectoryDataset, fid: str) -> float:
     Falls back to all values if nothing is fresh, and to 1.0 (the full
     normalized scale) if the spread is degenerate.
     """
-    fresh, everything = [], []
+    fresh, everything = [np.empty(0)], [np.empty(0)]
     for traj in dataset.trajectories:
-        for step in traj.steps:
-            obs = step.observations.get(fid)
-            if obs is None:
-                continue
-            everything.append(obs.value)
-            if obs.staleness == 0:
-                fresh.append(obs.value)
-    values = fresh if fresh else everything
-    if not values:
+        cols = traj.columns
+        j = cols.feature_index.get(fid)
+        if j is None:
+            continue
+        present = cols.mask[:, j]
+        everything.append(cols.values[present, j])
+        fresh.append(cols.values[present & (cols.staleness[:, j] == 0), j])
+    values = np.concatenate(fresh)
+    if not values.size:
+        values = np.concatenate(everything)
+    if not values.size:
         return 1.0
     q25, q75 = np.quantile(values, [0.25, 0.75])
     spread = float(q75 - q25)
@@ -137,19 +140,30 @@ def _pearson_named(xs, ys, xname: str, yname: str) -> float:
 def ground_truth_score(trajectory: Trajectory, epsilon: float = defaults.STABILITY_EPSILON) -> float:
     """Outcome plus stability: 1(survived) + fraction of steps whose severity
     score stayed within epsilon of the admission baseline. Range [0, 2]."""
-    steps = trajectory.steps
-    stable = sum(1 for s in steps if abs(s.sofa - trajectory.sofa_baseline) < epsilon)
-    return float(trajectory.survived) + stable / len(steps)
+    sofa = trajectory.columns.sofa
+    stable = np.count_nonzero(np.abs(sofa - trajectory.sofa_baseline) < epsilon)
+    return float(trajectory.survived) + stable / len(sofa)
+
+
+def _returns(traces: Sequence[RewardTrace]) -> list[float]:
+    return [t.cumulative for t in traces]
 
 
 def j_surv(
     dataset: TrajectoryDataset,
     traces: Sequence[RewardTrace],
     epsilon: float = defaults.STABILITY_EPSILON,
+    *,
+    truth: Sequence[float] | None = None,
 ) -> float:
-    returns = [t.cumulative for t in traces]
-    truth = [ground_truth_score(traj, epsilon) for traj in dataset.trajectories]
-    return _pearson_named(returns, truth, "cumulative reward", "ground-truth score")
+    """truth: the ground_truth_score of each trajectory, if already known."""
+    if truth is None:
+        truth = _ground_truths(dataset, epsilon)
+    return _pearson_named(_returns(traces), truth, "cumulative reward", "ground-truth score")
+
+
+def _ground_truths(dataset: TrajectoryDataset, epsilon: float) -> np.ndarray:
+    return np.array([ground_truth_score(traj, epsilon) for traj in dataset.trajectories])
 
 
 # ---------------------------------------------------------------------------
@@ -157,32 +171,44 @@ def j_surv(
 # ---------------------------------------------------------------------------
 
 
+def _feature_columns(trajectory: Trajectory, feature_ids: Sequence[str]) -> list[int]:
+    """Column of each feature; SchemaError names the first absent one, in
+    step order."""
+    cols = trajectory.columns
+    idx = [cols.feature_index.get(fid) for fid in feature_ids]
+    if None in idx or not cols.mask[:, idx].all():
+        step, fid = next(
+            (s, fid) for s in trajectory.steps for fid in feature_ids if fid not in s.observations
+        )
+        raise SchemaError(
+            f"patient {trajectory.patient_id!r}: feature {fid!r} absent at t={step.t}"
+        )
+    return idx
+
+
 def uncertainty_score(trajectory: Trajectory, feature_ids: Sequence[str]) -> float:
     """Mean staleness over all steps and the given features."""
     if not feature_ids:
         raise ValidationError("uncertainty_score needs a nonempty feature set")
-    total = 0.0
-    count = 0
-    for step in trajectory.steps:
-        for fid in feature_ids:
-            obs = step.observations.get(fid)
-            if obs is None:
-                raise SchemaError(
-                    f"patient {trajectory.patient_id!r}: feature {fid!r} absent at t={step.t}"
-                )
-            total += obs.staleness
-            count += 1
-    return total / count
+    idx = _feature_columns(trajectory, feature_ids)
+    return float(trajectory.columns.staleness[:, idx].mean())
 
 
 def j_conf(
     dataset: TrajectoryDataset,
     traces: Sequence[RewardTrace],
     feature_ids: Sequence[str],
+    *,
+    staleness: Sequence[float] | None = None,
 ) -> float:
-    returns = [t.cumulative for t in traces]
-    staleness = [uncertainty_score(traj, feature_ids) for traj in dataset.trajectories]
-    return -_pearson_named(returns, staleness, "cumulative reward", "uncertainty score")
+    """staleness: the uncertainty_score of each trajectory, if already known."""
+    if staleness is None:
+        staleness = _uncertainties(dataset, feature_ids)
+    return -_pearson_named(_returns(traces), staleness, "cumulative reward", "uncertainty score")
+
+
+def _uncertainties(dataset: TrajectoryDataset, feature_ids: Sequence[str]) -> np.ndarray:
+    return np.array([uncertainty_score(traj, feature_ids) for traj in dataset.trajectories])
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +216,28 @@ def j_conf(
 # ---------------------------------------------------------------------------
 
 
-def _logistic(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
+def _logistic(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _homeostasis(
+    values: np.ndarray,
+    ftype: FeatureType,
+    interval: tuple[float, float] | None,
+    iqr: float,
+    k: float,
+) -> np.ndarray:
+    if ftype is FeatureType.NORMAL_RANGE:
+        if interval is None:
+            raise ConfigError("NormalRange homeostasis needs a healthy interval")
+        lo, hi = interval
+        outside = np.maximum(lo - values, values - hi)
+        inside = (lo <= values) & (values <= hi)
+        return np.where(inside, 1.0, _logistic(k * (0.5 - outside / iqr)))
+    if ftype is FeatureType.DIRECTIONAL_LOW:
+        return _logistic(k * (0.5 - values))
+    return _logistic(-k * (0.5 - values))
 
 
 def homeostasis_feature(
@@ -211,59 +254,27 @@ def homeostasis_feature(
     logistic of the value itself (lower-better decreasing, higher-better
     increasing).
     """
-    if ftype is FeatureType.NORMAL_RANGE:
-        if interval is None:
-            raise ConfigError("NormalRange homeostasis needs a healthy interval")
-        lo, hi = interval
-        if lo <= value <= hi:
-            return 1.0
-        d = (lo - value) if value < lo else (value - hi)
-        return _logistic(k * (0.5 - d / iqr))
-    if ftype is FeatureType.DIRECTIONAL_LOW:
-        return _logistic(k * (0.5 - value))
-    return _logistic(-k * (0.5 - value))
+    return float(_homeostasis(np.float64(value), ftype, interval, iqr, k))
 
 
-def homeostasis_state(
-    step: Step,
+def homeostasis_states(
+    trajectory: Trajectory,
     feature_ids: Sequence[str],
     cfg: CompMetricConfig,
     feature_schema: dict[str, FeatureSpec],
-) -> float:
-    """Unweighted mean homeostasis over the given features at one step."""
+) -> np.ndarray:
+    """Unweighted mean homeostasis over the given features at each step."""
     if not feature_ids:
-        raise ValidationError("homeostasis_state needs a nonempty feature set")
+        raise ValidationError("homeostasis_states needs a nonempty feature set")
+    cols = trajectory.columns
     total = 0.0
-    for fid in feature_ids:
-        obs = step.observations.get(fid)
-        if obs is None:
-            raise SchemaError(f"feature {fid!r} absent at t={step.t}")
+    for fid, j in zip(feature_ids, _feature_columns(trajectory, feature_ids)):
         spec = feature_schema[fid]
-        total += homeostasis_feature(
-            obs.value, spec.feature_type, spec.healthy_interval, cfg.iqr.get(fid, 1.0), cfg.k
+        total = total + _homeostasis(
+            cols.values[:, j], spec.feature_type, spec.healthy_interval,
+            cfg.iqr.get(fid, 1.0), cfg.k,
         )
     return total / len(feature_ids)
-
-
-def _mean_dose(action: dict[str, float], action_max: dict[str, float]) -> float:
-    """Mean normalized magnitude over all declared action dimensions."""
-    if not action_max:
-        return 0.0
-    return sum(action.get(aid, 0.0) / mx for aid, mx in action_max.items()) / len(action_max)
-
-
-def efficiency(
-    prev: Step,
-    nxt: Step,
-    feature_ids: Sequence[str],
-    cfg: CompMetricConfig,
-    feature_schema: dict[str, FeatureSpec],
-) -> float:
-    """Homeostasis gain of one transition minus the dose penalty."""
-    gain = homeostasis_state(nxt, feature_ids, cfg, feature_schema) - homeostasis_state(
-        prev, feature_ids, cfg, feature_schema
-    )
-    return gain - cfg.alpha * _mean_dose(prev.action, cfg.action_max)
 
 
 def _trajectory_efficiency(
@@ -272,16 +283,29 @@ def _trajectory_efficiency(
     cfg: CompMetricConfig,
     feature_schema: dict[str, FeatureSpec],
 ) -> float:
-    scores = [
-        homeostasis_state(s, feature_ids, cfg, feature_schema) for s in traj.steps
-    ]
-    per_step = [
-        scores[i + 1] - scores[i] - cfg.alpha * _mean_dose(traj.steps[i].action, cfg.action_max)
-        for i in range(len(traj.steps) - 1)
-    ]
-    if cfg.aggregation == "sum":
-        return sum(per_step)
-    return sum(per_step) / len(per_step)
+    """Mean (or sum, per cfg.aggregation) over transitions of the homeostasis
+    gain minus alpha times the mean normalized dose of the earlier step."""
+    states = homeostasis_states(traj, feature_ids, cfg, feature_schema)
+    cols = traj.columns
+    dose = 0.0
+    for aid, mx in cfg.action_max.items():
+        if aid in cols.action_index:
+            dose = dose + cols.actions[:-1, cols.action_index[aid]] / mx
+    if cfg.action_max:
+        dose = dose / len(cfg.action_max)
+    per_step = states[1:] - states[:-1] - cfg.alpha * dose
+    return float(per_step.sum() if cfg.aggregation == "sum" else per_step.mean())
+
+
+def _efficiencies(
+    dataset: TrajectoryDataset, feature_ids: Sequence[str], cfg: CompMetricConfig
+) -> np.ndarray:
+    return np.array(
+        [
+            _trajectory_efficiency(traj, feature_ids, cfg, dataset.feature_schema)
+            for traj in dataset.trajectories
+        ]
+    )
 
 
 def j_comp(
@@ -289,14 +313,43 @@ def j_comp(
     traces: Sequence[RewardTrace],
     feature_ids: Sequence[str],
     cfg: CompMetricConfig,
+    *,
+    efficiency: Sequence[float] | None = None,
 ) -> float:
-    cfg = cfg.prepare(dataset)
-    returns = [t.cumulative for t in traces]
-    eff = [
-        _trajectory_efficiency(traj, feature_ids, cfg, dataset.feature_schema)
-        for traj in dataset.trajectories
-    ]
-    return _pearson_named(returns, eff, "cumulative reward", "efficiency score")
+    """efficiency: the per-trajectory efficiency under cfg, if already known."""
+    if efficiency is None:
+        efficiency = _efficiencies(dataset, feature_ids, cfg.prepare(dataset))
+    return _pearson_named(_returns(traces), efficiency, "cumulative reward", "efficiency score")
+
+
+class FitnessTargets:
+    """The spec-independent side of each fitness axis, per trajectory.
+
+    Each statistic is computed on first use and kept, so every spec scored
+    against one dataset and one prepared metric config shares them.
+    """
+
+    def __init__(self, dataset: TrajectoryDataset, cfg: CompMetricConfig):
+        self._dataset = dataset
+        self._cfg = cfg
+        self._staleness: dict[tuple[str, ...], np.ndarray] = {}
+        self._efficiency: dict[tuple[str, ...], np.ndarray] = {}
+
+    @cached_property
+    def truth(self) -> np.ndarray:
+        return _ground_truths(self._dataset, self._cfg.epsilon)
+
+    def staleness(self, feature_ids: Sequence[str]) -> np.ndarray:
+        key = tuple(feature_ids)
+        if key not in self._staleness:
+            self._staleness[key] = _uncertainties(self._dataset, key)
+        return self._staleness[key]
+
+    def efficiency(self, feature_ids: Sequence[str]) -> np.ndarray:
+        key = tuple(feature_ids)
+        if key not in self._efficiency:
+            self._efficiency[key] = _efficiencies(self._dataset, key, self._cfg)
+        return self._efficiency[key]
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +362,17 @@ def fitness(
     spec: RewardSpec,
     cfg: CompMetricConfig | None = None,
     feature_ids: Sequence[str] | None = None,
+    targets: FitnessTargets | None = None,
 ) -> FitnessVector:
     """Score one reward spec on the dataset; all three axes share one set of
-    traces. Defaults the feature set to the spec's own survival features."""
+    traces. Defaults the feature set to the spec's own survival features.
+    targets, built from the same dataset and cfg, is shared across specs."""
     if len(dataset.trajectories) < 2:
         raise ValidationError("fitness needs at least 2 trajectories")
     cfg = (cfg or CompMetricConfig()).prepare(dataset)
     fids = list(feature_ids) if feature_ids is not None else sorted(spec.survival)
     traces = [trace(traj, spec) for traj in dataset.trajectories]
-    return fitness_of_traces(dataset, traces, cfg=cfg, feature_ids=fids)
+    return fitness_of_traces(dataset, traces, cfg=cfg, feature_ids=fids, targets=targets)
 
 
 def fitness_of_traces(
@@ -325,12 +380,17 @@ def fitness_of_traces(
     traces: Sequence[RewardTrace],
     cfg: CompMetricConfig | None = None,
     feature_ids: Sequence[str] | None = None,
+    targets: FitnessTargets | None = None,
 ) -> FitnessVector:
     """Score precomputed traces (used for the reference reward models)."""
     cfg = (cfg or CompMetricConfig()).prepare(dataset)
     fids = list(feature_ids) if feature_ids is not None else dataset.feature_ids()
+    if targets is None:
+        targets = FitnessTargets(dataset, cfg)
+    # Each target is read only after the axes before it were scored, so a
+    # failure surfaces in the same order as the axes.
     return FitnessVector(
-        j_surv=j_surv(dataset, traces, cfg.epsilon),
-        j_conf=j_conf(dataset, traces, fids),
-        j_comp=j_comp(dataset, traces, fids, cfg),
+        j_surv=j_surv(dataset, traces, cfg.epsilon, truth=targets.truth),
+        j_conf=j_conf(dataset, traces, fids, staleness=targets.staleness(fids)),
+        j_comp=j_comp(dataset, traces, fids, cfg, efficiency=targets.efficiency(fids)),
     )

@@ -10,9 +10,13 @@ safe to share across parallel workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError, ValidationError
 
@@ -65,12 +69,64 @@ class Step:
     action: dict[str, float] = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class TrajectoryColumns:
+    """Column block of one trajectory: row i belongs to steps[i].
+
+    Feature and action columns are in sorted id order. A feature absent at
+    a step has mask False and holds 0 in values and staleness; an action a
+    step does not set is 0.
+    """
+
+    feature_index: dict[str, int]
+    values: np.ndarray  # [T, F]
+    staleness: np.ndarray  # [T, F]
+    mask: np.ndarray  # [T, F] bool
+    t: np.ndarray  # [T]
+    sofa: np.ndarray  # [T]
+    action_index: dict[str, int]
+    actions: np.ndarray  # [T, A]
+    acting_ids: frozenset[str]  # action ids set on some step but the last
+
+    @classmethod
+    def of(cls, steps: list[Step]) -> "TrajectoryColumns":
+        fids = sorted({fid for s in steps for fid in s.observations})
+        aids = sorted({aid for s in steps for aid in s.action})
+        mask = np.array(
+            [[fid in s.observations for fid in fids] for s in steps], dtype=bool
+        ).reshape(len(steps), len(fids))
+        present = [s.observations[fid] for s in steps for fid in fids if fid in s.observations]
+        values = np.zeros(mask.shape)
+        values[mask] = [o.value for o in present]
+        staleness = np.zeros(mask.shape)
+        staleness[mask] = [o.staleness for o in present]
+        return cls(
+            feature_index={fid: j for j, fid in enumerate(fids)},
+            values=values,
+            staleness=staleness,
+            mask=mask,
+            t=np.array([s.t for s in steps], dtype=float),
+            sofa=np.array([s.sofa for s in steps], dtype=float),
+            action_index={aid: j for j, aid in enumerate(aids)},
+            actions=np.array(
+                [[s.action.get(aid, 0.0) for aid in aids] for s in steps], dtype=float
+            ).reshape(len(steps), len(aids)),
+            acting_ids=frozenset(aid for s in steps[:-1] for aid in s.action),
+        )
+
+
 @dataclass
 class Trajectory:
     patient_id: str
     steps: list[Step]
     survived: bool
     sofa_baseline: float
+
+    @cached_property
+    def columns(self) -> TrajectoryColumns:
+        """The steps as arrays, built on first use and kept: a trajectory
+        must not change once its columns exist."""
+        return TrajectoryColumns.of(self.steps)
 
 
 @dataclass
@@ -95,6 +151,9 @@ class TrajectoryDataset:
                     raise ValidationError(
                         f"feature {fid!r}: healthy_interval [{lo}, {hi}] out of order or out of [0,1]"
                     )
+        for aid, spec in self.action_schema.items():
+            if not (0.0 < spec.max_value < math.inf):
+                raise ValidationError(f"action {aid!r}: max {spec.max_value} not finite and > 0")
         for traj in self.trajectories:
             self._validate_trajectory(traj)
 
@@ -102,8 +161,10 @@ class TrajectoryDataset:
         pid = traj.patient_id
         if len(traj.steps) < 2:
             raise ValidationError(f"patient {pid!r}: needs >= 2 steps (a reward requires a transition)")
-        if traj.sofa_baseline < 0:
-            raise ValidationError(f"patient {pid!r}: sofa_baseline negative")
+        if not (0.0 <= traj.sofa_baseline < math.inf):
+            raise ValidationError(
+                f"patient {pid!r}: sofa_baseline {traj.sofa_baseline} not finite and >= 0"
+            )
         prev_t = None
         feature_set = None
         for step in traj.steps:
@@ -112,8 +173,10 @@ class TrajectoryDataset:
                     f"patient {pid!r}: non-increasing time index at t={step.t}"
                 )
             prev_t = step.t
-            if step.sofa < 0:
-                raise ValidationError(f"patient {pid!r}: sofa negative at t={step.t}")
+            if not (0.0 <= step.sofa < math.inf):
+                raise ValidationError(
+                    f"patient {pid!r}: sofa {step.sofa} not finite and >= 0 at t={step.t}"
+                )
             ids = frozenset(step.observations)
             if feature_set is None:
                 feature_set = ids
@@ -130,7 +193,7 @@ class TrajectoryDataset:
                     raise ValidationError(
                         f"patient {pid!r}: feature {fid!r} value out of [0,1] at t={step.t}"
                     )
-                if obs.staleness < 0:
+                if not (obs.staleness >= 0):
                     raise ValidationError(
                         f"patient {pid!r}: feature {fid!r} staleness negative at t={step.t}"
                     )
@@ -139,9 +202,9 @@ class TrajectoryDataset:
                     raise ValidationError(
                         f"patient {pid!r}: action {aid!r} not in action_schema"
                     )
-                if level < 0:
+                if not (level >= 0):
                     raise ValidationError(
-                        f"patient {pid!r}: action {aid!r} negative at t={step.t}"
+                        f"patient {pid!r}: action {aid!r} level {level} not >= 0 at t={step.t}"
                     )
                 if level > self.action_schema[aid].max_value:
                     raise ValidationError(
@@ -246,10 +309,10 @@ def _parse_step(doc: dict, where: str, action_schema: dict[str, ActionSpec]) -> 
     action = {}
     for aid, level in doc.get("action", {}).items():
         spec = action_schema.get(aid)
-        if spec is not None and spec.discrete:
-            action[aid] = int(level)
-        else:
-            action[aid] = float(level)
+        try:
+            action[aid] = int(level) if spec is not None and spec.discrete else float(level)
+        except (OverflowError, ValueError) as exc:  # int() of inf or NaN
+            raise ValidationError(f"{where}: action {aid!r} level {level} not finite") from exc
     return Step(t=t, sofa=float(_require(doc, "sofa", where)), observations=obs, action=action)
 
 

@@ -3,7 +3,8 @@
 A run directory holds one manifest plus one subdirectory per stage:
 
     manifest.json           deterministic run record (hashes, statuses, champion)
-    timing.json             wall-clock info; the only volatile file, excluded
+    timing.json             wall-clock info (dataset load, per-stage seconds, stages
+                            skipped as fresh); the only volatile file, excluded
                             from the reproducibility digest
     stats/metadata.json
     features/report.json    features/rounds/round_XXX.json
@@ -45,7 +46,7 @@ from .features import (
     run_selection,
     summarize_dataset,
 )
-from .fitness import CompMetricConfig, FitnessVector, fitness
+from .fitness import CompMetricConfig, FitnessTargets, FitnessVector, fitness
 from .llm import HttpLlmClient, LlmClient, LlmClientConfig, StubLlmClient
 from .model import TrajectoryDataset, load_dataset
 from .ope import (
@@ -268,10 +269,11 @@ def score_specs(
 ) -> list[dict]:
     """Fitness rows per spec; degenerate candidates are flagged, not fatal."""
     cfg = (cfg or CompMetricConfig()).prepare(dataset)
+    targets = FitnessTargets(dataset, cfg)
     rows = []
     for spec_id, spec in specs:
         try:
-            vec = fitness(dataset, spec, cfg, feature_ids)
+            vec = fitness(dataset, spec, cfg, feature_ids, targets)
             rows.append(
                 {
                     "spec_id": spec_id,
@@ -469,7 +471,9 @@ class PipelineRun:
             f"{dataset_sha}:{config_sha}:{config.seed}".encode("utf-8")
         )[:16]
         self.manifest = self._load_or_init_manifest(dataset_sha, config_sha)
+        self._load_seconds = 0.0
         self._timing: dict[str, float] = {}
+        self._skipped: list[str] = []
 
     # -- manifest -------------------------------------------------------
 
@@ -479,7 +483,12 @@ class PipelineRun:
 
     def _load_or_init_manifest(self, dataset_sha: str, config_sha: str) -> dict:
         if self.manifest_path.exists():
-            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            try:
+                manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise FormatError(f"{self.manifest_path}: unreadable run manifest: {exc}") from exc
+            if not isinstance(manifest, dict):
+                raise FormatError(f"{self.manifest_path}: run manifest must be a JSON object")
             if manifest.get("run_id") != self.run_id:
                 raise ConfigError(
                     f"run directory {self.out} belongs to run {manifest.get('run_id')}; "
@@ -503,7 +512,9 @@ class PipelineRun:
     def _write_timing(self) -> None:
         doc = {
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+            "load_seconds": round(self._load_seconds, 6),
             "stage_seconds": {k: round(v, 6) for k, v in self._timing.items()},
+            "skipped": self._skipped,
         }
         (self.out / "timing.json").write_text(
             json.dumps(doc, indent=2) + "\n", encoding="utf-8"
@@ -536,12 +547,16 @@ class PipelineRun:
 
     def execute(self) -> dict:
         """Run (or resume) every stage in order; returns the manifest."""
+        self._timing, self._skipped = {}, []
+        start = time.perf_counter()
         dataset = filter_split(load_dataset(self.config.dataset), self.config.split)
+        self._load_seconds = time.perf_counter() - start
         if not dataset.trajectories:
             raise PipelineError("dataset (after split filtering) has no trajectories")
         client = build_client(self.config)
         for name in STAGES:
             if self._stage_fresh(name):
+                self._skipped.append(name)
                 continue
             start = time.perf_counter()
             try:

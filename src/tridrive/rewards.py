@@ -19,11 +19,14 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from . import defaults
 from .errors import FormatError, SchemaError, ValidationError
-from .model import Step, Trajectory
+from .model import Trajectory, TrajectoryColumns
 
 
 class SurvivalForm(str, Enum):
@@ -40,6 +43,11 @@ _FORM_PARAMS = {
     SurvivalForm.DECAY_HIGH: ("tau",),
     SurvivalForm.ASYMMETRIC_ABOVE: ("mu", "sigma"),
 }
+
+
+def _positive(x: float) -> bool:
+    """True for a finite x > 0; False for NaN, which fails every comparison."""
+    return 0.0 < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -64,14 +72,25 @@ class SurvivalConfig:
                 raise ValidationError(f"survival form {self.form.value}: unexpected parameter {name!r}")
             if not have and name in needed:
                 raise ValidationError(f"survival form {self.form.value}: missing parameter {name!r}")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValidationError("sigma must be positive")
-        if self.tau is not None and self.tau <= 0:
-            raise ValidationError("tau must be positive")
+        if self.sigma is not None and not _positive(self.sigma):
+            raise ValidationError("sigma must be a finite positive number")
+        if self.tau is not None and not _positive(self.tau):
+            raise ValidationError("tau must be a finite positive number")
         if self.mu is not None and not (0.0 <= self.mu <= 1.0):
             raise ValidationError("mu must lie in [0,1]")
-        if self.weight <= 0:
-            raise ValidationError("weight must be positive")
+        if not _positive(self.weight):
+            raise ValidationError("weight must be a finite positive number")
+
+    @cached_property
+    def coefficients(self) -> tuple[float, float, float]:
+        """(c, b, m) of this curve in the survival kernel's form."""
+        if self.form is SurvivalForm.BELL:
+            return 1.0 / self.sigma, 0.0, self.mu
+        if self.form is SurvivalForm.DECAY_LOW:
+            return 0.0, 1.0 / self.tau, 0.0
+        if self.form is SurvivalForm.DECAY_HIGH:
+            return 0.0, -1.0 / self.tau, 1.0
+        return 0.0, math.log(2.0) / self.sigma, self.mu
 
 
 @dataclass
@@ -91,19 +110,19 @@ class RewardSpec:
         if set(self.survival) != set(self.confidence_tau):
             raise ValidationError("survival and confidence_tau must cover the same features")
         for fid, tau in self.confidence_tau.items():
-            if tau <= 0:
-                raise ValidationError(f"confidence_tau[{fid!r}] must be positive")
-        if self.decay_half_life <= 0:
-            raise ValidationError("decay_half_life must be positive")
+            if not _positive(tau):
+                raise ValidationError(f"confidence_tau[{fid!r}] must be a finite positive number")
+        if not _positive(self.decay_half_life):
+            raise ValidationError("decay_half_life must be a finite positive number")
         if not (0.0 < self.gamma <= 1.0):
             raise ValidationError("gamma must lie in (0,1]")
-        if self.lam < 0:
-            raise ValidationError("lambda must be nonnegative")
-        if self.action_cost_scale < 0:
-            raise ValidationError("action_cost_scale must be nonnegative")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValidationError("lambda must be a finite nonnegative number")
+        if not (0.0 <= self.action_cost_scale < math.inf):
+            raise ValidationError("action_cost_scale must be a finite nonnegative number")
         for aid, mx in self.action_max.items():
-            if mx <= 0:
-                raise ValidationError(f"action_max[{aid!r}] must be positive")
+            if not _positive(mx):
+                raise ValidationError(f"action_max[{aid!r}] must be a finite positive number")
 
 
 @dataclass
@@ -125,94 +144,123 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
     return sum(r * gamma**i for i, r in enumerate(rewards))
 
 
+# Array kernels. Each formula is written once, over numpy arrays; the
+# per-value helpers below call the same kernels on one value.
+#
+# Every survival form is exp(-max(0.5*(c*d)**2 + b*d, 0)) with d = value - m:
+#
+#   form              c        b             m
+#   bell              1/sigma  0             mu
+#   decay_low         0        1/tau         0
+#   decay_high        0        -1/tau        1
+#   asymmetric_above  0        ln 2/sigma    mu
+#
+# The exponent's floor at 0 makes asymmetric_above flat at 1 up to mu and
+# caps every score at 1.
+
+
+def _survival_scores(values: np.ndarray, c, b, m) -> np.ndarray:
+    d = values - m
+    z = c * d
+    return np.exp(-np.maximum(0.5 * z * z + b * d, 0.0))
+
+
+def _confidence_weights(staleness: np.ndarray, tau) -> np.ndarray:
+    return np.exp(-staleness / tau)
+
+
+def _time_decays(t: np.ndarray, half_life: float) -> np.ndarray:
+    return np.power(0.5, t / half_life)
+
+
+def _competence_costs(levels: np.ndarray, maxima: np.ndarray, scale: float) -> np.ndarray:
+    """Per-row dose penalty of a [steps, actions] level matrix."""
+    return scale * (levels / maxima).sum(axis=-1)
+
+
+def _check_declared_actions(action_ids, spec: RewardSpec) -> None:
+    unknown = sorted(set(action_ids) - spec.action_max.keys())
+    if unknown:
+        raise SchemaError(f"action {unknown[0]!r} not declared in the reward spec's action_max")
+
+
 def survival_score(value: float, cfg: SurvivalConfig) -> float:
     """Score one normalized feature value in [0,1] against its survival curve."""
-    if cfg.form is SurvivalForm.BELL:
-        z = (value - cfg.mu) / cfg.sigma
-        score = math.exp(-0.5 * z * z)
-    elif cfg.form is SurvivalForm.DECAY_LOW:
-        score = math.exp(-value / cfg.tau)
-    elif cfg.form is SurvivalForm.DECAY_HIGH:
-        score = math.exp(-(1.0 - value) / cfg.tau)
-    else:  # ASYMMETRIC_ABOVE: flat at 1 up to mu, half-life sigma above it
-        if value <= cfg.mu:
-            score = 1.0
-        else:
-            score = math.exp(-(math.log(2.0) / cfg.sigma) * (value - cfg.mu))
-    # guard against floating-point overshoot
-    return min(1.0, max(0.0, score))
+    return float(_survival_scores(np.float64(value), *cfg.coefficients))
 
 
 def confidence_weight(staleness: float, tau: float) -> float:
     """Trust in a measurement that is `staleness` hours old: exp(-dt/tau)."""
-    return math.exp(-staleness / tau)
+    return float(_confidence_weights(np.float64(staleness), tau))
 
 
 def time_decay(t: float, half_life: float) -> float:
     """Strategic decay 0.5 ** (t / half_life); halves every half_life steps."""
-    return 0.5 ** (t / half_life)
+    return float(_time_decays(np.float64(t), half_life))
 
 
 def competence_cost(action: dict[str, float], spec: RewardSpec) -> float:
     """Dose penalty: action_cost_scale times the sum of normalized levels."""
-    total = 0.0
-    for aid, level in action.items():
-        if aid not in spec.action_max:
-            raise SchemaError(f"action {aid!r} not declared in the reward spec's action_max")
-        total += level / spec.action_max[aid]
-    return spec.action_cost_scale * total
+    _check_declared_actions(action, spec)
+    levels = np.array([float(level) for level in action.values()])
+    maxima = np.array([spec.action_max[aid] for aid in action])
+    return float(_competence_costs(levels, maxima, spec.action_cost_scale))
 
 
-def potential(step: Step, spec: RewardSpec) -> float:
-    """Health potential of one step.
+def _potentials(cols: TrajectoryColumns, spec: RewardSpec) -> np.ndarray:
+    """Health potential of every step.
 
     Weighted sum over the spec's features of survival score times
     confidence weight, normalized by the total weight (unless the spec
     disables normalization), then multiplied by the strategic decay.
-    A feature missing from the step contributes nothing and is excluded
-    from the normalizer; if every feature is missing the base potential
-    is the neutral 0.5.
+    A feature missing from a step contributes nothing and is excluded
+    from that step's normalizer; if every feature is missing the base
+    potential is the neutral 0.5.
     """
-    num = 0.0
-    den = 0.0
-    for fid, cfg in spec.survival.items():
-        obs = step.observations.get(fid)
-        if obs is None:
-            continue
-        score = survival_score(obs.value, cfg)
-        trust = confidence_weight(obs.staleness, spec.confidence_tau[fid])
-        num += cfg.weight * score * trust
-        den += cfg.weight
-    if den == 0.0:
-        base = 0.5
-    elif spec.normalize_potential:
-        base = min(1.0, max(0.0, num / den))
-    else:
-        base = num
-    return time_decay(step.t, spec.decay_half_life) * base
-
-
-def reward(prev: Step, nxt: Step, spec: RewardSpec) -> float:
-    """Step reward: gamma * phi(next) - phi(prev) - lambda * cost(prev.action)."""
-    shaped = spec.gamma * potential(nxt, spec) - potential(prev, spec)
-    if spec.lam == 0.0:
-        return shaped
-    return shaped - spec.lam * competence_cost(prev.action, spec)
+    fids = [fid for fid in spec.survival if fid in cols.feature_index]
+    idx = [cols.feature_index[fid] for fid in fids]
+    c, b, m, weight, tau = np.array(
+        [
+            (*spec.survival[fid].coefficients, spec.survival[fid].weight, spec.confidence_tau[fid])
+            for fid in fids
+        ],
+        dtype=float,
+    ).reshape(len(fids), 5).T
+    weights = cols.mask[:, idx] * weight
+    score = _survival_scores(cols.values[:, idx], c, b, m)
+    trust = _confidence_weights(cols.staleness[:, idx], tau)
+    num = (weights * score * trust).sum(axis=1)
+    den = weights.sum(axis=1)
+    present = den > 0.0
+    if spec.normalize_potential:
+        num = np.minimum(num / np.where(present, den, 1.0), 1.0)
+    base = np.where(present, num, 0.5)
+    return _time_decays(cols.t, spec.decay_half_life) * base
 
 
 def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
-    """Evaluate the spec over every consecutive step pair of one trajectory."""
-    potentials = [potential(s, spec) for s in trajectory.steps]
-    rewards = []
-    for i in range(len(trajectory.steps) - 1):
-        shaped = spec.gamma * potentials[i + 1] - potentials[i]
-        if spec.lam != 0.0:
-            shaped -= spec.lam * competence_cost(trajectory.steps[i].action, spec)
-        rewards.append(shaped)
+    """Evaluate the spec over every consecutive step pair of one trajectory.
+
+    The step reward is gamma * phi(next) - phi(prev) - lambda * cost(prev.action);
+    with lambda 0 the actions are not read at all.
+    """
+    cols = trajectory.columns
+    potentials = _potentials(cols, spec)
+    rewards = spec.gamma * potentials[1:] - potentials[:-1]
+    if spec.lam != 0.0:
+        _check_declared_actions(cols.acting_ids, spec)
+        declared = [aid for aid in cols.action_index if aid in spec.action_max]
+        costs = _competence_costs(
+            cols.actions[:-1, [cols.action_index[aid] for aid in declared]],
+            np.array([spec.action_max[aid] for aid in declared]),
+            spec.action_cost_scale,
+        )
+        rewards -= spec.lam * costs
+    discounts = np.power(spec.gamma, np.arange(len(rewards)))
     return RewardTrace(
-        rewards=rewards,
-        potentials=potentials,
-        cumulative=_discounted_sum(rewards, spec.gamma),
+        rewards=rewards.tolist(),
+        potentials=potentials.tolist(),
+        cumulative=float(rewards @ discounts),
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tridrive.model import (
     Trajectory,
     TrajectoryDataset,
 )
+from tridrive.errors import SchemaError
 from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm
 from tridrive.synth import CohortConfig, generate
 
@@ -151,3 +154,141 @@ def random_mdp(rng, n_states=5, n_actions=2):
 def shaped_reward(transition, reward, potential, gamma):
     """Expected reward under base + potential-difference shaping."""
     return reward + gamma * np.einsum("sat,t->sa", transition, potential) - potential[:, None]
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: scalar reward and fitness maths, one step and one
+# feature at a time, for comparison with the array kernels in src/.
+# ---------------------------------------------------------------------------
+
+
+def _survival(value, cfg):
+    if cfg.form is SurvivalForm.BELL:
+        z = (value - cfg.mu) / cfg.sigma
+        score = math.exp(-0.5 * z * z)
+    elif cfg.form is SurvivalForm.DECAY_LOW:
+        score = math.exp(-value / cfg.tau)
+    elif cfg.form is SurvivalForm.DECAY_HIGH:
+        score = math.exp(-(1.0 - value) / cfg.tau)
+    elif value <= cfg.mu:  # ASYMMETRIC_ABOVE: flat at 1 up to mu, half-life sigma above it
+        score = 1.0
+    else:
+        score = math.exp(-(math.log(2.0) / cfg.sigma) * (value - cfg.mu))
+    return min(1.0, max(0.0, score))
+
+
+def potential(step, spec):
+    """Health potential of one step: the weighted, confidence-discounted mean
+    survival score of the spec's features present at the step (0.5 if none
+    is), times the strategic decay 0.5 ** (t / half_life)."""
+    num = 0.0
+    den = 0.0
+    for fid, cfg in spec.survival.items():
+        obs = step.observations.get(fid)
+        if obs is None:
+            continue
+        trust = math.exp(-obs.staleness / spec.confidence_tau[fid])
+        num += cfg.weight * _survival(obs.value, cfg) * trust
+        den += cfg.weight
+    if den == 0.0:
+        base = 0.5
+    elif spec.normalize_potential:
+        base = min(1.0, max(0.0, num / den))
+    else:
+        base = num
+    return 0.5 ** (step.t / spec.decay_half_life) * base
+
+
+def _cost(action, spec):
+    total = 0.0
+    for aid, level in action.items():
+        if aid not in spec.action_max:
+            raise SchemaError(f"action {aid!r} not declared in the reward spec's action_max")
+        total += level / spec.action_max[aid]
+    return spec.action_cost_scale * total
+
+
+def oracle_trace(trajectory, spec):
+    """(rewards, potentials, cumulative) of one trajectory, step by step."""
+    potentials = [potential(s, spec) for s in trajectory.steps]
+    rewards = []
+    for i in range(len(trajectory.steps) - 1):
+        shaped = spec.gamma * potentials[i + 1] - potentials[i]
+        if spec.lam != 0.0:
+            shaped -= spec.lam * _cost(trajectory.steps[i].action, spec)
+        rewards.append(shaped)
+    cumulative = sum(r * spec.gamma**i for i, r in enumerate(rewards))
+    return rewards, potentials, cumulative
+
+
+def oracle_ground_truth(trajectory, epsilon):
+    steps = trajectory.steps
+    stable = sum(1 for s in steps if abs(s.sofa - trajectory.sofa_baseline) < epsilon)
+    return float(trajectory.survived) + stable / len(steps)
+
+
+def oracle_uncertainty(trajectory, feature_ids):
+    total = sum(s.observations[fid].staleness for s in trajectory.steps for fid in feature_ids)
+    return total / (len(trajectory.steps) * len(feature_ids))
+
+
+def _logistic(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    e = math.exp(z)
+    return e / (1.0 + e)
+
+
+def _homeostasis(value, spec, iqr, k):
+    if spec.feature_type is FeatureType.NORMAL_RANGE:
+        lo, hi = spec.healthy_interval
+        if lo <= value <= hi:
+            return 1.0
+        d = (lo - value) if value < lo else (value - hi)
+        return _logistic(k * (0.5 - d / iqr))
+    if spec.feature_type is FeatureType.DIRECTIONAL_LOW:
+        return _logistic(k * (0.5 - value))
+    return _logistic(-k * (0.5 - value))
+
+
+def oracle_efficiency(trajectory, feature_ids, cfg, feature_schema):
+    """Mean (or sum) over transitions of the homeostasis gain minus alpha
+    times the mean normalized dose of the earlier step."""
+    states = [
+        sum(
+            _homeostasis(s.observations[fid].value, feature_schema[fid], cfg.iqr.get(fid, 1.0), cfg.k)
+            for fid in feature_ids
+        )
+        / len(feature_ids)
+        for s in trajectory.steps
+    ]
+    per_step = []
+    for i, step in enumerate(trajectory.steps[:-1]):
+        dose = 0.0
+        if cfg.action_max:
+            dose = sum(
+                step.action.get(aid, 0.0) / mx for aid, mx in cfg.action_max.items()
+            ) / len(cfg.action_max)
+        per_step.append(states[i + 1] - states[i] - cfg.alpha * dose)
+    if cfg.aggregation == "sum":
+        return sum(per_step)
+    return sum(per_step) / len(per_step)
+
+
+def oracle_iqr(dataset, fid):
+    """IQR of the fresh values of one feature (all values if none is fresh;
+    1.0 if there are none or the spread is 0)."""
+    fresh, everything = [], []
+    for traj in dataset.trajectories:
+        for step in traj.steps:
+            obs = step.observations.get(fid)
+            if obs is None:
+                continue
+            everything.append(obs.value)
+            if obs.staleness == 0:
+                fresh.append(obs.value)
+    values = fresh or everything
+    if not values:
+        return 1.0
+    q25, q75 = np.quantile(values, [0.25, 0.75])
+    return float(q75 - q25) or 1.0

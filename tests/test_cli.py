@@ -234,6 +234,65 @@ class TestPipelineCommand:
         assert "no trajectories" in result.output
 
 
+def _nan_dataset(workdir, tmp_path):
+    doc = json.loads((workdir / "cohort.json").read_text())
+    doc["trajectories"][0]["steps"][1]["sofa"] = float("nan")
+    path = tmp_path / "nan_cohort.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _assert_usage_error(result):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+class TestNonFiniteInputs:
+    def test_score_nan_dataset(self, workdir, artifacts, tmp_path):
+        _, _, specs = artifacts
+        _assert_usage_error(_invoke(
+            "score", "--dataset", _nan_dataset(workdir, tmp_path), "--specs", specs,
+            "--out", tmp_path / "fitness.json",
+        ))
+
+    @pytest.mark.parametrize("key", ["confidence_tau", "action_max"])
+    def test_score_nan_spec(self, workdir, tmp_path, key):
+        doc = json.loads((workdir / "ref_spec.json").read_text())
+        first = sorted(doc[key])[0]
+        doc[key][first] = float("nan")
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        (specs / "spec_000.json").write_text(json.dumps(doc))
+        _assert_usage_error(_invoke(
+            "score", "--dataset", workdir / "cohort.json", "--specs", specs,
+            "--out", tmp_path / "fitness.json",
+        ))
+
+    def test_pipeline_nan_dataset(self, workdir, tmp_path):
+        config = tmp_path / "pipe.json"
+        config.write_text(json.dumps({
+            "dataset": str(_nan_dataset(workdir, tmp_path)),
+            "rounds": 2, "candidates": 3, "bootstrap": 40, "bins": 2, "seed": 1,
+        }))
+        _assert_usage_error(_invoke("pipeline", "--config", config, "--out", tmp_path / "run"))
+
+
+def test_truncated_manifest_is_usage_error(workdir, tmp_path):
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({
+        "dataset": str(workdir / "cohort.json"),
+        "rounds": 2, "candidates": 3, "bootstrap": 40, "bins": 2, "seed": 1,
+    }))
+    run = tmp_path / "run"
+    assert _invoke("pipeline", "--config", config, "--out", run).exit_code == 0
+    manifest = run / "manifest.json"
+    manifest.write_text(manifest.read_text()[:40])
+    result = _invoke("pipeline", "--config", config, "--out", run)
+    _assert_usage_error(result)
+    assert "manifest.json" in result.output
+
+
 def test_help_lists_commands():
     result = _invoke("--help")
     assert result.exit_code == 0

@@ -6,16 +6,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_step, simple_spec
+from conftest import (
+    make_dataset,
+    make_step,
+    oracle_efficiency,
+    oracle_ground_truth,
+    oracle_iqr,
+    oracle_uncertainty,
+    simple_spec,
+)
 from tridrive.errors import ConfigError, DegenerateStatisticError, ValidationError
 from tridrive.fitness import (
     CompMetricConfig,
+    FitnessTargets,
     FitnessVector,
-    efficiency,
+    _trajectory_efficiency,
     fitness,
     ground_truth_score,
     homeostasis_feature,
-    homeostasis_state,
+    homeostasis_states,
     j_comp,
     j_conf,
     j_surv,
@@ -145,6 +154,12 @@ class TestHomeostasis:
         assert lo < hi
 
 
+def homeostasis_state(step, feature_ids, cfg, feature_schema):
+    """Homeostasis of one step: the state of a one-step trajectory."""
+    return float(homeostasis_states(Trajectory("p", [step], True, 5.0), feature_ids, cfg,
+                                    feature_schema)[0])
+
+
 class TestHomeostasisState:
     def _dataset(self):
         trajs = [
@@ -178,6 +193,12 @@ class TestHomeostasisState:
         ds = self._dataset()
         cfg = CompMetricConfig(iqr={"nr": 0.2})
         assert homeostasis_state(ds.trajectories[0].steps[0], ["nr"], cfg, ds.feature_schema) == 1.0
+
+
+def efficiency(prev, nxt, feature_ids, cfg, feature_schema):
+    """Efficiency of one transition: the efficiency of a two-step trajectory."""
+    return _trajectory_efficiency(Trajectory("p", [prev, nxt], True, 5.0), feature_ids, cfg,
+                                  feature_schema)
 
 
 class TestEfficiency:
@@ -264,13 +285,10 @@ class TestCorrelationMetrics:
         ds = self._cohort()
         cfg = CompMetricConfig().prepare(ds)
         # efficiency differs across trajectories through the dose term
-        eff = []
-        for traj in ds.trajectories:
-            per = [
-                efficiency(traj.steps[i], traj.steps[i + 1], ["f1", "f2"], cfg, ds.feature_schema)
-                for i in range(2)
-            ]
-            eff.append(sum(per) / len(per))
+        eff = [
+            _trajectory_efficiency(traj, ["f1", "f2"], cfg, ds.feature_schema)
+            for traj in ds.trajectories
+        ]
         assert j_comp(ds, _aligned_traces(ds, eff), ["f1", "f2"], cfg) == pytest.approx(1.0)
 
     def test_degenerate_reward_named(self):
@@ -318,3 +336,26 @@ class TestFitnessEndToEnd:
         ds = make_dataset([traj, clone])
         with pytest.raises(DegenerateStatisticError):
             fitness(ds, simple_spec())
+
+
+def test_targets_match_scalar_oracle(cohort500):
+    cfg = CompMetricConfig().prepare(cohort500)
+    fids = cohort500.feature_ids()
+    trajs = cohort500.trajectories
+    for fid in fids:
+        assert cfg.iqr[fid] == oracle_iqr(cohort500, fid)
+    targets = FitnessTargets(cohort500, cfg)
+    exact = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        targets.truth, [oracle_ground_truth(t, cfg.epsilon) for t in trajs], **exact
+    )
+    np.testing.assert_allclose(
+        targets.staleness(fids), [oracle_uncertainty(t, fids) for t in trajs], **exact
+    )
+    for aggregation in ("mean", "sum"):
+        agg = dataclasses.replace(cfg, aggregation=aggregation)
+        np.testing.assert_allclose(
+            FitnessTargets(cohort500, agg).efficiency(fids),
+            [oracle_efficiency(t, fids, agg, cohort500.feature_schema) for t in trajs],
+            **exact,
+        )

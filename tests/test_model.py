@@ -121,6 +121,34 @@ def test_action_over_max_rejected(tmp_path):
         load_dataset(_write_doc(tmp_path, mutate))
 
 
+def _set_action(doc, level, discrete):
+    doc["trajectories"][0]["steps"][0]["action"] = {"drug_a": level}
+    doc["action_schema"] = {"drug_a": {"max": 4, "discrete": discrete}}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["trajectories"][0]["steps"][1].update(sofa=float("nan")),
+        lambda d: d["trajectories"][0]["steps"][1].update(sofa=float("inf")),
+        lambda d: d["trajectories"][0].update(sofa_baseline=float("nan")),
+        lambda d: d["trajectories"][0].update(sofa_baseline=float("inf")),
+        lambda d: _set_action(d, float("nan"), discrete=True),
+        lambda d: _set_action(d, float("nan"), discrete=False),
+        lambda d: _set_action(d, float("inf"), discrete=True),
+        lambda d: _set_action(d, float("inf"), discrete=False),
+        lambda d: d.update(action_schema={"drug_a": {"max": float("nan")}}),
+    ],
+    ids=[
+        "sofa-nan", "sofa-inf", "baseline-nan", "baseline-inf", "discrete-action-nan",
+        "continuous-action-nan", "discrete-action-inf", "continuous-action-inf", "action-max-nan",
+    ],
+)
+def test_non_finite_number_rejected(tmp_path, mutate):
+    with pytest.raises(ValidationError):
+        load_dataset(_write_doc(tmp_path, mutate))
+
+
 def test_parse_failure_has_context(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"feature_schema": {,}')

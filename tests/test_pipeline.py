@@ -7,6 +7,7 @@ from tridrive.llm import ScriptedLlmClient, StubLlmClient
 from tridrive.model import load_dataset, save_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
 from tridrive.pipeline import (
+    STAGES,
     PipelineConfig,
     assign_split,
     filter_split,
@@ -200,6 +201,19 @@ class TestPipelineRun:
         manifest = run_pipeline(config, out)
         assert manifest["stages"]["ope"]["status"] == "complete"
         assert {p: p.stat().st_mtime_ns for p in early} == stamps
+
+    def test_timing_records_load_and_skipped_stages(self, small_dataset_path, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path), out)
+        fresh = json.loads((out / "timing.json").read_text())
+        assert list(fresh["stage_seconds"]) == list(STAGES)
+        assert fresh["skipped"] == []
+        assert fresh["load_seconds"] > 0.0
+        run_pipeline(_config(small_dataset_path), out)
+        resumed = json.loads((out / "timing.json").read_text())
+        assert resumed["stage_seconds"] == {}
+        assert resumed["skipped"] == list(STAGES)
+        assert resumed["load_seconds"] > 0.0
 
     def test_changed_inputs_rejected_in_same_directory(self, small_dataset_path, tmp_path):
         out = tmp_path / "run"

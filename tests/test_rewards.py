@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     make_dataset,
     make_step,
+    oracle_trace,
+    potential as oracle_potential,
     random_mdp,
     shaped_reward,
     simple_spec,
@@ -27,8 +29,6 @@ from tridrive.rewards import (
     competence_cost,
     confidence_weight,
     load_reward_spec,
-    potential,
-    reward,
     reward_spec_from_json,
     reward_spec_to_json,
     save_reward_spec,
@@ -41,6 +41,16 @@ BELL = SurvivalConfig(form=SurvivalForm.BELL, mu=0.5, sigma=0.1)
 DECAY_LOW = SurvivalConfig(form=SurvivalForm.DECAY_LOW, tau=0.3)
 DECAY_HIGH = SurvivalConfig(form=SurvivalForm.DECAY_HIGH, tau=0.3)
 ASYM = SurvivalConfig(form=SurvivalForm.ASYMMETRIC_ABOVE, mu=0.4, sigma=0.2)
+
+
+def potential(step, spec):
+    """Potential of one step, through trace."""
+    return trace(Trajectory("p", [step], True, 0.0), spec).potentials[0]
+
+
+def reward(prev, nxt, spec):
+    """Reward of one transition, through trace."""
+    return trace(Trajectory("p", [prev, nxt], True, 0.0), spec).rewards[0]
 
 
 class TestSurvivalScore:
@@ -268,7 +278,10 @@ class TestTrace:
             5.0,
         )
         result = trace(traj, spec)
-        assert result.rewards == [reward(traj.steps[0], traj.steps[1], spec)]
+        expected = spec.gamma * oracle_potential(traj.steps[1], spec) - oracle_potential(
+            traj.steps[0], spec
+        )
+        assert result.rewards == pytest.approx([expected], abs=1e-12)
         assert result.cumulative == result.rewards[0]
 
     def test_telescoping_identity_random(self):
@@ -427,3 +440,111 @@ class TestSpecSerialization:
         path.write_text("not json")
         with pytest.raises(FormatError):
             load_reward_spec(path)
+
+
+def _spec_doc():
+    spec = RewardSpec(
+        survival={"a": BELL, "b": DECAY_LOW},
+        confidence_tau={"a": 6.0, "b": 6.0},
+        action_max={"drug_a": 4.0},
+        lam=0.1,
+    )
+    return reward_spec_to_json(spec)
+
+
+_SPEC_PATHS = [
+    ("survival", "a", "sigma"),
+    ("survival", "b", "tau"),
+    ("survival", "a", "weight"),
+    ("confidence_tau", "a"),
+    ("decay_half_life",),
+    ("lambda",),
+    ("action_cost_scale",),
+    ("action_max", "drug_a"),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("path", _SPEC_PATHS, ids=["/".join(p) for p in _SPEC_PATHS])
+def test_non_finite_spec_value_rejected(path, bad):
+    doc = _spec_doc()
+    *outer, leaf = path
+    node = doc
+    for key in outer:
+        node = node[key]
+    node[leaf] = bad
+    with pytest.raises(ValidationError):
+        reward_spec_from_json(json.loads(json.dumps(doc)))
+
+
+# ---------------------------------------------------------------------------
+# The array kernel against the step-by-step scalar oracle
+# ---------------------------------------------------------------------------
+
+_ORACLE_FIDS = ("f0", "f1", "f2")
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_sigma = st.floats(min_value=0.02, max_value=0.5)
+_tau = st.floats(min_value=0.05, max_value=0.6)
+_weight = st.floats(min_value=0.1, max_value=2.0)
+_survival_configs = st.one_of(
+    st.builds(lambda mu, sigma, w: SurvivalConfig(SurvivalForm.BELL, mu=mu, sigma=sigma, weight=w),
+              _unit, _sigma, _weight),
+    st.builds(lambda tau, w: SurvivalConfig(SurvivalForm.DECAY_LOW, tau=tau, weight=w), _tau, _weight),
+    st.builds(lambda tau, w: SurvivalConfig(SurvivalForm.DECAY_HIGH, tau=tau, weight=w), _tau, _weight),
+    st.builds(
+        lambda mu, sigma, w: SurvivalConfig(SurvivalForm.ASYMMETRIC_ABOVE, mu=mu, sigma=sigma, weight=w),
+        _unit, _sigma, _weight,
+    ),
+)
+
+
+@st.composite
+def _specs(draw):
+    fids = draw(st.lists(st.sampled_from(_ORACLE_FIDS), min_size=1, max_size=3, unique=True))
+    return RewardSpec(
+        survival={fid: draw(_survival_configs) for fid in fids},
+        confidence_tau={fid: draw(st.floats(min_value=0.5, max_value=24.0)) for fid in fids},
+        action_max={"drug_a": 4.0, "drug_b": 2.0},
+        decay_half_life=draw(st.floats(min_value=5.0, max_value=100.0)),
+        gamma=draw(st.floats(min_value=0.8, max_value=1.0)),
+        lam=draw(st.one_of(st.just(0.0), st.floats(min_value=0.01, max_value=2.0))),
+        action_cost_scale=draw(st.floats(min_value=0.0, max_value=1.0)),
+        normalize_potential=draw(st.booleans()),
+    )
+
+
+@st.composite
+def _trajectories(draw):
+    """Steps whose feature sets vary and may miss some or all spec features;
+    the rare 'mystery' action is not declared in any spec."""
+    steps = []
+    t = 0
+    for _ in range(draw(st.integers(min_value=2, max_value=8))):
+        fids = draw(st.sets(st.sampled_from(_ORACLE_FIDS + ("other",))))
+        actions = draw(st.sets(st.sampled_from(("drug_a", "drug_b", "mystery"))))
+        steps.append(
+            make_step(
+                t,
+                {fid: draw(_unit) for fid in sorted(fids)},
+                {fid: draw(st.integers(min_value=0, max_value=30)) for fid in fids},
+                action={aid: draw(st.integers(min_value=0, max_value=2)) for aid in sorted(actions)},
+                sofa=5.0,
+            )
+        )
+        t += draw(st.integers(min_value=1, max_value=4))
+    return Trajectory("h", steps, True, 5.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trajectories(), _specs())
+def test_trace_matches_scalar_oracle(traj, spec):
+    try:
+        rewards, potentials, cumulative = oracle_trace(traj, spec)
+    except SchemaError:
+        with pytest.raises(SchemaError, match="mystery"):
+            trace(traj, spec)
+        return
+    got = trace(traj, spec)
+    assert got.rewards == pytest.approx(rewards, rel=0, abs=1e-12)
+    assert got.potentials == pytest.approx(potentials, rel=0, abs=1e-12)
+    assert got.cumulative == pytest.approx(cumulative, rel=0, abs=1e-12)

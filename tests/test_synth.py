@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tridrive.errors import ConfigError, FormatError
-from tridrive.fitness import CompMetricConfig, homeostasis_state, pearson
+from tridrive.fitness import CompMetricConfig, homeostasis_states, pearson
 from tridrive.model import FeatureType, save_dataset
 from tridrive.synth import (
     CohortConfig,
@@ -16,7 +16,7 @@ def _mean_homeostasis(dataset):
     cfg = CompMetricConfig().prepare(dataset)
     fids = dataset.feature_ids()
     return [
-        float(np.mean([homeostasis_state(s, fids, cfg, dataset.feature_schema) for s in t.steps]))
+        float(np.mean(homeostasis_states(t, fids, cfg, dataset.feature_schema)))
         for t in dataset.trajectories
     ]
 
