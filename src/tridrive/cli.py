@@ -26,20 +26,19 @@ from .features import compute_metadata, run_selection, summarize_dataset
 from .fitness import CompMetricConfig
 from .llm import HttpLlmClient, LlmClientConfig, StubLlmClient
 from .model import load_dataset, save_dataset
-from .ope import bootstrap_ci, identity_prob_table, load_prob_table, mortality_curve
 from .pipeline import (
     filter_split,
     generate_candidates,
     load_pipeline_config,
     load_spec_dir,
     metadata_to_json,
-    mortality_rows_to_csv,
     pareto_from_rows,
+    run_ope,
     run_pipeline,
     score_specs,
 )
 from .pareto import pareto_result_to_json
-from .rewards import load_reward_spec, trace
+from .rewards import load_reward_spec
 from .synth import CohortConfig, generate, load_cohort_config, reference_spec
 from .rewards import save_reward_spec
 
@@ -267,48 +266,17 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
     the mortality-vs-cumulative-reward curve."""
 
     def body():
-        dataset = _load_split(dataset_path, split)
-        spec = load_reward_spec(spec_path)
-        traces = [trace(traj, spec) for traj in dataset.trajectories]
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-
-        if probs_paths:
-            tables = [(p, load_prob_table(p)) for p in probs_paths]
-        else:
-            tables = [("logged-policy", identity_prob_table(dataset))]
-        series = [
-            (label, bootstrap_ci(dataset, traces, table, level=level,
-                                 resamples=bootstrap, seed=seed, max_ratio=max_ratio))
-            for label, table in tables
-        ]
-        label, est = series[-1]
-        (out / "wis.json").write_text(
-            json.dumps(
-                {
-                    "policy": str(label),
-                    "value": est.value,
-                    "ci_low": est.ci_low,
-                    "ci_high": est.ci_high,
-                    "level": level,
-                    "resamples": bootstrap,
-                    "n_effective": est.n_effective,
-                    "skipped_resamples": est.skipped_resamples,
-                },
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
+        est, _ = run_ope(
+            _load_split(dataset_path, split),
+            load_reward_spec(spec_path),
+            probs_paths,
+            Path(out_dir),
+            level=level,
+            resamples=bootstrap,
+            seed=seed,
+            bins=bins,
+            max_ratio=max_ratio,
         )
-        if len(series) > 1:
-            lines = ["checkpoint,policy,value,ci_low,ci_high"]
-            lines += [
-                f"{i},{label},{est.value},{est.ci_low},{est.ci_high}"
-                for i, (label, est) in enumerate(series)
-            ]
-            (out / "wis_series.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        rows = mortality_curve(dataset, traces, bins)
-        (out / "mortality_curve.csv").write_text(mortality_rows_to_csv(rows), encoding="utf-8")
         click.echo(f"WIS {est.value:.4f} [{est.ci_low:.4f}, {est.ci_high:.4f}] -> {out_dir}")
 
     _run(body)

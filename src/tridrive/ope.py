@@ -6,12 +6,18 @@ the minimal interface off-policy evaluation needs; no policy models are
 fitted here. Weights are whole-trajectory likelihood-ratio products, the
 estimate is self-normalized (biased for finite samples but consistent),
 and confidence intervals come from trajectory-level percentile bootstrap.
-Every bootstrap resample draws from its own counter-derived generator, so
-results do not depend on evaluation order.
+Every bootstrap resample draws from its own generator keyed on (seed, b),
+so results do not depend on evaluation order. The draws depend only on
+(seed, n, resamples), so they are made once and shared, read-only, by every
+table of a checkpoint series; each table's resample estimates are then
+computed in fixed-size blocks of resamples. The OPE stage
+(tridrive.pipeline.run_ope) evaluates the tables of a series one at a
+time, so memory does not grow with the table count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,6 +132,24 @@ def wis(
     return float(np.dot(weights, returns) / total)
 
 
+# Resamples per vectorized block; bounds each [_BLOCK, n] gather (1 MB at n = 500).
+_BLOCK = 256
+
+
+@functools.lru_cache(maxsize=1)
+def resample_indices(seed: int, n: int, resamples: int) -> np.ndarray:
+    """Read-only [resamples, n] trajectory indices of the bootstrap, in the
+    smallest unsigned dtype that holds n - 1. Row b is drawn by its own
+    generator keyed on (seed, b). The draws of the last key are kept, so
+    the tables of a series, which share (seed, n, resamples), share them."""
+    out = np.empty((resamples, n), dtype=np.min_scalar_type(n - 1))
+    for b in range(resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        out[b] = rng.integers(0, n, size=n)
+    out.flags.writeable = False
+    return out
+
+
 def bootstrap_ci(
     dataset: TrajectoryDataset,
     traces: Sequence[RewardTrace],
@@ -153,18 +177,19 @@ def bootstrap_ci(
     value = float(np.dot(weights, returns) / total)
     n = len(weights)
 
-    estimates = []
+    weighted_returns = weights * returns
+    kept = []
     skipped = 0
-    for b in range(resamples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
-        idx = rng.integers(0, n, size=n)
-        w = weights[idx]
-        sw = w.sum()
-        if sw <= 0.0:
-            skipped += 1
-            continue
-        estimates.append(float(np.dot(w, returns[idx]) / sw))
-    if not estimates:
+    indices = resample_indices(seed, n, resamples)
+    for start in range(0, resamples, _BLOCK):
+        idx = indices[start : start + _BLOCK].astype(np.intp)
+        sw = weights[idx].sum(axis=1)
+        numerator = weighted_returns[idx].sum(axis=1)
+        keep = ~(sw <= 0.0)
+        skipped += len(sw) - int(keep.sum())
+        kept.append(numerator[keep] / sw[keep])
+    estimates = np.concatenate(kept)
+    if not estimates.size:
         raise DegenerateStatisticError("every bootstrap resample was degenerate")
     alpha = (1.0 - level) / 2.0
     ci_low, ci_high = np.quantile(estimates, [alpha, 1.0 - alpha])
@@ -222,6 +247,10 @@ def mortality_curve(
 # ---------------------------------------------------------------------------
 
 
+# JSON numbers parse to exactly these types; bool, a subclass of int, is not one.
+_NUMBER = (int, float)
+
+
 def prob_table_from_json(doc: dict) -> PolicyProbTable:
     if not isinstance(doc, dict):
         raise FormatError("probability table must be a JSON object")
@@ -231,12 +260,26 @@ def prob_table_from_json(doc: dict) -> PolicyProbTable:
             raise FormatError(f"patient {pid!r}: expected a list of transition entries")
         for row in rows:
             try:
-                key = (pid, int(row["t"]))
-                probs[key] = (float(row["p_eval"]), float(row["p_behavior"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                t, p_eval, p_behavior = row["t"], row["p_eval"], row["p_behavior"]
+            except (KeyError, TypeError) as exc:
                 raise FormatError(
                     f"patient {pid!r}: each entry needs t, p_eval, p_behavior"
                 ) from exc
+            if type(t) is not int:
+                if not (type(t) is float and t.is_integer()):
+                    raise FormatError(f"patient {pid!r}: t must be an integer, got {t!r}")
+                t = int(t)
+            if type(p_eval) not in _NUMBER or type(p_behavior) not in _NUMBER:
+                raise FormatError(
+                    f"patient {pid!r} t={t}: p_eval and p_behavior must be numbers"
+                )
+            key = (pid, t)
+            if key in probs:
+                raise FormatError(f"patient {pid!r}: repeated entry for t={t}")
+            try:
+                probs[key] = (float(p_eval), float(p_behavior))
+            except OverflowError as exc:
+                raise FormatError(f"patient {pid!r} t={t}: probability out of range") from exc
     table = PolicyProbTable(probs)
     table.validate()
     return table
@@ -256,6 +299,8 @@ def load_prob_table(path: str | Path) -> PolicyProbTable:
         raise FormatError(f"cannot read probability table {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise FormatError(f"{path}: {exc}") from exc
     return prob_table_from_json(doc)
 
 

@@ -27,6 +27,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from . import defaults
 from .errors import (
@@ -50,7 +51,7 @@ from .fitness import CompMetricConfig, FitnessTargets, FitnessVector, fitness
 from .llm import HttpLlmClient, LlmClient, LlmClientConfig, StubLlmClient
 from .model import TrajectoryDataset, load_dataset
 from .ope import (
-    PolicyProbTable,
+    WisEstimate,
     bootstrap_ci,
     identity_prob_table,
     load_prob_table,
@@ -172,6 +173,78 @@ def mortality_rows_to_csv(rows) -> str:
     for r in rows:
         writer.writerow([r.bin_index, r.reward_low, r.reward_high, r.mortality, r.count])
     return buf.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Off-policy evaluation
+# ---------------------------------------------------------------------------
+
+
+def run_ope(
+    dataset: TrajectoryDataset,
+    spec: RewardSpec,
+    probs_paths: Sequence[str],
+    out_dir: Path,
+    *,
+    level: float,
+    resamples: int,
+    seed: int,
+    bins: int,
+    max_ratio: float | None = None,
+    champion: str | None = None,
+) -> tuple[WisEstimate, list[Path]]:
+    """The OPE stage of `tridrive ope` and of a pipeline run.
+
+    Evaluates each policy table in order (the logged policy when there are
+    none) with a bootstrap WIS interval. Tables are loaded, evaluated and
+    dropped one at a time, so memory does not grow with the table count.
+    Writes wis.json (the last table, headed by the champion when given),
+    wis_series.csv (several tables) and mortality_curve.csv into out_dir.
+    Returns the last estimate and the files written.
+    """
+    traces = [trace(traj, spec) for traj in dataset.trajectories]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    series: list[tuple[str, WisEstimate]] = []
+    for path in probs_paths or [None]:
+        table = identity_prob_table(dataset) if path is None else load_prob_table(path)
+        est = bootstrap_ci(
+            dataset, traces, table, level=level, resamples=resamples, seed=seed,
+            max_ratio=max_ratio,
+        )
+        del table  # before the next table loads
+        series.append(("logged-policy" if path is None else str(path), est))
+
+    label, est = series[-1]
+    doc = {} if champion is None else {"champion": champion}
+    doc.update(
+        policy=label,
+        value=est.value,
+        ci_low=est.ci_low,
+        ci_high=est.ci_high,
+        level=level,
+        resamples=resamples,
+        n_effective=est.n_effective,
+        skipped_resamples=est.skipped_resamples,
+    )
+    wis_path = out_dir / "wis.json"
+    wis_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    files = [wis_path]
+
+    if len(series) > 1:
+        series_path = out_dir / "wis_series.csv"
+        with series_path.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["checkpoint", "policy", "value", "ci_low", "ci_high"])
+            for i, (policy, row) in enumerate(series):
+                writer.writerow([i, policy, row.value, row.ci_low, row.ci_high])
+        files.append(series_path)
+
+    curve_path = out_dir / "mortality_curve.csv"
+    curve_path.write_text(
+        mortality_rows_to_csv(mortality_curve(dataset, traces, bins)), encoding="utf-8"
+    )
+    files.append(curve_path)
+    return est, files
 
 
 # ---------------------------------------------------------------------------
@@ -650,55 +723,17 @@ class PipelineRun:
 
     def _run_ope(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
         champion_id = self.manifest["champion"]
-        spec = dict(self._load_candidates())[champion_id]
-        traces = [trace(traj, spec) for traj in dataset.trajectories]
-        files: list[Path] = []
-
-        if self.config.probs:
-            tables = [(p, load_prob_table(p)) for p in self.config.probs]
-        else:
-            tables = [("logged-policy", identity_prob_table(dataset))]
-
-        series = []
-        for label, table in tables:
-            est = bootstrap_ci(
-                dataset,
-                traces,
-                table,
-                level=self.config.level,
-                resamples=self.config.bootstrap,
-                seed=self.config.seed,
-            )
-            series.append((label, est))
-        last_label, last = series[-1]
-        wis_doc = {
-            "champion": champion_id,
-            "policy": last_label,
-            "value": last.value,
-            "ci_low": last.ci_low,
-            "ci_high": last.ci_high,
-            "level": self.config.level,
-            "resamples": self.config.bootstrap,
-            "n_effective": last.n_effective,
-            "skipped_resamples": last.skipped_resamples,
-        }
-        files.append(self._write_json("ope/wis.json", wis_doc))
-
-        if len(series) > 1:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["checkpoint", "policy", "value", "ci_low", "ci_high"])
-            for i, (label, est) in enumerate(series):
-                writer.writerow([i, label, est.value, est.ci_low, est.ci_high])
-            path = self.out / "ope/wis_series.csv"
-            path.write_text(buf.getvalue(), encoding="utf-8")
-            files.append(path)
-
-        rows = mortality_curve(dataset, traces, self.config.bins)
-        path = self.out / "ope/mortality_curve.csv"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(mortality_rows_to_csv(rows), encoding="utf-8")
-        files.append(path)
+        _, files = run_ope(
+            dataset,
+            dict(self._load_candidates())[champion_id],
+            self.config.probs,
+            self.out / "ope",
+            level=self.config.level,
+            resamples=self.config.bootstrap,
+            seed=self.config.seed,
+            bins=self.config.bins,
+            champion=champion_id,
+        )
         self._record_outputs("ope", files)
 
 

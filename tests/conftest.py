@@ -17,6 +17,7 @@ from tridrive.model import (
     TrajectoryDataset,
 )
 from tridrive.errors import SchemaError
+from tridrive.ope import trajectory_weight
 from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm
 from tridrive.synth import CohortConfig, generate
 
@@ -292,3 +293,41 @@ def oracle_iqr(dataset, fid):
         return 1.0
     q25, q75 = np.quantile(values, [0.25, 0.75])
     return float(q75 - q25) or 1.0
+
+
+# ---------------------------------------------------------------------------
+# Independent oracle: the percentile bootstrap of WIS, one resample at a time
+# with a fresh generator per resample, for comparison with the memoized,
+# block-vectorized bootstrap in src/.
+# ---------------------------------------------------------------------------
+
+
+def oracle_bootstrap_ci(dataset, traces, probs, level=0.95, resamples=1000, seed=0,
+                        max_ratio=None):
+    """(value, ci_low, ci_high, n_effective, skipped_resamples)."""
+    weights = np.array(
+        [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
+    )
+    returns = np.array([t.cumulative for t in traces])
+    total = weights.sum()
+    n = len(weights)
+    estimates = []
+    skipped = 0
+    for b in range(resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        idx = rng.integers(0, n, size=n)
+        w = weights[idx]
+        sw = w.sum()
+        if sw <= 0.0:
+            skipped += 1
+            continue
+        estimates.append(float(np.dot(w, returns[idx]) / sw))
+    alpha = (1.0 - level) / 2.0
+    ci_low, ci_high = np.quantile(estimates, [alpha, 1.0 - alpha])
+    return (
+        float(np.dot(weights, returns) / total),
+        float(ci_low),
+        float(ci_high),
+        float(total**2 / np.dot(weights, weights)),
+        skipped,
+    )

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -174,6 +175,36 @@ class TestOpe:
         assert result.exit_code == 0, result.output
         series = (out / "wis_series.csv").read_text().splitlines()
         assert len(series) == 3
+
+
+    def test_series_csv_quotes_paths_with_commas(self, workdir, tmp_path):
+        table = identity_prob_table(load_dataset(workdir / "cohort.json"))
+        paths = [tmp_path / "ckpt,1.json", tmp_path / "ckpt,2.json"]
+        for path in paths:
+            save_prob_table(table, path)
+        out = tmp_path / "ope"
+        result = _invoke(
+            "ope", "--dataset", workdir / "cohort.json", "--spec", workdir / "ref_spec.json",
+            "--probs", paths[0], "--probs", paths[1], "--bootstrap", 50, "--bins", 4,
+            "--out", out,
+        )
+        assert result.exit_code == 0, result.output
+        with (out / "wis_series.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["checkpoint", "policy", "value", "ci_low", "ci_high"]
+        assert [row[:2] for row in rows[1:]] == [["0", str(paths[0])], ["1", str(paths[1])]]
+        assert all(len(row) == 5 for row in rows)
+        assert json.loads((out / "wis.json").read_text())["policy"] == str(paths[1])
+
+    def test_malformed_table_is_usage_error(self, workdir, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"p1": [{"t": Infinity, "p_eval": 0.5, "p_behavior": 0.5}]}')
+        result = _invoke(
+            "ope", "--dataset", workdir / "cohort.json", "--spec", workdir / "ref_spec.json",
+            "--probs", bad, "--bootstrap", 20, "--bins", 4, "--out", tmp_path / "ope",
+        )
+        _assert_usage_error(result)
+        assert "patient 'p1'" in result.output
 
 
 class TestPipelineCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_dataset, make_step
+from conftest import make_dataset, make_step, oracle_bootstrap_ci
 from tridrive.errors import (
     DegenerateStatisticError,
     FormatError,
@@ -10,12 +10,14 @@ from tridrive.errors import (
 )
 from tridrive.model import Trajectory
 from tridrive.ope import (
+    _BLOCK,
     PolicyProbTable,
     bootstrap_ci,
     identity_prob_table,
     load_prob_table,
     mortality_curve,
     prob_table_from_json,
+    resample_indices,
     save_prob_table,
     trajectory_weight,
     wis,
@@ -155,6 +157,93 @@ class TestBootstrap:
             bootstrap_ci(ds, traces, identity_prob_table(ds), level=1.0)
 
 
+def _random_cohort(n, seed, zeros=0):
+    """n trajectories with normal returns and random ratios, the first
+    `zeros` of which have a zero-probability evaluation action."""
+    rng = np.random.default_rng(seed)
+    ds, traces = _cohort(rng.normal(size=n).tolist())
+    ratios = rng.uniform(0.1, 4.0, size=n)
+    ratios[:zeros] = 0.0
+    return ds, traces, _table(ds, ratios.tolist())
+
+
+class TestBootstrapOracle:
+    """The memoized, block-vectorized bootstrap against the per-resample loop."""
+
+    @pytest.mark.parametrize(
+        "n, zeros, resamples, max_ratio",
+        [
+            pytest.param(40, 0, 4 * _BLOCK, None, id="whole-blocks"),
+            pytest.param(8, 5, 1000, None, id="zero-probability-rows"),
+            pytest.param(30, 0, 300, 2.0, id="max-ratio"),
+            pytest.param(25, 0, 2 * _BLOCK + 7, 1.5, id="partial-last-block"),
+            pytest.param(2, 0, 100, None, id="n2"),
+            pytest.param(2, 1, 100, None, id="n2-zero-row"),
+        ],
+    )
+    def test_matches_oracle(self, n, zeros, resamples, max_ratio):
+        ds, traces, table = _random_cohort(n, seed=n + zeros, zeros=zeros)
+        est = bootstrap_ci(ds, traces, table, level=0.9, resamples=resamples, seed=11,
+                           max_ratio=max_ratio)
+        value, ci_low, ci_high, n_eff, skipped = oracle_bootstrap_ci(
+            ds, traces, table, level=0.9, resamples=resamples, seed=11, max_ratio=max_ratio
+        )
+        assert est.skipped_resamples == skipped
+        assert (skipped > 0) == (zeros > 0)
+        assert abs(est.value - value) <= 1e-12
+        assert abs(est.ci_low - ci_low) <= 1e-12
+        assert abs(est.ci_high - ci_high) <= 1e-12
+        assert abs(est.n_effective - n_eff) <= 1e-12
+
+
+class TestResampleMemo:
+    def test_indices_are_the_per_resample_draws(self):
+        idx = resample_indices(5, 300, 40)
+        assert idx.shape == (40, 300) and idx.dtype == np.uint16
+        for b in (0, 17, 39):
+            rng = np.random.default_rng(np.random.SeedSequence([5, b]))
+            assert np.array_equal(idx[b], rng.integers(0, 300, size=300))
+        assert resample_indices(0, 256, 3).dtype == np.uint8
+        assert resample_indices(0, 257, 3).dtype == np.uint16
+
+    def test_memoized_indices_are_read_only(self):
+        idx = resample_indices(0, 10, 5)
+        assert resample_indices(0, 10, 5) is idx
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
+    def test_interleaved_calls_equal_cold_calls(self):
+        small = _random_cohort(30, seed=1, zeros=2)
+        large = _random_cohort(45, seed=2, zeros=2)
+        calls = [(small, 1), (small, 2), (small, 1), (large, 1), (small, 1), (large, 2)]
+
+        def estimate(cohort, seed):
+            return bootstrap_ci(*cohort, resamples=300, seed=seed)
+
+        cold = {}
+        for cohort, seed in calls:
+            resample_indices.cache_clear()
+            cold[id(cohort), seed] = estimate(cohort, seed)
+        resample_indices.cache_clear()
+        for cohort, seed in calls:
+            est = estimate(cohort, seed)
+            assert est == cold[id(cohort), seed]
+            value, ci_low, ci_high, _, skipped = oracle_bootstrap_ci(
+                *cohort, resamples=300, seed=seed
+            )
+            assert est.skipped_resamples == skipped
+            assert abs(est.ci_low - ci_low) <= 1e-12 and abs(est.ci_high - ci_high) <= 1e-12
+
+    def test_table_order_does_not_matter(self):
+        ds, traces, a = _random_cohort(20, seed=3)
+        _, _, b = _random_cohort(20, seed=4)
+        resample_indices.cache_clear()
+        forward = [bootstrap_ci(ds, traces, t, resamples=200, seed=9) for t in (a, b)]
+        resample_indices.cache_clear()
+        backward = [bootstrap_ci(ds, traces, t, resamples=200, seed=9) for t in (b, a)]
+        assert forward == backward[::-1]
+
+
 class TestMortalityCurve:
     def test_all_survivors(self):
         ds, traces = _cohort(list(range(10)))
@@ -201,6 +290,42 @@ class TestProbTableIO:
     def test_missing_field_rejected(self):
         with pytest.raises(FormatError):
             prob_table_from_json({"p1": [{"t": 0, "p_eval": 0.5}]})
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            pytest.param([{"t": float("inf")}], "t must be an integer", id="t-infinite"),
+            pytest.param([{"t": float("nan")}], "t must be an integer", id="t-nan"),
+            pytest.param([{"t": 1.5}], "t must be an integer", id="t-fractional"),
+            pytest.param([{"t": True}], "t must be an integer", id="t-bool"),
+            pytest.param([{"t": "1"}], "t must be an integer", id="t-string"),
+            pytest.param([{"t": 2}, {"t": 2.0}], "repeated entry for t=2", id="t-repeated"),
+            pytest.param([{"p_eval": True}], "must be numbers", id="p-bool"),
+            pytest.param([{"p_behavior": "0.5"}], "must be numbers", id="p-string"),
+            pytest.param([{"p_eval": 10**400}], "out of range", id="p-overflow"),
+        ],
+    )
+    def test_malformed_entries_name_the_patient(self, entries, message):
+        rows = [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5, **e} for e in entries]
+        with pytest.raises(FormatError, match=rf"patient 'p7'.*{message}"):
+            prob_table_from_json({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}],
+                                  "p7": rows})
+
+    def test_integral_float_time_accepted(self):
+        table = prob_table_from_json({"p1": [{"t": 3.0, "p_eval": 1, "p_behavior": 0.5}]})
+        assert table.probs == {("p1", 3): (1.0, 0.5)}
+
+    def test_non_finite_time_in_file_is_format_error(self, tmp_path):
+        path = tmp_path / "probs.json"
+        path.write_text('{"p1": [{"t": Infinity, "p_eval": 0.5, "p_behavior": 0.5}]}')
+        with pytest.raises(FormatError, match="patient 'p1'"):
+            load_prob_table(path)
+
+    def test_integer_past_digit_limit_in_file_is_format_error(self, tmp_path):
+        path = tmp_path / "probs.json"
+        path.write_text('{"p1": [{"t": 1' + "0" * 5000 + ', "p_eval": 1, "p_behavior": 1}]}')
+        with pytest.raises(FormatError, match="probs.json"):
+            load_prob_table(path)
 
     def test_identity_table_covers_all_transitions(self, two_patient_dataset):
         table = identity_prob_table(two_patient_dataset)
