@@ -8,13 +8,12 @@ degenerate-statistic errors), 2 on usage or configuration errors
 from __future__ import annotations
 
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import click
 
-from . import defaults
+from . import __version__, defaults
 from .errors import (
     ConfigError,
     FormatError,
@@ -22,25 +21,25 @@ from .errors import (
     TridriveError,
     ValidationError,
 )
-from .features import compute_metadata, run_selection, summarize_dataset
 from .fitness import CompMetricConfig
-from .llm import HttpLlmClient, LlmClientConfig, StubLlmClient
+from .llm import LlmClientConfig
 from .model import load_dataset, save_dataset
 from .pipeline import (
+    build_client,
+    candidates_stage,
+    features_stage,
     filter_split,
-    generate_candidates,
+    fitness_stage,
+    load_feature_ids,
     load_pipeline_config,
     load_spec_dir,
-    metadata_to_json,
-    pareto_from_rows,
-    run_ope,
+    ope_stage,
     run_pipeline,
-    score_specs,
+    selection_stage,
+    stats_stage,
 )
-from .pareto import pareto_result_to_json
-from .rewards import load_reward_spec
+from .rewards import load_reward_spec, save_reward_spec
 from .synth import CohortConfig, generate, load_cohort_config, reference_spec
-from .rewards import save_reward_spec
 
 _USAGE_ERRORS = (ConfigError, FormatError, ValidationError, SchemaError)
 
@@ -63,12 +62,6 @@ def _check_threshold(ctx, param, value):
     return value
 
 
-def _client_from_flags(client: str, endpoint: str | None):
-    if client == "stub":
-        return StubLlmClient()
-    return HttpLlmClient(LlmClientConfig(endpoint=endpoint or ""))
-
-
 def _load_split(dataset_path: str, split: str | None):
     return filter_split(load_dataset(dataset_path), split)
 
@@ -79,7 +72,7 @@ _SPLIT_CHOICE = click.Choice(
 
 
 @click.group()
-@click.version_option(version="0.1.0", prog_name="tridrive")
+@click.version_option(version=__version__, prog_name="tridrive")
 def main():
     """Reward engineering toolkit: generate, score, select, and verify
     potential-based reward functions on trajectory datasets."""
@@ -117,10 +110,7 @@ def stats(dataset_path, out_path, split):
     """Write the per-feature statistical metadata report."""
 
     def body():
-        dataset = _load_split(dataset_path, split)
-        metadata = compute_metadata(dataset)
-        doc = metadata_to_json(metadata, summarize_dataset(dataset))
-        Path(out_path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        metadata, _ = stats_stage(_load_split(dataset_path, split), Path(out_path))
         click.echo(f"wrote statistics for {len(metadata)} features to {out_path}")
 
     _run(body)
@@ -134,7 +124,7 @@ def stats(dataset_path, out_path, split):
 @click.option("--threshold", type=float, default=defaults.CONSENSUS_THRESHOLD,
               show_default=True, callback=_check_threshold)
 @click.option("--k", type=int, default=defaults.FEATURE_COUNT, show_default=True)
-@click.option("--task", default="intensive care treatment", show_default=True)
+@click.option("--task", default=defaults.TASK_DESCRIPTION, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(),
               help="Directory for the report and per-round audit log.")
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
@@ -142,27 +132,16 @@ def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, 
     """Run ensemble feature selection and write the consensus feature set."""
 
     def body():
-        dataset = _load_split(dataset_path, split)
-        outcome = run_selection(
-            dataset,
-            _client_from_flags(client, endpoint),
-            n_rounds=rounds,
+        selected, _ = features_stage(
+            _load_split(dataset_path, split),
+            build_client(client, LlmClientConfig(endpoint=endpoint or "")),
+            Path(out_dir),
+            rounds=rounds,
             threshold=threshold,
             k=k,
-            task_description=task,
-            audit_dir=Path(out_dir) / "rounds",
+            task=task,
         )
-        report = {
-            "selected_features": sorted(outcome.selected),
-            "votes": outcome.votes,
-            "rounds": rounds,
-            "threshold": threshold,
-            "k": k,
-        }
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-        click.echo(f"selected features: {sorted(outcome.selected)}")
+        click.echo(f"selected features: {selected}")
 
     _run(body)
 
@@ -174,25 +153,22 @@ def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, 
 @click.option("--client", type=click.Choice(["stub", "http"]), default="stub")
 @click.option("--endpoint", default=None)
 @click.option("--candidates", type=int, default=defaults.CANDIDATE_COUNT, show_default=True)
-@click.option("--task", default="intensive care treatment", show_default=True)
+@click.option("--task", default=defaults.TASK_DESCRIPTION, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
 def generate_cmd(dataset_path, features_path, client, endpoint, candidates, task, out_dir, split):
     """Generate candidate reward specs into a directory."""
 
     def body():
-        dataset = _load_split(dataset_path, split)
-        doc = json.loads(Path(features_path).read_text(encoding="utf-8"))
-        feature_ids = doc["selected_features"] if isinstance(doc, dict) else list(doc)
-        valid, quarantined = generate_candidates(
-            dataset,
-            feature_ids,
-            _client_from_flags(client, endpoint),
-            candidates,
-            out_dir,
-            task_description=task,
+        valid, _ = candidates_stage(
+            _load_split(dataset_path, split),
+            load_feature_ids(features_path),
+            build_client(client, LlmClientConfig(endpoint=endpoint or "")),
+            Path(out_dir),
+            n_candidates=candidates,
+            task=task,
         )
-        click.echo(f"{len(valid)} valid specs, {quarantined} quarantined, in {out_dir}")
+        click.echo(f"{len(valid)} valid specs, {candidates - len(valid)} quarantined, in {out_dir}")
 
     _run(body)
 
@@ -213,16 +189,15 @@ def score(dataset_path, specs_dir, out_path, features_path, epsilon, sigmoid_k, 
     """Compute the three-part fitness vector for every spec in a directory."""
 
     def body():
-        dataset = _load_split(dataset_path, split)
-        feature_ids = None
-        if features_path:
-            doc = json.loads(Path(features_path).read_text(encoding="utf-8"))
-            feature_ids = doc["selected_features"] if isinstance(doc, dict) else list(doc)
-        cfg = CompMetricConfig(
-            epsilon=epsilon, k=sigmoid_k, alpha=alpha, aggregation=aggregation
+        rows, _ = fitness_stage(
+            _load_split(dataset_path, split),
+            load_spec_dir(specs_dir),
+            Path(out_path),
+            cfg=CompMetricConfig(
+                epsilon=epsilon, k=sigmoid_k, alpha=alpha, aggregation=aggregation
+            ),
+            feature_ids=load_feature_ids(features_path) if features_path else None,
         )
-        rows = score_specs(dataset, load_spec_dir(specs_dir), cfg, feature_ids)
-        Path(out_path).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
         bad = sum(1 for r in rows if "error" in r)
         click.echo(f"scored {len(rows) - bad} specs ({bad} invalid) -> {out_path}")
 
@@ -236,11 +211,7 @@ def pareto(fitness_path, out_path):
     """Rank a fitness report and select the utopia-nearest champion."""
 
     def body():
-        rows = json.loads(Path(fitness_path).read_text(encoding="utf-8"))
-        result = pareto_from_rows(rows)
-        Path(out_path).write_text(
-            json.dumps(pareto_result_to_json(result), indent=2) + "\n", encoding="utf-8"
-        )
+        result, _ = selection_stage(Path(fitness_path), Path(out_path))
         click.echo(f"champion: {result.champion}")
 
     _run(body)
@@ -266,7 +237,7 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
     the mortality-vs-cumulative-reward curve."""
 
     def body():
-        est, _ = run_ope(
+        est, _ = ope_stage(
             _load_split(dataset_path, split),
             load_reward_spec(spec_path),
             probs_paths,
@@ -285,7 +256,7 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
 @main.command()
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
-@click.option("--dataset", "dataset_path", type=click.Path(exists=True), default=None)
+@click.option("--dataset", type=click.Path(exists=True), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--client", type=click.Choice(["stub", "http"]), default=None)
 @click.option("--rounds", type=int, default=None)
@@ -294,28 +265,16 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
 @click.option("--bootstrap", type=int, default=None)
 @click.option("--level", type=float, default=None)
 @click.option("--split", type=_SPLIT_CHOICE, default=None)
-def pipeline(config_path, out_dir, dataset_path, seed, client, rounds, threshold,
-             candidates, bootstrap, level, split):
+def pipeline(config_path, out_dir, **overrides):
     """Run the full staged pipeline (stats -> features -> candidates ->
-    fitness -> selection -> OPE) into a resumable run directory."""
+    fitness -> selection -> OPE) into a resumable run directory. Each flag
+    given overrides the config key of its name."""
 
     def body():
-        config = load_pipeline_config(config_path)
-        overrides = {
-            "dataset": dataset_path,
-            "seed": seed,
-            "client": client,
-            "rounds": rounds,
-            "threshold": threshold,
-            "candidates": candidates,
-            "bootstrap": bootstrap,
-            "level": level,
-            "split": split,
-        }
-        for name, value in overrides.items():
-            if value is not None:
-                config = dataclasses.replace(config, **{name: value})
-        config.validate()
+        config = dataclasses.replace(
+            load_pipeline_config(config_path),
+            **{key: value for key, value in overrides.items() if value is not None},
+        )
         manifest = run_pipeline(config, out_dir)
         click.echo(f"run {manifest['run_id']} complete; champion: {manifest['champion']}")
 

@@ -27,6 +27,9 @@ DIRECTIONAL_TAU = 0.3
 FEATURE_COUNT = 7
 CONSENSUS_THRESHOLD = 0.6
 
+# Task named in the feature-selection and reward-design prompts.
+TASK_DESCRIPTION = "intensive care treatment"
+
 # Number of candidate reward specifications generated per run.
 CANDIDATE_COUNT = 20
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,13 +31,10 @@ from .errors import (
     ValidationError,
 )
 from .fitness import pearson
+from .jsonio import write_json
 from .llm import LlmClient
 from .model import TrajectoryDataset
 from .rewards import RewardSpec, reward_spec_from_json
-
-# (patient_id, step_index, feature_id) -> True when the stored value is a
-# fill-in rather than a real measurement.
-MissingMask = Callable[[str, int, str], bool]
 
 
 @dataclass(frozen=True)
@@ -103,15 +100,13 @@ def _safe_pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
         return None
 
 
-def compute_metadata(
-    dataset: TrajectoryDataset, missing_mask: MissingMask | None = None
-) -> list[FeatureMetadata]:
+def compute_metadata(dataset: TrajectoryDataset) -> list[FeatureMetadata]:
     """One summary record per schema feature, in feature-id order.
 
-    A value counts as missing when the mask says so; without a mask, any
-    observation with staleness > 0 (a forward-filled value) is missing.
-    Statistics use only non-missing values; the outcome correlation
-    broadcasts the trajectory outcome to its steps.
+    Staleness > 0 is the only missingness rule: an observation carried
+    forward from an earlier measurement is missing. Statistics use only
+    non-missing values; the outcome correlation broadcasts the trajectory
+    outcome to its steps.
     """
     if not dataset.trajectories:
         raise ValidationError("compute_metadata needs a nonempty dataset")
@@ -124,16 +119,12 @@ def compute_metadata(
         total = 0
         missing = 0
         for traj in dataset.trajectories:
-            for idx, step in enumerate(traj.steps):
+            for step in traj.steps:
                 obs = step.observations.get(fid)
                 if obs is None:
                     continue
                 total += 1
-                if missing_mask is not None:
-                    is_missing = missing_mask(traj.patient_id, idx, fid)
-                else:
-                    is_missing = obs.staleness > 0
-                if is_missing:
+                if obs.staleness > 0:
                     missing += 1
                     continue
                 values.append(obs.value)
@@ -356,8 +347,11 @@ def parse_reward_response(text: str) -> RewardSpec:
 # ---------------------------------------------------------------------------
 
 
-def ensemble_vote(rounds: Sequence[SelectionRound], threshold: float) -> set[str]:
-    """Features picked in at least `threshold` of the rounds."""
+def ensemble_vote(
+    rounds: Sequence[SelectionRound], threshold: float
+) -> tuple[set[str], dict[str, int]]:
+    """The features picked in at least `threshold` of the rounds, and the
+    number of rounds that picked each feature (in feature-id order)."""
     if not rounds:
         raise ValidationError("ensemble_vote needs at least one round")
     if not (0.0 < threshold <= 1.0):
@@ -366,7 +360,8 @@ def ensemble_vote(rounds: Sequence[SelectionRound], threshold: float) -> set[str
     for rnd in rounds:
         for fid in set(rnd.selected):
             votes[fid] = votes.get(fid, 0) + 1
-    return {fid for fid, n in votes.items() if n / len(rounds) >= threshold}
+    selected = {fid for fid, n in votes.items() if n / len(rounds) >= threshold}
+    return selected, dict(sorted(votes.items()))
 
 
 def run_selection(
@@ -375,7 +370,7 @@ def run_selection(
     n_rounds: int,
     threshold: float = defaults.CONSENSUS_THRESHOLD,
     k: int = defaults.FEATURE_COUNT,
-    task_description: str = "intensive care treatment",
+    task_description: str = defaults.TASK_DESCRIPTION,
     audit_dir: str | Path | None = None,
     metadata: Sequence[FeatureMetadata] | None = None,
 ) -> SelectionOutcome:
@@ -396,13 +391,8 @@ def run_selection(
     known = set(dataset.feature_schema)
 
     def persist(i: int, doc: dict) -> None:
-        if audit_dir is None:
-            return
-        path = Path(audit_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / f"round_{i:03d}.json").write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        if audit_dir is not None:
+            write_json(Path(audit_dir) / f"round_{i:03d}.json", doc)
 
     rounds: list[SelectionRound] = []
     for i in range(n_rounds):
@@ -422,12 +412,5 @@ def run_selection(
         rounds.append(rnd)
         persist(i, {**doc, "selected": rnd.selected, "rationales": rnd.rationales})
 
-    votes: dict[str, int] = {}
-    for rnd in rounds:
-        for fid in set(rnd.selected):
-            votes[fid] = votes.get(fid, 0) + 1
-    return SelectionOutcome(
-        selected=ensemble_vote(rounds, threshold),
-        rounds=rounds,
-        votes=dict(sorted(votes.items())),
-    )
+    selected, votes = ensemble_vote(rounds, threshold)
+    return SelectionOutcome(selected=selected, rounds=rounds, votes=votes)

@@ -371,22 +371,9 @@ def fitness(
         raise ValidationError("fitness needs at least 2 trajectories")
     cfg = (cfg or CompMetricConfig()).prepare(dataset)
     fids = list(feature_ids) if feature_ids is not None else sorted(spec.survival)
-    traces = [trace(traj, spec) for traj in dataset.trajectories]
-    return fitness_of_traces(dataset, traces, cfg=cfg, feature_ids=fids, targets=targets)
-
-
-def fitness_of_traces(
-    dataset: TrajectoryDataset,
-    traces: Sequence[RewardTrace],
-    cfg: CompMetricConfig | None = None,
-    feature_ids: Sequence[str] | None = None,
-    targets: FitnessTargets | None = None,
-) -> FitnessVector:
-    """Score precomputed traces (used for the reference reward models)."""
-    cfg = (cfg or CompMetricConfig()).prepare(dataset)
-    fids = list(feature_ids) if feature_ids is not None else dataset.feature_ids()
     if targets is None:
         targets = FitnessTargets(dataset, cfg)
+    traces = [trace(traj, spec) for traj in dataset.trajectories]
     # Each target is read only after the axes before it were scored, so a
     # failure surfaces in the same order as the axes.
     return FitnessVector(

@@ -1,0 +1,96 @@
+"""The on-disk convention of every file the toolkit reads or writes.
+
+Files are UTF-8; JSON is indented by 2 with one trailing newline. A write
+goes to a temporary sibling that is renamed over the target, so a crash
+leaves the old file or the new one, never half of either. Read failures
+are FormatErrors.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import os
+import types
+import typing
+from pathlib import Path
+
+from .errors import FormatError
+
+
+def read_json(path: str | Path, what: str):
+    """The parsed document at path; what names it in error messages."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # undecodable UTF-8, an integer literal past the digit limit
+        raise FormatError(f"{path}: {exc}") from exc
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Write text to path atomically, creating its directory; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # Not named *.json, so globs over a stage's outputs never match it.
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def write_json(path: str | Path, doc) -> Path:
+    return write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def fields_from_json(cls, doc, what: str, exclude: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments of dataclass cls read from the JSON object doc.
+
+    Each key must name a field of cls outside exclude, and its value must
+    have the field's type: a JSON integer for int, a finite JSON number for
+    float (integers widen), never a bool for either. Nested dataclasses are
+    left for the caller to read.
+    """
+    if not isinstance(doc, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    unknown = set(doc) - ({f.name for f in dataclasses.fields(cls)} - set(exclude))
+    if unknown:
+        raise FormatError(f"{what}: unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    return {key: _typed(value, hints[key], f"{what}: {key}") for key, value in doc.items()}
+
+
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(value, hint, where: str):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is types.UnionType:  # X | None
+        return None if value is None else _typed(value, args[0], where)
+    if hint is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            pass  # stays an int, so it is rejected below
+    if hint in _KINDS:
+        if type(value) is not hint or (hint is float and not math.isfinite(value)):
+            raise FormatError(f"{where} must be {_KINDS[hint]}, got {value!r}")
+        return value
+    if origin is list and isinstance(value, list):
+        return [_typed(v, args[0], where) for v in value]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(_typed(v, a, where) for v, a in zip(value, args))
+    if origin is dict and isinstance(value, dict):
+        return {k: _typed(v, args[1], f"{where}[{k!r}]") for k, v in value.items()}
+    if origin in (list, tuple, dict):
+        shape = {list: "an array", tuple: f"an array of {len(args)}", dict: "an object"}
+        raise FormatError(f"{where} must be {shape[origin]}, got {value!r}")
+    return value

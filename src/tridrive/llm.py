@@ -1,14 +1,13 @@
-"""LLM client abstraction: a network client plus deterministic stand-ins.
+"""LLM client abstraction: a network client plus a deterministic offline stand-in.
 
 The wire format is a JSON request {"model", "temperature", "prompt"} posted
 to the configured endpoint; the response body is the completion text. The
 credential is read from an environment variable and never logged or
 persisted.
 
-Two offline implementations exist: ScriptedLlmClient replays canned
-responses (tests), and StubLlmClient derives a schema-valid response from
-the prompt's own statistics block, so the whole pipeline runs offline and
-byte-reproducibly.
+One offline implementation ships: StubLlmClient derives a schema-valid
+response from the prompt's own statistics block, so the whole pipeline
+runs offline and byte-reproducibly.
 """
 
 from __future__ import annotations
@@ -88,26 +87,6 @@ class HttpLlmClient:
             if attempt < self.config.retries:
                 time.sleep(min(self.config.backoff * 2.0**attempt, 8.0))
         raise LlmClientError(f"LLM endpoint failed after {self.config.retries + 1} attempts: {last_error}")
-
-
-class ScriptedLlmClient:
-    """Replays a fixed list of responses, cycling when exhausted."""
-
-    def __init__(self, responses: list[str], cycle: bool = True):
-        if not responses:
-            raise ConfigError("ScriptedLlmClient needs at least one response")
-        self.responses = list(responses)
-        self.cycle = cycle
-        self.calls = 0
-
-    def complete(self, prompt: str) -> str:
-        i = self.calls
-        self.calls += 1
-        if i >= len(self.responses):
-            if not self.cycle:
-                raise LlmClientError("scripted client ran out of responses")
-            i %= len(self.responses)
-        return self.responses[i]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ safe to share across parallel workers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .jsonio import read_json, write_json
 
 
 class FeatureType(str, Enum):
@@ -267,8 +267,7 @@ def dataset_to_json(dataset: TrajectoryDataset) -> dict:
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write the dataset; load_dataset reproduces it exactly."""
     dataset.validate()
-    text = json.dumps(dataset_to_json(dataset), indent=2)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    write_json(path, dataset_to_json(dataset))
 
 
 def _require(doc: dict, key: str, where: str):
@@ -354,14 +353,7 @@ def dataset_from_json(doc: dict) -> TrajectoryDataset:
 
 def load_dataset(path: str | Path) -> TrajectoryDataset:
     """Read a dataset document; ordering of trajectories is preserved."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read dataset file {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path, "dataset file")
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     return dataset_from_json(doc)

@@ -11,14 +11,13 @@ so results do not depend on evaluation order. The draws depend only on
 (seed, n, resamples), so they are made once and shared, read-only, by every
 table of a checkpoint series; each table's resample estimates are then
 computed in fixed-size blocks of resamples. The OPE stage
-(tridrive.pipeline.run_ope) evaluates the tables of a series one at a
+(tridrive.pipeline.ope_stage) evaluates the tables of a series one at a
 time, so memory does not grow with the table count.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +26,7 @@ import numpy as np
 
 from . import defaults
 from .errors import DegenerateStatisticError, FormatError, SchemaError, ValidationError
+from .jsonio import read_json, write_json
 from .model import Trajectory, TrajectoryDataset
 from .rewards import RewardTrace
 
@@ -293,18 +293,8 @@ def prob_table_to_json(table: PolicyProbTable) -> dict:
 
 
 def load_prob_table(path: str | Path) -> PolicyProbTable:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read probability table {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # e.g. an integer literal past the digit limit
-        raise FormatError(f"{path}: {exc}") from exc
-    return prob_table_from_json(doc)
+    return prob_table_from_json(read_json(path, "probability table"))
 
 
 def save_prob_table(table: PolicyProbTable, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(prob_table_to_json(table), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, prob_table_to_json(table))

@@ -15,7 +15,9 @@ A run directory holds one manifest plus one subdirectory per stage:
 
 The run id is derived from the input hashes and the seed, so re-running the
 same inputs resumes: stages whose recorded output hashes still match on
-disk are skipped, and a failed stage leaves earlier outputs intact.
+disk are skipped, and a failed stage leaves earlier outputs intact. Each
+stage is one function (stats_stage ... ope_stage) that the matching CLI
+subcommand calls too, so both write the same files.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from . import defaults
+from . import __version__, defaults
 from .errors import (
     ConfigError,
     DegenerateStatisticError,
@@ -40,6 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .features import (
+    CohortSummary,
     FeatureMetadata,
     build_reward_prompt,
     compute_metadata,
@@ -48,6 +51,7 @@ from .features import (
     summarize_dataset,
 )
 from .fitness import CompMetricConfig, FitnessTargets, FitnessVector, fitness
+from .jsonio import fields_from_json, read_json, write_json, write_text
 from .llm import HttpLlmClient, LlmClient, LlmClientConfig, StubLlmClient
 from .model import TrajectoryDataset, load_dataset
 from .ope import (
@@ -60,7 +64,6 @@ from .ope import (
 from .pareto import Candidate, ParetoResult, pareto_result_to_json, select_champion
 from .rewards import RewardSpec, load_reward_spec, reward_spec_to_json, trace
 
-TOOL_VERSION = "0.1.0"
 VOLATILE_FILES = {"timing.json"}
 
 SPLIT_NAMES = ("policy_train", "reward_train", "policy_test", "reward_test")
@@ -81,11 +84,7 @@ def filter_split(dataset: TrajectoryDataset, split: str | None) -> TrajectoryDat
     if split not in SPLIT_NAMES:
         raise ConfigError(f"unknown split {split!r}; expected one of {SPLIT_NAMES} or 'all'")
     kept = [t for t in dataset.trajectories if assign_split(t.patient_id) == split]
-    return TrajectoryDataset(
-        trajectories=kept,
-        feature_schema=dataset.feature_schema,
-        action_schema=dataset.action_schema,
-    )
+    return replace(dataset, trajectories=kept)
 
 
 # ---------------------------------------------------------------------------
@@ -121,130 +120,31 @@ def run_digest(run_dir: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def metadata_to_json(metadata: list[FeatureMetadata], summary) -> dict:
-    return {
-        "summary": {
-            "n_patients": summary.n_patients,
-            "n_records": summary.n_records,
-            "mortality_rate": summary.mortality_rate,
-        },
-        "features": [
-            {
-                "feature_id": m.feature_id,
-                "count": m.count,
-                "mean": m.mean,
-                "std": m.std,
-                "missingness": m.missingness,
-                "rho_outcome": m.rho_outcome,
-                "rho_action": m.rho_action,
-                "q25": m.q25,
-                "median": m.median,
-                "q75": m.q75,
-                "iqr": m.iqr,
-            }
-            for m in metadata
-        ],
-    }
+def metadata_to_json(metadata: list[FeatureMetadata], summary: CohortSummary) -> dict:
+    return {"summary": asdict(summary), "features": [asdict(m) for m in metadata]}
 
 
 def metadata_from_json(doc: dict) -> list[FeatureMetadata]:
-    return [
-        FeatureMetadata(
-            feature_id=row["feature_id"],
-            count=row["count"],
-            mean=row["mean"],
-            std=row["std"],
-            missingness=row["missingness"],
-            rho_outcome=row["rho_outcome"],
-            rho_action=row["rho_action"],
-            q25=row["q25"],
-            median=row["median"],
-            q75=row["q75"],
-            iqr=row["iqr"],
+    return [FeatureMetadata(**row) for row in doc["features"]]
+
+
+def load_feature_ids(path: str | Path) -> list[str]:
+    """The selected features of a features report, or a JSON list of feature ids."""
+    doc = read_json(path, "feature selection")
+    ids = doc.get("selected_features") if isinstance(doc, dict) else doc
+    if not (isinstance(ids, list) and all(isinstance(fid, str) for fid in ids)):
+        raise FormatError(
+            f"{path}: expected a features report with selected_features or a list of feature ids"
         )
-        for row in doc["features"]
-    ]
+    return ids
 
 
-def mortality_rows_to_csv(rows) -> str:
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["bin", "reward_low", "reward_high", "mortality", "count"])
-    for r in rows:
-        writer.writerow([r.bin_index, r.reward_low, r.reward_high, r.mortality, r.count])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Off-policy evaluation
-# ---------------------------------------------------------------------------
-
-
-def run_ope(
-    dataset: TrajectoryDataset,
-    spec: RewardSpec,
-    probs_paths: Sequence[str],
-    out_dir: Path,
-    *,
-    level: float,
-    resamples: int,
-    seed: int,
-    bins: int,
-    max_ratio: float | None = None,
-    champion: str | None = None,
-) -> tuple[WisEstimate, list[Path]]:
-    """The OPE stage of `tridrive ope` and of a pipeline run.
-
-    Evaluates each policy table in order (the logged policy when there are
-    none) with a bootstrap WIS interval. Tables are loaded, evaluated and
-    dropped one at a time, so memory does not grow with the table count.
-    Writes wis.json (the last table, headed by the champion when given),
-    wis_series.csv (several tables) and mortality_curve.csv into out_dir.
-    Returns the last estimate and the files written.
-    """
-    traces = [trace(traj, spec) for traj in dataset.trajectories]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    series: list[tuple[str, WisEstimate]] = []
-    for path in probs_paths or [None]:
-        table = identity_prob_table(dataset) if path is None else load_prob_table(path)
-        est = bootstrap_ci(
-            dataset, traces, table, level=level, resamples=resamples, seed=seed,
-            max_ratio=max_ratio,
-        )
-        del table  # before the next table loads
-        series.append(("logged-policy" if path is None else str(path), est))
-
-    label, est = series[-1]
-    doc = {} if champion is None else {"champion": champion}
-    doc.update(
-        policy=label,
-        value=est.value,
-        ci_low=est.ci_low,
-        ci_high=est.ci_high,
-        level=level,
-        resamples=resamples,
-        n_effective=est.n_effective,
-        skipped_resamples=est.skipped_resamples,
-    )
-    wis_path = out_dir / "wis.json"
-    wis_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    files = [wis_path]
-
-    if len(series) > 1:
-        series_path = out_dir / "wis_series.csv"
-        with series_path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["checkpoint", "policy", "value", "ci_low", "ci_high"])
-            for i, (policy, row) in enumerate(series):
-                writer.writerow([i, policy, row.value, row.ci_low, row.ci_high])
-        files.append(series_path)
-
-    curve_path = out_dir / "mortality_curve.csv"
-    curve_path.write_text(
-        mortality_rows_to_csv(mortality_curve(dataset, traces, bins)), encoding="utf-8"
-    )
-    files.append(curve_path)
-    return est, files
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +158,7 @@ def generate_candidates(
     client: LlmClient,
     n_candidates: int,
     out_dir: str | Path,
-    task_description: str = "intensive care treatment",
+    task_description: str = defaults.TASK_DESCRIPTION,
     metadata: list[FeatureMetadata] | None = None,
 ) -> tuple[list[tuple[str, RewardSpec]], int]:
     """Ask the client for n candidate specs; invalid responses are quarantined
@@ -268,8 +168,6 @@ def generate_candidates(
     if not feature_ids:
         raise ValidationError("candidate generation needs a nonempty feature set")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    quarantine = out / "quarantine"
     if metadata is None:
         metadata = compute_metadata(dataset)
     by_id = {m.feature_id: m for m in metadata}
@@ -295,24 +193,19 @@ def generate_candidates(
             if missing_feats:
                 raise ValidationError(f"spec omits selected features {sorted(missing_feats)}")
         except TridriveError as exc:
-            quarantine.mkdir(parents=True, exist_ok=True)
             doc = {"candidate_index": i, "reason": str(exc), "response": response}
-            (quarantine / f"candidate_{i:03d}.json").write_text(
-                json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-            )
+            write_json(out / "quarantine" / f"candidate_{i:03d}.json", doc)
             quarantined += 1
             continue
         spec_id = f"spec_{i:03d}"
-        (out / f"{spec_id}.json").write_text(
-            json.dumps(reward_spec_to_json(spec), indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(out / f"{spec_id}.json", reward_spec_to_json(spec))
         valid.append((spec_id, spec))
     index = {
         "valid": [sid for sid, _ in valid],
         "quarantined": quarantined,
         "requested": n_candidates,
     }
-    (out / "index.json").write_text(json.dumps(index, indent=2) + "\n", encoding="utf-8")
+    write_json(out / "index.json", index)
     return valid, quarantined
 
 
@@ -347,56 +240,186 @@ def score_specs(
     for spec_id, spec in specs:
         try:
             vec = fitness(dataset, spec, cfg, feature_ids, targets)
-            rows.append(
-                {
-                    "spec_id": spec_id,
-                    "j_surv": vec.j_surv,
-                    "j_conf": vec.j_conf,
-                    "j_comp": vec.j_comp,
-                }
-            )
+            rows.append({"spec_id": spec_id, **asdict(vec)})
         except (DegenerateStatisticError, SchemaError, ValidationError) as exc:
             rows.append({"spec_id": spec_id, "error": str(exc)})
     return rows
 
 
 def pareto_from_rows(rows: list[dict]) -> ParetoResult:
-    candidates = [
-        Candidate(
-            spec_id=row["spec_id"],
-            fitness=FitnessVector(row["j_surv"], row["j_conf"], row["j_comp"]),
-        )
-        for row in rows
-        if "error" not in row
-    ]
+    """Rank the rows of a fitness report; rows carrying an error are skipped."""
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise FormatError("fitness report must be a JSON array of objects")
+    candidates = []
+    for row in rows:
+        if "error" in row:
+            continue
+        values = [row.get(axis) for axis in ("j_surv", "j_conf", "j_comp")]
+        if type(row.get("spec_id")) is not str or any(type(v) not in (int, float) for v in values):
+            raise FormatError(f"fitness row {row}: needs a spec_id, j_surv, j_conf and j_comp")
+        candidates.append(Candidate(spec_id=row["spec_id"], fitness=FitnessVector(*values)))
     if not candidates:
         raise PipelineError("no valid candidates to rank")
     return select_champion(candidates)
 
 
 # ---------------------------------------------------------------------------
+# Stages. Each is shared by its CLI subcommand and PipelineRun, and returns
+# its result and the files it wrote.
+# ---------------------------------------------------------------------------
+
+
+def stats_stage(
+    dataset: TrajectoryDataset, out_path: Path
+) -> tuple[list[FeatureMetadata], list[Path]]:
+    metadata = compute_metadata(dataset)
+    doc = metadata_to_json(metadata, summarize_dataset(dataset))
+    return metadata, [write_json(out_path, doc)]
+
+
+def features_stage(
+    dataset: TrajectoryDataset,
+    client: LlmClient,
+    out_dir: Path,
+    *,
+    rounds: int,
+    threshold: float,
+    k: int,
+    task: str,
+    metadata: list[FeatureMetadata] | None = None,
+) -> tuple[list[str], list[Path]]:
+    """The vote, with each round's response under out_dir/rounds; fails when
+    no feature reaches the threshold."""
+    rounds_dir = out_dir / "rounds"
+    outcome = run_selection(
+        dataset,
+        client,
+        n_rounds=rounds,
+        threshold=threshold,
+        k=k,
+        task_description=task,
+        audit_dir=rounds_dir,
+        metadata=metadata,
+    )
+    if not outcome.selected:
+        raise PipelineError(
+            "ensemble vote selected no features; lower the threshold or inspect the rounds"
+        )
+    selected = sorted(outcome.selected)
+    report = {
+        "selected_features": selected,
+        "votes": outcome.votes,
+        "rounds": rounds,
+        "threshold": threshold,
+        "k": k,
+    }
+    path = write_json(out_dir / "report.json", report)
+    return selected, [path] + sorted(rounds_dir.glob("round_*.json"))
+
+
+def candidates_stage(
+    dataset: TrajectoryDataset,
+    feature_ids: list[str],
+    client: LlmClient,
+    out_dir: Path,
+    *,
+    n_candidates: int,
+    task: str,
+    metadata: list[FeatureMetadata] | None = None,
+) -> tuple[list[tuple[str, RewardSpec]], list[Path]]:
+    """generate_candidates into out_dir; fails when every candidate was quarantined."""
+    valid, _ = generate_candidates(
+        dataset,
+        feature_ids,
+        client,
+        n_candidates,
+        out_dir,
+        task_description=task,
+        metadata=metadata,
+    )
+    if not valid:
+        raise PipelineError("every generated candidate was quarantined")
+    return valid, sorted(out_dir.rglob("*.json"))
+
+
+def fitness_stage(
+    dataset: TrajectoryDataset,
+    specs: list[tuple[str, RewardSpec]],
+    out_path: Path,
+    *,
+    cfg: CompMetricConfig,
+    feature_ids: list[str] | None,
+) -> tuple[list[dict], list[Path]]:
+    rows = score_specs(dataset, specs, cfg, feature_ids)
+    return rows, [write_json(out_path, rows)]
+
+
+def selection_stage(fitness_path: Path, out_path: Path) -> tuple[ParetoResult, list[Path]]:
+    result = pareto_from_rows(read_json(fitness_path, "fitness report"))
+    return result, [write_json(out_path, pareto_result_to_json(result))]
+
+
+def ope_stage(
+    dataset: TrajectoryDataset,
+    spec: RewardSpec,
+    probs_paths: Sequence[str],
+    out_dir: Path,
+    *,
+    level: float,
+    resamples: int,
+    seed: int,
+    bins: int,
+    max_ratio: float | None = None,
+    champion: str | None = None,
+) -> tuple[WisEstimate, list[Path]]:
+    """Evaluates each policy table in order (the logged policy when there are
+    none) with a bootstrap WIS interval. Tables are loaded, evaluated and
+    dropped one at a time, so memory does not grow with the table count.
+    Writes wis.json (the last table, headed by the champion when given),
+    wis_series.csv (several tables) and mortality_curve.csv into out_dir.
+    Returns the last estimate and the files written.
+    """
+    traces = [trace(traj, spec) for traj in dataset.trajectories]
+    series: list[tuple[str, WisEstimate]] = []
+    for path in probs_paths or [None]:
+        table = identity_prob_table(dataset) if path is None else load_prob_table(path)
+        est = bootstrap_ci(
+            dataset, traces, table, level=level, resamples=resamples, seed=seed,
+            max_ratio=max_ratio,
+        )
+        del table  # before the next table loads
+        series.append(("logged-policy" if path is None else str(path), est))
+
+    label, est = series[-1]
+    doc = {} if champion is None else {"champion": champion}
+    doc.update(
+        policy=label,
+        value=est.value,
+        ci_low=est.ci_low,
+        ci_high=est.ci_high,
+        level=level,
+        resamples=resamples,
+        n_effective=est.n_effective,
+        skipped_resamples=est.skipped_resamples,
+    )
+    files = [write_json(out_dir / "wis.json", doc)]
+    if len(series) > 1:
+        rows = [(i, policy, e.value, e.ci_low, e.ci_high) for i, (policy, e) in enumerate(series)]
+        header = ["checkpoint", "policy", "value", "ci_low", "ci_high"]
+        files.append(write_text(out_dir / "wis_series.csv", _csv(header, rows)))
+    curve = [astuple(row) for row in mortality_curve(dataset, traces, bins)]
+    header = ["bin", "reward_low", "reward_high", "mortality", "count"]
+    files.append(write_text(out_dir / "mortality_curve.csv", _csv(header, curve)))
+    return est, files
+
+
+# ---------------------------------------------------------------------------
 # Pipeline configuration
 # ---------------------------------------------------------------------------
 
-_PIPELINE_KEYS = {
-    "dataset",
-    "client",
-    "llm",
-    "rounds",
-    "threshold",
-    "k",
-    "candidates",
-    "task",
-    "probs",
-    "bootstrap",
-    "level",
-    "bins",
-    "seed",
-    "split",
-    "metric",
-}
-_METRIC_KEYS = {"epsilon", "k", "alpha", "aggregation"}
-_LLM_KEYS = {"endpoint", "model", "temperature", "timeout", "retries", "backoff"}
+# Per-dataset caches of CompMetricConfig, filled in by prepare(): neither
+# config keys nor part of the config hash.
+_METRIC_CACHES = ("iqr", "action_max")
 
 
 @dataclass
@@ -408,7 +431,7 @@ class PipelineConfig:
     threshold: float = defaults.CONSENSUS_THRESHOLD
     k: int = defaults.FEATURE_COUNT
     candidates: int = defaults.CANDIDATE_COUNT
-    task: str = "intensive care treatment"
+    task: str = defaults.TASK_DESCRIPTION
     probs: list[str] = field(default_factory=list)
     bootstrap: int = defaults.BOOTSTRAP_RESAMPLES
     level: float = defaults.BOOTSTRAP_LEVEL
@@ -432,92 +455,39 @@ class PipelineConfig:
             raise ConfigError(f"unknown split {self.split!r}")
 
     def canonical_json(self) -> str:
-        doc = {
-            "dataset": self.dataset,
-            "client": self.client,
-            "llm": {
-                "endpoint": self.llm.endpoint,
-                "model": self.llm.model,
-                "temperature": self.llm.temperature,
-                "timeout": self.llm.timeout,
-                "retries": self.llm.retries,
-                "backoff": self.llm.backoff,
-            },
-            "rounds": self.rounds,
-            "threshold": self.threshold,
-            "k": self.k,
-            "candidates": self.candidates,
-            "task": self.task,
-            "probs": self.probs,
-            "bootstrap": self.bootstrap,
-            "level": self.level,
-            "bins": self.bins,
-            "seed": self.seed,
-            "split": self.split,
-            "metric": {
-                "epsilon": self.metric.epsilon,
-                "k": self.metric.k,
-                "alpha": self.metric.alpha,
-                "aggregation": self.metric.aggregation,
-            },
-        }
+        doc = asdict(self)
+        for key in _METRIC_CACHES:
+            del doc["metric"][key]
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def pipeline_config_from_json(doc: dict) -> PipelineConfig:
-    if not isinstance(doc, dict):
-        raise FormatError("pipeline config must be a JSON object")
-    unknown = set(doc) - _PIPELINE_KEYS
-    if unknown:
-        raise FormatError(f"pipeline config: unknown keys {sorted(unknown)}")
-    if "dataset" not in doc:
-        raise FormatError("pipeline config: missing 'dataset'")
-    llm_doc = doc.get("llm", {})
-    unknown_llm = set(llm_doc) - _LLM_KEYS
-    if unknown_llm:
-        raise FormatError(f"pipeline config: unknown llm keys {sorted(unknown_llm)}")
-    metric_doc = doc.get("metric", {})
-    unknown_metric = set(metric_doc) - _METRIC_KEYS
-    if unknown_metric:
-        raise FormatError(f"pipeline config: unknown metric keys {sorted(unknown_metric)}")
-    probs = doc.get("probs", [])
-    if isinstance(probs, str):
-        probs = [probs]
+    """The keys are PipelineConfig's fields, with llm and metric objects;
+    probs may be one path instead of a list."""
+    what = "pipeline config"
+    if isinstance(doc, dict) and isinstance(doc.get("probs"), str):
+        doc = {**doc, "probs": [doc["probs"]]}
+    kwargs = fields_from_json(PipelineConfig, doc, what)
+    if "dataset" not in kwargs:
+        raise FormatError(f"{what}: missing 'dataset'")
+    llm = fields_from_json(LlmClientConfig, kwargs.get("llm", {}), f"{what}: llm")
+    metric = fields_from_json(
+        CompMetricConfig, kwargs.get("metric", {}), f"{what}: metric", exclude=_METRIC_CACHES
+    )
     config = PipelineConfig(
-        dataset=doc["dataset"],
-        client=doc.get("client", "stub"),
-        llm=LlmClientConfig(**llm_doc),
-        rounds=int(doc.get("rounds", defaults.CANDIDATE_COUNT)),
-        threshold=float(doc.get("threshold", defaults.CONSENSUS_THRESHOLD)),
-        k=int(doc.get("k", defaults.FEATURE_COUNT)),
-        candidates=int(doc.get("candidates", defaults.CANDIDATE_COUNT)),
-        task=doc.get("task", "intensive care treatment"),
-        probs=[str(p) for p in probs],
-        bootstrap=int(doc.get("bootstrap", defaults.BOOTSTRAP_RESAMPLES)),
-        level=float(doc.get("level", defaults.BOOTSTRAP_LEVEL)),
-        bins=int(doc.get("bins", defaults.MORTALITY_BINS)),
-        seed=int(doc.get("seed", 0)),
-        split=doc.get("split"),
-        metric=CompMetricConfig(**metric_doc) if metric_doc else CompMetricConfig(),
+        **{**kwargs, "llm": LlmClientConfig(**llm), "metric": CompMetricConfig(**metric)}
     )
     config.validate()
     return config
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read pipeline config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return pipeline_config_from_json(doc)
+    return pipeline_config_from_json(read_json(path, "pipeline config"))
 
 
-def build_client(config: PipelineConfig) -> LlmClient:
-    if config.client == "stub":
-        return StubLlmClient()
-    return HttpLlmClient(config.llm)
+def build_client(client: str, llm: LlmClientConfig) -> LlmClient:
+    """The client named "stub" or "http"; llm configures the HTTP one."""
+    return StubLlmClient() if client == "stub" else HttpLlmClient(llm)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +505,7 @@ class PipelineRun:
         self.config = config
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
+        self.manifest_path = self.out / "manifest.json"
         try:
             dataset_sha = sha256_file(config.dataset)
         except OSError as exc:
@@ -550,16 +521,9 @@ class PipelineRun:
 
     # -- manifest -------------------------------------------------------
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.out / "manifest.json"
-
     def _load_or_init_manifest(self, dataset_sha: str, config_sha: str) -> dict:
         if self.manifest_path.exists():
-            try:
-                manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise FormatError(f"{self.manifest_path}: unreadable run manifest: {exc}") from exc
+            manifest = read_json(self.manifest_path, "run manifest")
             if not isinstance(manifest, dict):
                 raise FormatError(f"{self.manifest_path}: run manifest must be a JSON object")
             if manifest.get("run_id") != self.run_id:
@@ -570,17 +534,12 @@ class PipelineRun:
             return manifest
         return {
             "run_id": self.run_id,
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "seed": self.config.seed,
             "inputs": {"dataset": dataset_sha, "config": config_sha},
             "stages": {name: {"status": "pending"} for name in STAGES},
             "champion": None,
         }
-
-    def _write_manifest(self) -> None:
-        self.manifest_path.write_text(
-            json.dumps(self.manifest, indent=2) + "\n", encoding="utf-8"
-        )
 
     def _write_timing(self) -> None:
         doc = {
@@ -589,9 +548,7 @@ class PipelineRun:
             "stage_seconds": {k: round(v, 6) for k, v in self._timing.items()},
             "skipped": self._skipped,
         }
-        (self.out / "timing.json").write_text(
-            json.dumps(doc, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(self.out / "timing.json", doc)
 
     def _stage_fresh(self, name: str) -> bool:
         record = self.manifest["stages"].get(name, {})
@@ -608,13 +565,7 @@ class PipelineRun:
             f.relative_to(self.out).as_posix(): sha256_file(f) for f in sorted(files)
         }
         self.manifest["stages"][name] = {"status": "complete", "outputs": outputs}
-        self._write_manifest()
-
-    def _write_json(self, rel: str, doc) -> Path:
-        path = self.out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-        return path
+        write_json(self.manifest_path, self.manifest)
 
     # -- stages ---------------------------------------------------------
 
@@ -626,104 +577,80 @@ class PipelineRun:
         self._load_seconds = time.perf_counter() - start
         if not dataset.trajectories:
             raise PipelineError("dataset (after split filtering) has no trajectories")
-        client = build_client(self.config)
+        client = build_client(self.config.client, self.config.llm)
         for name in STAGES:
             if self._stage_fresh(name):
                 self._skipped.append(name)
                 continue
             start = time.perf_counter()
             try:
-                getattr(self, f"_run_{name}")(dataset, client)
+                self._record_outputs(name, getattr(self, f"_run_{name}")(dataset, client))
             except TridriveError as exc:
                 self.manifest["stages"][name] = {"status": "failed", "error": str(exc)}
-                self._write_manifest()
+                write_json(self.manifest_path, self.manifest)
                 self._write_timing()
                 raise
             self._timing[name] = time.perf_counter() - start
         self._write_timing()
         return self.manifest
 
-    def _run_stats(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
-        metadata = compute_metadata(dataset)
-        doc = metadata_to_json(metadata, summarize_dataset(dataset))
-        path = self._write_json("stats/metadata.json", doc)
-        self._record_outputs("stats", [path])
+    # Each _run_<stage> calls its stage function and returns the files written.
+
+    def _run_stats(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+        return stats_stage(dataset, self.out / "stats/metadata.json")[1]
 
     def _load_metadata(self) -> list[FeatureMetadata]:
-        doc = json.loads((self.out / "stats/metadata.json").read_text(encoding="utf-8"))
-        return metadata_from_json(doc)
+        return metadata_from_json(read_json(self.out / "stats/metadata.json", "statistics"))
 
-    def _run_features(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
-        rounds_dir = self.out / "features" / "rounds"
-        outcome = run_selection(
+    def _run_features(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+        return features_stage(
             dataset,
             client,
-            n_rounds=self.config.rounds,
+            self.out / "features",
+            rounds=self.config.rounds,
             threshold=self.config.threshold,
             k=self.config.k,
-            task_description=self.config.task,
-            audit_dir=rounds_dir,
+            task=self.config.task,
             metadata=self._load_metadata(),
-        )
-        if not outcome.selected:
-            raise PipelineError(
-                "ensemble vote selected no features; lower the threshold or inspect the rounds"
-            )
-        report = {
-            "selected_features": sorted(outcome.selected),
-            "votes": outcome.votes,
-            "rounds": self.config.rounds,
-            "threshold": self.config.threshold,
-            "k": self.config.k,
-        }
-        path = self._write_json("features/report.json", report)
-        files = [path] + sorted(rounds_dir.glob("round_*.json"))
-        self._record_outputs("features", files)
+        )[1]
 
-    def _load_features(self) -> list[str]:
-        doc = json.loads((self.out / "features/report.json").read_text(encoding="utf-8"))
-        return doc["selected_features"]
-
-    def _run_candidates(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
-        out = self.out / "candidates"
-        valid, _ = generate_candidates(
+    def _run_candidates(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+        return candidates_stage(
             dataset,
-            self._load_features(),
+            load_feature_ids(self.out / "features/report.json"),
             client,
-            self.config.candidates,
-            out,
-            task_description=self.config.task,
+            self.out / "candidates",
+            n_candidates=self.config.candidates,
+            task=self.config.task,
             metadata=self._load_metadata(),
-        )
-        if not valid:
-            raise PipelineError("every generated candidate was quarantined")
-        files = [p for p in out.rglob("*.json")]
-        self._record_outputs("candidates", files)
+        )[1]
 
     def _load_candidates(self) -> list[tuple[str, RewardSpec]]:
-        index = json.loads((self.out / "candidates/index.json").read_text(encoding="utf-8"))
+        index = read_json(self.out / "candidates/index.json", "candidate index")
         return [
             (sid, load_reward_spec(self.out / "candidates" / f"{sid}.json"))
             for sid in index["valid"]
         ]
 
-    def _run_fitness(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
-        rows = score_specs(
-            dataset, self._load_candidates(), self.config.metric, self._load_features()
+    def _run_fitness(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+        return fitness_stage(
+            dataset,
+            self._load_candidates(),
+            self.out / "fitness/report.json",
+            cfg=self.config.metric,
+            feature_ids=load_feature_ids(self.out / "features/report.json"),
+        )[1]
+
+    def _run_selection(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+        result, files = selection_stage(
+            self.out / "fitness/report.json", self.out / "selection/report.json"
         )
-        path = self._write_json("fitness/report.json", rows)
-        self._record_outputs("fitness", [path])
-
-    def _run_selection(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
-        rows = json.loads((self.out / "fitness/report.json").read_text(encoding="utf-8"))
-        result = pareto_from_rows(rows)
-        path = self._write_json("selection/report.json", pareto_result_to_json(result))
         self.manifest["champion"] = result.champion
-        self._record_outputs("selection", [path])
+        return files
 
-    def _run_ope(self, dataset: TrajectoryDataset, client: LlmClient) -> None:
+    def _run_ope(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
         champion_id = self.manifest["champion"]
-        _, files = run_ope(
+        return ope_stage(
             dataset,
             dict(self._load_candidates())[champion_id],
             self.config.probs,
@@ -733,8 +660,7 @@ class PipelineRun:
             seed=self.config.seed,
             bins=self.config.bins,
             champion=champion_id,
-        )
-        self._record_outputs("ope", files)
+        )[1]
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> dict:

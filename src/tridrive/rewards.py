@@ -8,14 +8,13 @@ difference minus the weighted action cost,
     r = gamma * phi(next) - phi(prev) - lambda * cost(prev.action)
 
 so that the shaping part telescopes over a trajectory while the cost part
-stays path-dependent. Four reference reward models (outcome-only, process,
-combined, and normalized per-step credit assignment) are provided for
-comparison. All operations are pure functions of immutable inputs.
+stays path-dependent. Three reference reward models (outcome-only, process,
+and their sum) are provided for comparison. All operations are pure
+functions of immutable inputs.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import defaults
 from .errors import FormatError, SchemaError, ValidationError
+from .jsonio import read_json, write_json
 from .model import Trajectory, TrajectoryColumns
 
 
@@ -270,7 +270,6 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
 # ---------------------------------------------------------------------------
 
 TERMINAL_REWARD = 100.0
-CREDIT_BUDGET = 15.0
 
 
 def baseline_orm(trajectory: Trajectory, gamma: float = defaults.GAMMA) -> RewardTrace:
@@ -312,25 +311,6 @@ def baseline_oprm(
         potentials=[0.0] * len(trajectory.steps),
         cumulative=_discounted_sum(rewards, gamma),
     )
-
-
-def baseline_llmr_normalize(raw_credits: list[float], survived: bool) -> list[float]:
-    """Rescale per-step credits so they sum to +15 (survivor) or -15.
-
-    Zero entries are preserved. When the raw sum is nonzero the credits are
-    scaled; when it is zero but some entries are not, the nonzero entries
-    are shifted by a common offset instead.
-    """
-    if all(c == 0.0 for c in raw_credits):
-        raise ValidationError("cannot rescale all-zero credits")
-    target = CREDIT_BUDGET if survived else -CREDIT_BUDGET
-    total = sum(raw_credits)
-    if total != 0.0:
-        factor = target / total
-        return [c * factor for c in raw_credits]
-    n_nonzero = sum(1 for c in raw_credits if c != 0.0)
-    offset = target / n_nonzero
-    return [c + offset if c != 0.0 else 0.0 for c in raw_credits]
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +390,9 @@ def reward_spec_to_json(spec: RewardSpec) -> dict:
 
 
 def load_reward_spec(path: str | Path) -> RewardSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read reward spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return reward_spec_from_json(doc)
+    return reward_spec_from_json(read_json(path, "reward spec"))
 
 
 def save_reward_spec(spec: RewardSpec, path: str | Path) -> None:
     spec.validate()
-    Path(path).write_text(
-        json.dumps(reward_spec_to_json(spec), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, reward_spec_to_json(spec))

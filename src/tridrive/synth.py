@@ -22,7 +22,6 @@ generation could run in parallel without changing the output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +30,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigError, FormatError
+from .jsonio import fields_from_json, read_json
 from .model import (
     ActionSpec,
     FeatureSpec,
@@ -258,56 +258,25 @@ def reference_spec(config: CohortConfig) -> RewardSpec:
 # Config file format
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "n_patients",
-    "horizon",
-    "n_normal",
-    "n_low",
-    "n_high",
-    "healthy_interval",
-    "action_levels",
-    "mortality_coupling",
-    "staleness_gradient",
-    "overtreatment_prob",
-    "seed",
-}
-
 
 def cohort_config_from_json(doc: dict) -> CohortConfig:
+    """A config object holds CohortConfig's fields, except that the horizon
+    bounds are one key, "horizon": [min, max]."""
+    what = "cohort config"
     if not isinstance(doc, dict):
-        raise FormatError("cohort config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
-    if unknown:
-        raise FormatError(f"cohort config: unknown keys {sorted(unknown)}")
-    kwargs: dict = {}
+        raise FormatError(f"{what} must be a JSON object")
+    rest = {k: v for k, v in doc.items() if k != "horizon"}
+    kwargs = fields_from_json(CohortConfig, rest, what, exclude=("horizon_min", "horizon_max"))
     if "horizon" in doc:
         h = doc["horizon"]
         if not (isinstance(h, list) and len(h) == 2):
-            raise FormatError("cohort config: horizon must be [min, max]")
-        kwargs["horizon_min"], kwargs["horizon_max"] = int(h[0]), int(h[1])
-    if "healthy_interval" in doc:
-        iv = doc["healthy_interval"]
-        if not (isinstance(iv, list) and len(iv) == 2):
-            raise FormatError("cohort config: healthy_interval must be [lo, hi]")
-        kwargs["healthy_interval"] = (float(iv[0]), float(iv[1]))
-    if "action_levels" in doc:
-        kwargs["action_levels"] = {aid: int(v) for aid, v in doc["action_levels"].items()}
-    for key in ("n_patients", "n_normal", "n_low", "n_high", "seed"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    for key in ("mortality_coupling", "staleness_gradient", "overtreatment_prob"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
+            raise FormatError(f"{what}: horizon must be [min, max]")
+        bounds = {"horizon_min": h[0], "horizon_max": h[1]}
+        kwargs.update(fields_from_json(CohortConfig, bounds, f"{what}: horizon"))
     config = CohortConfig(**kwargs)
     config.validate()
     return config
 
 
 def load_cohort_config(path: str | Path) -> CohortConfig:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise FormatError(f"cannot read cohort config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return cohort_config_from_json(doc)
+    return cohort_config_from_json(read_json(path, "cohort config"))

@@ -16,10 +16,30 @@ from tridrive.model import (
     Trajectory,
     TrajectoryDataset,
 )
-from tridrive.errors import SchemaError
+from tridrive.errors import ConfigError, LlmClientError, SchemaError
 from tridrive.ope import trajectory_weight
 from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm
 from tridrive.synth import CohortConfig, generate
+
+
+class ScriptedLlmClient:
+    """Replays a fixed list of responses, cycling when exhausted."""
+
+    def __init__(self, responses: list[str], cycle: bool = True):
+        if not responses:
+            raise ConfigError("ScriptedLlmClient needs at least one response")
+        self.responses = list(responses)
+        self.cycle = cycle
+        self.calls = 0
+
+    def complete(self, prompt: str) -> str:
+        i = self.calls
+        self.calls += 1
+        if i >= len(self.responses):
+            if not self.cycle:
+                raise LlmClientError("scripted client ran out of responses")
+            i %= len(self.responses)
+        return self.responses[i]
 
 
 def make_step(t, values, staleness=None, action=None, sofa=5.0):

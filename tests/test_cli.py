@@ -4,6 +4,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from tridrive import __version__
 from tridrive.cli import main
 from tridrive.model import load_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
@@ -329,3 +330,96 @@ def test_help_lists_commands():
     assert result.exit_code == 0
     for cmd in ("synth", "stats", "select-features", "generate", "score", "pareto", "ope", "pipeline"):
         assert cmd in result.output
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("generate", "--features", '{"foo": 1}'),
+        ("generate", "--features", "{not json"),
+        ("score", "--features", '{"foo": 1}'),
+        ("score", "--features", "{not json"),
+        ("pareto", "--fitness", '{"x": 1}'),
+        ("pareto", "--fitness", '[{"spec_id": "a"}]'),
+        ("pareto", "--fitness", '[{"spec_id": "a", "j_surv": "0.1", "j_conf": 0, "j_comp": 0}]'),
+        ("pareto", "--fitness", "{not json"),
+        ("synth", "--config", '{"n_patients": "abc"}'),
+        ("synth", "--config", '{"action_levels": [1]}'),
+        ("synth", "--config", '{"horizon": ["a", 3]}'),
+        ("synth", "--config", '{"seed": true}'),
+        ("pipeline", "--config", '{"dataset": "@", "rounds": "abc"}'),
+        ("pipeline", "--config", '{"dataset": "@", "rounds": 2.5}'),
+        ("pipeline", "--config", '{"dataset": "@", "rounds": true}'),
+        ("pipeline", "--config", '{"dataset": "@", "threshold": false}'),
+        ("pipeline", "--config", '{"dataset": "@", "metric": {"epsilon": "x"}}'),
+        ("pipeline", "--config", '{"dataset": "@", "metric": {"iqr": {}}}'),
+        ("pipeline", "--config", '{"dataset": "@", "llm": {"retries": 1e400}}'),
+    ],
+)
+def test_malformed_input_is_usage_error(workdir, artifacts, tmp_path, command, flag, text):
+    dataset = workdir / "cohort.json"
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace('"@"', json.dumps(str(dataset))))
+    rest = {
+        "generate": ["--dataset", dataset, "--out", tmp_path / "out"],
+        "score": ["--dataset", dataset, "--specs", artifacts[2], "--out", tmp_path / "o.json"],
+        "pareto": ["--out", tmp_path / "o.json"],
+        "synth": ["--out", tmp_path / "o.json"],
+        "pipeline": ["--out", tmp_path / "run"],
+    }[command]
+    result = _invoke(command, flag, bad, *rest)
+    _assert_usage_error(result)
+    assert result.output.startswith("error: ")
+
+
+def test_version_is_package_version(workdir, tmp_path):
+    assert _invoke("--version").output == f"tridrive, version {__version__}\n"
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({
+        "dataset": str(workdir / "cohort.json"),
+        "rounds": 2, "candidates": 2, "bootstrap": 20, "bins": 2,
+    }))
+    assert _invoke("pipeline", "--config", config, "--out", tmp_path / "run").exit_code == 0
+    manifest = json.loads((tmp_path / "run/manifest.json").read_text())
+    assert manifest["tool_version"] == __version__
+
+
+def test_subcommands_write_what_the_pipeline_writes(workdir, tmp_path):
+    """stats -> select-features -> generate -> score -> pareto -> ope with the
+    pipeline's defaults leave the files a pipeline run leaves."""
+    dataset = workdir / "cohort.json"
+    cli = tmp_path / "cli"
+    report = cli / "features/report.json"
+    for args in (
+        ("stats", "--dataset", dataset, "--out", cli / "stats/metadata.json"),
+        ("select-features", "--dataset", dataset, "--out", cli / "features"),
+        ("generate", "--dataset", dataset, "--features", report, "--out", cli / "candidates"),
+        ("score", "--dataset", dataset, "--specs", cli / "candidates", "--features", report,
+         "--out", cli / "fitness/report.json"),
+        ("pareto", "--fitness", cli / "fitness/report.json", "--out", cli / "selection/report.json"),
+    ):
+        result = _invoke(*args)
+        assert result.exit_code == 0, result.output
+    champion = json.loads((cli / "selection/report.json").read_text())["champion"]
+    result = _invoke("ope", "--dataset", dataset, "--spec", cli / f"candidates/{champion}.json",
+                     "--out", cli / "ope")
+    assert result.exit_code == 0, result.output
+
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({"dataset": str(dataset)}))
+    run = tmp_path / "run"
+    assert _invoke("pipeline", "--config", config, "--out", run).exit_code == 0
+
+    def files(root):
+        return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
+
+    assert files(cli) == [f for f in files(run) if f not in ("manifest.json", "timing.json")]
+    assert len(list((cli / "features/rounds").iterdir())) == 20
+    assert len(list((cli / "candidates").glob("spec_*.json"))) == 20
+    for rel in files(cli):
+        if rel == "ope/wis.json":
+            continue
+        assert (cli / rel).read_bytes() == (run / rel).read_bytes(), rel
+    wis = json.loads((run / "ope/wis.json").read_text())
+    assert wis.pop("champion") == champion
+    assert (cli / "ope/wis.json").read_text() == json.dumps(wis, indent=2) + "\n"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_dataset, make_step
+from conftest import ScriptedLlmClient, make_dataset, make_step
 from tridrive.errors import (
     ConfigError,
     FormatError,
@@ -27,7 +27,6 @@ from tridrive.features import (
     run_selection,
     summarize_dataset,
 )
-from tridrive.llm import ScriptedLlmClient
 from tridrive.model import Trajectory
 
 DATA = Path(__file__).parent / "data"
@@ -100,16 +99,6 @@ class TestComputeMetadata:
         meta = {m.feature_id: m for m in compute_metadata(self._hand_dataset())}
         # survivors carry the low f1 values: negative correlation
         assert meta["f1"].rho_outcome == pytest.approx(-0.894427190999916, abs=1e-9)
-
-    def test_explicit_missing_mask(self):
-        ds = self._hand_dataset()
-        meta = {
-            m.feature_id: m
-            for m in compute_metadata(ds, missing_mask=lambda pid, idx, fid: idx == 0)
-        }
-        assert meta["f1"].count == 2
-        assert meta["f1"].mean == pytest.approx(0.3)
-        assert meta["f1"].missingness == 0.5
 
     def test_summary(self):
         summary = summarize_dataset(self._hand_dataset())
@@ -207,19 +196,24 @@ def _rounds(*sets):
 class TestEnsembleVote:
     def test_unanimous(self):
         rounds = _rounds(*[{"a", "b"}] * 20)
-        assert ensemble_vote(rounds, 0.6) == {"a", "b"}
+        assert ensemble_vote(rounds, 0.6)[0] == {"a", "b"}
 
     def test_fifteen_of_twenty(self):
         rounds = _rounds(*([{"a"}] * 15 + [{"b"}] * 5))
-        assert ensemble_vote(rounds, 0.6) == {"a"}
+        assert ensemble_vote(rounds, 0.6)[0] == {"a"}
+
+    def test_counts_every_feature_in_id_order(self):
+        rounds = _rounds(*([{"b"}] * 15 + [{"a", "b"}] * 5))
+        assert ensemble_vote(rounds, 0.6) == ({"b"}, {"a": 5, "b": 20})
+        assert list(ensemble_vote(rounds, 0.6)[1]) == ["a", "b"]
 
     def test_eleven_of_twenty_excluded(self):
         rounds = _rounds(*([{"a"}] * 11 + [{"b"}] * 9))
-        assert ensemble_vote(rounds, 0.6) == set()
+        assert ensemble_vote(rounds, 0.6)[0] == set()
 
     def test_exact_threshold_included(self):
         rounds = _rounds(*([{"a"}] * 12 + [{"b"}] * 8))
-        assert ensemble_vote(rounds, 0.6) == {"a"}
+        assert ensemble_vote(rounds, 0.6)[0] == {"a"}
 
     def test_threshold_validated(self):
         with pytest.raises(ConfigError):
@@ -229,7 +223,7 @@ class TestEnsembleVote:
     def test_monotone_in_threshold(self, t1, t2):
         lo, hi = sorted((t1, t2))
         rounds = _rounds({"a"}, {"a", "b"}, {"b", "c"}, {"a", "c"}, {"a"})
-        assert ensemble_vote(rounds, hi) <= ensemble_vote(rounds, lo)
+        assert ensemble_vote(rounds, hi)[0] <= ensemble_vote(rounds, lo)[0]
 
 
 def _wide_dataset(n_features=14):
@@ -286,7 +280,7 @@ class TestRunSelection:
             )
             assert rnd.selected == doc["selected"]
             rebuilt.append(rnd)
-        assert ensemble_vote(rebuilt, 0.6) == outcome.selected
+        assert ensemble_vote(rebuilt, 0.6) == (outcome.selected, outcome.votes)
 
     def test_failed_round_leaves_audit_evidence(self, tmp_path):
         ds = _wide_dataset()

@@ -4,6 +4,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from conftest import ScriptedLlmClient
 from tridrive.errors import ConfigError, LlmClientError
 from tridrive.features import (
     CohortSummary,
@@ -18,7 +19,6 @@ from tridrive.llm import (
     KEY_ENV,
     HttpLlmClient,
     LlmClientConfig,
-    ScriptedLlmClient,
     StubLlmClient,
 )
 

@@ -1,15 +1,19 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+from conftest import ScriptedLlmClient
 from tridrive.errors import ConfigError, FormatError, PipelineError
-from tridrive.llm import ScriptedLlmClient, StubLlmClient
+from tridrive.llm import StubLlmClient
 from tridrive.model import load_dataset, save_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
 from tridrive.pipeline import (
     STAGES,
     PipelineConfig,
     assign_split,
+    features_stage,
     filter_split,
     generate_candidates,
     load_spec_dir,
@@ -308,3 +312,128 @@ class TestPipelineConfigIO:
     def test_probs_string_promoted_to_list(self):
         config = pipeline_config_from_json({"dataset": "d.json", "probs": "p.json"})
         assert config.probs == ["p.json"]
+
+    def test_integer_widens_for_float_keys(self):
+        config = pipeline_config_from_json(
+            {"dataset": "d.json", "threshold": 1, "metric": {"epsilon": 2}}
+        )
+        assert type(config.threshold) is float and type(config.metric.epsilon) is float
+        assert config.canonical_json() == pipeline_config_from_json(
+            {"dataset": "d.json", "threshold": 1.0, "metric": {"epsilon": 2.0}}
+        ).canonical_json()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dataset": "d.json", "seed": True},
+            {"dataset": "d.json", "bins": 4.0},
+            {"dataset": "d.json", "level": "0.9"},
+            {"dataset": "d.json", "level": float("nan")},
+            {"dataset": "d.json", "task": 3},
+            {"dataset": "d.json", "probs": [1]},
+            {"dataset": "d.json", "llm": []},
+            {"dataset": "d.json", "metric": {"action_max": {}}},
+            {"seed": 1},
+            ["d.json"],
+        ],
+    )
+    def test_mistyped_values_rejected(self, doc):
+        with pytest.raises(FormatError):
+            pipeline_config_from_json(doc)
+
+
+# Recorded at the commit before the config hash was computed with asdict;
+# a change to either string moves the run id of every run.
+DEFAULT_CANONICAL = (
+    '{"bins":10,"bootstrap":1000,"candidates":20,"client":"stub","dataset":"cohort.json",'
+    '"k":7,"level":0.95,"llm":{"backoff":1.0,"endpoint":"","model":"default","retries":2,'
+    '"temperature":0.7,"timeout":30.0},"metric":{"aggregation":"mean","alpha":0.1,'
+    '"epsilon":2.0,"k":10.0},"probs":[],"rounds":20,"seed":0,"split":null,'
+    '"task":"intensive care treatment","threshold":0.6}'
+)
+EVERY_KEY_CANONICAL = (
+    '{"bins":8,"bootstrap":400,"candidates":12,"client":"http","dataset":"data/cohort.json",'
+    '"k":5,"level":0.9,"llm":{"backoff":0.5,"endpoint":"http://localhost:8000/v1",'
+    '"model":"clinician-7b","retries":4,"temperature":0.25,"timeout":12.5},'
+    '"metric":{"aggregation":"sum","alpha":0.2,"epsilon":1.5,"k":7.5},'
+    '"probs":["ckpt_a.json","ckpt_b.json"],"rounds":9,"seed":42,"split":"policy_train",'
+    '"task":"sepsis resuscitation","threshold":0.75}'
+)
+
+
+class TestRunIdPins:
+    def test_default_config(self):
+        assert PipelineConfig(dataset="cohort.json").canonical_json() == DEFAULT_CANONICAL
+        assert pipeline_config_from_json({"dataset": "cohort.json"}).canonical_json() == (
+            DEFAULT_CANONICAL
+        )
+
+    def test_config_setting_every_key(self):
+        doc = {
+            "dataset": "data/cohort.json",
+            "client": "http",
+            "llm": {
+                "endpoint": "http://localhost:8000/v1",
+                "model": "clinician-7b",
+                "temperature": 0.25,
+                "timeout": 12.5,
+                "retries": 4,
+                "backoff": 0.5,
+            },
+            "rounds": 9,
+            "threshold": 0.75,
+            "k": 5,
+            "candidates": 12,
+            "task": "sepsis resuscitation",
+            "probs": ["ckpt_a.json", "ckpt_b.json"],
+            "bootstrap": 400,
+            "level": 0.9,
+            "bins": 8,
+            "seed": 42,
+            "split": "policy_train",
+            "metric": {"epsilon": 1.5, "k": 7.5, "alpha": 0.2, "aggregation": "sum"},
+        }
+        assert pipeline_config_from_json(doc).canonical_json() == EVERY_KEY_CANONICAL
+
+
+class TestStages:
+    def test_empty_vote_fails_the_features_stage(self, small_dataset_path, tmp_path):
+        ds = load_dataset(small_dataset_path)
+        picks = [json.dumps({"critical_state_features": [{"feature_name": f}]})
+                 for f in ("nr0", "lo0")]
+        with pytest.raises(PipelineError, match="selected no features"):
+            features_stage(
+                ds, ScriptedLlmClient(picks), tmp_path, rounds=2, threshold=1.0, k=1,
+                task="t",
+            )
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestCrashSafety:
+    def test_crash_in_manifest_write_resumes_to_same_digest(
+        self, small_dataset_path, tmp_path, monkeypatch
+    ):
+        config = _config(small_dataset_path)
+        run_pipeline(config, tmp_path / "whole")
+        out = tmp_path / "run"
+        real_replace = os.replace
+
+        def replace(src, dst):
+            # The manifest write that records the fitness stage as complete.
+            if Path(dst).name == "manifest.json" and (
+                json.loads(Path(src).read_text())["stages"]["fitness"]["status"] == "complete"
+            ):
+                raise OSError("injected failure")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected"):
+            run_pipeline(config, out)
+        monkeypatch.undo()
+
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["candidates"]["status"] == "complete"
+        assert manifest["stages"]["fitness"]["status"] == "pending"
+        assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
+        run_pipeline(config, out)
+        assert run_digest(out) == run_digest(tmp_path / "whole")

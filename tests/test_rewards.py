@@ -22,7 +22,6 @@ from tridrive.rewards import (
     RewardSpec,
     SurvivalConfig,
     SurvivalForm,
-    baseline_llmr_normalize,
     baseline_oprm,
     baseline_orm,
     baseline_prm,
@@ -379,27 +378,6 @@ class TestBaselines:
     def test_oprm_survivor_constant_sofa(self):
         tr = baseline_oprm(self._traj([5, 5, 5], survived=True))
         assert tr.rewards == [0.0, 100.0]
-
-
-class TestLlmrNormalize:
-    def test_already_normalized(self):
-        assert baseline_llmr_normalize([5.0, 0.0, 10.0], True) == [5.0, 0.0, 10.0]
-
-    def test_scaling(self):
-        assert baseline_llmr_normalize([1.0, 0.0, 2.0], True) == pytest.approx([5.0, 0.0, 10.0])
-
-    def test_nonsurvivor_target(self):
-        out = baseline_llmr_normalize([1.0, 2.0], False)
-        assert sum(out) == pytest.approx(-15.0)
-
-    def test_zero_sum_shifts_nonzero_entries(self):
-        out = baseline_llmr_normalize([1.0, -1.0, 0.0], True)
-        assert sum(out) == pytest.approx(15.0)
-        assert out[2] == 0.0
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValidationError, match="all-zero"):
-            baseline_llmr_normalize([0.0, 0.0, 0.0], True)
 
 
 class TestSpecSerialization:
