@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 on runtime failure (pipeline, client, or
-degenerate-statistic errors), 2 on usage or configuration errors
-(including unreadable inputs and invalid documents).
+degenerate-statistic errors, or an output that cannot be written), 2 on
+usage or configuration errors (including unreadable inputs and invalid
+documents).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _run(fn):
     except _USAGE_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    except TridriveError as exc:
+    except (TridriveError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

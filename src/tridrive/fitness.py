@@ -122,13 +122,14 @@ def _pearson_named(xs, ys, xname: str, yname: str) -> float:
         raise ValidationError("pearson needs two equal-length sequences of size >= 2")
     dx = x - x.mean()
     dy = y - y.mean()
-    sx = math.sqrt(float(np.dot(dx, dx)))
-    sy = math.sqrt(float(np.dot(dy, dy)))
+    # Not np.dot: OpenBLAS hands dots past 10,000 elements to a worker thread, a slow hand-off.
+    sx = math.sqrt(float((dx * dx).sum()))
+    sy = math.sqrt(float((dy * dy).sum()))
     if sx == 0.0:
         raise DegenerateStatisticError(f"{xname} is constant; correlation undefined")
     if sy == 0.0:
         raise DegenerateStatisticError(f"{yname} is constant; correlation undefined")
-    r = float(np.dot(dx, dy)) / (sx * sy)
+    r = float((dx * dy).sum()) / (sx * sy)
     return min(1.0, max(-1.0, r))
 
 

@@ -15,7 +15,9 @@ A run directory holds one manifest plus one subdirectory per stage:
 
 The run id is derived from the input hashes and the seed, so re-running the
 same inputs resumes: stages whose recorded output hashes still match on
-disk are skipped, and a failed stage leaves earlier outputs intact. Each
+disk are skipped, and a failed stage leaves earlier outputs intact. The
+dataset is read only when a stage that needs it runs, so a resume with
+nothing to run reads no dataset and records "load_seconds": null. Each
 stage is one function (stats_stage ... ope_stage) that the matching CLI
 subcommand calls too, so both write the same files.
 """
@@ -210,13 +212,20 @@ def generate_candidates(
 
 
 def load_spec_dir(path: str | Path) -> list[tuple[str, RewardSpec]]:
-    """Read every *.json reward spec in a directory, id = filename stem."""
+    """The reward specs of a directory as (id, spec), id = file stem. With an
+    index.json (as generate_candidates writes), the specs its "valid" list
+    names, in that order; otherwise every *.json file, in file-name order."""
     root = Path(path)
-    specs = []
-    for file in sorted(root.glob("*.json")):
-        if file.name == "index.json":
-            continue
-        specs.append((file.stem, load_reward_spec(file)))
+    index_path = root / "index.json"
+    if index_path.exists():
+        index = read_json(index_path, "candidate index")
+        ids = index.get("valid") if isinstance(index, dict) else None
+        if not (isinstance(ids, list) and all(isinstance(sid, str) for sid in ids)):
+            raise FormatError(f"{index_path}: expected a 'valid' list of spec ids")
+        files = [root / f"{sid}.json" for sid in ids]
+    else:
+        files = sorted(root.glob("*.json"))
+    specs = [(file.stem, load_reward_spec(file)) for file in files]
     if not specs:
         raise ConfigError(f"no reward specs found in {path}")
     return specs
@@ -515,7 +524,7 @@ class PipelineRun:
             f"{dataset_sha}:{config_sha}:{config.seed}".encode("utf-8")
         )[:16]
         self.manifest = self._load_or_init_manifest(dataset_sha, config_sha)
-        self._load_seconds = 0.0
+        self._load_seconds: float | None = None
         self._timing: dict[str, float] = {}
         self._skipped: list[str] = []
 
@@ -544,7 +553,7 @@ class PipelineRun:
     def _write_timing(self) -> None:
         doc = {
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "load_seconds": round(self._load_seconds, 6),
+            "load_seconds": self._load_seconds,
             "stage_seconds": {k: round(v, 6) for k, v in self._timing.items()},
             "skipped": self._skipped,
         }
@@ -570,18 +579,22 @@ class PipelineRun:
     # -- stages ---------------------------------------------------------
 
     def execute(self) -> dict:
-        """Run (or resume) every stage in order; returns the manifest."""
-        self._timing, self._skipped = {}, []
-        start = time.perf_counter()
-        dataset = filter_split(load_dataset(self.config.dataset), self.config.split)
-        self._load_seconds = time.perf_counter() - start
-        if not dataset.trajectories:
-            raise PipelineError("dataset (after split filtering) has no trajectories")
+        """Run (or resume) every stage in order; returns the manifest.
+
+        The dataset loads once, before the first stage that runs and reads
+        it, so a resume with every stage fresh reads no dataset: run_id
+        already pins its bytes, and freshness depends only on the manifest
+        and the output hashes.
+        """
+        self._timing, self._skipped, self._load_seconds = {}, [], None
+        dataset = None
         client = build_client(self.config.client, self.config.llm)
         for name in STAGES:
             if self._stage_fresh(name):
                 self._skipped.append(name)
                 continue
+            if dataset is None and name != "selection":
+                dataset = self._load_dataset()
             start = time.perf_counter()
             try:
                 self._record_outputs(name, getattr(self, f"_run_{name}")(dataset, client))
@@ -594,7 +607,16 @@ class PipelineRun:
         self._write_timing()
         return self.manifest
 
+    def _load_dataset(self) -> TrajectoryDataset:
+        start = time.perf_counter()
+        dataset = filter_split(load_dataset(self.config.dataset), self.config.split)
+        self._load_seconds = round(time.perf_counter() - start, 6)
+        if not dataset.trajectories:
+            raise PipelineError("dataset (after split filtering) has no trajectories")
+        return dataset
+
     # Each _run_<stage> calls its stage function and returns the files written.
+    # Selection reads only the fitness report, so no dataset is loaded for it.
 
     def _run_stats(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
         return stats_stage(dataset, self.out / "stats/metadata.json")[1]
@@ -625,23 +647,18 @@ class PipelineRun:
             metadata=self._load_metadata(),
         )[1]
 
-    def _load_candidates(self) -> list[tuple[str, RewardSpec]]:
-        index = read_json(self.out / "candidates/index.json", "candidate index")
-        return [
-            (sid, load_reward_spec(self.out / "candidates" / f"{sid}.json"))
-            for sid in index["valid"]
-        ]
-
     def _run_fitness(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
         return fitness_stage(
             dataset,
-            self._load_candidates(),
+            load_spec_dir(self.out / "candidates"),
             self.out / "fitness/report.json",
             cfg=self.config.metric,
             feature_ids=load_feature_ids(self.out / "features/report.json"),
         )[1]
 
-    def _run_selection(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+    def _run_selection(
+        self, dataset: TrajectoryDataset | None, client: LlmClient
+    ) -> list[Path]:
         result, files = selection_stage(
             self.out / "fitness/report.json", self.out / "selection/report.json"
         )
@@ -652,7 +669,7 @@ class PipelineRun:
         champion_id = self.manifest["champion"]
         return ope_stage(
             dataset,
-            dict(self._load_candidates())[champion_id],
+            dict(load_spec_dir(self.out / "candidates"))[champion_id],
             self.config.probs,
             self.out / "ope",
             level=self.config.level,

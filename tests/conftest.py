@@ -296,6 +296,19 @@ def oracle_efficiency(trajectory, feature_ids, cfg, feature_schema):
     return sum(per_step) / len(per_step)
 
 
+def oracle_pearson(xs, ys):
+    """Pearson correlation from exactly rounded sums (math.fsum), one scalar
+    at a time: the means, the centred cross product and the two squares."""
+    n = len(xs)
+    mx, my = math.fsum(xs) / n, math.fsum(ys) / n
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
+    sxx = math.fsum(a * a for a in dx)
+    syy = math.fsum(b * b for b in dy)
+    return sxy / (math.sqrt(sxx) * math.sqrt(syy))
+
+
 def oracle_iqr(dataset, fid):
     """IQR of the fresh values of one feature (all values if none is fresh;
     1.0 if there are none or the spread is 0)."""

@@ -68,6 +68,15 @@ class TestStats:
         _invoke("stats", "--dataset", workdir / "cohort.json", "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_unwritable_output_is_runtime_failure(self, workdir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        result = _invoke("stats", "--dataset", workdir / "cohort.json", "--out", out)
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 
 class TestSelectFeatures:
     def test_stub_selection(self, workdir, tmp_path):
@@ -148,6 +157,23 @@ class TestGenerateScorePareto:
         assert result.exit_code == 0
         doc = json.loads(selection.read_text())
         assert doc["champion"] in {r["spec_id"] for r in rows}
+
+    def test_score_rows_follow_the_candidate_index(self, workdir, tmp_path):
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        for sid in ("spec_101", "spec_1000"):
+            (specs / f"{sid}.json").write_text((workdir / "ref_spec.json").read_text())
+
+        def scored():
+            out = tmp_path / "fitness.json"
+            result = _invoke("score", "--dataset", workdir / "cohort.json", "--specs", specs,
+                             "--out", out)
+            assert result.exit_code == 0, result.output
+            return [row["spec_id"] for row in json.loads(out.read_text())]
+
+        assert scored() == ["spec_1000", "spec_101"]
+        (specs / "index.json").write_text(json.dumps({"valid": ["spec_101", "spec_1000"]}))
+        assert scored() == ["spec_101", "spec_1000"]
 
 
 class TestOpe:

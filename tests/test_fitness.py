@@ -12,6 +12,7 @@ from conftest import (
     oracle_efficiency,
     oracle_ground_truth,
     oracle_iqr,
+    oracle_pearson,
     oracle_uncertainty,
     simple_spec,
 )
@@ -35,16 +36,6 @@ from tridrive.model import FeatureType, Trajectory
 from tridrive.rewards import trace
 
 
-def pearson_oracle(xs, ys):
-    """Textbook two-pass covariance / sigma formula."""
-    n = len(xs)
-    mx, my = sum(xs) / n, sum(ys) / n
-    cov = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / n
-    sx = math.sqrt(sum((x - mx) ** 2 for x in xs) / n)
-    sy = math.sqrt(sum((y - my) ** 2 for y in ys) / n)
-    return cov / (sx * sy)
-
-
 class TestPearson:
     def test_perfect_linear(self):
         assert pearson([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0, abs=1e-12)
@@ -61,7 +52,22 @@ class TestPearson:
             n = int(rng.integers(2, 40))
             xs = rng.normal(size=n).tolist()
             ys = (rng.normal(size=n) + 0.3 * np.asarray(xs)).tolist()
-            assert pearson(xs, ys) == pytest.approx(pearson_oracle(xs, ys), abs=1e-12)
+            assert pearson(xs, ys) == pytest.approx(oracle_pearson(xs, ys), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 500, 20_000])
+    def test_matches_fsum_oracle(self, n):
+        rng = np.random.default_rng(n)
+        xs = rng.normal(3.0, 2.0, size=n)
+        ys = 0.4 * xs + rng.normal(size=n)
+        assert pearson(xs, ys) == pytest.approx(oracle_pearson(xs.tolist(), ys.tolist()),
+                                                abs=1e-12)
+
+    def test_near_constant_matches_fsum_oracle(self):
+        rng = np.random.default_rng(5)
+        xs = 70.0 + 1e-9 * rng.normal(size=500)
+        ys = rng.normal(size=500) + 1e9 * (xs - 70.0)
+        assert pearson(xs, ys) == pytest.approx(oracle_pearson(xs.tolist(), ys.tolist()),
+                                                abs=1e-12)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(DegenerateStatisticError, match="constant"):

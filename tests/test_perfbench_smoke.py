@@ -24,3 +24,5 @@ def test_traced_ope_series_runs_clean(monkeypatch):
     assert result["failed"] == 0, result["problems"]
     assert result["problems"] == []
     assert result["record"]["reference_checked"]
+    # A resume with every stage fresh reads no dataset.
+    assert result["metrics"]["resume.model.load_s"][0] == 0

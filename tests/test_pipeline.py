@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ScriptedLlmClient
+from tridrive import pipeline as pipeline_module
 from tridrive.errors import ConfigError, FormatError, PipelineError
 from tridrive.llm import StubLlmClient
 from tridrive.model import load_dataset, save_dataset
@@ -105,6 +106,14 @@ class TestGenerateCandidates:
         hashes_a = {p.name: sha256_file(p) for p in (tmp_path / "a").glob("*.json")}
         hashes_b = {p.name: sha256_file(p) for p in (tmp_path / "b").glob("*.json")}
         assert hashes_a == hashes_b
+
+    @pytest.mark.parametrize("index", [[], {"valid": "spec_000"}, {"valid": [0]}])
+    def test_load_spec_dir_rejects_malformed_index(self, tmp_path, index):
+        spec = reward_spec_to_json(reference_spec(SMALL))
+        (tmp_path / "spec_000.json").write_text(json.dumps(spec))
+        (tmp_path / "index.json").write_text(json.dumps(index))
+        with pytest.raises(FormatError, match="index.json"):
+            load_spec_dir(tmp_path)
 
     def test_load_spec_dir_round_trip(self, small_dataset_path, tmp_path):
         ds = load_dataset(small_dataset_path)
@@ -217,7 +226,50 @@ class TestPipelineRun:
         resumed = json.loads((out / "timing.json").read_text())
         assert resumed["stage_seconds"] == {}
         assert resumed["skipped"] == list(STAGES)
-        assert resumed["load_seconds"] > 0.0
+        assert resumed["load_seconds"] is None
+
+    def test_resume_with_nothing_to_run_reads_no_dataset(
+        self, small_dataset_path, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path), out)
+        digest, manifest = run_digest(out), (out / "manifest.json").read_bytes()
+
+        def no_load(path):
+            raise AssertionError("dataset loaded")
+
+        monkeypatch.setattr(pipeline_module, "load_dataset", no_load)
+        run_pipeline(_config(small_dataset_path), out)
+        assert run_digest(out) == digest
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert json.loads((out / "timing.json").read_text())["load_seconds"] is None
+
+        # Selection reads only the fitness report: rerunning it loads nothing either.
+        (out / "selection/report.json").unlink()
+        run_pipeline(_config(small_dataset_path), out)
+        assert run_digest(out) == digest
+        assert json.loads((out / "timing.json").read_text())["skipped"] == [
+            s for s in STAGES if s != "selection"
+        ]
+
+    def test_stale_stage_loads_dataset_once(self, small_dataset_path, tmp_path, monkeypatch):
+        run_pipeline(_config(small_dataset_path), tmp_path / "whole")
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path), out)
+        (out / "ope/wis.json").unlink()
+        loads = []
+
+        def counted(path):
+            loads.append(path)
+            return load_dataset(path)
+
+        monkeypatch.setattr(pipeline_module, "load_dataset", counted)
+        run_pipeline(_config(small_dataset_path), out)
+        assert loads == [str(small_dataset_path)]
+        assert run_digest(out) == run_digest(tmp_path / "whole")
+        timing = json.loads((out / "timing.json").read_text())
+        assert list(timing["stage_seconds"]) == ["ope"]
+        assert timing["load_seconds"] > 0.0
 
     def test_changed_inputs_rejected_in_same_directory(self, small_dataset_path, tmp_path):
         out = tmp_path / "run"
