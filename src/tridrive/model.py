@@ -10,15 +10,17 @@ safe to share across parallel workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import fields_from_json, read_json, write_compact_json
 
 
 class FeatureType(str, Enum):
@@ -214,10 +216,123 @@ class TrajectoryDataset:
 
 
 # ---------------------------------------------------------------------------
-# Serialization. The on-disk form is a single UTF-8 JSON document; keys are
-# emitted in a canonical order (trajectories in list order, feature ids
-# lexicographic) so that load(save(d)) is byte-stable.
+# Serialization: format 2, one compact UTF-8 JSON document of columns. Per
+# patient: patient_id, survived, sofa_baseline, and offsets of n + 1
+# entries, so that patient i owns rows offsets[i] to offsets[i + 1] - 1 of
+# every row column (the offsets buffer of the Arrow columnar layout). Per
+# row, one per step: t, sofa, and one column per feature in values and
+# staleness and per action in actions, null where the step has no such
+# observation or action. Columns are in a canonical order (patients in list
+# order, ids lexicographic), so load(save(d)) is byte-stable.
 # ---------------------------------------------------------------------------
+
+FORMAT = 2
+
+_NONE = type(None)
+_INT = frozenset({int})
+_NUMBER = frozenset({int, float})  # what JSON numbers parse to; bool is neither
+
+
+class RaggedColumns:
+    """The patient frame of a format-2 document (patient_id and offsets),
+    with typed reads of its columns. Errors name the document, and a row's
+    patient and t where there is one."""
+
+    def __init__(self, doc, what: str):
+        if not isinstance(doc, dict):
+            raise FormatError(f"{what} must be a JSON object")
+        fmt = doc.get("format")
+        if type(fmt) is not int or fmt != FORMAT:
+            raise FormatError(
+                f'{what}: not a format-{FORMAT} file (no "format": {FORMAT}); files in the '
+                "earlier one-object-per-row format are no longer read, so regenerate it"
+            )
+        self.doc, self.what = doc, what
+        self.t: list | None = None
+        ids = self.column("patient_id")
+        self.patient_ids = self.typed(ids, {str}, self.patient, "patient_id must be a string")
+        seen = set()
+        for pid in ids:
+            if pid in seen:
+                raise FormatError(f"{what}: patient {pid!r} appears more than once")
+            seen.add(pid)
+        offsets = self.column("offsets", len(ids) + 1)
+        self.typed(offsets, _INT, lambda i: f"{what}: offsets[{i}]", "offset must be an integer")
+        if offsets[0] != 0:
+            raise FormatError(f"{what}: offsets must start at 0")
+        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            if hi < lo:
+                raise FormatError(f"{self.patient(i)}: offsets decrease ({lo} then {hi})")
+        self.offsets = offsets
+        self.n_rows = offsets[-1]
+
+    def column(self, key: str, length: int | None = None, group: str | None = None) -> list:
+        """The array at key, or at group[key] when key names a column of the
+        object group, checked to have length entries."""
+        doc, name = self.doc, key
+        if group is not None:
+            doc, name = self.group(group), f"{group}[{key!r}]"
+        if key not in doc:
+            raise FormatError(f"{self.what}: missing key {name!r}")
+        col = doc[key]
+        if not isinstance(col, list):
+            raise FormatError(f"{self.what}: {name} must be an array")
+        if length is not None and len(col) != length:
+            raise FormatError(f"{self.what}: {name} has {len(col)} entries, expected {length}")
+        return col
+
+    def group(self, key: str) -> dict:
+        """The object at key, whose values are columns."""
+        if key not in self.doc:
+            raise FormatError(f"{self.what}: missing key {key!r}")
+        value = self.doc[key]
+        if not isinstance(value, dict):
+            raise FormatError(f"{self.what}: {key} must be an object")
+        return value
+
+    def rows(self, key: str, group: str | None = None) -> list:
+        """A row column: one entry per row."""
+        return self.column(key, self.n_rows, group)
+
+    def times(self, integral_floats: bool = False) -> list[int]:
+        """The t column, which must hold integers (or, if integral_floats,
+        floats with integral values, read as ints). Rows are named by t
+        from here on."""
+        t = self.rows("t")
+        if integral_floats and not set(map(type, t)) <= _INT:
+            t = [int(v) if type(v) is float and v.is_integer() else v for v in t]
+        self.t = self.typed(t, _INT, self.row, "t must be an integer")
+        return self.t
+
+    def patient(self, i: int) -> str:
+        return f"{self.what}: patient {self.doc['patient_id'][i]!r}"
+
+    def row(self, i: int) -> str:
+        p = bisect_right(self.offsets, i) - 1
+        at = f"row {i - self.offsets[p]}" if self.t is None else f"t={self.t[i]}"
+        return f"{self.patient(p)} {at}"
+
+    @staticmethod
+    def typed(col: list, kinds, where, message: str) -> list:
+        """col, once each entry's type is one of kinds; where(i) names entry i."""
+        if not set(map(type, col)) <= kinds:
+            i = next(i for i, v in enumerate(col) if type(v) not in kinds)
+            raise FormatError(f"{where(i)}: {message}, got {col[i]!r}")
+        return col
+
+    def floats(self, col: list, where, message: str, nullable: bool = False) -> list:
+        """col as Python floats (None kept if nullable); JSON integers widen."""
+        kinds = _NUMBER | {_NONE} if nullable else _NUMBER
+        self.typed(col, kinds, where, message)
+        if int not in set(map(type, col)):
+            return col
+        out = []
+        for i, v in enumerate(col):
+            try:
+                out.append(v if v is None else float(v))
+            except OverflowError:
+                raise FormatError(f"{where(i)}: number out of range") from None
+        return out
 
 
 def _feature_to_json(spec: FeatureSpec) -> dict:
@@ -231,20 +346,18 @@ def _feature_to_json(spec: FeatureSpec) -> dict:
     return doc
 
 
-def _step_to_json(step: Step) -> dict:
-    return {
-        "t": step.t,
-        "sofa": step.sofa,
-        "obs": {
-            fid: {"v": obs.value, "dt": obs.staleness}
-            for fid, obs in sorted(step.observations.items())
-        },
-        "action": {aid: level for aid, level in sorted(step.action.items())},
-    }
-
-
 def dataset_to_json(dataset: TrajectoryDataset) -> dict:
+    trajs = dataset.trajectories
+    steps = [s for traj in trajs for s in traj.steps]
+    fids = sorted({fid for s in steps for fid in s.observations})
+    aids = sorted({aid for s in steps for aid in s.action})
+    values, staleness = {}, {}
+    for fid in fids:
+        obs = [s.observations.get(fid) for s in steps]
+        values[fid] = [None if o is None else o.value for o in obs]
+        staleness[fid] = [None if o is None else o.staleness for o in obs]
     return {
+        "format": FORMAT,
         "feature_schema": {
             fid: _feature_to_json(spec) for fid, spec in sorted(dataset.feature_schema.items())
         },
@@ -252,98 +365,111 @@ def dataset_to_json(dataset: TrajectoryDataset) -> dict:
             aid: {"max": spec.max_value, "discrete": spec.discrete}
             for aid, spec in sorted(dataset.action_schema.items())
         },
-        "trajectories": [
-            {
-                "patient_id": traj.patient_id,
-                "survived": traj.survived,
-                "sofa_baseline": traj.sofa_baseline,
-                "steps": [_step_to_json(s) for s in traj.steps],
-            }
-            for traj in dataset.trajectories
-        ],
+        "patient_id": [traj.patient_id for traj in trajs],
+        "survived": [traj.survived for traj in trajs],
+        "sofa_baseline": [traj.sofa_baseline for traj in trajs],
+        "offsets": list(accumulate((len(traj.steps) for traj in trajs), initial=0)),
+        "t": [s.t for s in steps],
+        "sofa": [s.sofa for s in steps],
+        "values": values,
+        "staleness": staleness,
+        "actions": {aid: [s.action.get(aid) for s in steps] for aid in aids},
     }
 
 
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write the dataset; load_dataset reproduces it exactly."""
     dataset.validate()
-    write_json(path, dataset_to_json(dataset))
+    write_compact_json(path, dataset_to_json(dataset))
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise FormatError(f"{where}: missing key {key!r}")
-    return doc[key]
-
-
-def _parse_feature(fid: str, doc: dict) -> FeatureSpec:
+def _parse_feature(fid: str, doc) -> FeatureSpec:
     where = f"feature_schema[{fid!r}]"
+    kwargs = fields_from_json(FeatureSpec, doc, where)
     try:
-        ftype = FeatureType(_require(doc, "feature_type", where))
+        kwargs["feature_type"] = FeatureType(kwargs["feature_type"])
     except ValueError as exc:
         raise FormatError(f"{where}: unknown feature_type") from exc
-    interval = doc.get("healthy_interval")
-    if interval is not None:
-        if not (isinstance(interval, list) and len(interval) == 2):
-            raise FormatError(f"{where}: healthy_interval must be [lo, hi]")
-        interval = (float(interval[0]), float(interval[1]))
-    return FeatureSpec(
-        declared_min=float(_require(doc, "declared_min", where)),
-        declared_max=float(_require(doc, "declared_max", where)),
-        feature_type=ftype,
-        healthy_interval=interval,
+    return FeatureSpec(**kwargs)
+
+
+_ACTION_KEYS = {"max_value": "max"}
+
+
+def _parse_action(aid: str, doc) -> ActionSpec:
+    # A non-finite max is left to validate(), which names the action.
+    where = f"action_schema[{aid!r}]"
+    return ActionSpec(**fields_from_json(ActionSpec, doc, where, finite=False, keys=_ACTION_KEYS))
+
+
+def _add_observations(frame: RaggedColumns, fid: str, rows: list[dict]) -> None:
+    """Set rows[i][fid] to row i's Observation of fid where it has one."""
+    where = frame.row
+    values = frame.floats(
+        frame.rows(fid, "values"), where, f"feature {fid!r} v must be a number or null", True
     )
+    staleness = frame.typed(
+        frame.rows(fid, "staleness"), _INT | {_NONE}, where,
+        f"feature {fid!r} dt must be an integer or null",
+    )
+    for i, (row, v, dt) in enumerate(zip(rows, values, staleness)):
+        if v is None or dt is None:
+            if v is not dt:
+                raise FormatError(f"{where(i)}: feature {fid!r} needs both v and dt, or neither")
+        else:
+            row[fid] = Observation(v, dt)
 
 
-def _parse_step(doc: dict, where: str, action_schema: dict[str, ActionSpec]) -> Step:
-    t = _require(doc, "t", where)
-    if not isinstance(t, int) or isinstance(t, bool):
-        raise FormatError(f"{where}: t must be an integer")
-    obs = {}
-    for fid, entry in _require(doc, "obs", where).items():
-        dt = _require(entry, "dt", f"{where} obs[{fid!r}]")
-        if not isinstance(dt, int) or isinstance(dt, bool):
-            raise FormatError(f"{where} obs[{fid!r}]: dt must be an integer")
-        obs[fid] = Observation(value=float(_require(entry, "v", f"{where} obs[{fid!r}]")), staleness=dt)
-    action = {}
-    for aid, level in doc.get("action", {}).items():
-        spec = action_schema.get(aid)
-        try:
-            action[aid] = int(level) if spec is not None and spec.discrete else float(level)
-        except (OverflowError, ValueError) as exc:  # int() of inf or NaN
-            raise ValidationError(f"{where}: action {aid!r} level {level} not finite") from exc
-    return Step(t=t, sofa=float(_require(doc, "sofa", where)), observations=obs, action=action)
+def _add_actions(frame: RaggedColumns, aid: str, spec: ActionSpec | None, rows: list[dict]):
+    """Set rows[i][aid] to row i's level of action aid where it has one."""
+    where = frame.row
+    levels = frame.floats(
+        frame.rows(aid, "actions"), where, f"action {aid!r} level must be a number or null", True
+    )
+    level_of = int if spec is not None and spec.discrete else float
+    for i, (row, level) in enumerate(zip(rows, levels)):
+        if level is not None:
+            try:
+                row[aid] = level_of(level)
+            except (OverflowError, ValueError) as exc:  # int() of inf or NaN
+                raise ValidationError(f"{where(i)}: action {aid!r} level {level} not finite") from exc
 
 
-def dataset_from_json(doc: dict) -> TrajectoryDataset:
+def dataset_from_json(doc) -> TrajectoryDataset:
+    frame = RaggedColumns(doc, "dataset")
     feature_schema = {
-        fid: _parse_feature(fid, entry)
-        for fid, entry in _require(doc, "feature_schema", "document").items()
+        fid: _parse_feature(fid, entry) for fid, entry in frame.group("feature_schema").items()
     }
-    action_schema = {}
-    for aid, entry in _require(doc, "action_schema", "document").items():
-        action_schema[aid] = ActionSpec(
-            max_value=float(_require(entry, "max", f"action_schema[{aid!r}]")),
-            discrete=bool(entry.get("discrete", True)),
-        )
-    trajectories = []
-    for i, tdoc in enumerate(_require(doc, "trajectories", "document")):
-        where = f"trajectory[{i}]"
-        pid = _require(tdoc, "patient_id", where)
-        steps = [
-            _parse_step(sdoc, f"patient {pid!r} step[{j}]", action_schema)
-            for j, sdoc in enumerate(_require(tdoc, "steps", where))
-        ]
-        trajectories.append(
-            Trajectory(
-                patient_id=pid,
-                steps=steps,
-                survived=bool(_require(tdoc, "survived", where)),
-                sofa_baseline=float(_require(tdoc, "sofa_baseline", where)),
-            )
-        )
+    action_schema = {
+        aid: _parse_action(aid, entry) for aid, entry in frame.group("action_schema").items()
+    }
+    n = len(frame.patient_ids)
+    survived = frame.typed(
+        frame.column("survived", n), {bool}, frame.patient, "survived must be true or false"
+    )
+    baselines = frame.floats(
+        frame.column("sofa_baseline", n), frame.patient, "sofa_baseline must be a number"
+    )
+    t = frame.times()
+    sofa = frame.floats(frame.rows("sofa"), frame.row, "sofa must be a number")
+    if set(frame.group("values")) != set(frame.group("staleness")):
+        raise FormatError("dataset: values and staleness must have the same feature columns")
+    observations = [{} for _ in range(frame.n_rows)]
+    for fid in sorted(frame.group("values")):
+        _add_observations(frame, fid, observations)
+    actions = [{} for _ in range(frame.n_rows)]
+    for aid in sorted(frame.group("actions")):
+        _add_actions(frame, aid, action_schema.get(aid), actions)
+
+    steps = list(map(Step, t, sofa, observations, actions))
+    offsets = frame.offsets
     dataset = TrajectoryDataset(
-        trajectories=trajectories,
+        trajectories=[
+            Trajectory(pid, steps[lo:hi], alive, baseline)
+            for pid, lo, hi, alive, baseline in zip(
+                frame.patient_ids, offsets, offsets[1:], survived, baselines
+            )
+        ],
         feature_schema=feature_schema,
         action_schema=action_schema,
     )
@@ -353,7 +479,4 @@ def dataset_from_json(doc: dict) -> TrajectoryDataset:
 
 def load_dataset(path: str | Path) -> TrajectoryDataset:
     """Read a dataset document; ordering of trajectories is preserved."""
-    doc = read_json(path, "dataset file")
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level must be an object")
-    return dataset_from_json(doc)
+    return dataset_from_json(read_json(path, "dataset file"))

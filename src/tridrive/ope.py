@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -26,8 +27,8 @@ import numpy as np
 
 from . import defaults
 from .errors import DegenerateStatisticError, FormatError, SchemaError, ValidationError
-from .jsonio import read_json, write_json
-from .model import Trajectory, TrajectoryDataset
+from .jsonio import read_json, write_compact_json
+from .model import FORMAT, RaggedColumns, Trajectory, TrajectoryDataset
 from .rewards import RewardTrace
 
 
@@ -243,53 +244,52 @@ def mortality_curve(
 
 
 # ---------------------------------------------------------------------------
-# Probability-table file format: JSON map patient_id -> [{t, p_eval, p_behavior}]
+# Probability-table file format: format 2, the patient frame of the dataset
+# format (patient_id, offsets) over row columns t, p_eval and p_behavior,
+# written with patients sorted by id; t strictly increases within each.
 # ---------------------------------------------------------------------------
 
 
-# JSON numbers parse to exactly these types; bool, a subclass of int, is not one.
-_NUMBER = (int, float)
+def _check_increasing(frame: RaggedColumns, t: list[int]) -> None:
+    """t strictly increases within each patient, so (patient, t) is unique."""
+    starts = set(frame.offsets)
+    for i, (before, after) in enumerate(zip(t, t[1:]), 1):
+        if after <= before and i not in starts:
+            problem = "repeated entry for" if after == before else f"after t={before}, decreasing"
+            raise FormatError(f"{frame.row(i)}: {problem} t={after}")
 
 
-def prob_table_from_json(doc: dict) -> PolicyProbTable:
-    if not isinstance(doc, dict):
-        raise FormatError("probability table must be a JSON object")
-    probs = {}
-    for pid, rows in doc.items():
-        if not isinstance(rows, list):
-            raise FormatError(f"patient {pid!r}: expected a list of transition entries")
-        for row in rows:
-            try:
-                t, p_eval, p_behavior = row["t"], row["p_eval"], row["p_behavior"]
-            except (KeyError, TypeError) as exc:
-                raise FormatError(
-                    f"patient {pid!r}: each entry needs t, p_eval, p_behavior"
-                ) from exc
-            if type(t) is not int:
-                if not (type(t) is float and t.is_integer()):
-                    raise FormatError(f"patient {pid!r}: t must be an integer, got {t!r}")
-                t = int(t)
-            if type(p_eval) not in _NUMBER or type(p_behavior) not in _NUMBER:
-                raise FormatError(
-                    f"patient {pid!r} t={t}: p_eval and p_behavior must be numbers"
-                )
-            key = (pid, t)
-            if key in probs:
-                raise FormatError(f"patient {pid!r}: repeated entry for t={t}")
-            try:
-                probs[key] = (float(p_eval), float(p_behavior))
-            except OverflowError as exc:
-                raise FormatError(f"patient {pid!r} t={t}: probability out of range") from exc
-    table = PolicyProbTable(probs)
+def prob_table_from_json(doc) -> PolicyProbTable:
+    frame = RaggedColumns(doc, "probability table")
+    t = frame.times(integral_floats=True)
+    _check_increasing(frame, t)
+    message = "p_eval and p_behavior must be numbers"
+    p_eval = frame.floats(frame.rows("p_eval"), frame.row, message)
+    p_behavior = frame.floats(frame.rows("p_behavior"), frame.row, message)
+    keys = [
+        (pid, step)
+        for pid, lo, hi in zip(frame.patient_ids, frame.offsets, frame.offsets[1:])
+        for step in t[lo:hi]
+    ]
+    table = PolicyProbTable(dict(zip(keys, zip(p_eval, p_behavior))))
     table.validate()
     return table
 
 
 def prob_table_to_json(table: PolicyProbTable) -> dict:
-    doc: dict[str, list] = {}
-    for (pid, t), (p_eval, p_behavior) in sorted(table.probs.items()):
-        doc.setdefault(pid, []).append({"t": t, "p_eval": p_eval, "p_behavior": p_behavior})
-    return doc
+    rows = sorted(table.probs.items())
+    patient_id, offsets = [], [0]
+    for pid, group in groupby(pid for (pid, _), _ in rows):
+        patient_id.append(pid)
+        offsets.append(offsets[-1] + sum(1 for _ in group))
+    return {
+        "format": FORMAT,
+        "patient_id": patient_id,
+        "offsets": offsets,
+        "t": [t for (_, t), _ in rows],
+        "p_eval": [p_eval for _, (p_eval, _) in rows],
+        "p_behavior": [p_behavior for _, (_, p_behavior) in rows],
+    }
 
 
 def load_prob_table(path: str | Path) -> PolicyProbTable:
@@ -297,4 +297,4 @@ def load_prob_table(path: str | Path) -> PolicyProbTable:
 
 
 def save_prob_table(table: PolicyProbTable, path: str | Path) -> None:
-    write_json(path, prob_table_to_json(table))
+    write_compact_json(path, prob_table_to_json(table))

@@ -94,12 +94,20 @@ def filter_split(dataset: TrajectoryDataset, split: str | None) -> TrajectoryDat
 # ---------------------------------------------------------------------------
 
 
+_HASH_CHUNK = 1 << 20
+
+
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def sha256_file(path: str | Path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
+    """Digest of the file at path, read in 1 MB chunks so memory stays flat."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def run_digest(run_dir: str | Path) -> str:
@@ -477,8 +485,6 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     if isinstance(doc, dict) and isinstance(doc.get("probs"), str):
         doc = {**doc, "probs": [doc["probs"]]}
     kwargs = fields_from_json(PipelineConfig, doc, what)
-    if "dataset" not in kwargs:
-        raise FormatError(f"{what}: missing 'dataset'")
     llm = fields_from_json(LlmClientConfig, kwargs.get("llm", {}), f"{what}: llm")
     metric = fields_from_json(
         CompMetricConfig, kwargs.get("metric", {}), f"{what}: metric", exclude=_METRIC_CACHES

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import defaults
 from .errors import FormatError, SchemaError, ValidationError
-from .jsonio import read_json, write_json
+from .jsonio import fields_from_json, read_json, write_json
 from .model import Trajectory, TrajectoryColumns
 
 
@@ -314,57 +314,32 @@ def baseline_oprm(
 
 
 # ---------------------------------------------------------------------------
-# Spec (de)serialization: UTF-8 JSON mirroring the fields exactly. Unknown
-# keys are rejected so machine-produced specs fail loudly.
+# Spec (de)serialization: UTF-8 JSON mirroring the fields exactly, except
+# that lam is written "lambda". Unknown keys are rejected so machine-produced
+# specs fail loudly. Values are typed on read; their ranges are checked by
+# SurvivalConfig and RewardSpec.validate.
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {
-    "survival",
-    "confidence_tau",
-    "action_max",
-    "decay_half_life",
-    "gamma",
-    "lambda",
-    "action_cost_scale",
-    "normalize_potential",
-}
-_REQUIRED_TOP_KEYS = {"survival", "confidence_tau", "action_max"}
-_SURVIVAL_KEYS = {"form", "mu", "sigma", "tau", "weight"}
+
+_KEYS = {"lam": "lambda"}
 
 
-def _survival_from_json(fid: str, doc: dict) -> SurvivalConfig:
-    unknown = set(doc) - _SURVIVAL_KEYS
-    if unknown:
-        raise FormatError(f"survival[{fid!r}]: unknown keys {sorted(unknown)}")
-    if "form" not in doc:
-        raise FormatError(f"survival[{fid!r}]: missing 'form'")
+def _survival_from_json(fid: str, doc) -> SurvivalConfig:
+    what = f"survival[{fid!r}]"
+    kwargs = fields_from_json(SurvivalConfig, doc, what, finite=False)
     try:
-        form = SurvivalForm(doc["form"])
+        kwargs["form"] = SurvivalForm(kwargs["form"])
     except ValueError as exc:
-        raise FormatError(f"survival[{fid!r}]: unknown form {doc['form']!r}") from exc
-    kwargs = {k: float(doc[k]) for k in ("mu", "sigma", "tau") if k in doc}
-    return SurvivalConfig(form=form, weight=float(doc.get("weight", 1.0)), **kwargs)
+        raise FormatError(f"{what}: unknown form {kwargs['form']!r}") from exc
+    return SurvivalConfig(**kwargs)
 
 
-def reward_spec_from_json(doc: dict) -> RewardSpec:
-    if not isinstance(doc, dict):
-        raise FormatError("reward spec must be a JSON object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise FormatError(f"reward spec: unknown keys {sorted(unknown)}")
-    missing = _REQUIRED_TOP_KEYS - set(doc)
-    if missing:
-        raise FormatError(f"reward spec: missing keys {sorted(missing)}")
-    spec = RewardSpec(
-        survival={fid: _survival_from_json(fid, c) for fid, c in doc["survival"].items()},
-        confidence_tau={fid: float(v) for fid, v in doc["confidence_tau"].items()},
-        action_max={aid: float(v) for aid, v in doc["action_max"].items()},
-        decay_half_life=float(doc.get("decay_half_life", defaults.DECAY_HALF_LIFE)),
-        gamma=float(doc.get("gamma", defaults.GAMMA)),
-        lam=float(doc.get("lambda", defaults.LAMBDA)),
-        action_cost_scale=float(doc.get("action_cost_scale", defaults.ACTION_COST_SCALE)),
-        normalize_potential=bool(doc.get("normalize_potential", True)),
-    )
+def reward_spec_from_json(doc) -> RewardSpec:
+    kwargs = fields_from_json(RewardSpec, doc, "reward spec", finite=False, keys=_KEYS)
+    kwargs["survival"] = {
+        fid: _survival_from_json(fid, entry) for fid, entry in kwargs["survival"].items()
+    }
+    spec = RewardSpec(**kwargs)
     spec.validate()
     return spec
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from tridrive.model import (
     ActionSpec,
@@ -364,3 +366,32 @@ def oracle_bootstrap_ci(dataset, traces, probs, level=0.95, resamples=1000, seed
         float(total**2 / np.dot(weights, weights)),
         skipped,
     )
+
+
+# Values a fuzzed document may hold in place of any other.
+_SUBSTITUTES = st.sampled_from([0, -3, 2**70, "x", [], [1.5], {}, None, True, False, math.nan])
+
+
+@st.composite
+def mutated_documents(draw, document):
+    """document after one mutation of one entry, anywhere in it: drop the
+    entry, replace its value, truncate its array there, or perturb an offset."""
+    doc = copy.deepcopy(document)
+    slots, nodes = [], [doc]
+    for node in nodes:
+        for key in list(node) if isinstance(node, dict) else range(len(node)):
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                nodes.append(node[key])
+    node, key = draw(st.sampled_from(slots))
+    action = draw(st.sampled_from(["drop", "replace", "truncate", "offsets"]))
+    if action == "drop":
+        del node[key]
+    elif action == "replace":
+        node[key] = draw(_SUBSTITUTES)
+    elif action == "truncate" and isinstance(node, list):
+        del node[key:]
+    elif action == "offsets":
+        i = draw(st.integers(0, len(doc["offsets"]) - 1))
+        doc["offsets"][i] += draw(st.sampled_from([-2, -1, 1, 2]))
+    return doc

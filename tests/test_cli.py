@@ -62,6 +62,13 @@ class TestStats:
         result = _invoke("stats", "--dataset", tmp_path / "nope.json", "--out", tmp_path / "o")
         assert result.exit_code == 2
 
+    def test_earlier_format_dataset_is_exit_2(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"feature_schema": {}, "action_schema": {}, "trajectories": []}))
+        result = _invoke("stats", "--dataset", path, "--out", tmp_path / "o")
+        _assert_usage_error(result)
+        assert '"format": 2' in result.output
+
     def test_rerun_identical_bytes(self, workdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         _invoke("stats", "--dataset", workdir / "cohort.json", "--out", a)
@@ -225,7 +232,8 @@ class TestOpe:
 
     def test_malformed_table_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"p1": [{"t": Infinity, "p_eval": 0.5, "p_behavior": 0.5}]}')
+        bad.write_text('{"format": 2, "patient_id": ["p1"], "offsets": [0, 1], '
+                       '"t": [Infinity], "p_eval": [0.5], "p_behavior": [0.5]}')
         result = _invoke(
             "ope", "--dataset", workdir / "cohort.json", "--spec", workdir / "ref_spec.json",
             "--probs", bad, "--bootstrap", 20, "--bins", 4, "--out", tmp_path / "ope",
@@ -294,7 +302,7 @@ class TestPipelineCommand:
 
 def _nan_dataset(workdir, tmp_path):
     doc = json.loads((workdir / "cohort.json").read_text())
-    doc["trajectories"][0]["steps"][1]["sofa"] = float("nan")
+    doc["sofa"][1] = float("nan")
     path = tmp_path / "nan_cohort.json"
     path.write_text(json.dumps(doc))
     return path
@@ -326,6 +334,28 @@ class TestNonFiniteInputs:
             "score", "--dataset", workdir / "cohort.json", "--specs", specs,
             "--out", tmp_path / "fitness.json",
         ))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update(survival=list(d["survival"])),
+            lambda d: d["survival"][sorted(d["survival"])[0]].update(sigma="x"),
+            lambda d: d.update(gamma=[0.99]),
+        ],
+        ids=["survival-list", "sigma-string", "gamma-list"],
+    )
+    def test_score_mistyped_spec(self, workdir, tmp_path, mutate):
+        doc = json.loads((workdir / "ref_spec.json").read_text())
+        mutate(doc)
+        specs = tmp_path / "specs"
+        specs.mkdir()
+        (specs / "spec_000.json").write_text(json.dumps(doc))
+        result = _invoke(
+            "score", "--dataset", workdir / "cohort.json", "--specs", specs,
+            "--out", tmp_path / "fitness.json",
+        )
+        _assert_usage_error(result)
+        assert "error: " in result.output
 
     def test_pipeline_nan_dataset(self, workdir, tmp_path):
         config = tmp_path / "pipe.json"

@@ -1,14 +1,17 @@
 import json
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_dataset, make_step
-from tridrive.errors import FormatError, ValidationError
+from conftest import make_dataset, make_step, mutated_documents
+from tridrive.errors import FormatError, TridriveError, ValidationError
 from tridrive.model import (
     FeatureSpec,
     FeatureType,
     Observation,
     Trajectory,
+    dataset_from_json,
+    dataset_to_json,
     load_dataset,
     save_dataset,
 )
@@ -26,6 +29,8 @@ def test_round_trip_is_byte_stable(two_patient_dataset, tmp_path):
     save_dataset(two_patient_dataset, p1)
     save_dataset(load_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+    text = p1.read_text()
+    assert text.startswith('{"format":2,') and text.count("\n") == 1 and ", " not in text
 
 
 def test_round_trip_500_patient_cohort(tmp_path):
@@ -53,6 +58,8 @@ def test_empty_trajectory_list_is_valid(tmp_path):
 
 
 def _write_doc(tmp_path, mutate):
+    """Save a one-patient dataset (steps t=0 and t=1, feature f1, no
+    actions), apply mutate to its format-2 document and write it back."""
     dataset = make_dataset(
         [
             Trajectory(
@@ -71,26 +78,29 @@ def _write_doc(tmp_path, mutate):
     return path
 
 
+def _row_columns(doc):
+    """Every row column of a format-2 dataset document."""
+    return [doc["t"], doc["sofa"]] + [
+        col for group in ("values", "staleness", "actions") for col in doc[group].values()
+    ]
+
+
 def test_value_out_of_range_rejected(tmp_path):
-    path = _write_doc(
-        tmp_path, lambda d: d["trajectories"][0]["steps"][0]["obs"]["f1"].update(v=1.3)
-    )
+    path = _write_doc(tmp_path, lambda d: d["values"]["f1"].__setitem__(0, 1.3))
     with pytest.raises(ValidationError, match=r"value out of \[0,1\]"):
         load_dataset(path)
 
 
 def test_duplicate_time_index_rejected(tmp_path):
-    path = _write_doc(
-        tmp_path, lambda d: d["trajectories"][0]["steps"][1].update(t=0)
-    )
+    path = _write_doc(tmp_path, lambda d: d["t"].__setitem__(1, 0))
     with pytest.raises(ValidationError, match="non-increasing time index"):
         load_dataset(path)
 
 
 def test_unknown_feature_rejected(tmp_path):
     def mutate(doc):
-        for step in doc["trajectories"][0]["steps"]:
-            step["obs"]["ghost"] = {"v": 0.5, "dt": 0}
+        doc["values"]["ghost"] = [0.5, 0.5]
+        doc["staleness"]["ghost"] = [0, 0]
 
     with pytest.raises(ValidationError, match="not in feature_schema"):
         load_dataset(_write_doc(tmp_path, mutate))
@@ -98,7 +108,8 @@ def test_unknown_feature_rejected(tmp_path):
 
 def test_changing_feature_set_rejected(tmp_path):
     def mutate(doc):
-        del doc["trajectories"][0]["steps"][1]["obs"]["f1"]
+        doc["values"]["f1"][1] = None
+        doc["staleness"]["f1"][1] = None
 
     with pytest.raises(ValidationError, match="feature set changes"):
         load_dataset(_write_doc(tmp_path, mutate))
@@ -106,7 +117,9 @@ def test_changing_feature_set_rejected(tmp_path):
 
 def test_single_step_trajectory_rejected(tmp_path):
     def mutate(doc):
-        doc["trajectories"][0]["steps"] = doc["trajectories"][0]["steps"][:1]
+        doc["offsets"] = [0, 1]
+        for col in _row_columns(doc):
+            del col[1:]
 
     with pytest.raises(ValidationError, match=">= 2 steps"):
         load_dataset(_write_doc(tmp_path, mutate))
@@ -114,7 +127,7 @@ def test_single_step_trajectory_rejected(tmp_path):
 
 def test_action_over_max_rejected(tmp_path):
     def mutate(doc):
-        doc["trajectories"][0]["steps"][0]["action"] = {"drug_a": 9}
+        doc["actions"] = {"drug_a": [9, None]}
         doc["action_schema"] = {"drug_a": {"max": 4, "discrete": True}}
 
     with pytest.raises(ValidationError, match="exceeds max"):
@@ -122,17 +135,17 @@ def test_action_over_max_rejected(tmp_path):
 
 
 def _set_action(doc, level, discrete):
-    doc["trajectories"][0]["steps"][0]["action"] = {"drug_a": level}
+    doc["actions"] = {"drug_a": [level, None]}
     doc["action_schema"] = {"drug_a": {"max": 4, "discrete": discrete}}
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda d: d["trajectories"][0]["steps"][1].update(sofa=float("nan")),
-        lambda d: d["trajectories"][0]["steps"][1].update(sofa=float("inf")),
-        lambda d: d["trajectories"][0].update(sofa_baseline=float("nan")),
-        lambda d: d["trajectories"][0].update(sofa_baseline=float("inf")),
+        lambda d: d["sofa"].__setitem__(1, float("nan")),
+        lambda d: d["sofa"].__setitem__(1, float("inf")),
+        lambda d: d["sofa_baseline"].__setitem__(0, float("nan")),
+        lambda d: d["sofa_baseline"].__setitem__(0, float("inf")),
         lambda d: _set_action(d, float("nan"), discrete=True),
         lambda d: _set_action(d, float("nan"), discrete=False),
         lambda d: _set_action(d, float("inf"), discrete=True),
@@ -158,7 +171,9 @@ def test_parse_failure_has_context(tmp_path):
 
 def test_missing_key_reported(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"feature_schema": {}, "trajectories": []}))
+    path.write_text(
+        json.dumps({"format": 2, "feature_schema": {}, "patient_id": [], "offsets": [0]})
+    )
     with pytest.raises(FormatError, match="action_schema"):
         load_dataset(path)
 
@@ -216,3 +231,73 @@ def test_trajectory_order_preserved(tmp_path):
     path = tmp_path / "d.json"
     save_dataset(make_dataset(trajs), path)
     assert [t.patient_id for t in load_dataset(path).trajectories] == ["p3", "p1", "p2"]
+
+
+def test_earlier_format_rejected(tmp_path):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps({"feature_schema": {}, "action_schema": {}, "trajectories": []}))
+    with pytest.raises(FormatError, match='"format": 2'):
+        load_dataset(path)
+
+
+def _two_patients(doc):
+    """Split the one patient of _write_doc into patients p1 and p2, one row
+    each (every row column keeps its two entries)."""
+    doc.update(
+        patient_id=["p1", "p2"], offsets=[0, 1, 2], survived=[True, False],
+        sofa_baseline=[5.0, 5.0],
+    )
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["sofa"].append(5.0), r"sofa has 3 entries, expected 2"),
+        (lambda d: d["values"]["f1"].pop(), r"values\['f1'\] has 1 entries, expected 2"),
+        (lambda d: d.update(offsets=[1, 2]), "offsets must start at 0"),
+        (lambda d: (_two_patients(d), d.update(offsets=[0, 2, 1])), "patient 'p2': offsets decrease"),
+        (lambda d: d.update(offsets=[0, 2.0]), r"offsets\[1\]: offset must be an integer"),
+        (lambda d: d["t"].__setitem__(1, True), r"patient 'p1' row 1: t must be an integer"),
+        (lambda d: d["t"].__setitem__(1, 1.0), r"patient 'p1' row 1: t must be an integer"),
+        (lambda d: d["staleness"]["f1"].__setitem__(1, True), r"p1' t=1: feature 'f1' dt must"),
+        (lambda d: d["staleness"]["f1"].__setitem__(1, 0.5), r"p1' t=1: feature 'f1' dt must"),
+        (lambda d: d["values"]["f1"].__setitem__(1, None), r"p1' t=1: feature 'f1' needs both"),
+        (lambda d: d["staleness"]["f1"].__setitem__(0, None), r"p1' t=0: feature 'f1' needs both"),
+        (lambda d: d["values"]["f1"].__setitem__(1, "0.5"), r"p1' t=1: feature 'f1' v must"),
+        (lambda d: d["values"]["f1"].__setitem__(1, 10**400), r"p1' t=1: number out of range"),
+        (lambda d: d["sofa"].__setitem__(0, False), r"p1' t=0: sofa must be a number"),
+        (lambda d: d["survived"].__setitem__(0, 1), r"patient 'p1': survived must be true"),
+        (lambda d: (_two_patients(d), d.update(patient_id=["p1", "p1"])), "'p1' appears more"),
+        (lambda d: d["patient_id"].__setitem__(0, 7), "patient_id must be a string"),
+        (lambda d: d.update(staleness={}), "values and staleness must have the same"),
+        (lambda d: d.update(actions=[]), "actions must be an object"),
+        (lambda d: d["feature_schema"]["f1"].update(feature_type="Flat"), "unknown feature_type"),
+        (lambda d: d["action_schema"].update(drug_a={"max": "4"}), "max must be a number"),
+        (lambda d: d.update(format="2"), '"format": 2'),
+    ],
+)
+def test_malformed_document_names_the_row(tmp_path, mutate, message):
+    with pytest.raises(FormatError, match=message):
+        load_dataset(_write_doc(tmp_path, mutate))
+
+
+_FUZZ_DATASET = dataset_to_json(
+    make_dataset(
+        [
+            Trajectory("p1", [make_step(0, {"f1": 0.5}, action={"drug_a": 1}),
+                              make_step(2, {"f1": 0.6})], True, 5.0),
+            Trajectory("p2", [make_step(0, {"f1": 0.1}, {"f1": 3}),
+                              make_step(1, {"f1": 0.2}, action={"drug_a": 2}),
+                              make_step(5, {"f1": 0.3})], False, 7.5),
+        ]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents(_FUZZ_DATASET))
+def test_fuzzed_document_parses_or_raises_toolkit_error(doc):
+    try:
+        dataset_from_json(doc)
+    except TridriveError:
+        pass

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_dataset, make_step, oracle_bootstrap_ci
+from conftest import make_dataset, make_step, mutated_documents, oracle_bootstrap_ci
 from tridrive.errors import (
     DegenerateStatisticError,
     FormatError,
     SchemaError,
+    TridriveError,
     ValidationError,
 )
 from tridrive.model import Trajectory
@@ -17,6 +19,7 @@ from tridrive.ope import (
     load_prob_table,
     mortality_curve,
     prob_table_from_json,
+    prob_table_to_json,
     resample_indices,
     save_prob_table,
     trajectory_weight,
@@ -272,24 +275,51 @@ class TestMortalityCurve:
             mortality_curve(ds, traces, n_bins=3)
 
 
+def _table_doc(rows_by_patient):
+    """The format-2 document of a table given as {patient: [{t, p_eval,
+    p_behavior}, ...]}, in the given order."""
+    doc = {"format": 2, "patient_id": [], "offsets": [0], "t": [], "p_eval": [], "p_behavior": []}
+    for pid, rows in rows_by_patient.items():
+        doc["patient_id"].append(pid)
+        doc["offsets"].append(doc["offsets"][-1] + len(rows))
+        for row in rows:
+            for key in ("t", "p_eval", "p_behavior"):
+                doc[key].append(row[key])
+    return doc
+
+
+_TABLE = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", 3): (0.2, 0.4), ("p2", 0): (1.0, 1.0)})
+
+
 class TestProbTableIO:
     def test_round_trip(self, tmp_path):
-        table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", 3): (0.2, 0.4), ("p2", 0): (1.0, 1.0)})
         path = tmp_path / "probs.json"
-        save_prob_table(table, path)
-        assert load_prob_table(path) == table
+        save_prob_table(_TABLE, path)
+        assert load_prob_table(path) == _TABLE
+
+    def test_round_trip_is_byte_stable_and_compact(self, tmp_path):
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        save_prob_table(_TABLE, p1)
+        save_prob_table(load_prob_table(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_text() == (
+            '{"format":2,"patient_id":["p1","p2"],"offsets":[0,2,3],"t":[0,3,0],'
+            '"p_eval":[0.5,0.2,1.0],"p_behavior":[0.5,0.4,1.0]}\n'
+        )
 
     def test_zero_behavior_probability_rejected(self):
         with pytest.raises(ValidationError, match="support"):
-            prob_table_from_json({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.0}]})
+            prob_table_from_json(_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.0}]}))
 
     def test_eval_probability_range_checked(self):
         with pytest.raises(ValidationError, match="p_eval"):
-            prob_table_from_json({"p1": [{"t": 0, "p_eval": 1.2, "p_behavior": 0.5}]})
+            prob_table_from_json(_table_doc({"p1": [{"t": 0, "p_eval": 1.2, "p_behavior": 0.5}]}))
 
     def test_missing_field_rejected(self):
+        doc = _table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]})
+        del doc["p_behavior"]
         with pytest.raises(FormatError):
-            prob_table_from_json({"p1": [{"t": 0, "p_eval": 0.5}]})
+            prob_table_from_json(doc)
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -300,6 +330,7 @@ class TestProbTableIO:
             pytest.param([{"t": True}], "t must be an integer", id="t-bool"),
             pytest.param([{"t": "1"}], "t must be an integer", id="t-string"),
             pytest.param([{"t": 2}, {"t": 2.0}], "repeated entry for t=2", id="t-repeated"),
+            pytest.param([{"t": 2}, {"t": 1}], "t=1: after t=2, decreasing", id="t-decreasing"),
             pytest.param([{"p_eval": True}], "must be numbers", id="p-bool"),
             pytest.param([{"p_behavior": "0.5"}], "must be numbers", id="p-string"),
             pytest.param([{"p_eval": 10**400}], "out of range", id="p-overflow"),
@@ -308,24 +339,47 @@ class TestProbTableIO:
     def test_malformed_entries_name_the_patient(self, entries, message):
         rows = [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5, **e} for e in entries]
         with pytest.raises(FormatError, match=rf"patient 'p7'.*{message}"):
-            prob_table_from_json({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}],
-                                  "p7": rows})
+            prob_table_from_json(_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}],
+                                             "p7": rows}))
+
+    def test_repeated_patient_rejected(self):
+        doc = _table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]})
+        doc["patient_id"].append("p1")
+        doc["offsets"].append(1)
+        with pytest.raises(FormatError, match="patient 'p1' appears more than once"):
+            prob_table_from_json(doc)
 
     def test_integral_float_time_accepted(self):
-        table = prob_table_from_json({"p1": [{"t": 3.0, "p_eval": 1, "p_behavior": 0.5}]})
+        table = prob_table_from_json(_table_doc({"p1": [{"t": 3.0, "p_eval": 1, "p_behavior": 0.5}]}))
         assert table.probs == {("p1", 3): (1.0, 0.5)}
 
     def test_non_finite_time_in_file_is_format_error(self, tmp_path):
         path = tmp_path / "probs.json"
-        path.write_text('{"p1": [{"t": Infinity, "p_eval": 0.5, "p_behavior": 0.5}]}')
+        path.write_text('{"format": 2, "patient_id": ["p1"], "offsets": [0, 1], '
+                        '"t": [Infinity], "p_eval": [0.5], "p_behavior": [0.5]}')
         with pytest.raises(FormatError, match="patient 'p1'"):
             load_prob_table(path)
 
     def test_integer_past_digit_limit_in_file_is_format_error(self, tmp_path):
         path = tmp_path / "probs.json"
-        path.write_text('{"p1": [{"t": 1' + "0" * 5000 + ', "p_eval": 1, "p_behavior": 1}]}')
+        path.write_text('{"format": 2, "patient_id": ["p1"], "offsets": [0, 1], '
+                        '"t": [1' + "0" * 5000 + '], "p_eval": [1], "p_behavior": [1]}')
         with pytest.raises(FormatError, match="probs.json"):
             load_prob_table(path)
+
+    def test_earlier_format_rejected(self, tmp_path):
+        path = tmp_path / "probs.json"
+        path.write_text('{"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]}')
+        with pytest.raises(FormatError, match='"format": 2'):
+            load_prob_table(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_documents(prob_table_to_json(_TABLE)))
+    def test_fuzzed_document_parses_or_raises_toolkit_error(self, doc):
+        try:
+            prob_table_from_json(doc)
+        except TridriveError:
+            pass
 
     def test_identity_table_covers_all_transitions(self, two_patient_dataset):
         table = identity_prob_table(two_patient_dataset)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -346,6 +347,13 @@ class TestPipelineSeries:
         series = (tmp_path / "run/ope/wis_series.csv").read_text().splitlines()
         assert series[0] == "checkpoint,policy,value,ci_low,ci_high"
         assert len(series) == 3
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**20, 2**20 + 1, 3 * 2**20 + 12345])
+def test_sha256_file_matches_whole_file_digest(tmp_path, size):
+    path = tmp_path / "blob"
+    path.write_bytes(os.urandom(size))
+    assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestPipelineConfigIO:
