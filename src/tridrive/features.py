@@ -80,7 +80,7 @@ class SelectionOutcome:
 
 
 def summarize_dataset(dataset: TrajectoryDataset) -> CohortSummary:
-    n_records = sum(len(t.steps) for t in dataset.trajectories)
+    n_records = len(dataset.columns.t)
     deaths = sum(1 for t in dataset.trajectories if not t.survived)
     n = len(dataset.trajectories)
     return CohortSummary(
@@ -90,9 +90,9 @@ def summarize_dataset(dataset: TrajectoryDataset) -> CohortSummary:
     )
 
 
-def _safe_pearson(xs: Sequence[float], ys: Sequence[float]) -> float | None:
+def _safe_pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
     """Correlation, or None when it is undefined (either side constant)."""
-    if len(xs) < 2 or min(xs) == max(xs) or min(ys) == max(ys):
+    if len(xs) < 2 or xs.min() == xs.max() or ys.min() == ys.max():
         return None
     try:
         return pearson(xs, ys)
@@ -105,47 +105,49 @@ def compute_metadata(dataset: TrajectoryDataset) -> list[FeatureMetadata]:
 
     Staleness > 0 is the only missingness rule: an observation carried
     forward from an earlier measurement is missing. Statistics use only
-    non-missing values; the outcome correlation broadcasts the trajectory
-    outcome to its steps.
+    non-missing values, in row order; the outcome correlation broadcasts
+    the trajectory outcome to its steps, and an action a step does not
+    set counts as level 0.
     """
     if not dataset.trajectories:
         raise ValidationError("compute_metadata needs a nonempty dataset")
-    result = []
+    cols = dataset.columns
+    outcome = np.repeat(
+        [1.0 if traj.survived else 0.0 for traj in dataset.trajectories], np.diff(cols.offsets)
+    )
+    feature_column = {fid: j for j, fid in enumerate(cols.feature_ids)}
+    action_column = {aid: j for j, aid in enumerate(cols.action_ids)}
     action_ids = sorted(dataset.action_schema)
+    result = []
     for fid in dataset.feature_ids():
-        values: list[float] = []
-        outcomes: list[float] = []
-        actions: dict[str, list[float]] = {aid: [] for aid in action_ids}
-        total = 0
-        missing = 0
-        for traj in dataset.trajectories:
-            for step in traj.steps:
-                obs = step.observations.get(fid)
-                if obs is None:
-                    continue
-                total += 1
-                if obs.staleness > 0:
-                    missing += 1
-                    continue
-                values.append(obs.value)
-                outcomes.append(1.0 if traj.survived else 0.0)
-                for aid in action_ids:
-                    actions[aid].append(float(step.action.get(aid, 0.0)))
-        if values:
-            arr = np.asarray(values)
+        j = feature_column.get(fid)
+        if j is None:  # no step has the feature
+            total = missing = 0
+            fresh, arr = np.zeros(len(cols.t), dtype=bool), np.zeros(0)
+        else:
+            stale = cols.mask[:, j] & (cols.staleness[:, j] > 0)
+            fresh = cols.mask[:, j] & ~stale
+            total, missing = int(cols.mask[:, j].sum()), int(stale.sum())
+            arr = cols.values[fresh, j]
+        if arr.size:
             q25, median, q75 = np.quantile(arr, [0.25, 0.5, 0.75])
             mean, std = float(arr.mean()), float(arr.std())
         else:
             q25 = median = q75 = mean = std = 0.0
+        levels = {
+            aid: cols.actions[fresh, action_column[aid]] if aid in action_column
+            else np.zeros(arr.size)
+            for aid in action_ids
+        }
         result.append(
             FeatureMetadata(
                 feature_id=fid,
-                count=len(values),
+                count=int(arr.size),
                 mean=mean,
                 std=std,
                 missingness=missing / total if total else 1.0,
-                rho_outcome=_safe_pearson(values, outcomes),
-                rho_action={aid: _safe_pearson(values, actions[aid]) for aid in action_ids},
+                rho_outcome=_safe_pearson(arr, outcome[fresh]),
+                rho_action={aid: _safe_pearson(arr, levels[aid]) for aid in action_ids},
                 q25=float(q25),
                 median=float(median),
                 q75=float(q75),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigError, DegenerateStatisticError, SchemaError, ValidationError
-from .model import FeatureSpec, FeatureType, Trajectory, TrajectoryDataset
+from .model import CohortColumns, FeatureSpec, FeatureType, Trajectory, TrajectoryDataset
 from .rewards import RewardSpec, RewardTrace, trace
 
 
@@ -76,33 +76,30 @@ class CompMetricConfig:
     def prepare(self, dataset: TrajectoryDataset) -> "CompMetricConfig":
         """Return a copy with iqr/action_max filled in from the dataset."""
         iqr = dict(self.iqr)
-        for fid in dataset.feature_schema:
-            if fid not in iqr:
-                iqr[fid] = _feature_iqr(dataset, fid)
+        missing = [fid for fid in dataset.feature_schema if fid not in iqr]
+        if missing:
+            cols = dataset.columns
+            for fid in missing:
+                iqr[fid] = _feature_iqr(cols, fid)
         action_max = dict(self.action_max)
         for aid, spec in dataset.action_schema.items():
             action_max.setdefault(aid, spec.max_value)
         return replace(self, iqr=iqr, action_max=action_max)
 
 
-def _feature_iqr(dataset: TrajectoryDataset, fid: str) -> float:
+def _feature_iqr(cols: CohortColumns, fid: str) -> float:
     """Interquartile range of the fresh (staleness 0) values of one feature.
 
     Falls back to all values if nothing is fresh, and to 1.0 (the full
     normalized scale) if the spread is degenerate.
     """
-    fresh, everything = [np.empty(0)], [np.empty(0)]
-    for traj in dataset.trajectories:
-        cols = traj.columns
-        j = cols.feature_index.get(fid)
-        if j is None:
-            continue
-        present = cols.mask[:, j]
-        everything.append(cols.values[present, j])
-        fresh.append(cols.values[present & (cols.staleness[:, j] == 0), j])
-    values = np.concatenate(fresh)
+    if fid not in cols.feature_ids:
+        return 1.0
+    j = cols.feature_ids.index(fid)
+    present = cols.mask[:, j]
+    values = cols.values[present & (cols.staleness[:, j] == 0), j]
     if not values.size:
-        values = np.concatenate(everything)
+        values = cols.values[present, j]
     if not values.size:
         return 1.0
     q25, q75 = np.quantile(values, [0.25, 0.75])
@@ -178,11 +175,13 @@ def _feature_columns(trajectory: Trajectory, feature_ids: Sequence[str]) -> list
     cols = trajectory.columns
     idx = [cols.feature_index.get(fid) for fid in feature_ids]
     if None in idx or not cols.mask[:, idx].all():
-        step, fid = next(
-            (s, fid) for s in trajectory.steps for fid in feature_ids if fid not in s.observations
+        present = np.column_stack(
+            [np.zeros(len(cols.t), dtype=bool) if j is None else cols.mask[:, j] for j in idx]
         )
+        row, k = divmod(int(np.argmin(present)), len(idx))
         raise SchemaError(
-            f"patient {trajectory.patient_id!r}: feature {fid!r} absent at t={step.t}"
+            f"patient {trajectory.patient_id!r}: feature {feature_ids[k]!r} absent "
+            f"at t={cols.t[row].item()}"
         )
     return idx
 

@@ -13,6 +13,7 @@ runs offline and byte-reproducibly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import time
@@ -72,12 +73,14 @@ class HttpLlmClient:
             headers["Authorization"] = f"Bearer {key}"
         last_error = None
         for attempt in range(self.config.retries + 1):
+            wait = self.config.backoff * 2.0**attempt
             try:
                 resp = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.config.timeout
                 )
-                if resp.status_code >= 500:
+                if resp.status_code >= 500 or resp.status_code in _TRANSIENT_4XX:
                     last_error = f"server returned {resp.status_code}"
+                    wait = _retry_after(resp.headers.get("Retry-After"), wait)
                 elif resp.status_code >= 400:
                     raise LlmClientError(f"request rejected with {resp.status_code}")
                 else:
@@ -85,8 +88,23 @@ class HttpLlmClient:
             except requests.RequestException as exc:
                 last_error = str(exc)
             if attempt < self.config.retries:
-                time.sleep(min(self.config.backoff * 2.0**attempt, 8.0))
+                time.sleep(min(wait, _MAX_WAIT_S))
         raise LlmClientError(f"LLM endpoint failed after {self.config.retries + 1} attempts: {last_error}")
+
+
+# Request timeout and rate limiting: retried like 5xx responses.
+_TRANSIENT_4XX = frozenset({408, 429})
+_MAX_WAIT_S = 8.0
+
+
+def _retry_after(header: str | None, default: float) -> float:
+    """The wait a Retry-After header gives in seconds, else default. (The
+    HTTP-date form of the header is not read.)"""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return default
+    return seconds if 0.0 <= seconds < math.inf else default
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,25 @@ observations. Feature values arrive pre-normalized to [0, 1]; each
 observation also carries its staleness (hours since the value was last
 genuinely measured, 0 when fresh). Datasets are immutable after load and
 safe to share across parallel workers.
+
+In memory, a loaded or generated cohort is held once, as columns: one
+CohortColumns block with a row per step, patient after patient, and
+offsets that give each patient its rows (the offsets buffer of the Arrow
+columnar layout). Each of its trajectories is a view: its columns are
+slices of the block, and its steps, the Step and Observation objects, are
+built only when read. A trajectory built from steps,
+Trajectory(patient_id, steps, survived, sofa_baseline), derives its
+columns from them on first use instead. Assigning a view's steps
+detaches it from the block.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +84,11 @@ class Step:
 class TrajectoryColumns:
     """Column block of one trajectory: row i belongs to steps[i].
 
-    Feature and action columns are in sorted id order. A feature absent at
-    a step has mask False and holds 0 in values and staleness; an action a
-    step does not set is 0.
+    feature_index and action_index map the ids a step of the trajectory
+    has, in sorted order, to their columns; the arrays may hold further
+    columns, of ids the trajectory never has. A feature absent at a step
+    has mask False and holds 0 in values and staleness; an action a step
+    does not set has action_mask False and is 0.
     """
 
     feature_index: dict[str, int]
@@ -88,47 +99,187 @@ class TrajectoryColumns:
     sofa: np.ndarray  # [T]
     action_index: dict[str, int]
     actions: np.ndarray  # [T, A]
+    action_mask: np.ndarray  # [T, A] bool
     acting_ids: frozenset[str]  # action ids set on some step but the last
 
+
+@dataclass(frozen=True, eq=False)
+class CohortColumns:
+    """Every step of a cohort as one row, trajectory after trajectory:
+    trajectory k owns rows offsets[k] to offsets[k + 1] - 1 (the offsets
+    buffer of the Arrow columnar layout).
+
+    Feature and action columns are in sorted id order, with the meaning
+    they have in TrajectoryColumns. whole[j] is True when action j's
+    levels are whole numbers (a discrete action), and so read back as ints.
+    """
+
+    feature_ids: list[str]
+    action_ids: list[str]
+    t: np.ndarray  # [N]
+    sofa: np.ndarray  # [N]
+    values: np.ndarray  # [N, F]
+    staleness: np.ndarray  # [N, F]
+    mask: np.ndarray  # [N, F] bool
+    actions: np.ndarray  # [N, A]
+    action_mask: np.ndarray  # [N, A] bool
+    whole: list[bool]  # [A]
+    offsets: np.ndarray  # [n + 1]
+
+    def views(self, patient_ids, survived, sofa_baselines) -> list["Trajectory"]:
+        """One trajectory per patient, each a view of its rows."""
+        return [
+            Trajectory.view(pid, self, k, alive, baseline)
+            for k, (pid, alive, baseline) in enumerate(zip(patient_ids, survived, sofa_baselines))
+        ]
+
+    def trajectory_columns(self, k: int) -> TrajectoryColumns:
+        """Trajectory k's rows: slices of the block, no copy."""
+        lo, hi = self.offsets[k : k + 2].tolist()
+        mask, action_mask = self.mask[lo:hi], self.action_mask[lo:hi]
+        has_feature = mask.any(axis=0).tolist()
+        has_action = action_mask.any(axis=0).tolist()
+        acting = action_mask[:-1].any(axis=0).tolist()
+        return TrajectoryColumns(
+            feature_index={fid: j for j, fid in enumerate(self.feature_ids) if has_feature[j]},
+            values=self.values[lo:hi],
+            staleness=self.staleness[lo:hi],
+            mask=mask,
+            t=self.t[lo:hi],
+            sofa=self.sofa[lo:hi],
+            action_index={aid: j for j, aid in enumerate(self.action_ids) if has_action[j]},
+            actions=self.actions[lo:hi],
+            action_mask=action_mask,
+            acting_ids=frozenset(aid for aid, a in zip(self.action_ids, acting) if a),
+        )
+
+    def steps(self, k: int) -> list[Step]:
+        """Trajectory k's rows as Step and Observation objects."""
+        lo, hi = self.offsets[k : k + 2].tolist()
+        rows = zip(
+            self.t[lo:hi].tolist(),
+            self.sofa[lo:hi].tolist(),
+            self.values[lo:hi].tolist(),
+            self.staleness[lo:hi].astype(np.int64).tolist(),
+            self.mask[lo:hi].tolist(),
+            self.actions[lo:hi].tolist(),
+            self.action_mask[lo:hi].tolist(),
+        )
+        fids, aids, whole = self.feature_ids, self.action_ids, self.whole
+        return [
+            Step(
+                t,
+                sofa,
+                {fid: Observation(v, dt) for fid, v, dt, m in zip(fids, values, stale, mask) if m},
+                {aid: int(x) if w else x for aid, x, w, m in zip(aids, levels, whole, set_) if m},
+            )
+            for t, sofa, values, stale, mask, levels, set_ in rows
+        ]
+
     @classmethod
-    def of(cls, steps: list[Step]) -> "TrajectoryColumns":
+    def of(
+        cls, step_lists: list[list[Step]], action_schema: dict[str, ActionSpec]
+    ) -> "CohortColumns":
+        """A new block of the steps, one trajectory per list. An action
+        reads back as ints when its schema entry is discrete and every
+        level it has is a whole number."""
+        steps = [s for sl in step_lists for s in sl]
         fids = sorted({fid for s in steps for fid in s.observations})
         aids = sorted({aid for s in steps for aid in s.action})
         mask = np.array(
             [[fid in s.observations for fid in fids] for s in steps], dtype=bool
         ).reshape(len(steps), len(fids))
         present = [s.observations[fid] for s in steps for fid in fids if fid in s.observations]
-        values = np.zeros(mask.shape)
+        values, staleness = np.zeros(mask.shape), np.zeros(mask.shape)
         values[mask] = [o.value for o in present]
-        staleness = np.zeros(mask.shape)
         staleness[mask] = [o.staleness for o in present]
+        action_mask = np.array(
+            [[aid in s.action for aid in aids] for s in steps], dtype=bool
+        ).reshape(len(steps), len(aids))
+        actions = np.zeros(action_mask.shape)
+        actions[action_mask] = [s.action[aid] for s in steps for aid in aids if aid in s.action]
+        whole = [
+            aid in action_schema
+            and action_schema[aid].discrete
+            and bool(np.all(np.trunc(actions[:, j]) == actions[:, j]))
+            for j, aid in enumerate(aids)
+        ]
         return cls(
-            feature_index={fid: j for j, fid in enumerate(fids)},
+            feature_ids=fids,
+            action_ids=aids,
+            t=np.array([s.t for s in steps]) if steps else np.zeros(0, dtype=np.int64),
+            sofa=np.array([s.sofa for s in steps], dtype=float),
             values=values,
             staleness=staleness,
             mask=mask,
-            t=np.array([s.t for s in steps], dtype=float),
-            sofa=np.array([s.sofa for s in steps], dtype=float),
-            action_index={aid: j for j, aid in enumerate(aids)},
-            actions=np.array(
-                [[s.action.get(aid, 0.0) for aid in aids] for s in steps], dtype=float
-            ).reshape(len(steps), len(aids)),
-            acting_ids=frozenset(aid for s in steps[:-1] for aid in s.action),
+            actions=actions,
+            action_mask=action_mask,
+            whole=whole,
+            offsets=np.array([0] + [len(sl) for sl in step_lists]).cumsum(),
         )
+
+    def take(self, ks: list[int]) -> "CohortColumns":
+        """A new block of the rows of trajectories ks, in that order."""
+        lo, hi = self.offsets[ks], self.offsets[np.add(ks, 1)]
+        rows = np.concatenate([np.arange(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        return replace(
+            self,
+            **{name: getattr(self, name)[rows] for name in _ROW_COLUMNS},
+            offsets=np.concatenate([[0], np.cumsum(hi - lo)]),
+        )
+
+
+_ROW_COLUMNS = ("t", "sofa", "values", "staleness", "mask", "actions", "action_mask")
 
 
 @dataclass
 class Trajectory:
+    """One patient's stay.
+
+    Built from steps, a trajectory derives its columns from them on first
+    use. Built by view() (as load_dataset and synth.generate do), it is a
+    view of a CohortColumns block: its columns are slices of the block,
+    and its steps are built from them only when read. Assigning steps
+    detaches a view from its block, and its columns are derived from the
+    new steps. Otherwise a trajectory must not change once its columns
+    exist: changing a Step object in place changes neither its columns
+    nor, for a view, its block.
+    """
+
     patient_id: str
     steps: list[Step]
     survived: bool
     sofa_baseline: float
 
+    @classmethod
+    def view(
+        cls, patient_id: str, block: CohortColumns, k: int, survived: bool, sofa_baseline: float
+    ) -> "Trajectory":
+        """The trajectory of block's rows offsets[k] to offsets[k + 1] - 1."""
+        traj = cls.__new__(cls)
+        traj.patient_id, traj.survived, traj.sofa_baseline = patient_id, survived, sofa_baseline
+        traj._view = (block, k)
+        return traj
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set, such as the steps of a view.
+        view = self.__dict__.get("_view")
+        if name != "steps" or view is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        steps = self.__dict__["steps"] = view[0].steps(view[1])
+        return steps
+
+    def __setattr__(self, name: str, value) -> None:
+        if name == "steps":
+            self.__dict__.pop("_view", None)
+            self.__dict__.pop("columns", None)
+        super().__setattr__(name, value)
+
     @cached_property
     def columns(self) -> TrajectoryColumns:
-        """The steps as arrays, built on first use and kept: a trajectory
-        must not change once its columns exist."""
-        return TrajectoryColumns.of(self.steps)
+        """The steps as arrays, built on first use and kept."""
+        block, k = self.__dict__.get("_view") or (CohortColumns.of([self.steps], {}), 0)
+        return block.trajectory_columns(k)
 
 
 @dataclass
@@ -139,6 +290,26 @@ class TrajectoryDataset:
 
     def feature_ids(self) -> list[str]:
         return sorted(self.feature_schema)
+
+    @property
+    def columns(self) -> CohortColumns:
+        """The rows of every trajectory, in order, as one block: the block
+        the trajectories are views of when they are all of it, in order;
+        a new block of its rows when they are views of one block (a
+        split), kept while they are the same views; and otherwise a new
+        block built from their steps."""
+        views = [traj.__dict__.get("_view") for traj in self.trajectories]
+        kept = self.__dict__.get("_columns")
+        if kept is not None and kept[0] == views:
+            return kept[1]
+        block = views[0][0] if views and views[0] is not None else None
+        if block is None or any(v is None or v[0] is not block for v in views):
+            return CohortColumns.of([traj.steps for traj in self.trajectories], self.action_schema)
+        ks = [k for _, k in views]
+        if ks == list(range(len(block.offsets) - 1)):
+            return block
+        self.__dict__["_columns"] = (views, block.take(ks))
+        return self.__dict__["_columns"][1]
 
     def validate(self) -> None:
         """Check every type invariant; raises ValidationError naming the offender."""
@@ -156,8 +327,37 @@ class TrajectoryDataset:
         for aid, spec in self.action_schema.items():
             if not (0.0 < spec.max_value < math.inf):
                 raise ValidationError(f"action {aid!r}: max {spec.max_value} not finite and > 0")
-        for traj in self.trajectories:
-            self._validate_trajectory(traj)
+        # Array checks flag every trajectory that may fail; the step-by-step
+        # check of each flagged one, in order, raises the first error.
+        for k in self._suspects().tolist():
+            self._validate_trajectory(self.trajectories[k])
+
+    def _suspects(self) -> np.ndarray:
+        """Indices of the trajectories that fail a check on the columns."""
+        if not self.trajectories:
+            return np.zeros(0, dtype=np.int64)
+        cols = self.columns
+        lengths = np.diff(cols.offsets)
+        first = np.repeat(cols.offsets[:-1], lengths)
+        baselines = np.array([traj.sofa_baseline for traj in self.trajectories], dtype=float)
+        known = np.array([fid in self.feature_schema for fid in cols.feature_ids], dtype=bool)
+        maxima = np.array(  # -1 fails every level of an action not in the schema
+            [self.action_schema[aid].max_value if aid in self.action_schema else -1.0
+             for aid in cols.action_ids]
+        )
+        n = len(cols.t)
+        bad_row = np.zeros(n, dtype=bool)
+        bad_row[1:] = cols.t[1:] <= cols.t[:-1]
+        bad_row &= np.arange(n) != first
+        bad_row |= ~((0.0 <= cols.sofa) & (cols.sofa < math.inf))
+        bad_row |= (cols.mask != cols.mask[first]).any(axis=1)
+        fine = known & (0.0 <= cols.values) & (cols.values <= 1.0) & (cols.staleness >= 0)
+        bad_row |= (cols.mask & ~fine).any(axis=1)
+        fine = (0.0 <= cols.actions) & (cols.actions <= maxima)
+        bad_row |= (cols.action_mask & ~fine).any(axis=1)
+        bad = (lengths < 2) | ~((0.0 <= baselines) & (baselines < math.inf))
+        bad[np.searchsorted(cols.offsets, np.flatnonzero(bad_row), side="right") - 1] = True
+        return np.flatnonzero(bad)
 
     def _validate_trajectory(self, traj: Trajectory) -> None:
         pid = traj.patient_id
@@ -214,7 +414,6 @@ class TrajectoryDataset:
                         f"{self.action_schema[aid].max_value} at t={step.t}"
                     )
 
-
 # ---------------------------------------------------------------------------
 # Serialization: format 2, one compact UTF-8 JSON document of columns. Per
 # patient: patient_id, survived, sofa_baseline, and offsets of n + 1
@@ -231,6 +430,7 @@ FORMAT = 2
 _NONE = type(None)
 _INT = frozenset({int})
 _NUMBER = frozenset({int, float})  # what JSON numbers parse to; bool is neither
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer a float cannot hold
 
 
 class RaggedColumns:
@@ -320,19 +520,32 @@ class RaggedColumns:
             raise FormatError(f"{where(i)}: {message}, got {col[i]!r}")
         return col
 
-    def floats(self, col: list, where, message: str, nullable: bool = False) -> list:
-        """col as Python floats (None kept if nullable); JSON integers widen."""
-        kinds = _NUMBER | {_NONE} if nullable else _NUMBER
-        self.typed(col, kinds, where, message)
-        if int not in set(map(type, col)):
-            return col
-        out = []
-        for i, v in enumerate(col):
-            try:
-                out.append(v if v is None else float(v))
-            except OverflowError:
-                raise FormatError(f"{where(i)}: number out of range") from None
-        return out
+    def numbers(
+        self, col: list, where, message: str, nullable: bool = False, integers: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """col as a float array (NaN where null, if nullable) and the mask of
+        its non-null entries. integers admits integers only, of magnitude
+        below 2**53 so that the array holds each exactly."""
+        kinds = _INT if integers else _NUMBER
+        kinds = kinds | {_NONE} if nullable else kinds
+        seen = set(map(type, col))
+        if not seen <= kinds:
+            self.typed(col, kinds, where, message)
+        try:
+            array = np.array(col, dtype=float)
+        except OverflowError:
+            array = None
+        if array is None or (integers and (np.abs(array) >= 2.0**53).any()):
+            limit = 2**53 if integers else _FLOAT_OVERFLOW
+            i = next(i for i, v in enumerate(col) if type(v) is int and abs(v) >= limit)
+            raise FormatError(f"{where(i)}: number out of range")
+        if _NONE not in seen:
+            return array, np.ones(len(col), dtype=bool)
+        # A null reads as NaN; so does a NaN number, which is present.
+        present = ~np.isnan(array)
+        if col.count(None) != len(col) - int(present.sum()):
+            present = np.fromiter((v is not None for v in col), dtype=bool, count=len(col))
+        return array, present
 
 
 def _feature_to_json(spec: FeatureSpec) -> dict:
@@ -346,16 +559,20 @@ def _feature_to_json(spec: FeatureSpec) -> dict:
     return doc
 
 
+def _json_column(col: np.ndarray, present: np.ndarray, integers: bool = False) -> list:
+    """col as a JSON array: null where not present; ints if integers and
+    every entry is a whole number that an int64 holds."""
+    if integers and np.all((np.trunc(col) == col) & (np.abs(col) < 2.0**63)):
+        col = col.astype(np.int64)
+    out = col.tolist()
+    for i in np.flatnonzero(~present).tolist():
+        out[i] = None
+    return out
+
+
 def dataset_to_json(dataset: TrajectoryDataset) -> dict:
     trajs = dataset.trajectories
-    steps = [s for traj in trajs for s in traj.steps]
-    fids = sorted({fid for s in steps for fid in s.observations})
-    aids = sorted({aid for s in steps for aid in s.action})
-    values, staleness = {}, {}
-    for fid in fids:
-        obs = [s.observations.get(fid) for s in steps]
-        values[fid] = [None if o is None else o.value for o in obs]
-        staleness[fid] = [None if o is None else o.staleness for o in obs]
+    cols = dataset.columns
     return {
         "format": FORMAT,
         "feature_schema": {
@@ -368,12 +585,22 @@ def dataset_to_json(dataset: TrajectoryDataset) -> dict:
         "patient_id": [traj.patient_id for traj in trajs],
         "survived": [traj.survived for traj in trajs],
         "sofa_baseline": [traj.sofa_baseline for traj in trajs],
-        "offsets": list(accumulate((len(traj.steps) for traj in trajs), initial=0)),
-        "t": [s.t for s in steps],
-        "sofa": [s.sofa for s in steps],
-        "values": values,
-        "staleness": staleness,
-        "actions": {aid: [s.action.get(aid) for s in steps] for aid in aids},
+        "offsets": cols.offsets.tolist(),
+        "t": cols.t.tolist(),
+        "sofa": cols.sofa.tolist(),
+        # Only the features and actions some step has get a column.
+        "values": {
+            fid: _json_column(cols.values[:, j], cols.mask[:, j])
+            for j, fid in enumerate(cols.feature_ids) if cols.mask[:, j].any()
+        },
+        "staleness": {
+            fid: _json_column(cols.staleness[:, j], cols.mask[:, j], integers=True)
+            for j, fid in enumerate(cols.feature_ids) if cols.mask[:, j].any()
+        },
+        "actions": {
+            aid: _json_column(cols.actions[:, j], cols.action_mask[:, j], cols.whole[j])
+            for j, aid in enumerate(cols.action_ids) if cols.action_mask[:, j].any()
+        },
     }
 
 
@@ -402,37 +629,38 @@ def _parse_action(aid: str, doc) -> ActionSpec:
     return ActionSpec(**fields_from_json(ActionSpec, doc, where, finite=False, keys=_ACTION_KEYS))
 
 
-def _add_observations(frame: RaggedColumns, fid: str, rows: list[dict]) -> None:
-    """Set rows[i][fid] to row i's Observation of fid where it has one."""
+def _observation_columns(frame: RaggedColumns, fid: str):
+    """Presence, values and staleness of feature fid per row (0 where absent)."""
     where = frame.row
-    values = frame.floats(
+    values, present = frame.numbers(
         frame.rows(fid, "values"), where, f"feature {fid!r} v must be a number or null", True
     )
-    staleness = frame.typed(
-        frame.rows(fid, "staleness"), _INT | {_NONE}, where,
-        f"feature {fid!r} dt must be an integer or null",
+    staleness, measured = frame.numbers(
+        frame.rows(fid, "staleness"), where,
+        f"feature {fid!r} dt must be an integer or null", True, integers=True,
     )
-    for i, (row, v, dt) in enumerate(zip(rows, values, staleness)):
-        if v is None or dt is None:
-            if v is not dt:
-                raise FormatError(f"{where(i)}: feature {fid!r} needs both v and dt, or neither")
-        else:
-            row[fid] = Observation(v, dt)
+    if not (present == measured).all():
+        i = int(np.argmax(present != measured))
+        raise FormatError(f"{where(i)}: feature {fid!r} needs both v and dt, or neither")
+    return present, np.where(present, values, 0.0), np.where(present, staleness, 0.0)
 
 
-def _add_actions(frame: RaggedColumns, aid: str, spec: ActionSpec | None, rows: list[dict]):
-    """Set rows[i][aid] to row i's level of action aid where it has one."""
+def _action_column(frame: RaggedColumns, aid: str, spec: ActionSpec | None):
+    """Presence and level of action aid per row (0 where unset), and
+    whether its levels are whole: a discrete action's levels are truncated
+    to whole numbers, as int() does."""
     where = frame.row
-    levels = frame.floats(
+    levels, present = frame.numbers(
         frame.rows(aid, "actions"), where, f"action {aid!r} level must be a number or null", True
     )
-    level_of = int if spec is not None and spec.discrete else float
-    for i, (row, level) in enumerate(zip(rows, levels)):
-        if level is not None:
-            try:
-                row[aid] = level_of(level)
-            except (OverflowError, ValueError) as exc:  # int() of inf or NaN
-                raise ValidationError(f"{where(i)}: action {aid!r} level {level} not finite") from exc
+    whole = spec is not None and spec.discrete
+    if whole:
+        infinite = present & ~np.isfinite(levels)
+        if infinite.any():
+            i = int(np.argmax(infinite))
+            raise ValidationError(f"{where(i)}: action {aid!r} level {levels[i].item()} not finite")
+        levels = np.trunc(levels)
+    return present, np.where(present, levels, 0.0), whole
 
 
 def dataset_from_json(doc) -> TrajectoryDataset:
@@ -447,29 +675,43 @@ def dataset_from_json(doc) -> TrajectoryDataset:
     survived = frame.typed(
         frame.column("survived", n), {bool}, frame.patient, "survived must be true or false"
     )
-    baselines = frame.floats(
+    baselines, _ = frame.numbers(
         frame.column("sofa_baseline", n), frame.patient, "sofa_baseline must be a number"
     )
-    t = frame.times()
-    sofa = frame.floats(frame.rows("sofa"), frame.row, "sofa must be a number")
+    t, _ = frame.numbers(frame.times(), frame.row, "t must be an integer", integers=True)
+    sofa, _ = frame.numbers(frame.rows("sofa"), frame.row, "sofa must be a number")
     if set(frame.group("values")) != set(frame.group("staleness")):
         raise FormatError("dataset: values and staleness must have the same feature columns")
-    observations = [{} for _ in range(frame.n_rows)]
-    for fid in sorted(frame.group("values")):
-        _add_observations(frame, fid, observations)
-    actions = [{} for _ in range(frame.n_rows)]
-    for aid in sorted(frame.group("actions")):
-        _add_actions(frame, aid, action_schema.get(aid), actions)
+    fids = sorted(frame.group("values"))
+    aids = sorted(frame.group("actions"))
+    shape = (frame.n_rows, len(fids))
+    mask, values, staleness = np.zeros(shape, dtype=bool), np.zeros(shape), np.zeros(shape)
+    for j, fid in enumerate(fids):
+        mask[:, j], values[:, j], staleness[:, j] = _observation_columns(frame, fid)
+    action_mask = np.zeros((frame.n_rows, len(aids)), dtype=bool)
+    actions = np.zeros((frame.n_rows, len(aids)))
+    whole = []
+    for j, aid in enumerate(aids):
+        action_mask[:, j], actions[:, j], is_whole = _action_column(
+            frame, aid, action_schema.get(aid)
+        )
+        whole.append(is_whole)
 
-    steps = list(map(Step, t, sofa, observations, actions))
-    offsets = frame.offsets
+    block = CohortColumns(
+        feature_ids=fids,
+        action_ids=aids,
+        t=t.astype(np.int64),
+        sofa=sofa,
+        values=values,
+        staleness=staleness,
+        mask=mask,
+        actions=actions,
+        action_mask=action_mask,
+        whole=whole,
+        offsets=np.array(frame.offsets, dtype=np.int64),
+    )
     dataset = TrajectoryDataset(
-        trajectories=[
-            Trajectory(pid, steps[lo:hi], alive, baseline)
-            for pid, lo, hi, alive, baseline in zip(
-                frame.patient_ids, offsets, offsets[1:], survived, baselines
-            )
-        ],
+        trajectories=block.views(frame.patient_ids, survived, baselines.tolist()),
         feature_schema=feature_schema,
         action_schema=action_schema,
     )

@@ -73,8 +73,8 @@ def identity_prob_table(dataset: TrajectoryDataset) -> PolicyProbTable:
     (clinician) policy itself, reducing the estimator to the mean return."""
     probs = {}
     for traj in dataset.trajectories:
-        for step in traj.steps[:-1]:
-            probs[(traj.patient_id, step.t)] = (1.0, 1.0)
+        for t in traj.columns.t[:-1].tolist():
+            probs[(traj.patient_id, t)] = (1.0, 1.0)
     return PolicyProbTable(probs)
 
 
@@ -87,11 +87,13 @@ def trajectory_weight(
     textbook estimator.
     """
     weight = 1.0
-    for step in trajectory.steps[:-1]:
-        p_eval, p_behavior = probs.lookup(trajectory.patient_id, step.t)
+    pid, table = trajectory.patient_id, probs.probs
+    for t in trajectory.columns.t[:-1].tolist():
+        # lookup() only for the SchemaError of a missing entry.
+        p_eval, p_behavior = table.get((pid, t)) or probs.lookup(pid, t)
         if p_behavior <= 0.0:
             raise ValidationError(
-                f"patient {trajectory.patient_id!r} t={step.t}: behavior probability is 0 "
+                f"patient {trajectory.patient_id!r} t={t}: behavior probability is 0 "
                 "(support violation)"
             )
         ratio = p_eval / p_behavior
@@ -264,8 +266,8 @@ def prob_table_from_json(doc) -> PolicyProbTable:
     t = frame.times(integral_floats=True)
     _check_increasing(frame, t)
     message = "p_eval and p_behavior must be numbers"
-    p_eval = frame.floats(frame.rows("p_eval"), frame.row, message)
-    p_behavior = frame.floats(frame.rows("p_behavior"), frame.row, message)
+    p_eval = frame.numbers(frame.rows("p_eval"), frame.row, message)[0].tolist()
+    p_behavior = frame.numbers(frame.rows("p_behavior"), frame.row, message)[0].tolist()
     keys = [
         (pid, step)
         for pid, lo, hi in zip(frame.patient_ids, frame.offsets, frame.offsets[1:])

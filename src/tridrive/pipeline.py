@@ -3,9 +3,10 @@
 A run directory holds one manifest plus one subdirectory per stage:
 
     manifest.json           deterministic run record (hashes, statuses, champion)
-    timing.json             wall-clock info (dataset load, per-stage seconds, stages
-                            skipped as fresh); the only volatile file, excluded
-                            from the reproducibility digest
+    timing.json             wall-clock info (dataset load and the loaded dataset's
+                            shape, per-stage seconds, stages skipped as fresh);
+                            the only volatile file, excluded from the
+                            reproducibility digest
     stats/metadata.json
     features/report.json    features/rounds/round_XXX.json
     candidates/spec_XXX.json, candidates/index.json, candidates/quarantine/
@@ -17,9 +18,10 @@ The run id is derived from the input hashes and the seed, so re-running the
 same inputs resumes: stages whose recorded output hashes still match on
 disk are skipped, and a failed stage leaves earlier outputs intact. The
 dataset is read only when a stage that needs it runs, so a resume with
-nothing to run reads no dataset and records "load_seconds": null. Each
-stage is one function (stats_stage ... ope_stage) that the matching CLI
-subcommand calls too, so both write the same files.
+nothing to run reads no dataset and records "load_seconds": null and
+"dataset_shape": null. Each stage is one function (stats_stage ...
+ope_stage) that the matching CLI subcommand calls too, so both write the
+same files.
 """
 
 from __future__ import annotations
@@ -531,6 +533,7 @@ class PipelineRun:
         )[:16]
         self.manifest = self._load_or_init_manifest(dataset_sha, config_sha)
         self._load_seconds: float | None = None
+        self._dataset_shape: dict[str, int] | None = None
         self._timing: dict[str, float] = {}
         self._skipped: list[str] = []
 
@@ -560,6 +563,7 @@ class PipelineRun:
         doc = {
             "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
             "load_seconds": self._load_seconds,
+            "dataset_shape": self._dataset_shape,
             "stage_seconds": {k: round(v, 6) for k, v in self._timing.items()},
             "skipped": self._skipped,
         }
@@ -592,7 +596,8 @@ class PipelineRun:
         already pins its bytes, and freshness depends only on the manifest
         and the output hashes.
         """
-        self._timing, self._skipped, self._load_seconds = {}, [], None
+        self._timing, self._skipped = {}, []
+        self._load_seconds = self._dataset_shape = None
         dataset = None
         client = build_client(self.config.client, self.config.llm)
         for name in STAGES:
@@ -617,6 +622,10 @@ class PipelineRun:
         start = time.perf_counter()
         dataset = filter_split(load_dataset(self.config.dataset), self.config.split)
         self._load_seconds = round(time.perf_counter() - start, 6)
+        self._dataset_shape = {
+            "patients": len(dataset.trajectories),
+            "steps": len(dataset.columns.t),
+        }
         if not dataset.trajectories:
             raise PipelineError("dataset (after split filtering) has no trajectories")
         return dataset

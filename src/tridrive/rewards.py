@@ -274,12 +274,12 @@ TERMINAL_REWARD = 100.0
 
 def baseline_orm(trajectory: Trajectory, gamma: float = defaults.GAMMA) -> RewardTrace:
     """Outcome-only: zero everywhere except +/-100 on the final transition."""
-    n = len(trajectory.steps) - 1
-    rewards = [0.0] * n
+    n = len(trajectory.columns.t)
+    rewards = [0.0] * (n - 1)
     rewards[-1] = TERMINAL_REWARD if trajectory.survived else -TERMINAL_REWARD
     return RewardTrace(
         rewards=rewards,
-        potentials=[0.0] * len(trajectory.steps),
+        potentials=[0.0] * n,
         cumulative=_discounted_sum(rewards, gamma),
     )
 
@@ -288,13 +288,11 @@ def baseline_prm(
     trajectory: Trajectory, gamma: float = defaults.GAMMA, scale: float = 1.0
 ) -> RewardTrace:
     """Process reward: a drop in the severity score is rewarded stepwise."""
-    steps = trajectory.steps
-    rewards = [
-        -scale * (steps[i + 1].sofa - steps[i].sofa) for i in range(len(steps) - 1)
-    ]
+    sofa = trajectory.columns.sofa
+    rewards = (-scale * np.diff(sofa)).tolist()
     return RewardTrace(
         rewards=rewards,
-        potentials=[0.0] * len(steps),
+        potentials=[0.0] * len(sofa),
         cumulative=_discounted_sum(rewards, gamma),
     )
 
@@ -308,7 +306,7 @@ def baseline_oprm(
     rewards = [a + b for a, b in zip(orm.rewards, prm.rewards)]
     return RewardTrace(
         rewards=rewards,
-        potentials=[0.0] * len(trajectory.steps),
+        potentials=[0.0] * len(orm.potentials),
         cumulative=_discounted_sum(rewards, gamma),
     )
 

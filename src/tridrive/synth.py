@@ -31,15 +31,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigError, FormatError
 from .jsonio import fields_from_json, read_json
-from .model import (
-    ActionSpec,
-    FeatureSpec,
-    FeatureType,
-    Observation,
-    Step,
-    Trajectory,
-    TrajectoryDataset,
-)
+from .model import ActionSpec, CohortColumns, FeatureSpec, FeatureType, TrajectoryDataset
 from .rewards import RewardSpec, SurvivalConfig, SurvivalForm
 
 # Stream tags for the per-patient generators.
@@ -117,17 +109,49 @@ def generate(config: CohortConfig) -> TrajectoryDataset:
         for aid, levels in config.action_levels.items()
     }
     all_ids = normal_ids + low_ids + high_ids
+    action_ids = sorted(config.action_levels)
 
-    trajectories = []
-    for i in range(config.n_patients):
-        trajectories.append(
-            _generate_patient(config, i, all_ids, normal_ids, center)
-        )
+    patients = [
+        _generate_patient(config, i, all_ids, normal_ids, center)
+        for i in range(config.n_patients)
+    ]
+    # The block's feature columns are in sorted id order.
+    order = sorted(range(len(all_ids)), key=all_ids.__getitem__)
+    recorded = np.concatenate([p.recorded for p in patients])[:, order]
+    n_rows = len(recorded)
+    block = CohortColumns(
+        feature_ids=sorted(all_ids),
+        action_ids=action_ids,
+        t=np.concatenate([np.arange(len(p.sofa)) for p in patients]),
+        sofa=np.concatenate([p.sofa for p in patients]),
+        values=recorded,
+        staleness=np.concatenate([p.staleness for p in patients])[:, order].astype(float),
+        mask=np.ones(recorded.shape, dtype=bool),
+        actions=np.concatenate([p.doses for p in patients]),
+        action_mask=np.ones((n_rows, len(action_ids)), dtype=bool),
+        whole=[True] * len(action_ids),
+        offsets=np.array([0] + [len(p.sofa) for p in patients]).cumsum(),
+    )
     return TrajectoryDataset(
-        trajectories=trajectories,
+        trajectories=block.views(
+            [f"synth_{i:05d}" for i in range(config.n_patients)],
+            [p.survived for p in patients],
+            [float(p.sofa[0]) for p in patients],
+        ),
         feature_schema=feature_schema,
         action_schema=action_schema,
     )
+
+
+@dataclass
+class _Patient:
+    """One generated stay, as arrays over its steps (features in all_ids order)."""
+
+    sofa: np.ndarray  # [T]
+    recorded: np.ndarray  # [T, F]
+    staleness: np.ndarray  # [T, F]
+    doses: np.ndarray  # [T, A], actions in sorted id order
+    survived: bool
 
 
 def _generate_patient(
@@ -136,7 +160,7 @@ def _generate_patient(
     all_ids: list[str],
     normal_ids: list[str],
     center: float,
-) -> Trajectory:
+) -> _Patient:
     seed = config.seed
     severity = float(_rng(seed, i, _SEVERITY).uniform())
     horizon = int(_rng(seed, i, _HORIZON).integers(config.horizon_min, config.horizon_max + 1))
@@ -191,18 +215,12 @@ def _generate_patient(
         and _rng(seed, i, _OVERTREAT).uniform() < config.overtreatment_prob
     )
     action_noise = _rng(seed, i, _ACTIONS).normal(size=horizon)
-    action_ids = sorted(config.action_levels)
-    actions_per_step = []
-    for t in range(horizon):
-        if overtreated:
-            actions_per_step.append(
-                {aid: config.action_levels[aid] for aid in action_ids}
-            )
-        else:
-            frac = float(np.clip(0.8 * severity + 0.15 * action_noise[t], 0.0, 1.0))
-            actions_per_step.append(
-                {aid: int(round(config.action_levels[aid] * frac)) for aid in action_ids}
-            )
+    levels = np.array([config.action_levels[aid] for aid in sorted(config.action_levels)])
+    if overtreated:
+        doses = np.tile(levels, (horizon, 1)).astype(float)
+    else:
+        frac = np.clip(0.8 * severity + 0.15 * action_noise, 0.0, 1.0)
+        doses = np.rint(levels * frac[:, None])
 
     # Outcome: death probability rises as mean wellness falls.
     mean_wellness = float(wellness.mean())
@@ -212,20 +230,7 @@ def _generate_patient(
         + (1.0 - config.mortality_coupling) * _BASE_MORTALITY
     )
     survived = bool(_rng(seed, i, _OUTCOME).uniform() >= p_death)
-
-    steps = []
-    for t in range(horizon):
-        obs = {
-            fid: Observation(value=float(recorded[t, j]), staleness=int(staleness[t, j]))
-            for j, fid in enumerate(all_ids)
-        }
-        steps.append(Step(t=t, sofa=float(sofa[t]), observations=obs, action=actions_per_step[t]))
-    return Trajectory(
-        patient_id=f"synth_{i:05d}",
-        steps=steps,
-        survived=survived,
-        sofa_baseline=float(sofa[0]),
-    )
+    return _Patient(sofa, recorded, staleness, doses, survived)
 
 
 def reference_spec(config: CohortConfig) -> RewardSpec:

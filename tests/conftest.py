@@ -330,6 +330,55 @@ def oracle_iqr(dataset, fid):
     return float(q75 - q25) or 1.0
 
 
+def oracle_metadata(dataset):
+    """compute_metadata one step and one feature at a time, as a dict per
+    feature of FeatureMetadata's fields (iqr left out): moments from
+    math.fsum, correlations from oracle_pearson."""
+    action_ids = sorted(dataset.action_schema)
+    rows = []
+    for fid in sorted(dataset.feature_schema):
+        values, outcomes = [], []
+        levels = {aid: [] for aid in action_ids}
+        total = missing = 0
+        for traj in dataset.trajectories:
+            for step in traj.steps:
+                obs = step.observations.get(fid)
+                if obs is None:
+                    continue
+                total += 1
+                if obs.staleness > 0:
+                    missing += 1
+                    continue
+                values.append(obs.value)
+                outcomes.append(1.0 if traj.survived else 0.0)
+                for aid in action_ids:
+                    levels[aid].append(float(step.action.get(aid, 0.0)))
+        n = len(values)
+
+        def rho(ys):
+            if n < 2 or min(values) == max(values) or min(ys) == max(ys):
+                return None
+            return oracle_pearson(values, ys)
+
+        mean = math.fsum(values) / n if n else 0.0
+        q25, median, q75 = np.quantile(values, [0.25, 0.5, 0.75]) if n else (0.0, 0.0, 0.0)
+        rows.append(
+            {
+                "feature_id": fid,
+                "count": n,
+                "mean": mean,
+                "std": math.sqrt(math.fsum((v - mean) ** 2 for v in values) / n) if n else 0.0,
+                "missingness": missing / total if total else 1.0,
+                "rho_outcome": rho(outcomes),
+                "rho_action": {aid: rho(levels[aid]) for aid in action_ids},
+                "q25": float(q25),
+                "median": float(median),
+                "q75": float(q75),
+            }
+        )
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: the percentile bootstrap of WIS, one resample at a time
 # with a fresh generator per resample, for comparison with the memoized,

@@ -5,6 +5,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import ScriptedLlmClient
+from tridrive import llm as llm_module
 from tridrive.errors import ConfigError, LlmClientError
 from tridrive.features import (
     CohortSummary,
@@ -111,6 +112,7 @@ class _Handler(BaseHTTPRequestHandler):
     calls = []
     failures_left = 0
     status_on_fail = 500
+    retry_after = None  # Retry-After header value sent with each failure
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
@@ -120,6 +122,8 @@ class _Handler(BaseHTTPRequestHandler):
         if _Handler.failures_left > 0:
             _Handler.failures_left -= 1
             self.send_response(_Handler.status_on_fail)
+            if _Handler.retry_after is not None:
+                self.send_header("Retry-After", _Handler.retry_after)
             self.end_headers()
             return
         self.send_response(200)
@@ -139,6 +143,7 @@ def http_endpoint():
     _Handler.calls = []
     _Handler.failures_left = 0
     _Handler.status_on_fail = 500
+    _Handler.retry_after = None
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
 
@@ -177,6 +182,44 @@ class TestHttpClient:
             LlmClientConfig(endpoint=http_endpoint, retries=3, backoff=0.01)
         )
         with pytest.raises(LlmClientError, match="403"):
+            client.complete("x")
+        assert len(_Handler.calls) == 1
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_timeout_and_rate_limit_are_retried(self, http_endpoint, status):
+        _Handler.failures_left = 1
+        _Handler.status_on_fail = status
+        client = HttpLlmClient(
+            LlmClientConfig(endpoint=http_endpoint, retries=2, backoff=0.01)
+        )
+        assert client.complete("x") == "completion text"
+        assert len(_Handler.calls) == 2
+
+    @pytest.mark.parametrize(
+        "header, waits",
+        [("3", [3.0, 3.0]), ("60", [8.0, 8.0]), (None, [0.5, 1.0]), ("soon", [0.5, 1.0])],
+        ids=["seconds", "capped", "absent", "not-seconds"],
+    )
+    def test_retry_after_sets_the_wait(self, http_endpoint, monkeypatch, header, waits):
+        slept = []
+        monkeypatch.setattr(llm_module.time, "sleep", slept.append)
+        _Handler.failures_left = 2
+        _Handler.status_on_fail = 429
+        _Handler.retry_after = header
+        client = HttpLlmClient(
+            LlmClientConfig(endpoint=http_endpoint, retries=2, backoff=0.5)
+        )
+        assert client.complete("x") == "completion text"
+        assert slept == waits
+
+    def test_bad_request_is_not_retried(self, http_endpoint):
+        _Handler.failures_left = 1
+        _Handler.status_on_fail = 400
+        _Handler.retry_after = "1"
+        client = HttpLlmClient(
+            LlmClientConfig(endpoint=http_endpoint, retries=3, backoff=0.01)
+        )
+        with pytest.raises(LlmClientError, match="400"):
             client.complete("x")
         assert len(_Handler.calls) == 1
 

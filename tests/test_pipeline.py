@@ -229,6 +229,30 @@ class TestPipelineRun:
         assert resumed["skipped"] == list(STAGES)
         assert resumed["load_seconds"] is None
 
+    def test_timing_records_dataset_shape(self, small_dataset_path, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path), out)
+        digest = run_digest(out)
+        dataset = load_dataset(small_dataset_path)
+        fresh = json.loads((out / "timing.json").read_text())
+        assert fresh["dataset_shape"] == {
+            "patients": SMALL.n_patients,
+            "steps": sum(len(t.steps) for t in dataset.trajectories),
+        }
+        run_pipeline(_config(small_dataset_path), out)
+        resumed = json.loads((out / "timing.json").read_text())
+        assert resumed["load_seconds"] is None and resumed["dataset_shape"] is None
+        # timing.json is volatile: the run digest does not read it.
+        assert "timing.json" in pipeline_module.VOLATILE_FILES
+        assert run_digest(out) == digest
+
+    def test_split_run_records_the_split_shape(self, small_dataset_path, tmp_path):
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path, split="policy_train"), out)
+        kept = filter_split(load_dataset(small_dataset_path), "policy_train").trajectories
+        shape = json.loads((out / "timing.json").read_text())["dataset_shape"]
+        assert shape == {"patients": len(kept), "steps": sum(len(t.steps) for t in kept)}
+
     def test_resume_with_nothing_to_run_reads_no_dataset(
         self, small_dataset_path, tmp_path, monkeypatch
     ):
