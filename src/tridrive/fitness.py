@@ -26,7 +26,7 @@ import numpy as np
 
 from . import defaults
 from .errors import ConfigError, DegenerateStatisticError, SchemaError, ValidationError
-from .model import CohortColumns, FeatureSpec, FeatureType, Trajectory, TrajectoryDataset
+from .model import CohortColumns, FeatureType, TrajectoryDataset
 from .rewards import RewardSpec, RewardTrace, trace
 
 
@@ -135,14 +135,6 @@ def _pearson_named(xs, ys, xname: str, yname: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def ground_truth_score(trajectory: Trajectory, epsilon: float = defaults.STABILITY_EPSILON) -> float:
-    """Outcome plus stability: 1(survived) + fraction of steps whose severity
-    score stayed within epsilon of the admission baseline. Range [0, 2]."""
-    sofa = trajectory.columns.sofa
-    stable = np.count_nonzero(np.abs(sofa - trajectory.sofa_baseline) < epsilon)
-    return float(trajectory.survived) + stable / len(sofa)
-
-
 def _returns(traces: Sequence[RewardTrace]) -> list[float]:
     return [t.cumulative for t in traces]
 
@@ -154,44 +146,15 @@ def j_surv(
     *,
     truth: Sequence[float] | None = None,
 ) -> float:
-    """truth: the ground_truth_score of each trajectory, if already known."""
+    """truth: FitnessTargets.truth of the dataset and epsilon, if already known."""
     if truth is None:
-        truth = _ground_truths(dataset, epsilon)
+        truth = FitnessTargets(dataset, CompMetricConfig(epsilon=epsilon)).truth
     return _pearson_named(_returns(traces), truth, "cumulative reward", "ground-truth score")
-
-
-def _ground_truths(dataset: TrajectoryDataset, epsilon: float) -> np.ndarray:
-    return np.array([ground_truth_score(traj, epsilon) for traj in dataset.trajectories])
 
 
 # ---------------------------------------------------------------------------
 # Confidence fitness
 # ---------------------------------------------------------------------------
-
-
-def _feature_columns(trajectory: Trajectory, feature_ids: Sequence[str]) -> list[int]:
-    """Column of each feature; SchemaError names the first absent one, in
-    step order."""
-    cols = trajectory.columns
-    idx = [cols.feature_index.get(fid) for fid in feature_ids]
-    if None in idx or not cols.mask[:, idx].all():
-        present = np.column_stack(
-            [np.zeros(len(cols.t), dtype=bool) if j is None else cols.mask[:, j] for j in idx]
-        )
-        row, k = divmod(int(np.argmin(present)), len(idx))
-        raise SchemaError(
-            f"patient {trajectory.patient_id!r}: feature {feature_ids[k]!r} absent "
-            f"at t={cols.t[row].item()}"
-        )
-    return idx
-
-
-def uncertainty_score(trajectory: Trajectory, feature_ids: Sequence[str]) -> float:
-    """Mean staleness over all steps and the given features."""
-    if not feature_ids:
-        raise ValidationError("uncertainty_score needs a nonempty feature set")
-    idx = _feature_columns(trajectory, feature_ids)
-    return float(trajectory.columns.staleness[:, idx].mean())
 
 
 def j_conf(
@@ -201,14 +164,10 @@ def j_conf(
     *,
     staleness: Sequence[float] | None = None,
 ) -> float:
-    """staleness: the uncertainty_score of each trajectory, if already known."""
+    """staleness: FitnessTargets.staleness of the dataset, if already known."""
     if staleness is None:
-        staleness = _uncertainties(dataset, feature_ids)
+        staleness = FitnessTargets(dataset, CompMetricConfig()).staleness(feature_ids)
     return -_pearson_named(_returns(traces), staleness, "cumulative reward", "uncertainty score")
-
-
-def _uncertainties(dataset: TrajectoryDataset, feature_ids: Sequence[str]) -> np.ndarray:
-    return np.array([uncertainty_score(traj, feature_ids) for traj in dataset.trajectories])
 
 
 # ---------------------------------------------------------------------------
@@ -257,57 +216,6 @@ def homeostasis_feature(
     return float(_homeostasis(np.float64(value), ftype, interval, iqr, k))
 
 
-def homeostasis_states(
-    trajectory: Trajectory,
-    feature_ids: Sequence[str],
-    cfg: CompMetricConfig,
-    feature_schema: dict[str, FeatureSpec],
-) -> np.ndarray:
-    """Unweighted mean homeostasis over the given features at each step."""
-    if not feature_ids:
-        raise ValidationError("homeostasis_states needs a nonempty feature set")
-    cols = trajectory.columns
-    total = 0.0
-    for fid, j in zip(feature_ids, _feature_columns(trajectory, feature_ids)):
-        spec = feature_schema[fid]
-        total = total + _homeostasis(
-            cols.values[:, j], spec.feature_type, spec.healthy_interval,
-            cfg.iqr.get(fid, 1.0), cfg.k,
-        )
-    return total / len(feature_ids)
-
-
-def _trajectory_efficiency(
-    traj: Trajectory,
-    feature_ids: Sequence[str],
-    cfg: CompMetricConfig,
-    feature_schema: dict[str, FeatureSpec],
-) -> float:
-    """Mean (or sum, per cfg.aggregation) over transitions of the homeostasis
-    gain minus alpha times the mean normalized dose of the earlier step."""
-    states = homeostasis_states(traj, feature_ids, cfg, feature_schema)
-    cols = traj.columns
-    dose = 0.0
-    for aid, mx in cfg.action_max.items():
-        if aid in cols.action_index:
-            dose = dose + cols.actions[:-1, cols.action_index[aid]] / mx
-    if cfg.action_max:
-        dose = dose / len(cfg.action_max)
-    per_step = states[1:] - states[:-1] - cfg.alpha * dose
-    return float(per_step.sum() if cfg.aggregation == "sum" else per_step.mean())
-
-
-def _efficiencies(
-    dataset: TrajectoryDataset, feature_ids: Sequence[str], cfg: CompMetricConfig
-) -> np.ndarray:
-    return np.array(
-        [
-            _trajectory_efficiency(traj, feature_ids, cfg, dataset.feature_schema)
-            for traj in dataset.trajectories
-        ]
-    )
-
-
 def j_comp(
     dataset: TrajectoryDataset,
     traces: Sequence[RewardTrace],
@@ -316,39 +224,102 @@ def j_comp(
     *,
     efficiency: Sequence[float] | None = None,
 ) -> float:
-    """efficiency: the per-trajectory efficiency under cfg, if already known."""
+    """efficiency: FitnessTargets.efficiency under cfg, if already known."""
     if efficiency is None:
-        efficiency = _efficiencies(dataset, feature_ids, cfg.prepare(dataset))
+        efficiency = FitnessTargets(dataset, cfg.prepare(dataset)).efficiency(feature_ids)
     return _pearson_named(_returns(traces), efficiency, "cumulative reward", "efficiency score")
 
 
 class FitnessTargets:
     """The spec-independent side of each fitness axis, per trajectory.
 
-    Each statistic is computed on first use and kept, so every spec scored
-    against one dataset and one prepared metric config shares them.
+    Each is computed from the dataset's column block in one pass: a value
+    per row, summed per trajectory over the block's offsets. Each is
+    computed on first use and kept, so every spec scored against one
+    dataset and one prepared metric config shares them.
     """
 
     def __init__(self, dataset: TrajectoryDataset, cfg: CompMetricConfig):
         self._dataset = dataset
         self._cfg = cfg
+        self._cols = dataset.columns
+        self._lengths = np.diff(self._cols.offsets)
         self._staleness: dict[tuple[str, ...], np.ndarray] = {}
         self._efficiency: dict[tuple[str, ...], np.ndarray] = {}
 
+    def _sums(self, rows: np.ndarray) -> np.ndarray:
+        """Per trajectory, the sum of its rows' entries, in row order."""
+        return np.add.reduceat(rows, self._cols.offsets[:-1])
+
+    def _columns(self, feature_ids: Sequence[str]) -> list[int]:
+        """The block column of each feature; SchemaError names the first
+        absent one in row order, with its patient and t."""
+        if not feature_ids:
+            raise ValidationError("fitness targets need a nonempty feature set")
+        cols, ids = self._cols, self._cols.feature_ids
+        # A feature the block has no column for reads a column of False.
+        idx = [ids.index(fid) if fid in ids else -1 for fid in feature_ids]
+        present = np.hstack([cols.mask, np.zeros((len(cols.t), 1), dtype=bool)])[:, idx]
+        if not present.all():
+            row, k = divmod(int(np.argmin(present)), len(idx))
+            traj = self._dataset.trajectories[np.searchsorted(cols.offsets, row, "right") - 1]
+            raise SchemaError(
+                f"patient {traj.patient_id!r}: feature {feature_ids[k]!r} absent "
+                f"at t={cols.t[row].item()}"
+            )
+        return idx
+
     @cached_property
     def truth(self) -> np.ndarray:
-        return _ground_truths(self._dataset, self._cfg.epsilon)
+        """Outcome plus stability: 1(survived) + the fraction of steps whose
+        severity score stayed within epsilon of the admission baseline.
+        Range [0, 2]."""
+        trajs = self._dataset.trajectories
+        baselines = np.repeat([traj.sofa_baseline for traj in trajs], self._lengths)
+        stable = np.abs(self._cols.sofa - baselines) < self._cfg.epsilon
+        survived = np.array([traj.survived for traj in trajs], dtype=float)
+        return survived + self._sums(stable.astype(np.int64)) / self._lengths
 
     def staleness(self, feature_ids: Sequence[str]) -> np.ndarray:
+        """Mean staleness over all steps and the given features."""
         key = tuple(feature_ids)
         if key not in self._staleness:
-            self._staleness[key] = _uncertainties(self._dataset, key)
+            per_row = self._cols.staleness[:, self._columns(key)].sum(axis=1)
+            self._staleness[key] = self._sums(per_row) / (self._lengths * len(key))
         return self._staleness[key]
 
+    def homeostasis(self, feature_ids: Sequence[str]) -> np.ndarray:
+        """Per row, the unweighted mean homeostasis over the given features."""
+        cfg, schema, values = self._cfg, self._dataset.feature_schema, self._cols.values
+        total = 0.0
+        for fid, j in zip(feature_ids, self._columns(feature_ids)):
+            spec = schema[fid]
+            total = total + _homeostasis(
+                values[:, j], spec.feature_type, spec.healthy_interval,
+                cfg.iqr.get(fid, 1.0), cfg.k,
+            )
+        return total / len(feature_ids)
+
     def efficiency(self, feature_ids: Sequence[str]) -> np.ndarray:
+        """Mean (or sum, per cfg.aggregation) over transitions of the
+        homeostasis gain minus alpha times the mean normalized dose of the
+        earlier step."""
         key = tuple(feature_ids)
         if key not in self._efficiency:
-            self._efficiency[key] = _efficiencies(self._dataset, key, self._cfg)
+            cfg, cols = self._cfg, self._cols
+            states = self.homeostasis(key)
+            dose = np.zeros(len(cols.t))
+            for aid, mx in cfg.action_max.items():
+                if aid in cols.action_ids:
+                    dose = dose + cols.actions[:, cols.action_ids.index(aid)] / mx
+            if cfg.action_max:
+                dose = dose / len(cfg.action_max)
+            gain = np.zeros(len(cols.t))
+            gain[:-1] = states[1:] - states[:-1] - cfg.alpha * dose[:-1]
+            gain[cols.offsets[1:] - 1] = 0.0  # a trajectory's last row starts no transition
+            total = self._sums(gain)
+            mean = cfg.aggregation == "mean"
+            self._efficiency[key] = total / (self._lengths - 1) if mean else total
         return self._efficiency[key]
 
 

@@ -80,38 +80,18 @@ class Step:
     action: dict[str, float] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TrajectoryColumns:
-    """Column block of one trajectory: row i belongs to steps[i].
-
-    feature_index and action_index map the ids a step of the trajectory
-    has, in sorted order, to their columns; the arrays may hold further
-    columns, of ids the trajectory never has. A feature absent at a step
-    has mask False and holds 0 in values and staleness; an action a step
-    does not set has action_mask False and is 0.
-    """
-
-    feature_index: dict[str, int]
-    values: np.ndarray  # [T, F]
-    staleness: np.ndarray  # [T, F]
-    mask: np.ndarray  # [T, F] bool
-    t: np.ndarray  # [T]
-    sofa: np.ndarray  # [T]
-    action_index: dict[str, int]
-    actions: np.ndarray  # [T, A]
-    action_mask: np.ndarray  # [T, A] bool
-    acting_ids: frozenset[str]  # action ids set on some step but the last
-
-
 @dataclass(frozen=True, eq=False)
 class CohortColumns:
     """Every step of a cohort as one row, trajectory after trajectory:
     trajectory k owns rows offsets[k] to offsets[k + 1] - 1 (the offsets
     buffer of the Arrow columnar layout).
 
-    Feature and action columns are in sorted id order, with the meaning
-    they have in TrajectoryColumns. whole[j] is True when action j's
-    levels are whole numbers (a discrete action), and so read back as ints.
+    Feature and action columns are in sorted id order; a block may hold
+    columns of ids that some of its trajectories never have. A feature
+    absent at a step has mask False and holds 0 in values and staleness;
+    an action a step does not set has action_mask False and is 0. whole[j]
+    is True when action j's levels are whole numbers (a discrete action),
+    and so read back as ints.
     """
 
     feature_ids: list[str]
@@ -133,24 +113,14 @@ class CohortColumns:
             for k, (pid, alive, baseline) in enumerate(zip(patient_ids, survived, sofa_baselines))
         ]
 
-    def trajectory_columns(self, k: int) -> TrajectoryColumns:
-        """Trajectory k's rows: slices of the block, no copy."""
+    def rows(self, k: int) -> "CohortColumns":
+        """Trajectory k's rows as a block of one trajectory: slices of this
+        block, no copy."""
         lo, hi = self.offsets[k : k + 2].tolist()
-        mask, action_mask = self.mask[lo:hi], self.action_mask[lo:hi]
-        has_feature = mask.any(axis=0).tolist()
-        has_action = action_mask.any(axis=0).tolist()
-        acting = action_mask[:-1].any(axis=0).tolist()
-        return TrajectoryColumns(
-            feature_index={fid: j for j, fid in enumerate(self.feature_ids) if has_feature[j]},
-            values=self.values[lo:hi],
-            staleness=self.staleness[lo:hi],
-            mask=mask,
-            t=self.t[lo:hi],
-            sofa=self.sofa[lo:hi],
-            action_index={aid: j for j, aid in enumerate(self.action_ids) if has_action[j]},
-            actions=self.actions[lo:hi],
-            action_mask=action_mask,
-            acting_ids=frozenset(aid for aid, a in zip(self.action_ids, acting) if a),
+        return replace(
+            self,
+            **{name: getattr(self, name)[lo:hi] for name in _ROW_COLUMNS},
+            offsets=np.array([0, hi - lo]),
         )
 
     def steps(self, k: int) -> list[Step]:
@@ -201,8 +171,8 @@ class CohortColumns:
         whole = [
             aid in action_schema
             and action_schema[aid].discrete
-            and bool(np.all(np.trunc(actions[:, j]) == actions[:, j]))
-            for j, aid in enumerate(aids)
+            and bool(np.all(np.isfinite(levels) & (np.trunc(levels) == levels)))
+            for aid, levels in zip(aids, actions.T)
         ]
         return cls(
             feature_ids=fids,
@@ -276,10 +246,10 @@ class Trajectory:
         super().__setattr__(name, value)
 
     @cached_property
-    def columns(self) -> TrajectoryColumns:
-        """The steps as arrays, built on first use and kept."""
-        block, k = self.__dict__.get("_view") or (CohortColumns.of([self.steps], {}), 0)
-        return block.trajectory_columns(k)
+    def columns(self) -> CohortColumns:
+        """The steps as a block of one trajectory, built on first use and kept."""
+        view = self.__dict__.get("_view")
+        return view[0].rows(view[1]) if view else CohortColumns.of([self.steps], {})
 
 
 @dataclass
@@ -312,7 +282,9 @@ class TrajectoryDataset:
         return self.__dict__["_columns"][1]
 
     def validate(self) -> None:
-        """Check every type invariant; raises ValidationError naming the offender."""
+        """Check every type invariant; raises ValidationError naming the
+        first offending trajectory, its first offending row and that row's
+        first broken rule, checking features and then actions in id order."""
         for fid, spec in self.feature_schema.items():
             if spec.feature_type is FeatureType.NORMAL_RANGE:
                 if spec.healthy_interval is None:
@@ -327,92 +299,87 @@ class TrajectoryDataset:
         for aid, spec in self.action_schema.items():
             if not (0.0 < spec.max_value < math.inf):
                 raise ValidationError(f"action {aid!r}: max {spec.max_value} not finite and > 0")
-        # Array checks flag every trajectory that may fail; the step-by-step
-        # check of each flagged one, in order, raises the first error.
-        for k in self._suspects().tolist():
-            self._validate_trajectory(self.trajectories[k])
-
-    def _suspects(self) -> np.ndarray:
-        """Indices of the trajectories that fail a check on the columns."""
-        if not self.trajectories:
-            return np.zeros(0, dtype=np.int64)
         cols = self.columns
         lengths = np.diff(cols.offsets)
-        first = np.repeat(cols.offsets[:-1], lengths)
         baselines = np.array([traj.sofa_baseline for traj in self.trajectories], dtype=float)
-        known = np.array([fid in self.feature_schema for fid in cols.feature_ids], dtype=bool)
-        maxima = np.array(  # -1 fails every level of an action not in the schema
-            [self.action_schema[aid].max_value if aid in self.action_schema else -1.0
-             for aid in cols.action_ids]
-        )
-        n = len(cols.t)
-        bad_row = np.zeros(n, dtype=bool)
-        bad_row[1:] = cols.t[1:] <= cols.t[:-1]
-        bad_row &= np.arange(n) != first
-        bad_row |= ~((0.0 <= cols.sofa) & (cols.sofa < math.inf))
-        bad_row |= (cols.mask != cols.mask[first]).any(axis=1)
-        fine = known & (0.0 <= cols.values) & (cols.values <= 1.0) & (cols.staleness >= 0)
-        bad_row |= (cols.mask & ~fine).any(axis=1)
-        fine = (0.0 <= cols.actions) & (cols.actions <= maxima)
-        bad_row |= (cols.action_mask & ~fine).any(axis=1)
-        bad = (lengths < 2) | ~((0.0 <= baselines) & (baselines < math.inf))
-        bad[np.searchsorted(cols.offsets, np.flatnonzero(bad_row), side="right") - 1] = True
-        return np.flatnonzero(bad)
-
-    def _validate_trajectory(self, traj: Trajectory) -> None:
-        pid = traj.patient_id
-        if len(traj.steps) < 2:
-            raise ValidationError(f"patient {pid!r}: needs >= 2 steps (a reward requires a transition)")
-        if not (0.0 <= traj.sofa_baseline < math.inf):
+        short = lengths < 2
+        unsound = ~((0.0 <= baselines) & (baselines < math.inf))
+        broken = self._broken_rules(cols, lengths)
+        bad_rows = np.flatnonzero(broken.any(axis=1))[:1]
+        bad = short | unsound
+        bad[np.searchsorted(cols.offsets, bad_rows, side="right") - 1] = True
+        if not bad.any():
+            return
+        k = int(np.argmax(bad))
+        traj = self.trajectories[k]
+        where = f"patient {traj.patient_id!r}"
+        if short[k]:
+            raise ValidationError(f"{where}: needs >= 2 steps (a reward requires a transition)")
+        if unsound[k]:
             raise ValidationError(
-                f"patient {pid!r}: sofa_baseline {traj.sofa_baseline} not finite and >= 0"
+                f"{where}: sofa_baseline {traj.sofa_baseline} not finite and >= 0"
             )
-        prev_t = None
-        feature_set = None
-        for step in traj.steps:
-            if prev_t is not None and step.t <= prev_t:
-                raise ValidationError(
-                    f"patient {pid!r}: non-increasing time index at t={step.t}"
-                )
-            prev_t = step.t
-            if not (0.0 <= step.sofa < math.inf):
-                raise ValidationError(
-                    f"patient {pid!r}: sofa {step.sofa} not finite and >= 0 at t={step.t}"
-                )
-            ids = frozenset(step.observations)
-            if feature_set is None:
-                feature_set = ids
-            elif ids != feature_set:
-                raise ValidationError(
-                    f"patient {pid!r}: feature set changes at t={step.t}"
-                )
-            for fid, obs in step.observations.items():
-                if fid not in self.feature_schema:
-                    raise ValidationError(
-                        f"patient {pid!r}: feature {fid!r} not in feature_schema"
-                    )
-                if not (0.0 <= obs.value <= 1.0):
-                    raise ValidationError(
-                        f"patient {pid!r}: feature {fid!r} value out of [0,1] at t={step.t}"
-                    )
-                if not (obs.staleness >= 0):
-                    raise ValidationError(
-                        f"patient {pid!r}: feature {fid!r} staleness negative at t={step.t}"
-                    )
-            for aid, level in step.action.items():
-                if aid not in self.action_schema:
-                    raise ValidationError(
-                        f"patient {pid!r}: action {aid!r} not in action_schema"
-                    )
-                if not (level >= 0):
-                    raise ValidationError(
-                        f"patient {pid!r}: action {aid!r} level {level} not >= 0 at t={step.t}"
-                    )
-                if level > self.action_schema[aid].max_value:
-                    raise ValidationError(
-                        f"patient {pid!r}: action {aid!r} level {level} exceeds max "
-                        f"{self.action_schema[aid].max_value} at t={step.t}"
-                    )
+        row = int(bad_rows[0])
+        raise ValidationError(f"{where}: {self._messages(cols, row)[np.argmax(broken[row])]}")
+
+    def _broken_rules(self, cols: CohortColumns, lengths: np.ndarray) -> np.ndarray:
+        """[rows, rules]: True where a row breaks a rule. The rules are in
+        the order they are checked, the order of _messages."""
+        n = len(cols.t)
+        first = np.repeat(cols.offsets[:-1], lengths)
+        backwards = np.zeros(n, dtype=bool)
+        backwards[1:] = cols.t[1:] <= cols.t[:-1]
+        maxima = [getattr(self.action_schema.get(aid), "max_value", math.inf)
+                  for aid in cols.action_ids]
+        return np.column_stack([
+            backwards & (np.arange(n) != first),
+            ~((0.0 <= cols.sofa) & (cols.sofa < math.inf)),
+            (cols.mask != cols.mask[first]).any(axis=1),
+            _per_column(
+                cols.mask,
+                np.array([fid not in self.feature_schema for fid in cols.feature_ids], dtype=bool),
+                ~((0.0 <= cols.values) & (cols.values <= 1.0)),
+                ~(cols.staleness >= 0),
+            ),
+            _per_column(
+                cols.action_mask,
+                np.array([aid not in self.action_schema for aid in cols.action_ids], dtype=bool),
+                ~(cols.actions >= 0),
+                cols.actions > np.array(maxima, dtype=float),
+            ),
+        ])
+
+    def _messages(self, cols: CohortColumns, row: int) -> list[str]:
+        """The message of each rule of _broken_rules, at a row."""
+        at = f"at t={cols.t[row].item()}"
+        messages = [
+            f"non-increasing time index {at}",
+            f"sofa {cols.sofa[row].item()} not finite and >= 0 {at}",
+            f"feature set changes {at}",
+        ]
+        for fid in cols.feature_ids:
+            messages += [
+                f"feature {fid!r} not in feature_schema",
+                f"feature {fid!r} value out of [0,1] {at}",
+                f"feature {fid!r} staleness negative {at}",
+            ]
+        for aid, level, whole in zip(cols.action_ids, cols.actions[row].tolist(), cols.whole):
+            level = int(level) if whole else level
+            maximum = getattr(self.action_schema.get(aid), "max_value", None)
+            messages += [
+                f"action {aid!r} not in action_schema",
+                f"action {aid!r} level {level} not >= 0 {at}",
+                f"action {aid!r} level {level} exceeds max {maximum} {at}",
+            ]
+        return messages
+
+
+def _per_column(present: np.ndarray, *rules: np.ndarray) -> np.ndarray:
+    """[rows, 3 * columns]: per column, where each of three rules ([rows,
+    columns], or [columns] for every row) is broken at a present entry."""
+    broken = np.stack(np.broadcast_arrays(*rules), axis=2) & present[:, :, None]
+    return broken.reshape(len(present), len(rules) * present.shape[1])
+
 
 # ---------------------------------------------------------------------------
 # Serialization: format 2, one compact UTF-8 JSON document of columns. Per

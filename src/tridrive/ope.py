@@ -111,6 +111,8 @@ def _weights_and_returns(
 ) -> tuple[np.ndarray, np.ndarray]:
     if len(traces) != len(dataset.trajectories):
         raise ValidationError("one trace per trajectory is required")
+    if max_ratio is not None and not max_ratio > 0.0:
+        raise ValidationError(f"max_ratio must be > 0 (inf allowed), got {max_ratio}")
     weights = np.array(
         [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
     )
@@ -171,6 +173,8 @@ def bootstrap_ci(
         raise ValidationError("level must lie in (0,1)")
     if resamples < 1:
         raise ValidationError("resamples must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be nonnegative")
     if len(dataset.trajectories) < 2:
         raise ValidationError("bootstrap_ci needs at least 2 trajectories")
     weights, returns = _weights_and_returns(dataset, traces, probs, max_ratio)

@@ -395,8 +395,9 @@ def ope_stage(
     none) with a bootstrap WIS interval. Tables are loaded, evaluated and
     dropped one at a time, so memory does not grow with the table count.
     Writes wis.json (the last table, headed by the champion when given),
-    wis_series.csv (several tables) and mortality_curve.csv into out_dir.
-    Returns the last estimate and the files written.
+    wis_series.csv (several tables) and mortality_curve.csv into out_dir,
+    only once every estimate and the curve are computed, so a bad input
+    leaves no file. Returns the last estimate and the files written.
     """
     traces = [trace(traj, spec) for traj in dataset.trajectories]
     series: list[tuple[str, WisEstimate]] = []
@@ -409,6 +410,7 @@ def ope_stage(
         del table  # before the next table loads
         series.append(("logged-policy" if path is None else str(path), est))
 
+    curve = [astuple(row) for row in mortality_curve(dataset, traces, bins)]
     label, est = series[-1]
     doc = {} if champion is None else {"champion": champion}
     doc.update(
@@ -426,7 +428,6 @@ def ope_stage(
         rows = [(i, policy, e.value, e.ci_low, e.ci_high) for i, (policy, e) in enumerate(series)]
         header = ["checkpoint", "policy", "value", "ci_low", "ci_high"]
         files.append(write_text(out_dir / "wis_series.csv", _csv(header, rows)))
-    curve = [astuple(row) for row in mortality_curve(dataset, traces, bins)]
     header = ["bin", "reward_low", "reward_high", "mortality", "count"]
     files.append(write_text(out_dir / "mortality_curve.csv", _csv(header, curve)))
     return est, files
@@ -470,6 +471,8 @@ class PipelineConfig:
             raise ConfigError("level must lie in (0, 1)")
         if self.bootstrap < 1 or self.bins < 1:
             raise ConfigError("bootstrap and bins must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.split is not None and self.split != "all" and self.split not in SPLIT_NAMES:
             raise ConfigError(f"unknown split {self.split!r}")
 

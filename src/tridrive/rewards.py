@@ -26,7 +26,7 @@ import numpy as np
 from . import defaults
 from .errors import FormatError, SchemaError, ValidationError
 from .jsonio import fields_from_json, read_json, write_json
-from .model import Trajectory, TrajectoryColumns
+from .model import CohortColumns, Trajectory
 
 
 class SurvivalForm(str, Enum):
@@ -207,7 +207,7 @@ def competence_cost(action: dict[str, float], spec: RewardSpec) -> float:
     return float(_competence_costs(levels, maxima, spec.action_cost_scale))
 
 
-def _potentials(cols: TrajectoryColumns, spec: RewardSpec) -> np.ndarray:
+def _potentials(cols: CohortColumns, spec: RewardSpec) -> np.ndarray:
     """Health potential of every step.
 
     Weighted sum over the spec's features of survival score times
@@ -217,8 +217,8 @@ def _potentials(cols: TrajectoryColumns, spec: RewardSpec) -> np.ndarray:
     from that step's normalizer; if every feature is missing the base
     potential is the neutral 0.5.
     """
-    fids = [fid for fid in spec.survival if fid in cols.feature_index]
-    idx = [cols.feature_index[fid] for fid in fids]
+    fids = [fid for fid in spec.survival if fid in cols.feature_ids]
+    idx = [cols.feature_ids.index(fid) for fid in fids]
     c, b, m, weight, tau = np.array(
         [
             (*spec.survival[fid].coefficients, spec.survival[fid].weight, spec.confidence_tau[fid])
@@ -248,10 +248,12 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     potentials = _potentials(cols, spec)
     rewards = spec.gamma * potentials[1:] - potentials[:-1]
     if spec.lam != 0.0:
-        _check_declared_actions(cols.acting_ids, spec)
-        declared = [aid for aid in cols.action_index if aid in spec.action_max]
+        declared = [aid for aid in cols.action_ids if aid in spec.action_max]
+        if len(declared) < len(cols.action_ids):
+            acting = cols.action_mask[:-1].any(axis=0).tolist()
+            _check_declared_actions([aid for aid, a in zip(cols.action_ids, acting) if a], spec)
         costs = _competence_costs(
-            cols.actions[:-1, [cols.action_index[aid] for aid in declared]],
+            cols.actions[:-1, [cols.action_ids.index(aid) for aid in declared]],
             np.array([spec.action_max[aid] for aid in declared]),
             spec.action_cost_scale,
         )

@@ -77,6 +77,8 @@ class CohortConfig:
         for aid, levels in self.action_levels.items():
             if levels < 1:
                 raise ConfigError(f"action {aid!r} needs at least 1 level")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
     def feature_ids(self) -> tuple[list[str], list[str], list[str]]:
         return (

@@ -244,6 +244,49 @@ def oracle_trace(trajectory, spec):
     return rewards, potentials, cumulative
 
 
+def oracle_validate(dataset):
+    """The message of the first rule a trajectory of the dataset breaks,
+    checked one step at a time (features, then actions, in id order), or
+    None when every trajectory is valid."""
+    for traj in dataset.trajectories:
+        pid = traj.patient_id
+        if len(traj.steps) < 2:
+            return f"patient {pid!r}: needs >= 2 steps (a reward requires a transition)"
+        if not (0.0 <= traj.sofa_baseline < math.inf):
+            return f"patient {pid!r}: sofa_baseline {traj.sofa_baseline} not finite and >= 0"
+        prev_t = None
+        feature_set = None
+        for step in traj.steps:
+            if prev_t is not None and step.t <= prev_t:
+                return f"patient {pid!r}: non-increasing time index at t={step.t}"
+            prev_t = step.t
+            if not (0.0 <= step.sofa < math.inf):
+                return f"patient {pid!r}: sofa {step.sofa} not finite and >= 0 at t={step.t}"
+            ids = frozenset(step.observations)
+            if feature_set is None:
+                feature_set = ids
+            elif ids != feature_set:
+                return f"patient {pid!r}: feature set changes at t={step.t}"
+            for fid, obs in sorted(step.observations.items()):
+                if fid not in dataset.feature_schema:
+                    return f"patient {pid!r}: feature {fid!r} not in feature_schema"
+                if not (0.0 <= obs.value <= 1.0):
+                    return f"patient {pid!r}: feature {fid!r} value out of [0,1] at t={step.t}"
+                if not (obs.staleness >= 0):
+                    return f"patient {pid!r}: feature {fid!r} staleness negative at t={step.t}"
+            for aid, level in sorted(step.action.items()):
+                if aid not in dataset.action_schema:
+                    return f"patient {pid!r}: action {aid!r} not in action_schema"
+                if not (level >= 0):
+                    return f"patient {pid!r}: action {aid!r} level {level} not >= 0 at t={step.t}"
+                if level > dataset.action_schema[aid].max_value:
+                    return (
+                        f"patient {pid!r}: action {aid!r} level {level} exceeds max "
+                        f"{dataset.action_schema[aid].max_value} at t={step.t}"
+                    )
+    return None
+
+
 def oracle_ground_truth(trajectory, epsilon):
     steps = trajectory.steps
     stable = sum(1 for s in steps if abs(s.sofa - trajectory.sofa_baseline) < epsilon)

@@ -241,6 +241,22 @@ class TestOpe:
         _assert_usage_error(result)
         assert "patient 'p1'" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--seed", -1], ["--max-ratio", "nan"], ["--max-ratio", -1], ["--max-ratio", 0],
+         ["--bins", 0], ["--bins", 51]],
+        ids=["seed", "max-ratio-nan", "max-ratio-negative", "max-ratio-zero", "no-bins",
+             "more-bins-than-patients"],
+    )
+    def test_bad_option_is_usage_error_and_writes_nothing(self, workdir, tmp_path, args):
+        out = tmp_path / "ope"
+        result = _invoke(
+            "ope", "--dataset", workdir / "cohort.json", "--spec", workdir / "ref_spec.json",
+            "--bootstrap", 20, *args, "--out", out,
+        )
+        _assert_usage_error(result)
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestPipelineCommand:
     def test_end_to_end_and_exit_codes(self, workdir, tmp_path):
@@ -403,6 +419,7 @@ def test_help_lists_commands():
         ("synth", "--config", '{"action_levels": [1]}'),
         ("synth", "--config", '{"horizon": ["a", 3]}'),
         ("synth", "--config", '{"seed": true}'),
+        ("synth", "--config", '{"seed": -1}'),
         ("pipeline", "--config", '{"dataset": "@", "rounds": "abc"}'),
         ("pipeline", "--config", '{"dataset": "@", "rounds": 2.5}'),
         ("pipeline", "--config", '{"dataset": "@", "rounds": true}'),
@@ -410,6 +427,7 @@ def test_help_lists_commands():
         ("pipeline", "--config", '{"dataset": "@", "metric": {"epsilon": "x"}}'),
         ("pipeline", "--config", '{"dataset": "@", "metric": {"iqr": {}}}'),
         ("pipeline", "--config", '{"dataset": "@", "llm": {"retries": 1e400}}'),
+        ("pipeline", "--config", '{"dataset": "@", "seed": -1}'),
     ],
 )
 def test_malformed_input_is_usage_error(workdir, artifacts, tmp_path, command, flag, text):

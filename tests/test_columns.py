@@ -10,6 +10,7 @@ object form wrote.
 import dataclasses
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from conftest import (
     oracle_metadata,
     oracle_trace,
     oracle_uncertainty,
+    oracle_validate,
     simple_spec,
 )
 from tridrive import model
@@ -159,9 +161,14 @@ def test_built_trajectory_derives_columns_from_its_steps():
     assert "columns" not in traj.__dict__
     cols = traj.columns
     assert cols.t.tolist() == [0, 3]
-    assert cols.staleness[:, cols.feature_index["f1"]].tolist() == [0.0, 2.0]
-    assert cols.acting_ids == {"dose"}
+    assert cols.offsets.tolist() == [0, 2]
+    assert cols.staleness[:, cols.feature_ids.index("f1")].tolist() == [0.0, 2.0]
+    assert cols.action_ids == ["dose"] and cols.action_mask[:, 0].tolist() == [True, False]
     assert dataclasses.replace(traj, patient_id="q").steps is traj.steps
+
+
+def _no_steps(block, k):
+    raise AssertionError("steps built")
 
 
 def test_pipeline_readers_build_no_steps(tmp_path, monkeypatch):
@@ -179,10 +186,7 @@ def test_pipeline_readers_build_no_steps(tmp_path, monkeypatch):
     assert not any("steps" in t.__dict__ for t in dataset.trajectories)
 
     # A whole run reads the cohort through its columns only.
-    def no_steps(block, k):
-        raise AssertionError("steps built")
-
-    monkeypatch.setattr(model.CohortColumns, "steps", no_steps)
+    monkeypatch.setattr(model.CohortColumns, "steps", _no_steps)
     run_pipeline(
         PipelineConfig(dataset=str(path), rounds=3, candidates=4, bootstrap=40, bins=4),
         tmp_path / "run",
@@ -284,6 +288,83 @@ def test_validate_reports_the_first_offender_of_views(tmp_path, trajs, message):
     model.write_compact_json(path, model.dataset_to_json(_offender_dataset(trajs)))
     with pytest.raises(ValidationError, match=f"^{message}"):
         load_dataset(path)
+
+
+@_OFFENDERS
+def test_validate_builds_no_steps(tmp_path, monkeypatch, trajs, message):
+    path = tmp_path / "d.json"
+    model.write_compact_json(path, model.dataset_to_json(_offender_dataset(trajs)))
+    monkeypatch.setattr(model.CohortColumns, "steps", _no_steps)
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        load_dataset(path)
+
+
+# One broken rule of TrajectoryDataset.validate each, applied at row r of
+# one trajectory. Discrete levels stay whole, as a loaded discrete level is.
+_BREAKS = {
+    "length": lambda draw, traj, r: setattr(traj, "steps", traj.steps[:1]),
+    "baseline": lambda draw, traj, r: setattr(
+        traj, "sofa_baseline", draw(st.sampled_from([-1.0, math.nan, math.inf]))
+    ),
+    "time": lambda draw, traj, r: setattr(
+        traj.steps[max(r, 1)], "t", traj.steps[max(r, 1) - 1].t - draw(st.integers(0, 2))
+    ),
+    "sofa": lambda draw, traj, r: setattr(
+        traj.steps[r], "sofa", draw(st.sampled_from([-1.0, math.nan, math.inf]))
+    ),
+    "feature-set": lambda draw, traj, r: _toggle(traj.steps[r].observations, "f2"),
+    "unknown-feature": lambda draw, traj, r: [
+        step.observations.update(zz=model.Observation(0.5, 0)) for step in traj.steps
+    ],
+    "value": lambda draw, traj, r: _observe(
+        traj.steps[r], value=draw(st.sampled_from([1.5, -0.25, math.inf]))
+    ),
+    "staleness": lambda draw, traj, r: _observe(traj.steps[r], staleness=-1),
+    "unknown-action": lambda draw, traj, r: traj.steps[r].action.update(zz=1),
+    "negative-level": lambda draw, traj, r: traj.steps[r].action.update(
+        draw(st.sampled_from([{"dose": -1}, {"flow": -0.25}]))
+    ),
+    "level-over-max": lambda draw, traj, r: traj.steps[r].action.update(
+        draw(st.sampled_from([{"dose": 5}, {"dose": 9}, {"flow": 60.25}]))
+    ),
+}
+
+
+def _toggle(observations, fid):
+    if observations.pop(fid, None) is None:
+        observations[fid] = model.Observation(0.5, 0)
+
+
+def _observe(step, **change):
+    step.observations["f1"] = dataclasses.replace(step.observations["f1"], **change)
+
+
+@st.composite
+def broken_datasets(draw):
+    """A valid dataset after one break of _BREAKS at a random row of a
+    random trajectory."""
+    dataset = draw(datasets())
+    traj = draw(st.sampled_from(dataset.trajectories))
+    r = draw(st.integers(0, len(traj.steps) - 1))
+    _BREAKS[draw(st.sampled_from(sorted(_BREAKS)))](draw, traj, r)
+    return dataset
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(broken_datasets())
+def test_validate_matches_the_step_by_step_oracle(tmp_path, dataset):
+    message = oracle_validate(dataset)
+    assert message is not None
+    with pytest.raises(ValidationError) as built:
+        dataset.validate()
+    assert str(built.value) == message
+    path = tmp_path / "d.json"
+    model.write_compact_json(path, model.dataset_to_json(dataset))
+    with pytest.raises(ValidationError) as loaded:
+        load_dataset(path)
+    assert str(loaded.value) == message
 
 
 def test_assigning_steps_detaches_a_view(tmp_path):

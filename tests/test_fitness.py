@@ -21,18 +21,14 @@ from tridrive.fitness import (
     CompMetricConfig,
     FitnessTargets,
     FitnessVector,
-    _trajectory_efficiency,
     fitness,
-    ground_truth_score,
     homeostasis_feature,
-    homeostasis_states,
     j_comp,
     j_conf,
     j_surv,
     pearson,
-    uncertainty_score,
 )
-from tridrive.model import FeatureType, Trajectory
+from tridrive.model import FeatureType, Trajectory, TrajectoryDataset
 from tridrive.rewards import trace
 
 
@@ -84,6 +80,16 @@ def _traj(sofas, survived, baseline=None, staleness_map=None):
         for t, s in enumerate(sofas)
     ]
     return Trajectory("p", steps, survived, baseline if baseline is not None else sofas[0])
+
+
+def ground_truth_score(traj, epsilon):
+    """FitnessTargets.truth of a one-trajectory dataset."""
+    return float(FitnessTargets(make_dataset([traj]), CompMetricConfig(epsilon=epsilon)).truth[0])
+
+
+def uncertainty_score(traj, feature_ids):
+    """FitnessTargets.staleness of a one-trajectory dataset."""
+    return float(FitnessTargets(make_dataset([traj]), CompMetricConfig()).staleness(feature_ids)[0])
 
 
 class TestGroundTruth:
@@ -162,8 +168,8 @@ class TestHomeostasis:
 
 def homeostasis_state(step, feature_ids, cfg, feature_schema):
     """Homeostasis of one step: the state of a one-step trajectory."""
-    return float(homeostasis_states(Trajectory("p", [step], True, 5.0), feature_ids, cfg,
-                                    feature_schema)[0])
+    dataset = TrajectoryDataset([Trajectory("p", [step], True, 5.0)], feature_schema, {})
+    return float(FitnessTargets(dataset, cfg).homeostasis(feature_ids)[0])
 
 
 class TestHomeostasisState:
@@ -203,8 +209,8 @@ class TestHomeostasisState:
 
 def efficiency(prev, nxt, feature_ids, cfg, feature_schema):
     """Efficiency of one transition: the efficiency of a two-step trajectory."""
-    return _trajectory_efficiency(Trajectory("p", [prev, nxt], True, 5.0), feature_ids, cfg,
-                                  feature_schema)
+    dataset = TrajectoryDataset([Trajectory("p", [prev, nxt], True, 5.0)], feature_schema, {})
+    return float(FitnessTargets(dataset, cfg).efficiency(feature_ids)[0])
 
 
 class TestEfficiency:
@@ -277,13 +283,13 @@ class TestCorrelationMetrics:
 
     def test_j_surv_perfect_alignment(self):
         ds = self._cohort()
-        truth = [ground_truth_score(t, 2.0) for t in ds.trajectories]
+        truth = FitnessTargets(ds, CompMetricConfig(epsilon=2.0)).truth.tolist()
         assert j_surv(ds, _aligned_traces(ds, truth), 2.0) == pytest.approx(1.0)
         assert j_surv(ds, _aligned_traces(ds, [-g for g in truth]), 2.0) == pytest.approx(-1.0)
 
     def test_j_conf_sign_flip(self):
         ds = self._cohort()
-        unc = [uncertainty_score(t, ["f1", "f2"]) for t in ds.trajectories]
+        unc = FitnessTargets(ds, CompMetricConfig()).staleness(["f1", "f2"]).tolist()
         assert j_conf(ds, _aligned_traces(ds, [-u for u in unc]), ["f1", "f2"]) == pytest.approx(1.0)
         assert j_conf(ds, _aligned_traces(ds, unc), ["f1", "f2"]) == pytest.approx(-1.0)
 
@@ -291,10 +297,7 @@ class TestCorrelationMetrics:
         ds = self._cohort()
         cfg = CompMetricConfig().prepare(ds)
         # efficiency differs across trajectories through the dose term
-        eff = [
-            _trajectory_efficiency(traj, ["f1", "f2"], cfg, ds.feature_schema)
-            for traj in ds.trajectories
-        ]
+        eff = FitnessTargets(ds, cfg).efficiency(["f1", "f2"]).tolist()
         assert j_comp(ds, _aligned_traces(ds, eff), ["f1", "f2"], cfg) == pytest.approx(1.0)
 
     def test_degenerate_reward_named(self):

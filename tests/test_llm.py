@@ -146,6 +146,7 @@ def http_endpoint():
     _Handler.retry_after = None
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpClient:

@@ -118,8 +118,23 @@ class TestWis:
         with pytest.raises(DegenerateStatisticError, match="zero"):
             wis(ds, traces, _table(ds, [0.0, 0.0]))
 
+    def test_max_ratio_must_be_positive(self):
+        ds, traces = _cohort([1.0, 0.0])
+        table = _table(ds, [3.0, 1.0])
+        assert wis(ds, traces, table, max_ratio=float("inf")) == wis(ds, traces, table)
+        for bad in (float("nan"), 0.0, -1.0, -float("inf")):
+            with pytest.raises(ValidationError, match="max_ratio must be > 0"):
+                wis(ds, traces, table, max_ratio=bad)
+            with pytest.raises(ValidationError, match="max_ratio must be > 0"):
+                bootstrap_ci(ds, traces, table, resamples=10, max_ratio=bad)
+
 
 class TestBootstrap:
+    def test_negative_seed_rejected(self):
+        ds, traces = _cohort([1.0, 2.0, 3.0])
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            bootstrap_ci(ds, traces, identity_prob_table(ds), resamples=10, seed=-1)
+
     def test_constant_returns_collapse_interval(self):
         ds, traces = _cohort([2.5] * 6)
         est = bootstrap_ci(ds, traces, identity_prob_table(ds), resamples=100, seed=1)

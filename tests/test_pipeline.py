@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -142,6 +143,21 @@ class TestScoreAndPareto:
         spec = reference_spec(CohortConfig(n_normal=4))  # nr3 does not exist here
         rows = score_specs(ds, [("foreign", spec)])
         assert rows[0]["spec_id"] == "foreign" and "error" in rows[0]
+
+    def test_absent_selected_feature_names_patient_and_t(self, small_dataset_path):
+        ds = load_dataset(small_dataset_path)
+        traj = ds.trajectories[2]
+        traj.steps = [
+            dataclasses.replace(step, observations={
+                fid: obs for fid, obs in step.observations.items() if fid != "lo1"
+            })
+            for step in traj.steps
+        ]
+        rows = score_specs(ds, [("ref", reference_spec(SMALL))], feature_ids=["nr0", "lo1"])
+        assert rows == [{
+            "spec_id": "ref",
+            "error": f"patient {traj.patient_id!r}: feature 'lo1' absent at t={traj.steps[0].t}",
+        }]
 
     def test_pareto_from_rows_skips_invalid(self):
         rows = [
@@ -356,6 +372,7 @@ class TestHttpPipeline:
             manifest = run_pipeline(config, tmp_path / "run")
         finally:
             server.shutdown()
+            server.server_close()
         assert manifest["champion"]
         assert all(s["status"] == "complete" for s in manifest["stages"].values())
 

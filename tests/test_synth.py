@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tridrive.errors import ConfigError, FormatError
-from tridrive.fitness import CompMetricConfig, homeostasis_states, pearson
+from tridrive.fitness import CompMetricConfig, FitnessTargets, pearson
 from tridrive.model import FeatureType, save_dataset
 from tridrive.synth import (
     CohortConfig,
@@ -13,12 +13,10 @@ from tridrive.synth import (
 
 
 def _mean_homeostasis(dataset):
-    cfg = CompMetricConfig().prepare(dataset)
-    fids = dataset.feature_ids()
-    return [
-        float(np.mean(homeostasis_states(t, fids, cfg, dataset.feature_schema)))
-        for t in dataset.trajectories
-    ]
+    states = FitnessTargets(dataset, CompMetricConfig().prepare(dataset)).homeostasis(
+        dataset.feature_ids()
+    )
+    return [float(np.mean(s)) for s in np.split(states, dataset.columns.offsets[1:-1])]
 
 
 class TestGenerate:
