@@ -30,7 +30,7 @@ from .errors import (
     PipelineError,
     ValidationError,
 )
-from .fitness import pearson
+from .fitness import _quantiles, pearson
 from .jsonio import write_json
 from .llm import LlmClient
 from .model import TrajectoryDataset
@@ -130,7 +130,7 @@ def compute_metadata(dataset: TrajectoryDataset) -> list[FeatureMetadata]:
             total, missing = int(cols.mask[:, j].sum()), int(stale.sum())
             arr = cols.values[fresh, j]
         if arr.size:
-            q25, median, q75 = np.quantile(arr, [0.25, 0.5, 0.75])
+            q25, median, q75 = _quantiles(arr, [0.25, 0.5, 0.75])
             mean, std = float(arr.mean()), float(arr.std())
         else:
             q25 = median = q75 = mean = std = 0.0
@@ -148,10 +148,10 @@ def compute_metadata(dataset: TrajectoryDataset) -> list[FeatureMetadata]:
                 missingness=missing / total if total else 1.0,
                 rho_outcome=_safe_pearson(arr, outcome[fresh]),
                 rho_action={aid: _safe_pearson(arr, levels[aid]) for aid in action_ids},
-                q25=float(q25),
-                median=float(median),
-                q75=float(q75),
-                iqr=float(q75 - q25),
+                q25=q25,
+                median=median,
+                q75=q75,
+                iqr=q75 - q25,
             )
         )
     return result

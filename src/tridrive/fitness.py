@@ -102,9 +102,31 @@ def _feature_iqr(cols: CohortColumns, fid: str) -> float:
         values = cols.values[present, j]
     if not values.size:
         return 1.0
-    q25, q75 = np.quantile(values, [0.25, 0.75])
-    spread = float(q75 - q25)
+    q25, q75 = _quantiles(values, [0.25, 0.75])
+    spread = q75 - q25
     return spread if spread > 0.0 else 1.0
+
+
+def _quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """np.quantile(values, qs) of nonempty 1-D values, to the last bit: numpy's
+    default "linear" method, with its index rule and its two-sided lerp.
+    np.quantile itself calls np.unique, which imports numpy.ma, a cost every
+    fresh process would pay."""
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    virtual = (n - 1) * np.asarray(qs, dtype=float)
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= n - 1
+    below[last] = above[last] = -1  # the largest value
+    gamma = virtual - below
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    x = np.partition(x, sorted({0, n - 1, *(below % n).tolist(), *(above % n).tolist()}))
+    if np.isnan(x[-1]):
+        return [math.nan] * len(virtual)
+    lo, hi = x[below], x[above]
+    diff = hi - lo
+    return np.where(gamma >= 0.5, hi - diff * (1 - gamma), lo + diff * gamma).tolist()
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -117,6 +139,9 @@ def _pearson_named(xs, ys, xname: str, yname: str) -> float:
     y = np.asarray(ys, dtype=float)
     if x.shape != y.shape or x.size < 2:
         raise ValidationError("pearson needs two equal-length sequences of size >= 2")
+    for name, values in ((xname, x), (yname, y)):
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{name} has a non-finite value; correlation undefined")
     dx = x - x.mean()
     dy = y - y.mean()
     # Not np.dot: OpenBLAS hands dots past 10,000 elements to a worker thread, a slow hand-off.
@@ -244,6 +269,9 @@ class FitnessTargets:
         self._cfg = cfg
         self._cols = dataset.columns
         self._lengths = np.diff(self._cols.offsets)
+        if not self._lengths.all():
+            pid = dataset.trajectories[int(np.argmin(self._lengths))].patient_id
+            raise ValidationError(f"patient {pid!r}: trajectory has no steps")
         self._staleness: dict[tuple[str, ...], np.ndarray] = {}
         self._efficiency: dict[tuple[str, ...], np.ndarray] = {}
 

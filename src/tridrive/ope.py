@@ -8,9 +8,10 @@ estimate is self-normalized (biased for finite samples but consistent),
 and confidence intervals come from trajectory-level percentile bootstrap.
 Every bootstrap resample draws from its own generator keyed on (seed, b),
 so results do not depend on evaluation order. The draws depend only on
-(seed, n, resamples), so they are made once and shared, read-only, by every
-table of a checkpoint series; each table's resample estimates are then
-computed in fixed-size blocks of resamples. The OPE stage
+(seed, n, resamples), so they are made once, kept as how many times each
+resample drew each trajectory, and shared, read-only, by every table of a
+checkpoint series: a table's resample sums are then products of blocks of
+that count matrix with its weights. The OPE stage
 (tridrive.pipeline.ope_stage) evaluates the tables of a series one at a
 time, so memory does not grow with the table count.
 """
@@ -18,45 +19,108 @@ time, so memory does not grow with the table count.
 from __future__ import annotations
 
 import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import defaults
 from .errors import DegenerateStatisticError, FormatError, SchemaError, ValidationError
+from .fitness import _quantiles
 from .jsonio import read_json, write_compact_json
 from .model import FORMAT, RaggedColumns, Trajectory, TrajectoryDataset
 from .rewards import RewardTrace
 
 
-@dataclass
+class ProbColumns(NamedTuple):
+    """The rows of a probability table: each patient's row span [lo, hi),
+    and per row t (int64, strictly increasing within a patient), p_eval and
+    p_behavior."""
+
+    spans: dict[str, tuple[int, int]]
+    t: np.ndarray
+    p_eval: np.ndarray
+    p_behavior: np.ndarray
+
+
 class PolicyProbTable:
     """Per logged transition, the probability of the logged action under the
     evaluation and behavior policies. Keyed on (patient_id, t) where t is
-    the absolute time index of the step whose action was taken."""
+    the absolute time index of the step whose action was taken.
 
-    probs: dict[tuple[str, int], tuple[float, float]]
+    Held as columns. A table built from a dict, PolicyProbTable(probs),
+    derives its columns once, on first use, sorted by (patient, t). A
+    loaded or identity table holds only its columns, and its probs dict is
+    built only when read.
+    """
+
+    def __init__(self, probs: dict[tuple[str, int], tuple[float, float]]):
+        self.__dict__["probs"] = probs
+
+    @classmethod
+    def of_columns(cls, columns: ProbColumns) -> "PolicyProbTable":
+        table = cls.__new__(cls)
+        table.__dict__["columns"] = columns
+        return table
+
+    @cached_property
+    def columns(self) -> ProbColumns:
+        """The rows, derived from probs once, on first use, for a dict-built table."""
+        keys = sorted(self.probs)
+        values = list(map(self.probs.__getitem__, keys))
+        rows = Counter(map(itemgetter(0), keys))  # per patient, in sorted order
+        ends = list(accumulate(rows.values()))
+
+        def column(entries, i, dtype):
+            return np.fromiter(map(itemgetter(i), entries), dtype, count=len(keys))
+
+        return ProbColumns(
+            dict(zip(rows, zip([0, *ends], ends))),
+            column(keys, 1, np.int64),
+            column(values, 0, float),
+            column(values, 1, float),
+        )
+
+    @cached_property
+    def probs(self) -> dict[tuple[str, int], tuple[float, float]]:
+        """{(patient_id, t): (p_eval, p_behavior)}, built from the columns when first read."""
+        spans, t, p_eval, p_behavior = self.columns
+        rows = list(zip(t.tolist(), zip(p_eval.tolist(), p_behavior.tolist())))
+        return {(pid, step): p for pid, (lo, hi) in spans.items() for step, p in rows[lo:hi]}
+
+    @cached_property
+    def _supported(self) -> bool:
+        """Whether every row's p_behavior is > 0, so that no step can hit a zero."""
+        return bool((self.columns.p_behavior > 0.0).all())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PolicyProbTable):
+            return NotImplemented
+        return self.probs == other.probs
 
     def validate(self) -> None:
-        for (pid, t), (p_eval, p_behavior) in self.probs.items():
-            if not (0.0 <= p_eval <= 1.0):
-                raise ValidationError(f"({pid!r}, t={t}): p_eval {p_eval} out of [0,1]")
-            if not (0.0 < p_behavior <= 1.0):
-                raise ValidationError(
-                    f"({pid!r}, t={t}): p_behavior {p_behavior} must lie in (0,1] "
-                    "(logged actions need behavior-policy support)"
-                )
-
-    def lookup(self, patient_id: str, t: int) -> tuple[float, float]:
-        try:
-            return self.probs[(patient_id, t)]
-        except KeyError:
-            raise SchemaError(
-                f"no policy probabilities for patient {patient_id!r} at t={t}"
-            ) from None
+        """Raises ValidationError at the first row, in row order, whose
+        p_eval is outside [0, 1] or whose p_behavior is outside (0, 1]."""
+        spans, t, p_eval, p_behavior = self.columns
+        bad_eval = ~((0.0 <= p_eval) & (p_eval <= 1.0))
+        bad = bad_eval | ~((0.0 < p_behavior) & (p_behavior <= 1.0))
+        if not bad.any():
+            return
+        row = int(np.argmax(bad))
+        pid = next(pid for pid, (lo, hi) in spans.items() if lo <= row < hi)
+        where = f"({pid!r}, t={t[row].item()})"
+        if bad_eval[row]:
+            raise ValidationError(f"{where}: p_eval {p_eval[row].item()} out of [0,1]")
+        raise ValidationError(
+            f"{where}: p_behavior {p_behavior[row].item()} must lie in (0,1] "
+            "(logged actions need behavior-policy support)"
+        )
 
 
 @dataclass
@@ -70,37 +134,66 @@ class WisEstimate:
 
 def identity_prob_table(dataset: TrajectoryDataset) -> PolicyProbTable:
     """Table with p_eval == p_behavior == 1 everywhere: evaluates the logged
-    (clinician) policy itself, reducing the estimator to the mean return."""
-    probs = {}
-    for traj in dataset.trajectories:
-        for t in traj.columns.t[:-1].tolist():
-            probs[(traj.patient_id, t)] = (1.0, 1.0)
-    return PolicyProbTable(probs)
+    (clinician) policy itself, reducing the estimator to the mean return.
+    Its rows are every row of the dataset's block but each trajectory's last."""
+    cols = dataset.columns
+    lengths = np.diff(cols.offsets)
+    keep = np.ones(len(cols.t), dtype=bool)
+    keep[cols.offsets[1:][lengths > 0] - 1] = False
+    offsets = np.concatenate([[0], np.cumsum(np.maximum(lengths - 1, 0))]).tolist()
+    spans = {
+        traj.patient_id: span
+        for traj, span in zip(dataset.trajectories, zip(offsets, offsets[1:]))
+    }
+    ones = np.ones(offsets[-1])
+    return PolicyProbTable.of_columns(ProbColumns(spans, cols.t[keep], ones, ones))
 
 
 def trajectory_weight(
     trajectory: Trajectory, probs: PolicyProbTable, max_ratio: float | None = None
 ) -> float:
-    """Product of per-transition likelihood ratios p_eval / p_behavior.
+    """Product of per-transition likelihood ratios p_eval / p_behavior, in
+    step order.
 
     max_ratio optionally caps each per-step ratio; disabled (None) gives the
-    textbook estimator.
+    textbook estimator. Raises SchemaError for a step the table has no row
+    for, and ValidationError for a step whose p_behavior is 0, whichever
+    step comes first.
     """
-    weight = 1.0
-    pid, table = trajectory.patient_id, probs.probs
-    for t in trajectory.columns.t[:-1].tolist():
-        # lookup() only for the SchemaError of a missing entry.
-        p_eval, p_behavior = table.get((pid, t)) or probs.lookup(pid, t)
-        if p_behavior <= 0.0:
+    pid = trajectory.patient_id
+    steps = trajectory.columns.t[:-1]
+    table = probs.columns
+    span = slice(*table.spans.get(pid, (0, 0)))
+    t, p_eval, p_behavior = table.t[span], table.p_eval[span], table.p_behavior[span]
+    missing = None
+    # Usually the patient's rows are the steps, as equal bytes of one dtype.
+    if not (t.dtype == steps.dtype and t.tobytes() == steps.tobytes()):
+        at = np.searchsorted(t, steps)
+        found = np.zeros(len(steps), dtype=bool)
+        inside = at < len(t)
+        found[inside] = t[at[inside]] == steps[inside]
+        rows = at[found]
+        # A step without a row reads p 0 / 1 until it is reported below.
+        p_eval, p_behavior = np.zeros(len(steps)), np.ones(len(steps))
+        p_eval[found], p_behavior[found] = table.p_eval[span][rows], table.p_behavior[span][rows]
+        missing = ~found
+    if missing is not None or not probs._supported:
+        bad = p_behavior <= 0.0 if missing is None else missing | (p_behavior <= 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if missing is not None and missing[k]:
+                raise SchemaError(
+                    f"no policy probabilities for patient {pid!r} at t={steps[k].item()}"
+                )
             raise ValidationError(
-                f"patient {trajectory.patient_id!r} t={t}: behavior probability is 0 "
+                f"patient {pid!r} t={steps[k].item()}: behavior probability is 0 "
                 "(support violation)"
             )
-        ratio = p_eval / p_behavior
-        if max_ratio is not None:
-            ratio = min(ratio, max_ratio)
-        weight *= ratio
-    return weight
+    ratios = p_eval / p_behavior
+    if max_ratio is not None:
+        ratios = np.minimum(ratios, max_ratio)
+    # math.prod multiplies in step order, as a loop would.
+    return math.prod(ratios.tolist(), start=1.0)
 
 
 def _weights_and_returns(
@@ -137,20 +230,24 @@ def wis(
     return float(np.dot(weights, returns) / total)
 
 
-# Resamples per vectorized block; bounds each [_BLOCK, n] gather (1 MB at n = 500).
-_BLOCK = 256
+# Counts per block of resamples. Each block's sums are one [rows, n] @ [n, 2]
+# product of at most 2**17 counts: 1 MB as floats, which stays in cache, and
+# rows * n * 2 <= 262,144, the size up to which OpenBLAS keeps a product on
+# one thread (its hand-off to a worker thread is slow on small products).
+_BLOCK_ENTRIES = 1 << 17
 
 
 @functools.lru_cache(maxsize=1)
-def resample_indices(seed: int, n: int, resamples: int) -> np.ndarray:
-    """Read-only [resamples, n] trajectory indices of the bootstrap, in the
-    smallest unsigned dtype that holds n - 1. Row b is drawn by its own
-    generator keyed on (seed, b). The draws of the last key are kept, so
-    the tables of a series, which share (seed, n, resamples), share them."""
-    out = np.empty((resamples, n), dtype=np.min_scalar_type(n - 1))
+def resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
+    """Read-only [resamples, n] bootstrap counts: entry [b, i] is how many
+    times resample b drew trajectory i, in the smallest unsigned dtype that
+    holds n. Row b is drawn by its own generator keyed on (seed, b). The
+    counts of the last key are kept, so the tables of a series, which share
+    (seed, n, resamples), share them."""
+    out = np.empty((resamples, n), dtype=np.min_scalar_type(n))
     for b in range(resamples):
         rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
-        out[b] = rng.integers(0, n, size=n)
+        out[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
     out.flags.writeable = False
     return out
 
@@ -168,6 +265,7 @@ def bootstrap_ci(
 
     Deterministic for a fixed seed: resample b draws from a generator keyed
     on (seed, b). Resamples whose weights all vanish are skipped and counted.
+    Every trajectory weight and return must be finite.
     """
     if not (0.0 < level < 1.0):
         raise ValidationError("level must lie in (0,1)")
@@ -178,20 +276,28 @@ def bootstrap_ci(
     if len(dataset.trajectories) < 2:
         raise ValidationError("bootstrap_ci needs at least 2 trajectories")
     weights, returns = _weights_and_returns(dataset, traces, probs, max_ratio)
+    for name, values in (("weight", weights), ("return", returns)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValidationError(
+                f"patient {dataset.trajectories[k].patient_id!r}: trajectory {name} "
+                f"{values[k].item()} is not finite"
+            )
     total = weights.sum()
     if total <= 0.0:
         raise DegenerateStatisticError("all trajectory weights are zero")
     value = float(np.dot(weights, returns) / total)
     n = len(weights)
 
-    weighted_returns = weights * returns
+    # Per resample, the sum of the drawn weights and of the drawn w * R.
+    terms = np.stack([weights, weights * returns], axis=1)
+    counts = resample_counts(seed, n, resamples)
     kept = []
     skipped = 0
-    indices = resample_indices(seed, n, resamples)
-    for start in range(0, resamples, _BLOCK):
-        idx = indices[start : start + _BLOCK].astype(np.intp)
-        sw = weights[idx].sum(axis=1)
-        numerator = weighted_returns[idx].sum(axis=1)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, resamples, rows):
+        sw, numerator = (counts[start : start + rows].astype(float) @ terms).T
         keep = ~(sw <= 0.0)
         skipped += len(sw) - int(keep.sum())
         kept.append(numerator[keep] / sw[keep])
@@ -199,11 +305,11 @@ def bootstrap_ci(
     if not estimates.size:
         raise DegenerateStatisticError("every bootstrap resample was degenerate")
     alpha = (1.0 - level) / 2.0
-    ci_low, ci_high = np.quantile(estimates, [alpha, 1.0 - alpha])
+    ci_low, ci_high = _quantiles(estimates, [alpha, 1.0 - alpha])
     return WisEstimate(
         value=value,
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
+        ci_low=ci_low,
+        ci_high=ci_high,
         n_effective=float(total**2 / np.dot(weights, weights)),
         skipped_resamples=skipped,
     )
@@ -256,45 +362,48 @@ def mortality_curve(
 # ---------------------------------------------------------------------------
 
 
-def _check_increasing(frame: RaggedColumns, t: list[int]) -> None:
+def _check_increasing(frame: RaggedColumns, t: np.ndarray) -> None:
     """t strictly increases within each patient, so (patient, t) is unique."""
-    starts = set(frame.offsets)
-    for i, (before, after) in enumerate(zip(t, t[1:]), 1):
-        if after <= before and i not in starts:
-            problem = "repeated entry for" if after == before else f"after t={before}, decreasing"
-            raise FormatError(f"{frame.row(i)}: {problem} t={after}")
+    backwards = np.diff(t) <= 0  # [i - 1]: row i does not follow row i - 1
+    starts = np.array(frame.offsets[1:-1], dtype=np.int64) - 1
+    backwards[starts[(0 <= starts) & (starts < len(backwards))]] = False
+    if backwards.any():
+        i = int(np.argmax(backwards)) + 1
+        before, after = t[i - 1].item(), t[i].item()
+        problem = "repeated entry for" if after == before else f"after t={before}, decreasing"
+        raise FormatError(f"{frame.row(i)}: {problem} t={after}")
 
 
 def prob_table_from_json(doc) -> PolicyProbTable:
     frame = RaggedColumns(doc, "probability table")
-    t = frame.times(integral_floats=True)
+    times = frame.times(integral_floats=True)
+    t = frame.numbers(times, frame.row, "t must be an integer", integers=True)[0].astype(np.int64)
     _check_increasing(frame, t)
     message = "p_eval and p_behavior must be numbers"
-    p_eval = frame.numbers(frame.rows("p_eval"), frame.row, message)[0].tolist()
-    p_behavior = frame.numbers(frame.rows("p_behavior"), frame.row, message)[0].tolist()
-    keys = [
-        (pid, step)
-        for pid, lo, hi in zip(frame.patient_ids, frame.offsets, frame.offsets[1:])
-        for step in t[lo:hi]
-    ]
-    table = PolicyProbTable(dict(zip(keys, zip(p_eval, p_behavior))))
+    p_eval = frame.numbers(frame.rows("p_eval"), frame.row, message)[0]
+    p_behavior = frame.numbers(frame.rows("p_behavior"), frame.row, message)[0]
+    offsets = frame.offsets
+    spans = dict(zip(frame.patient_ids, zip(offsets, offsets[1:])))
+    table = PolicyProbTable.of_columns(ProbColumns(spans, t, p_eval, p_behavior))
     table.validate()
     return table
 
 
 def prob_table_to_json(table: PolicyProbTable) -> dict:
-    rows = sorted(table.probs.items())
-    patient_id, offsets = [], [0]
-    for pid, group in groupby(pid for (pid, _), _ in rows):
-        patient_id.append(pid)
-        offsets.append(offsets[-1] + sum(1 for _ in group))
+    spans, t, p_eval, p_behavior = table.columns
+    patients = sorted(pid for pid, (lo, hi) in spans.items() if hi > lo)
+    bounds = [spans[pid] for pid in patients]
+    offsets = [0, *accumulate(hi - lo for lo, hi in bounds)]
+    if bounds != list(zip(offsets, offsets[1:])):  # rows not already in patient order
+        rows = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
+        t, p_eval, p_behavior = t[rows], p_eval[rows], p_behavior[rows]
     return {
         "format": FORMAT,
-        "patient_id": patient_id,
+        "patient_id": patients,
         "offsets": offsets,
-        "t": [t for (_, t), _ in rows],
-        "p_eval": [p_eval for _, (p_eval, _) in rows],
-        "p_behavior": [p_behavior for _, (_, p_behavior) in rows],
+        "t": t.tolist(),
+        "p_eval": p_eval.tolist(),
+        "p_behavior": p_behavior.tolist(),
     }
 
 

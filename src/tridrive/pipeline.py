@@ -517,6 +517,14 @@ def build_client(client: str, llm: LlmClientConfig) -> LlmClient:
 STAGES = ("stats", "features", "candidates", "fitness", "selection", "ope")
 
 
+def _stage_record_ok(record) -> bool:
+    """Whether a manifest stage record has the shape _stage_fresh reads."""
+    if not isinstance(record, dict) or not isinstance(record.get("status"), str):
+        return False
+    outputs = record.get("outputs", {})
+    return isinstance(outputs, dict) and all(isinstance(sha, str) for sha in outputs.values())
+
+
 class PipelineRun:
     """Executes the staged pipeline inside one run directory."""
 
@@ -551,6 +559,18 @@ class PipelineRun:
                 raise ConfigError(
                     f"run directory {self.out} belongs to run {manifest.get('run_id')}; "
                     f"inputs now hash to run {self.run_id} (use a fresh directory)"
+                )
+            stages = manifest.get("stages")
+            if not (
+                isinstance(stages, dict)
+                and all(map(_stage_record_ok, stages.values()))
+                and "champion" in manifest
+                and isinstance(manifest["champion"], (str, type(None)))
+            ):
+                raise FormatError(
+                    f"{self.manifest_path}: run manifest needs a stages object of records, "
+                    "each with a string status and any outputs as an object of file hashes, "
+                    "and a string or null champion"
                 )
             return manifest
         return {
@@ -685,9 +705,12 @@ class PipelineRun:
 
     def _run_ope(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
         champion_id = self.manifest["champion"]
+        specs = dict(load_spec_dir(self.out / "candidates"))
+        if champion_id not in specs:
+            raise FormatError(f"{self.manifest_path}: champion {champion_id!r} is not a candidate")
         return ope_stage(
             dataset,
-            dict(load_spec_dir(self.out / "candidates"))[champion_id],
+            specs[champion_id],
             self.config.probs,
             self.out / "ope",
             level=self.config.level,

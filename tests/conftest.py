@@ -18,8 +18,7 @@ from tridrive.model import (
     Trajectory,
     TrajectoryDataset,
 )
-from tridrive.errors import ConfigError, LlmClientError, SchemaError
-from tridrive.ope import trajectory_weight
+from tridrive.errors import ConfigError, LlmClientError, SchemaError, ValidationError
 from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm
 from tridrive.synth import CohortConfig, generate
 
@@ -423,17 +422,40 @@ def oracle_metadata(dataset):
 
 
 # ---------------------------------------------------------------------------
-# Independent oracle: the percentile bootstrap of WIS, one resample at a time
-# with a fresh generator per resample, for comparison with the memoized,
-# block-vectorized bootstrap in src/.
+# Independent oracles: the trajectory weight, one (patient, t) dict lookup per
+# step, and the percentile bootstrap of WIS, one resample at a time with a
+# fresh generator per resample, for comparison with the row-span weight and
+# the count-matrix bootstrap in src/.
 # ---------------------------------------------------------------------------
+
+
+def oracle_trajectory_weight(trajectory, probs, max_ratio=None):
+    """Product over every step but the last of p_eval / p_behavior (each
+    capped at max_ratio if given), multiplied in step order; raises at the
+    first step with no entry (SchemaError) or a zero p_behavior
+    (ValidationError)."""
+    weight = 1.0
+    pid, table = trajectory.patient_id, probs.probs
+    for step in trajectory.steps[:-1]:
+        if (pid, step.t) not in table:
+            raise SchemaError(f"no policy probabilities for patient {pid!r} at t={step.t}")
+        p_eval, p_behavior = table[(pid, step.t)]
+        if p_behavior <= 0.0:
+            raise ValidationError(
+                f"patient {pid!r} t={step.t}: behavior probability is 0 (support violation)"
+            )
+        ratio = p_eval / p_behavior
+        if max_ratio is not None:
+            ratio = min(ratio, max_ratio)
+        weight *= ratio
+    return weight
 
 
 def oracle_bootstrap_ci(dataset, traces, probs, level=0.95, resamples=1000, seed=0,
                         max_ratio=None):
     """(value, ci_low, ci_high, n_effective, skipped_resamples)."""
     weights = np.array(
-        [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
+        [oracle_trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
     )
     returns = np.array([t.cumulative for t in traces])
     total = weights.sum()
@@ -467,7 +489,8 @@ _SUBSTITUTES = st.sampled_from([0, -3, 2**70, "x", [], [1.5], {}, None, True, Fa
 @st.composite
 def mutated_documents(draw, document):
     """document after one mutation of one entry, anywhere in it: drop the
-    entry, replace its value, truncate its array there, or perturb an offset."""
+    entry, replace its value, truncate its array there, or perturb an offset
+    (when the document has offsets)."""
     doc = copy.deepcopy(document)
     slots, nodes = [], [doc]
     for node in nodes:
@@ -476,7 +499,8 @@ def mutated_documents(draw, document):
             if isinstance(node[key], (dict, list)):
                 nodes.append(node[key])
     node, key = draw(st.sampled_from(slots))
-    action = draw(st.sampled_from(["drop", "replace", "truncate", "offsets"]))
+    actions = ["drop", "replace", "truncate"] + (["offsets"] if "offsets" in doc else [])
+    action = draw(st.sampled_from(actions))
     if action == "drop":
         del node[key]
     elif action == "replace":

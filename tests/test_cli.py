@@ -1,9 +1,15 @@
 import csv
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import mutated_documents
 from tridrive import __version__
 from tridrive.cli import main
 from tridrive.model import load_dataset
@@ -395,6 +401,46 @@ def test_truncated_manifest_is_usage_error(workdir, tmp_path):
     result = _invoke("pipeline", "--config", config, "--out", run)
     _assert_usage_error(result)
     assert "manifest.json" in result.output
+
+
+@pytest.fixture(scope="module")
+def finished_run(workdir, tmp_path_factory):
+    """(config path, run directory, manifest) of a completed pipeline run."""
+    root = tmp_path_factory.mktemp("finished")
+    config = root / "pipe.json"
+    config.write_text(json.dumps({
+        "dataset": str(workdir / "cohort.json"),
+        "rounds": 2, "candidates": 3, "bootstrap": 40, "bins": 2, "seed": 1,
+    }))
+    run = root / "run"
+    assert _invoke("pipeline", "--config", config, "--out", run).exit_code == 0
+    return config, run, json.loads((run / "manifest.json").read_text())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_fuzzed_manifest_resumes_or_is_usage_error(finished_run, data):
+    config, run, manifest = finished_run
+    doc = data.draw(mutated_documents(manifest))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "run"
+        shutil.copytree(run, copy)
+        (copy / "manifest.json").write_text(json.dumps(doc))
+        result = _invoke("pipeline", "--config", config, "--out", copy)
+    assert result.exit_code in (0, 2), result.output
+    assert isinstance(result.exception, (SystemExit, type(None))), repr(result.exception)
+    assert "Traceback" not in result.output
+
+
+def test_manifest_champion_not_a_candidate_is_usage_error(finished_run, tmp_path):
+    config, run, manifest = finished_run
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    (copy / "manifest.json").write_text(json.dumps({**manifest, "champion": "spec_999"}))
+    (copy / "ope/wis.json").unlink()
+    result = _invoke("pipeline", "--config", config, "--out", copy)
+    _assert_usage_error(result)
+    assert "champion 'spec_999' is not a candidate" in result.output
 
 
 def test_help_lists_commands():

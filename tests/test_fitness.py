@@ -18,6 +18,7 @@ from conftest import (
 )
 from tridrive.errors import ConfigError, DegenerateStatisticError, ValidationError
 from tridrive.fitness import (
+    _quantiles,
     CompMetricConfig,
     FitnessTargets,
     FitnessVector,
@@ -73,6 +74,38 @@ class TestPearson:
         with pytest.raises(ValidationError):
             pearson([1.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_rejected_naming_the_side(self, side, bad):
+        xs, ys = [1.0, 2.0, 3.0], [1.0, 2.0, 3.0]
+        (xs if side == "x" else ys)[2] = bad
+        with pytest.raises(ValidationError, match=rf"^{side} has a non-finite value"):
+            pearson(xs, ys)
+
+
+_QUANTILE_VALUES = st.lists(
+    st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.25, 1.0])), min_size=1, max_size=60
+)
+_QS = st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0])),
+    min_size=1, max_size=4,
+)
+
+
+class TestQuantiles:
+    @given(_QUANTILE_VALUES, _QS, st.booleans())
+    def test_equals_numpy_bit_for_bit(self, values, qs, presorted):
+        values = np.array(sorted(values) if presorted else values)
+        before = values.copy()
+        got = np.array(_quantiles(values, qs))
+        assert got.tobytes() == np.quantile(values, qs).tobytes()
+        assert values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("values", [[3.5], [2.0, 2.0, 2.0], [4.0, 1.0, 1.0, 3.0, 1.0]])
+    def test_single_values_and_ties(self, values):
+        qs = [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.array(_quantiles(values, qs)).tobytes() == np.quantile(values, qs).tobytes()
+
 
 def _traj(sofas, survived, baseline=None, staleness_map=None):
     steps = [
@@ -106,6 +139,19 @@ class TestGroundTruth:
     def test_band_is_strict(self):
         traj = _traj([5.0, 7.0], True)  # |7-5| == epsilon, not inside
         assert ground_truth_score(traj, epsilon=2.0) == pytest.approx(1.5)
+
+
+    def test_empty_trajectory_named(self):
+        trajs = [
+            Trajectory(f"p{i}", [] if i in (1, 3) else [make_step(t, {"f1": 0.5}) for t in range(3)],
+                       True, 5.0)
+            for i in range(4)
+        ]
+        with pytest.raises(ValidationError, match="^patient 'p1': trajectory has no steps$"):
+            FitnessTargets(make_dataset(trajs), CompMetricConfig())
+
+    def test_one_step_trajectory_allowed(self):
+        assert ground_truth_score(_traj([5.0], True), epsilon=2.0) == 2.0
 
 
 class TestUncertainty:

@@ -1,8 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_dataset, make_step, mutated_documents, oracle_bootstrap_ci
+from conftest import (
+    make_dataset,
+    make_step,
+    mutated_documents,
+    oracle_bootstrap_ci,
+    oracle_trajectory_weight,
+)
+from tridrive import ope
 from tridrive.errors import (
     DegenerateStatisticError,
     FormatError,
@@ -10,9 +20,8 @@ from tridrive.errors import (
     TridriveError,
     ValidationError,
 )
-from tridrive.model import Trajectory
+from tridrive.model import Trajectory, save_dataset
 from tridrive.ope import (
-    _BLOCK,
     PolicyProbTable,
     bootstrap_ci,
     identity_prob_table,
@@ -20,12 +29,14 @@ from tridrive.ope import (
     mortality_curve,
     prob_table_from_json,
     prob_table_to_json,
-    resample_indices,
+    resample_counts,
     save_prob_table,
     trajectory_weight,
     wis,
 )
-from tridrive.rewards import RewardTrace
+from tridrive.pipeline import ope_stage
+from tridrive.rewards import RewardTrace, trace
+from tridrive.synth import CohortConfig, generate, reference_spec
 
 
 def _cohort(returns, survived=None):
@@ -51,6 +62,29 @@ def _table(ds, ratios):
         p_behavior = 0.25
         probs[(traj.patient_id, 0)] = (ratio * p_behavior, p_behavior)
     return PolicyProbTable(probs)
+
+
+@st.composite
+def _weight_cases(draw):
+    """Trajectories and a table dict over them: rows may be missing or extra,
+    a patient may be absent, and p_behavior may be 0."""
+    probability = st.floats(0.0, 1.0)
+    behavior = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.sampled_from([0.25, 1.0]))
+    trajs, probs = [], {}
+    for i in range(draw(st.integers(1, 4))):
+        times = sorted(draw(st.sets(st.integers(0, 12), min_size=1, max_size=6)))
+        pid = f"p{i}"
+        trajs.append(Trajectory(pid, [make_step(t, {"f1": 0.5}) for t in times], True, 5.0))
+        if draw(st.integers(0, 4)) == 0:  # absent from the table
+            continue
+        rows = {t for t in times[:-1] if draw(st.integers(0, 6))}
+        rows |= draw(st.sets(st.integers(0, 12), max_size=3))
+        for t in sorted(rows):
+            probs[(pid, t)] = (draw(probability), draw(behavior))
+    if draw(st.booleans()):  # a patient with no trajectory
+        probs[("q", 0)] = (0.5, 0.5)
+    max_ratio = draw(st.one_of(st.none(), st.just(math.inf), st.floats(0.1, 10.0)))
+    return trajs, probs, max_ratio
 
 
 class TestTrajectoryWeight:
@@ -89,6 +123,29 @@ class TestTrajectoryWeight:
         probs = PolicyProbTable({("p0", 0): (1.0, 0.1), ("p0", 1): (1.0, 0.5)})
         assert trajectory_weight(traj, probs) == pytest.approx(20.0)
         assert trajectory_weight(traj, probs, max_ratio=5.0) == pytest.approx(10.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_weight_cases())
+    def test_matches_dict_oracle(self, case):
+        trajs, probs, max_ratio = case
+        tables = [PolicyProbTable(probs)]
+        try:
+            tables.append(prob_table_from_json(prob_table_to_json(tables[0])))
+        except ValidationError:  # a zero p_behavior is no table file
+            assert any(p_behavior == 0.0 for _, p_behavior in probs.values())
+        for traj in trajs:
+            try:
+                expected = oracle_trajectory_weight(traj, tables[0], max_ratio)
+            except (SchemaError, ValidationError) as exc:
+                for table in tables:
+                    with pytest.raises(type(exc)) as raised:
+                        trajectory_weight(traj, table, max_ratio)
+                    assert str(raised.value) == str(exc)
+                continue
+            for table in tables:
+                got = trajectory_weight(traj, table, max_ratio)
+                assert type(got) is float
+                assert got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 class TestWis:
@@ -169,6 +226,14 @@ class TestBootstrap:
         est = bootstrap_ci(ds, traces, identity_prob_table(ds), resamples=50, seed=0)
         assert est.n_effective == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_non_finite_weight_rejected(self, ratio):
+        ds, traces = _cohort([1.0, 2.0, 3.0])
+        probs = _table(ds, [1.0, 1.0, 1.0]).probs
+        probs[("p1", 0)] = (ratio, 1.0)
+        with pytest.raises(ValidationError, match=r"patient 'p1': trajectory weight .* not finite"):
+            bootstrap_ci(ds, traces, PolicyProbTable(probs), resamples=10)
+
     def test_level_validated(self):
         ds, traces = _cohort([1.0, 2.0])
         with pytest.raises(ValidationError):
@@ -185,8 +250,12 @@ def _random_cohort(n, seed, zeros=0):
     return ds, traces, _table(ds, ratios.tolist())
 
 
+# Resamples per block in TestBootstrapOracle, which sizes the blocks to it.
+_BLOCK = 256
+
+
 class TestBootstrapOracle:
-    """The memoized, block-vectorized bootstrap against the per-resample loop."""
+    """The memoized count-matrix bootstrap against the per-resample loop."""
 
     @pytest.mark.parametrize(
         "n, zeros, resamples, max_ratio",
@@ -199,7 +268,8 @@ class TestBootstrapOracle:
             pytest.param(2, 1, 100, None, id="n2-zero-row"),
         ],
     )
-    def test_matches_oracle(self, n, zeros, resamples, max_ratio):
+    def test_matches_oracle(self, n, zeros, resamples, max_ratio, monkeypatch):
+        monkeypatch.setattr(ope, "_BLOCK_ENTRIES", _BLOCK * n)
         ds, traces, table = _random_cohort(n, seed=n + zeros, zeros=zeros)
         est = bootstrap_ci(ds, traces, table, level=0.9, resamples=resamples, seed=11,
                            max_ratio=max_ratio)
@@ -215,20 +285,23 @@ class TestBootstrapOracle:
 
 
 class TestResampleMemo:
-    def test_indices_are_the_per_resample_draws(self):
-        idx = resample_indices(5, 300, 40)
-        assert idx.shape == (40, 300) and idx.dtype == np.uint16
+    def test_counts_are_the_per_resample_draws(self):
+        counts = resample_counts(5, 300, 40)
+        assert counts.shape == (40, 300) and counts.dtype == np.uint16
+        assert (counts.sum(axis=1) == 300).all()
         for b in (0, 17, 39):
             rng = np.random.default_rng(np.random.SeedSequence([5, b]))
-            assert np.array_equal(idx[b], rng.integers(0, 300, size=300))
-        assert resample_indices(0, 256, 3).dtype == np.uint8
-        assert resample_indices(0, 257, 3).dtype == np.uint16
+            draws = rng.integers(0, 300, size=300)
+            assert np.array_equal(counts[b], np.bincount(draws, minlength=300))
+        # A count reaches n when one trajectory is drawn n times.
+        assert resample_counts(0, 255, 3).dtype == np.uint8
+        assert resample_counts(0, 256, 3).dtype == np.uint16
 
-    def test_memoized_indices_are_read_only(self):
-        idx = resample_indices(0, 10, 5)
-        assert resample_indices(0, 10, 5) is idx
+    def test_memoized_counts_are_read_only(self):
+        counts = resample_counts(0, 10, 5)
+        assert resample_counts(0, 10, 5) is counts
         with pytest.raises(ValueError):
-            idx[0, 0] = 1
+            counts[0, 0] = 1
 
     def test_interleaved_calls_equal_cold_calls(self):
         small = _random_cohort(30, seed=1, zeros=2)
@@ -240,9 +313,9 @@ class TestResampleMemo:
 
         cold = {}
         for cohort, seed in calls:
-            resample_indices.cache_clear()
+            resample_counts.cache_clear()
             cold[id(cohort), seed] = estimate(cohort, seed)
-        resample_indices.cache_clear()
+        resample_counts.cache_clear()
         for cohort, seed in calls:
             est = estimate(cohort, seed)
             assert est == cold[id(cohort), seed]
@@ -255,9 +328,9 @@ class TestResampleMemo:
     def test_table_order_does_not_matter(self):
         ds, traces, a = _random_cohort(20, seed=3)
         _, _, b = _random_cohort(20, seed=4)
-        resample_indices.cache_clear()
+        resample_counts.cache_clear()
         forward = [bootstrap_ci(ds, traces, t, resamples=200, seed=9) for t in (a, b)]
-        resample_indices.cache_clear()
+        resample_counts.cache_clear()
         backward = [bootstrap_ci(ds, traces, t, resamples=200, seed=9) for t in (b, a)]
         assert forward == backward[::-1]
 
@@ -400,3 +473,49 @@ class TestProbTableIO:
         table = identity_prob_table(two_patient_dataset)
         for traj in two_patient_dataset.trajectories:
             assert trajectory_weight(traj, table) == 1.0
+
+
+class TestProbTableColumns:
+    def test_dict_table_columns_sorted_by_patient_and_t(self):
+        table = PolicyProbTable({("p2", 4): (0.1, 0.2), ("p1", 7): (0.3, 0.4), ("p1", 2): (0.5, 0.6)})
+        spans, t, p_eval, p_behavior = table.columns
+        assert spans == {"p1": (0, 2), "p2": (2, 3)}
+        assert t.dtype == np.int64 and t.tolist() == [2, 7, 4]
+        assert p_eval.tolist() == [0.5, 0.3, 0.1] and p_behavior.tolist() == [0.6, 0.4, 0.2]
+
+    def test_identity_table_rows_are_all_steps_but_the_last(self, two_patient_dataset):
+        table = identity_prob_table(two_patient_dataset)
+        assert table.probs == {("p1", 0): (1.0, 1.0), ("p1", 1): (1.0, 1.0), ("p2", 0): (1.0, 1.0)}
+
+    def test_loaded_table_keeps_patient_order_and_writes_sorted(self):
+        doc = _table_doc({
+            "p2": [{"t": 1, "p_eval": 0.5, "p_behavior": 0.5}],
+            "p0": [],
+            "p1": [{"t": 0, "p_eval": 0.2, "p_behavior": 0.4}, {"t": 3, "p_eval": 1, "p_behavior": 1}],
+        })
+        table = prob_table_from_json(doc)
+        assert table.columns.spans == {"p2": (0, 1), "p0": (1, 1), "p1": (1, 3)}
+        assert table.probs == {("p2", 1): (0.5, 0.5), ("p1", 0): (0.2, 0.4), ("p1", 3): (1.0, 1.0)}
+        assert prob_table_to_json(table) == prob_table_to_json(PolicyProbTable(table.probs))
+
+    def test_ope_stage_builds_no_dict_for_loaded_tables(self, tmp_path, monkeypatch):
+        config = CohortConfig(n_patients=12, horizon_min=4, horizon_max=8, seed=3)
+        dataset, spec = generate(config), reference_spec(config)
+        save_dataset(dataset, tmp_path / "cohort.json")
+        paths = []
+        for i, scale in enumerate((0.5, 0.9)):
+            probs = {key: (scale * 0.5, 0.5) for key in identity_prob_table(dataset).probs}
+            paths.append(tmp_path / f"policy_{i}.json")
+            save_prob_table(PolicyProbTable(probs), paths[-1])
+        traces = [trace(traj, spec) for traj in dataset.trajectories]
+        expected = bootstrap_ci(dataset, traces, PolicyProbTable(probs), level=0.9, resamples=50)
+
+        def no_dict(table):
+            raise AssertionError("a loaded table built its probs dict")
+
+        monkeypatch.setattr(PolicyProbTable, "probs", property(no_dict))
+        est, _ = ope_stage(
+            dataset, spec, [str(p) for p in paths], tmp_path / "ope",
+            level=0.9, resamples=50, seed=0, bins=2,
+        )
+        assert est == expected

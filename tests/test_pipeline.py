@@ -1,7 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,7 @@ from conftest import ScriptedLlmClient
 from tridrive import pipeline as pipeline_module
 from tridrive.errors import ConfigError, FormatError, PipelineError
 from tridrive.llm import StubLlmClient
-from tridrive.model import load_dataset, save_dataset
+from tridrive.model import Observation, load_dataset, save_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
 from tridrive.pipeline import (
     STAGES,
@@ -143,6 +146,19 @@ class TestScoreAndPareto:
         spec = reference_spec(CohortConfig(n_normal=4))  # nr3 does not exist here
         rows = score_specs(ds, [("foreign", spec)])
         assert rows[0]["spec_id"] == "foreign" and "error" in rows[0]
+
+    def test_non_finite_return_flagged_not_fatal(self, small_dataset_path):
+        ds = load_dataset(small_dataset_path)
+        traj = ds.trajectories[1]
+        traj.steps = [
+            dataclasses.replace(step, observations={**step.observations, "nr0": Observation(math.nan, 0)})
+            for step in traj.steps
+        ]
+        rows = score_specs(ds, [("nan", reference_spec(SMALL))])
+        assert rows == [{
+            "spec_id": "nan",
+            "error": "cumulative reward has a non-finite value; correlation undefined",
+        }]
 
     def test_absent_selected_feature_names_patient_and_t(self, small_dataset_path):
         ds = load_dataset(small_dataset_path)
@@ -538,3 +554,22 @@ class TestCrashSafety:
         assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
         run_pipeline(config, out)
         assert run_digest(out) == run_digest(tmp_path / "whole")
+
+
+def test_fresh_pipeline_process_does_not_import_numpy_ma(small_dataset_path, tmp_path):
+    """numpy.ma costs every fresh process 14-22 ms to import; np.quantile
+    reaches it through np.unique, so the stages take quantiles without it."""
+    code = (
+        "import sys\n"
+        "from tridrive.pipeline import PipelineConfig, run_pipeline\n"
+        f"run_pipeline(PipelineConfig(dataset={str(small_dataset_path)!r}, rounds=2, candidates=3,"
+        f" bootstrap=40, bins=2), {str(tmp_path / 'run')!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
