@@ -12,6 +12,7 @@ the new one, never half of either. Read failures are FormatErrors.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -89,11 +90,17 @@ def fields_from_json(
     ]
     if missing:
         raise FormatError(f"{what}: missing keys {missing}")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     return {
         by_key[key].name: _typed(value, hints[by_key[key].name], f"{what}: {key}", finite)
         for key, value in doc.items()
     }
+
+
+@functools.cache
+def _type_hints(cls) -> dict:
+    """typing.get_type_hints(cls), computed once per class."""
+    return typing.get_type_hints(cls)
 
 
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}

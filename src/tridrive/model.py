@@ -461,15 +461,24 @@ class RaggedColumns:
         """A row column: one entry per row."""
         return self.column(key, self.n_rows, group)
 
-    def times(self, integral_floats: bool = False) -> list[int]:
-        """The t column, which must hold integers (or, if integral_floats,
-        floats with integral values, read as ints). Rows are named by t
-        from here on."""
+    def times(self, integral_floats: bool = False) -> np.ndarray:
+        """The t column as int64. It must hold integers (or, if
+        integral_floats, floats with integral values, read as ints) of
+        magnitude below 2**53. Rows are named by t from here on."""
         t = self.rows("t")
-        if integral_floats and not set(map(type, t)) <= _INT:
-            t = [int(v) if type(v) is float and v.is_integer() else v for v in t]
-        self.t = self.typed(t, _INT, self.row, "t must be an integer")
-        return self.t
+        if not set(map(type, t)) <= _INT:
+            if integral_floats:
+                t = [int(v) if type(v) is float and v.is_integer() else v for v in t]
+            self.typed(t, _INT, self.row, "t must be an integer")
+        self.t = t
+        try:
+            array = np.array(t, dtype=np.int64)
+        except OverflowError:
+            array = None
+        if array is None or ((array >= 2**53) | (array <= -(2**53))).any():
+            i = next(i for i, v in enumerate(t) if abs(v) >= 2**53)
+            raise FormatError(f"{self.row(i)}: number out of range")
+        return array
 
     def patient(self, i: int) -> str:
         return f"{self.what}: patient {self.doc['patient_id'][i]!r}"
@@ -645,7 +654,7 @@ def dataset_from_json(doc) -> TrajectoryDataset:
     baselines, _ = frame.numbers(
         frame.column("sofa_baseline", n), frame.patient, "sofa_baseline must be a number"
     )
-    t, _ = frame.numbers(frame.times(), frame.row, "t must be an integer", integers=True)
+    t = frame.times()
     sofa, _ = frame.numbers(frame.rows("sofa"), frame.row, "sofa must be a number")
     if set(frame.group("values")) != set(frame.group("staleness")):
         raise FormatError("dataset: values and staleness must have the same feature columns")
@@ -667,7 +676,7 @@ def dataset_from_json(doc) -> TrajectoryDataset:
     block = CohortColumns(
         feature_ids=fids,
         action_ids=aids,
-        t=t.astype(np.int64),
+        t=t,
         sofa=sofa,
         values=values,
         staleness=staleness,

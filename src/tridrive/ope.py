@@ -376,8 +376,7 @@ def _check_increasing(frame: RaggedColumns, t: np.ndarray) -> None:
 
 def prob_table_from_json(doc) -> PolicyProbTable:
     frame = RaggedColumns(doc, "probability table")
-    times = frame.times(integral_floats=True)
-    t = frame.numbers(times, frame.row, "t must be an integer", integers=True)[0].astype(np.int64)
+    t = frame.times(integral_floats=True)
     _check_increasing(frame, t)
     message = "p_eval and p_behavior must be numbers"
     p_eval = frame.numbers(frame.rows("p_eval"), frame.row, message)[0]

@@ -16,8 +16,16 @@ unambiguous and tunable:
   maximum levels at every step with no effect on the state.
 
 Generation is a pure function of the config: all randomness flows through
-generators keyed on (seed, patient index, stream tag), so per-patient
-generation could run in parallel without changing the output.
+generators keyed on (seed, patient index, stream tag). It runs in two
+passes. The draw pass makes each patient's draws from that patient's
+streams, in a fixed order and size per stream, into arrays over the whole
+cohort's rows. The cohort pass then computes every patient at once: the
+wellness recursion steps all patients together, carry-forward of stale
+values is a running maximum over fresh row indices, and the rest is
+elementwise. Each element goes through the same floating-point operations
+in the same order as a patient-at-a-time loop would apply (and each mean
+wellness is numpy's pairwise mean over that patient's own steps), so the
+written dataset does not depend on how the work is batched.
 """
 
 from __future__ import annotations
@@ -113,126 +121,139 @@ def generate(config: CohortConfig) -> TrajectoryDataset:
     all_ids = normal_ids + low_ids + high_ids
     action_ids = sorted(config.action_levels)
 
-    patients = [
-        _generate_patient(config, i, all_ids, normal_ids, center)
-        for i in range(config.n_patients)
-    ]
-    # The block's feature columns are in sorted id order.
+    draws = _Draws(config, len(normal_ids), len(all_ids))
+    offsets, n_rows = draws.offsets, int(draws.offsets[-1])
+    horizon = np.diff(offsets)
+    patient = np.repeat(np.arange(config.n_patients), horizon)
+    t = np.arange(n_rows) - offsets[patient]
+    severity = draws.severity[patient]
+
+    # Wellness path: everyone is admitted sick and drifts toward 1 - severity.
+    # One step of every patient at a time; rows past a horizon are never read.
+    noise, target = draws.wellness_noise, 1.0 - draws.severity
+    path = np.empty_like(noise)
+    path[0] = np.clip(_ADMISSION_WELLNESS + 0.05 * noise[0], 0.02, 0.98)
+    for s in range(1, len(path)):
+        drift = _DRIFT_RATE * (target - path[s - 1])
+        path[s] = np.clip(path[s - 1] + drift + 0.02 * noise[s], 0.02, 0.98)
+    wellness = path[t, patient]
+
+    # Severity score: survivors hold near their admission baseline while
+    # sicker patients deteriorate away from it over the stay.
+    ramp = _SOFA_RAMP * severity * (t / np.maximum(horizon - 1, 1)[patient])
+    sofa = np.clip(4.0 + 10.0 * severity + ramp + 0.3 * draws.sofa_noise, 0.0, None)
+
+    # Latent (fully fresh) feature values, computed in place over their noise.
+    latent = draws.value_noise
+    signs = np.where(draws.signs < 0.5, -1.0, 1.0)
+    for j, fid in enumerate(all_ids):
+        jitter = 0.02 * latent[:, j]
+        if fid.startswith("nr"):
+            sign = signs[patient, normal_ids.index(fid)]
+            latent[:, j] = center + (1.0 - wellness) * 0.45 * sign + jitter
+        elif fid.startswith("lo"):
+            latent[:, j] = (1.0 - wellness) * 0.85 + 0.03 + jitter
+        else:
+            latent[:, j] = wellness * 0.85 + 0.1 + jitter
+    np.clip(latent, 0.0, 1.0, out=latent)
+
+    # Staleness: a stale step carries the last fresh value forward. Every
+    # stay starts fresh, so the running maximum of the fresh rows' indices
+    # never reaches back into the previous stay. The block's feature
+    # columns are in sorted id order.
     order = sorted(range(len(all_ids)), key=all_ids.__getitem__)
-    recorded = np.concatenate([p.recorded for p in patients])[:, order]
-    n_rows = len(recorded)
+    stale = draws.stale[:, order]
+    stale[offsets[:-1]] = False
+    rows = np.arange(n_rows)[:, None]
+    last = np.where(stale, 0, rows)
+    np.maximum.accumulate(last, axis=0, out=last)
+    recorded = latent[last, order]
+    staleness = np.subtract(rows, last, dtype=float)
+    del last  # lowers the peak: the remaining columns are allocated after this
+
+    # Doses: severity-proportional, or maxed out in the redundant-dose arm.
+    levels = np.array([config.action_levels[aid] for aid in action_ids])
+    frac = np.clip(0.8 * severity + 0.15 * draws.action_noise, 0.0, 1.0)
+    doses = np.rint(levels * frac[:, None])
+    doses[draws.overtreated[patient]] = levels
+
+    # Outcome: death probability rises as mean wellness falls. Each mean is
+    # numpy's pairwise sum over the patient's own rows.
+    bounds = offsets.tolist()
+    survived = []
+    for i, u in enumerate(draws.outcome.tolist()):
+        mean_wellness = float(wellness[bounds[i] : bounds[i + 1]].mean())
+        coupled = 1.0 / (1.0 + math.exp(12.0 * (mean_wellness - 0.45)))
+        p_death = (
+            config.mortality_coupling * coupled
+            + (1.0 - config.mortality_coupling) * _BASE_MORTALITY
+        )
+        survived.append(u >= p_death)
+
     block = CohortColumns(
         feature_ids=sorted(all_ids),
         action_ids=action_ids,
-        t=np.concatenate([np.arange(len(p.sofa)) for p in patients]),
-        sofa=np.concatenate([p.sofa for p in patients]),
+        t=t,
+        sofa=sofa,
         values=recorded,
-        staleness=np.concatenate([p.staleness for p in patients])[:, order].astype(float),
+        staleness=staleness,
         mask=np.ones(recorded.shape, dtype=bool),
-        actions=np.concatenate([p.doses for p in patients]),
-        action_mask=np.ones((n_rows, len(action_ids)), dtype=bool),
+        actions=doses,
+        action_mask=np.ones(doses.shape, dtype=bool),
         whole=[True] * len(action_ids),
-        offsets=np.array([0] + [len(p.sofa) for p in patients]).cumsum(),
+        offsets=offsets,
     )
     return TrajectoryDataset(
         trajectories=block.views(
             [f"synth_{i:05d}" for i in range(config.n_patients)],
-            [p.survived for p in patients],
-            [float(p.sofa[0]) for p in patients],
+            survived,
+            sofa[offsets[:-1]].tolist(),
         ),
         feature_schema=feature_schema,
         action_schema=action_schema,
     )
 
 
-@dataclass
-class _Patient:
-    """One generated stay, as arrays over its steps (features in all_ids order)."""
+class _Draws:
+    """Every random draw of a cohort, made patient by patient from that
+    patient's streams. Row arrays hold the patients' steps one stay after
+    another (rows offsets[i] to offsets[i + 1] - 1 are patient i's);
+    features are in the config's normal, low, high order."""
 
-    sofa: np.ndarray  # [T]
-    recorded: np.ndarray  # [T, F]
-    staleness: np.ndarray  # [T, F]
-    doses: np.ndarray  # [T, A], actions in sorted id order
-    survived: bool
-
-
-def _generate_patient(
-    config: CohortConfig,
-    i: int,
-    all_ids: list[str],
-    normal_ids: list[str],
-    center: float,
-) -> _Patient:
-    seed = config.seed
-    severity = float(_rng(seed, i, _SEVERITY).uniform())
-    horizon = int(_rng(seed, i, _HORIZON).integers(config.horizon_min, config.horizon_max + 1))
-    n_features = len(all_ids)
-
-    # Wellness path: everyone is admitted sick and drifts toward 1 - severity.
-    wellness_noise = _rng(seed, i, _WELLNESS).normal(size=horizon)
-    wellness = np.empty(horizon)
-    wellness[0] = np.clip(_ADMISSION_WELLNESS + 0.05 * wellness_noise[0], 0.02, 0.98)
-    target = 1.0 - severity
-    for t in range(1, horizon):
-        drift = _DRIFT_RATE * (target - wellness[t - 1])
-        wellness[t] = np.clip(wellness[t - 1] + drift + 0.02 * wellness_noise[t], 0.02, 0.98)
-
-    # Severity score: survivors hold near their admission baseline while
-    # sicker patients deteriorate away from it over the stay.
-    sofa_noise = _rng(seed, i, _SOFA).normal(size=horizon)
-    ramp = _SOFA_RAMP * severity * (np.arange(horizon) / max(horizon - 1, 1))
-    sofa = np.clip(4.0 + 10.0 * severity + ramp + 0.3 * sofa_noise, 0.0, None)
-
-    # Latent (fully fresh) feature values.
-    signs = np.where(_rng(seed, i, _DIRECTION).uniform(size=len(normal_ids)) < 0.5, -1.0, 1.0)
-    value_noise = _rng(seed, i, _VALUES).normal(size=(horizon, n_features))
-    latent = np.empty((horizon, n_features))
-    for j, fid in enumerate(all_ids):
-        if fid.startswith("nr"):
-            sign = signs[normal_ids.index(fid)]
-            latent[:, j] = center + (1.0 - wellness) * 0.45 * sign + 0.02 * value_noise[:, j]
-        elif fid.startswith("lo"):
-            latent[:, j] = (1.0 - wellness) * 0.85 + 0.03 + 0.02 * value_noise[:, j]
-        else:
-            latent[:, j] = wellness * 0.85 + 0.1 + 0.02 * value_noise[:, j]
-    latent = np.clip(latent, 0.0, 1.0)
-
-    # Staleness: a fresh measurement lands with a per-patient probability;
-    # stale steps carry the last recorded value forward.
-    stale_rng = _rng(seed, i, _STALENESS)
-    bias = config.staleness_gradient * float(stale_rng.uniform())
-    p_fresh = float(np.clip(0.9 - 0.1 * bias, 0.05, 0.95))
-    fresh_draws = stale_rng.uniform(size=(horizon, n_features))
-    recorded = latent.copy()
-    staleness = np.zeros((horizon, n_features), dtype=int)
-    for t in range(1, horizon):
-        for j in range(n_features):
-            if fresh_draws[t, j] >= p_fresh:
-                staleness[t, j] = staleness[t - 1, j] + 1
-                recorded[t, j] = recorded[t - 1, j]
-
-    # Doses: severity-proportional, or maxed out in the redundant-dose arm.
-    overtreated = bool(
-        config.overtreatment_prob > 0.0
-        and _rng(seed, i, _OVERTREAT).uniform() < config.overtreatment_prob
-    )
-    action_noise = _rng(seed, i, _ACTIONS).normal(size=horizon)
-    levels = np.array([config.action_levels[aid] for aid in sorted(config.action_levels)])
-    if overtreated:
-        doses = np.tile(levels, (horizon, 1)).astype(float)
-    else:
-        frac = np.clip(0.8 * severity + 0.15 * action_noise, 0.0, 1.0)
-        doses = np.rint(levels * frac[:, None])
-
-    # Outcome: death probability rises as mean wellness falls.
-    mean_wellness = float(wellness.mean())
-    coupled = 1.0 / (1.0 + math.exp(12.0 * (mean_wellness - 0.45)))
-    p_death = (
-        config.mortality_coupling * coupled
-        + (1.0 - config.mortality_coupling) * _BASE_MORTALITY
-    )
-    survived = bool(_rng(seed, i, _OUTCOME).uniform() >= p_death)
-    return _Patient(sofa, recorded, staleness, doses, survived)
+    def __init__(self, config: CohortConfig, n_normal: int, n_features: int):
+        seed, n = config.seed, config.n_patients
+        self.severity = np.array([_rng(seed, i, _SEVERITY).uniform() for i in range(n)])
+        horizons = [
+            int(_rng(seed, i, _HORIZON).integers(config.horizon_min, config.horizon_max + 1))
+            for i in range(n)
+        ]
+        self.offsets = np.array([0, *horizons]).cumsum()
+        n_rows = int(self.offsets[-1])
+        self.wellness_noise = np.zeros((max(horizons), n))  # [step, patient]
+        self.sofa_noise = np.empty(n_rows)
+        self.signs = np.empty((n, n_normal))  # uniform draws
+        self.value_noise = np.empty((n_rows, n_features))
+        self.stale = np.empty((n_rows, n_features), dtype=bool)
+        self.overtreated = np.zeros(n, dtype=bool)
+        self.action_noise = np.empty(n_rows)
+        self.outcome = np.empty(n)  # uniform draws
+        bounds = self.offsets.tolist()
+        for i, h in enumerate(horizons):
+            rows = slice(bounds[i], bounds[i + 1])
+            self.wellness_noise[:h, i] = _rng(seed, i, _WELLNESS).normal(size=h)
+            self.sofa_noise[rows] = _rng(seed, i, _SOFA).normal(size=h)
+            self.signs[i] = _rng(seed, i, _DIRECTION).uniform(size=n_normal)
+            self.value_noise[rows] = _rng(seed, i, _VALUES).normal(size=(h, n_features))
+            # A fresh measurement lands with a per-patient probability.
+            stale_rng = _rng(seed, i, _STALENESS)
+            bias = config.staleness_gradient * float(stale_rng.uniform())
+            p_fresh = min(max(0.9 - 0.1 * bias, 0.05), 0.95)
+            self.stale[rows] = stale_rng.uniform(size=(h, n_features)) >= p_fresh
+            if config.overtreatment_prob > 0.0:
+                u = _rng(seed, i, _OVERTREAT).uniform()
+                self.overtreated[i] = u < config.overtreatment_prob
+            self.action_noise[rows] = _rng(seed, i, _ACTIONS).normal(size=h)
+            self.outcome[i] = _rng(seed, i, _OUTCOME).uniform()
 
 
 def reference_spec(config: CohortConfig) -> RewardSpec:

@@ -20,6 +20,7 @@ from tridrive.model import (
 )
 from tridrive.errors import ConfigError, LlmClientError, SchemaError, ValidationError
 from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm
+from tridrive import synth
 from tridrive.synth import CohortConfig, generate
 
 
@@ -139,6 +140,109 @@ def cohort_overtreated():
 @pytest.fixture(scope="session")
 def cohort_stale():
     return generate(CohortConfig(n_patients=500, seed=42, staleness_gradient=9.0))
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracle of the cohort generator: one patient at a time, per-step
+# loops, assembled from Step objects. It draws from the same keyed streams.
+# ---------------------------------------------------------------------------
+
+
+def oracle_generate(config):
+    """The cohort synth.generate makes for config."""
+    config.validate()
+    normal_ids, low_ids, high_ids = config.feature_ids()
+    lo, hi = config.healthy_interval
+    schema = {fid: FeatureSpec(0.0, 1.0, FeatureType.NORMAL_RANGE, (lo, hi)) for fid in normal_ids}
+    schema.update({fid: FeatureSpec(0.0, 1.0, FeatureType.DIRECTIONAL_LOW) for fid in low_ids})
+    schema.update({fid: FeatureSpec(0.0, 1.0, FeatureType.DIRECTIONAL_HIGH) for fid in high_ids})
+    return TrajectoryDataset(
+        trajectories=[_oracle_patient(config, i) for i in range(config.n_patients)],
+        feature_schema=schema,
+        action_schema={
+            aid: ActionSpec(max_value=float(levels), discrete=True)
+            for aid, levels in config.action_levels.items()
+        },
+    )
+
+
+def _oracle_patient(config, i):
+    seed, rng = config.seed, synth._rng
+    normal_ids, low_ids, high_ids = config.feature_ids()
+    all_ids = normal_ids + low_ids + high_ids
+    center = 0.5 * sum(config.healthy_interval)
+    severity = float(rng(seed, i, synth._SEVERITY).uniform())
+    horizon = int(rng(seed, i, synth._HORIZON).integers(config.horizon_min, config.horizon_max + 1))
+    n_features = len(all_ids)
+
+    wellness_noise = rng(seed, i, synth._WELLNESS).normal(size=horizon)
+    wellness = np.empty(horizon)
+    wellness[0] = np.clip(0.2 + 0.05 * wellness_noise[0], 0.02, 0.98)
+    target = 1.0 - severity
+    for t in range(1, horizon):
+        drift = 0.12 * (target - wellness[t - 1])
+        wellness[t] = np.clip(wellness[t - 1] + drift + 0.02 * wellness_noise[t], 0.02, 0.98)
+
+    sofa_noise = rng(seed, i, synth._SOFA).normal(size=horizon)
+    ramp = 8.0 * severity * (np.arange(horizon) / max(horizon - 1, 1))
+    sofa = np.clip(4.0 + 10.0 * severity + ramp + 0.3 * sofa_noise, 0.0, None)
+
+    signs = np.where(rng(seed, i, synth._DIRECTION).uniform(size=len(normal_ids)) < 0.5, -1.0, 1.0)
+    value_noise = rng(seed, i, synth._VALUES).normal(size=(horizon, n_features))
+    latent = np.empty((horizon, n_features))
+    for j, fid in enumerate(all_ids):
+        if fid in normal_ids:
+            sign = signs[normal_ids.index(fid)]
+            latent[:, j] = center + (1.0 - wellness) * 0.45 * sign + 0.02 * value_noise[:, j]
+        elif fid in low_ids:
+            latent[:, j] = (1.0 - wellness) * 0.85 + 0.03 + 0.02 * value_noise[:, j]
+        else:
+            latent[:, j] = wellness * 0.85 + 0.1 + 0.02 * value_noise[:, j]
+    latent = np.clip(latent, 0.0, 1.0)
+
+    stale_rng = rng(seed, i, synth._STALENESS)
+    bias = config.staleness_gradient * float(stale_rng.uniform())
+    p_fresh = float(np.clip(0.9 - 0.1 * bias, 0.05, 0.95))
+    fresh_draws = stale_rng.uniform(size=(horizon, n_features))
+    recorded = latent.copy()
+    staleness = np.zeros((horizon, n_features), dtype=int)
+    for t in range(1, horizon):
+        for j in range(n_features):
+            if fresh_draws[t, j] >= p_fresh:
+                staleness[t, j] = staleness[t - 1, j] + 1
+                recorded[t, j] = recorded[t - 1, j]
+
+    overtreated = bool(
+        config.overtreatment_prob > 0.0
+        and rng(seed, i, synth._OVERTREAT).uniform() < config.overtreatment_prob
+    )
+    action_noise = rng(seed, i, synth._ACTIONS).normal(size=horizon)
+    action_ids = sorted(config.action_levels)
+    doses = []
+    for t in range(horizon):
+        frac = min(max(0.8 * severity + 0.15 * action_noise[t], 0.0), 1.0)
+        doses.append({
+            aid: float(levels if overtreated else np.rint(levels * frac))
+            for aid, levels in ((aid, config.action_levels[aid]) for aid in action_ids)
+        })
+
+    coupled = 1.0 / (1.0 + math.exp(12.0 * (float(wellness.mean()) - 0.45)))
+    beta = config.mortality_coupling
+    p_death = beta * coupled + (1.0 - beta) * 0.3
+    survived = bool(rng(seed, i, synth._OUTCOME).uniform() >= p_death)
+    steps = [
+        Step(
+            t=t,
+            sofa=float(sofa[t]),
+            observations={
+                fid: Observation(float(recorded[t, j]), int(staleness[t, j]))
+                for j, fid in enumerate(all_ids)
+            },
+            action=doses[t],
+        )
+        for t in range(horizon)
+    ]
+    return Trajectory(f"synth_{i:05d}", steps, survived, float(sofa[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -417,6 +417,10 @@ class TestProbTableIO:
             pytest.param([{"t": 1.5}], "t must be an integer", id="t-fractional"),
             pytest.param([{"t": True}], "t must be an integer", id="t-bool"),
             pytest.param([{"t": "1"}], "t must be an integer", id="t-string"),
+            pytest.param([{"t": 2**53}], "t=9007199254740992: number out of range", id="t-2**53"),
+            pytest.param([{"t": -(2**63)}], "number out of range", id="t-int64-min"),
+            pytest.param([{"t": 10**400}], "number out of range", id="t-overflow"),
+            pytest.param([{"t": 1e300}], "number out of range", id="t-huge-integral-float"),
             pytest.param([{"t": 2}, {"t": 2.0}], "repeated entry for t=2", id="t-repeated"),
             pytest.param([{"t": 2}, {"t": 1}], "t=1: after t=2, decreasing", id="t-decreasing"),
             pytest.param([{"p_eval": True}], "must be numbers", id="p-bool"),

@@ -1,9 +1,15 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_generate
 from tridrive.errors import ConfigError, FormatError
 from tridrive.fitness import CompMetricConfig, FitnessTargets, pearson
-from tridrive.model import FeatureType, save_dataset
+from tridrive.model import FeatureType, dataset_to_json, save_dataset
 from tridrive.synth import (
     CohortConfig,
     cohort_config_from_json,
@@ -105,6 +111,70 @@ class TestGenerate:
             generate(CohortConfig(n_patients=1))
         with pytest.raises(ConfigError, match="horizon"):
             generate(CohortConfig(horizon_min=1, horizon_max=0))
+
+
+# sha256 of the file save_dataset writes for CohortConfig(n_patients=50, seed=0),
+# recorded from the patient-at-a-time generator this one replaced.
+_GOLDEN_50_SEED_0 = "63ab6ae5e1f8aa58a39568ce4d7a9dc37d4e62b138252dabd2537322aeed9462"
+
+
+def _json_bytes(dataset) -> bytes:
+    return json.dumps(dataset_to_json(dataset), separators=(",", ":")).encode()
+
+
+@st.composite
+def small_configs(draw):
+    horizon_min = draw(st.integers(2, 6))
+    n_normal, n_low = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    return CohortConfig(
+        n_patients=draw(st.integers(2, 6)),
+        horizon_min=horizon_min,
+        horizon_max=draw(st.integers(horizon_min, 6)),
+        n_normal=n_normal,
+        n_low=n_low,
+        n_high=draw(st.integers(0 if n_normal + n_low else 1, 2)),
+        healthy_interval=(lo, hi),
+        action_levels=draw(st.dictionaries(st.sampled_from(["a", "b", "drug_c"]),
+                                           st.integers(1, 5), max_size=3)),
+        mortality_coupling=draw(st.floats(0.0, 1.0)),
+        staleness_gradient=draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 20.0)),
+        overtreatment_prob=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestMatchesScalarOracle:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param({"seed": 0}, id="seed-0"),
+            pytest.param({"seed": 3}, id="seed-3"),
+            pytest.param({"seed": 11}, id="seed-11"),
+            pytest.param({"staleness_gradient": 2.0}, id="staleness-gradient-2"),
+            pytest.param({"overtreatment_prob": 0.3}, id="overtreatment-0.3"),
+            pytest.param({"overtreatment_prob": 1.0}, id="overtreatment-1"),
+            pytest.param({"mortality_coupling": 0.0}, id="no-mortality-coupling"),
+            pytest.param({"horizon_min": 2, "horizon_max": 2}, id="horizon-2"),
+            pytest.param({"n_normal": 0}, id="no-normal-features"),
+            pytest.param({"action_levels": {}}, id="no-actions"),
+            pytest.param({"action_levels": {"a": 1}}, id="one-single-level-action"),
+            pytest.param({"n_patients": 2}, id="two-patients"),
+        ],
+    )
+    def test_same_bytes_as_oracle(self, overrides):
+        config = CohortConfig(**{"n_patients": 25, **overrides})
+        assert _json_bytes(generate(config)) == _json_bytes(oracle_generate(config))
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_configs())
+    def test_small_configs_match_oracle(self, config):
+        assert _json_bytes(generate(config)) == _json_bytes(oracle_generate(config))
+
+    def test_output_pinned_by_golden_hash(self, tmp_path):
+        path = tmp_path / "cohort.json"
+        save_dataset(generate(CohortConfig(n_patients=50, seed=0)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_50_SEED_0
 
 
 class TestReferenceSpec:
