@@ -92,7 +92,7 @@ def summarize_dataset(dataset: TrajectoryDataset) -> CohortSummary:
 
 def _safe_pearson(xs: np.ndarray, ys: np.ndarray) -> float | None:
     """Correlation, or None when it is undefined (either side constant)."""
-    if len(xs) < 2 or xs.min() == xs.max() or ys.min() == ys.max():
+    if len(xs) < 2:
         return None
     try:
         return pearson(xs, ys)

@@ -142,6 +142,11 @@ def _pearson_named(xs, ys, xname: str, yname: str) -> float:
     for name, values in ((xname, x), (yname, y)):
         if not np.isfinite(values).all():
             raise ValidationError(f"{name} has a non-finite value; correlation undefined")
+    # Tested exactly: the float mean of a constant array need not equal its
+    # entries, so a constant side can leave a spread just above 0.
+    for name, values in ((xname, x), (yname, y)):
+        if values.min() == values.max():
+            raise DegenerateStatisticError(f"{name} is constant; correlation undefined")
     dx = x - x.mean()
     dy = y - y.mean()
     # Not np.dot: OpenBLAS hands dots past 10,000 elements to a worker thread, a slow hand-off.

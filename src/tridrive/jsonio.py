@@ -2,11 +2,13 @@
 
 Files are UTF-8 with one trailing newline. Reports, configs and reward
 specs are JSON indented by 2, for people to read. Datasets and probability
-tables are compact JSON (no indent, no spaces), which json.dumps writes
-with CPython's C encoder; indenting would force the pure-Python encoder,
-several times slower on files of this size. A write goes to a temporary
-sibling that is renamed over the target, so a crash leaves the old file or
-the new one, never half of either. Read failures are FormatErrors.
+tables are compact JSON (no indent, no spaces) whose columns are base64
+strings of binary buffers and bitmaps (format 3, read and written by
+tridrive.model.RaggedColumns, to_buffer and to_bitmap), so json.dumps and
+json.loads handle a few long strings rather than a number per entry. A
+write goes to a temporary sibling that is renamed over the target, so a
+crash leaves the old file or the new one, never half of either. Read
+failures are FormatErrors.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """LLM client abstraction: a network client plus a deterministic offline stand-in.
 
 The wire format is a JSON request {"model", "temperature", "prompt"} posted
-to the configured endpoint; the response body is the completion text. The
-credential is read from an environment variable and never logged or
-persisted.
+to the configured endpoint; the response body, read as UTF-8, is the
+completion text. The credential is read from an environment variable and
+never logged or persisted.
 
 One offline implementation ships: StubLlmClient derives a schema-valid
 response from the prompt's own statistics block, so the whole pipeline
@@ -19,8 +19,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from typing import Protocol
-
-import requests
 
 from .errors import ConfigError, LlmClientError
 
@@ -59,33 +57,58 @@ class HttpLlmClient:
             raise ConfigError(
                 f"no LLM endpoint configured (set {ENDPOINT_ENV} or the config's endpoint)"
             )
+        if endpoint.partition(":")[0].lower() not in ("http", "https"):
+            raise ConfigError(f"the LLM endpoint must be an http or https URL, got {endpoint!r}")
         self.endpoint = endpoint
 
     def complete(self, prompt: str) -> str:
+        # Imported here, on the one path that sends a request: urllib.request
+        # loads http.client, email and ssl, which a run with the stub client
+        # never uses and would otherwise pay for at every start.
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.config.model,
             "temperature": self.config.temperature,
             "prompt": prompt,
         }
-        headers = {}
+        body = json.dumps(payload).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         key = os.environ.get(KEY_ENV)
         if key:
             headers["Authorization"] = f"Bearer {key}"
+
+        # Redirects are refused: urllib would send every header, the key
+        # included, to whatever host a redirect names, and resend the POST as
+        # a GET. The 3xx response then raises HTTPError like a 4xx.
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):
+                return None
+
+        opener = urllib.request.build_opener(RefuseRedirects)
         last_error = None
         for attempt in range(self.config.retries + 1):
             wait = self.config.backoff * 2.0**attempt
             try:
-                resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.config.timeout
-                )
-                if resp.status_code >= 500 or resp.status_code in _TRANSIENT_4XX:
-                    last_error = f"server returned {resp.status_code}"
-                    wait = _retry_after(resp.headers.get("Retry-After"), wait)
-                elif resp.status_code >= 400:
-                    raise LlmClientError(f"request rejected with {resp.status_code}")
+                request = urllib.request.Request(self.endpoint, body, headers, method="POST")
+                with opener.open(request, timeout=self.config.timeout) as resp:
+                    return resp.read().decode("utf-8", errors="replace")
+            except urllib.error.HTTPError as exc:  # a response with status >= 300
+                exc.close()
+                if exc.code >= 500 or exc.code in _TRANSIENT_4XX:
+                    last_error = f"server returned {exc.code}"
+                    wait = _retry_after(exc.headers.get("Retry-After"), wait)
+                elif exc.code < 400:
+                    raise LlmClientError(
+                        f"endpoint redirected with {exc.code}; redirects are not followed, "
+                        "so configure the URL it names"
+                    ) from None
                 else:
-                    return resp.text
-            except requests.RequestException as exc:
+                    raise LlmClientError(f"request rejected with {exc.code}") from None
+            # No connection, a timeout, a broken response, or an unusable URL.
+            except (OSError, http.client.HTTPException, ValueError) as exc:
                 last_error = str(exc)
             if attempt < self.config.retries:
                 time.sleep(min(wait, _MAX_WAIT_S))

@@ -19,6 +19,7 @@ detaches it from the block.
 
 from __future__ import annotations
 
+import base64
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -332,6 +333,7 @@ class TrajectoryDataset:
         maxima = [getattr(self.action_schema.get(aid), "max_value", math.inf)
                   for aid in cols.action_ids]
         return np.column_stack([
+            ~_whole_below(np.abs(cols.t), I4_LIMIT),
             backwards & (np.arange(n) != first),
             ~((0.0 <= cols.sofa) & (cols.sofa < math.inf)),
             (cols.mask != cols.mask[first]).any(axis=1),
@@ -340,6 +342,7 @@ class TrajectoryDataset:
                 np.array([fid not in self.feature_schema for fid in cols.feature_ids], dtype=bool),
                 ~((0.0 <= cols.values) & (cols.values <= 1.0)),
                 ~(cols.staleness >= 0),
+                ~_whole_below(cols.staleness, I4_LIMIT),
             ),
             _per_column(
                 cols.action_mask,
@@ -353,15 +356,17 @@ class TrajectoryDataset:
         """The message of each rule of _broken_rules, at a row."""
         at = f"at t={cols.t[row].item()}"
         messages = [
+            f"time index {cols.t[row].item()} not a whole number of magnitude below 2**31",
             f"non-increasing time index {at}",
             f"sofa {cols.sofa[row].item()} not finite and >= 0 {at}",
             f"feature set changes {at}",
         ]
-        for fid in cols.feature_ids:
+        for fid, dt in zip(cols.feature_ids, cols.staleness[row].tolist()):
             messages += [
                 f"feature {fid!r} not in feature_schema",
                 f"feature {fid!r} value out of [0,1] {at}",
                 f"feature {fid!r} staleness negative {at}",
+                f"feature {fid!r} staleness {dt} not a whole number below 2**31 {at}",
             ]
         for aid, level, whole in zip(cols.action_ids, cols.actions[row].tolist(), cols.whole):
             level = int(level) if whole else level
@@ -374,36 +379,42 @@ class TrajectoryDataset:
         return messages
 
 
+def _whole_below(x: np.ndarray, limit: int) -> np.ndarray:
+    """Where x is a whole number in [0, limit)."""
+    return (0 <= x) & (x < limit) & (np.trunc(x) == x)
+
+
 def _per_column(present: np.ndarray, *rules: np.ndarray) -> np.ndarray:
-    """[rows, 3 * columns]: per column, where each of three rules ([rows,
+    """[rows, k * columns]: per column, where each of k rules ([rows,
     columns], or [columns] for every row) is broken at a present entry."""
     broken = np.stack(np.broadcast_arrays(*rules), axis=2) & present[:, :, None]
     return broken.reshape(len(present), len(rules) * present.shape[1])
 
 
 # ---------------------------------------------------------------------------
-# Serialization: format 2, one compact UTF-8 JSON document of columns. Per
-# patient: patient_id, survived, sofa_baseline, and offsets of n + 1
-# entries, so that patient i owns rows offsets[i] to offsets[i + 1] - 1 of
-# every row column (the offsets buffer of the Arrow columnar layout). Per
-# row, one per step: t, sofa, and one column per feature in values and
-# staleness and per action in actions, null where the step has no such
-# observation or action. Columns are in a canonical order (patients in list
-# order, ids lexicographic), so load(save(d)) is byte-stable.
+# Serialization: format 3, one compact UTF-8 JSON document of columns. Per
+# patient: patient_id (the one JSON array of the format), survived,
+# sofa_baseline, and offsets of n + 1 entries, so that patient i owns rows
+# offsets[i] to offsets[i + 1] - 1 of every row column (the offsets buffer of
+# the Arrow columnar layout). Per row, one per step: t, sofa, and per feature
+# its values, staleness and mask, per action its actions and action_mask.
+# Every numeric column is a base64 string of its little-endian bytes, in the
+# one dtype the format fixes for it: I4 for integers, F8 for real numbers.
+# Every flag column is a bitmap, np.packbits least significant bit first (the
+# validity bitmaps of the Arrow layout). A slot its mask marks absent holds 0.
+# Columns are in a canonical order (patients in list order, ids
+# lexicographic), so load(save(d)) is byte-stable.
 # ---------------------------------------------------------------------------
 
-FORMAT = 2
-
-_NONE = type(None)
-_INT = frozenset({int})
-_NUMBER = frozenset({int, float})  # what JSON numbers parse to; bool is neither
-_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer a float cannot hold
+FORMAT = 3
+I4, F8 = np.dtype("<i4"), np.dtype("<f8")
+I4_LIMIT = 2**31  # validate() keeps the integers a file holds as I4 below it in magnitude
 
 
 class RaggedColumns:
-    """The patient frame of a format-2 document (patient_id and offsets),
-    with typed reads of its columns. Errors name the document, and a row's
-    patient and t where there is one."""
+    """The patient frame of a format-3 document (patient_id, offsets and
+    the t column), with reads of its buffers and bitmaps. Errors name the
+    document, and a row's patient and t where there is one."""
 
     def __init__(self, doc, what: str):
         if not isinstance(doc, dict):
@@ -411,117 +422,100 @@ class RaggedColumns:
         fmt = doc.get("format")
         if type(fmt) is not int or fmt != FORMAT:
             raise FormatError(
-                f'{what}: not a format-{FORMAT} file (no "format": {FORMAT}); files in the '
-                "earlier one-object-per-row format are no longer read, so regenerate it"
+                f'{what}: not a format-{FORMAT} file (no "format": {FORMAT}); files of format 2 '
+                "(numbers as JSON text) and of the one-object-per-row format before it are no "
+                "longer read, so regenerate it"
             )
         self.doc, self.what = doc, what
-        self.t: list | None = None
-        ids = self.column("patient_id")
-        self.patient_ids = self.typed(ids, {str}, self.patient, "patient_id must be a string")
+        ids = self.patient_ids = self._value("patient_id")[0]
+        if not isinstance(ids, list):
+            raise FormatError(f"{what}: patient_id must be an array")
         seen = set()
-        for pid in ids:
+        for i, pid in enumerate(ids):
+            if type(pid) is not str:
+                raise FormatError(f"{self.patient(i)}: patient_id must be a string, got {pid!r}")
             if pid in seen:
                 raise FormatError(f"{what}: patient {pid!r} appears more than once")
             seen.add(pid)
-        offsets = self.column("offsets", len(ids) + 1)
-        self.typed(offsets, _INT, lambda i: f"{what}: offsets[{i}]", "offset must be an integer")
+        offsets = self.offsets = self.buffer("offsets", I4, len(ids) + 1)
         if offsets[0] != 0:
             raise FormatError(f"{what}: offsets must start at 0")
-        for i, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
-            if hi < lo:
-                raise FormatError(f"{self.patient(i)}: offsets decrease ({lo} then {hi})")
-        self.offsets = offsets
-        self.n_rows = offsets[-1]
+        decrease = np.diff(offsets) < 0
+        if decrease.any():
+            i = int(np.argmax(decrease))
+            lo, hi = offsets[i : i + 2].tolist()
+            raise FormatError(f"{self.patient(i)}: offsets decrease ({lo} then {hi})")
+        self.n_rows = int(offsets[-1])
+        self.t = self.buffer("t", I4, self.n_rows)
 
-    def column(self, key: str, length: int | None = None, group: str | None = None) -> list:
-        """The array at key, or at group[key] when key names a column of the
-        object group, checked to have length entries."""
-        doc, name = self.doc, key
-        if group is not None:
-            doc, name = self.group(group), f"{group}[{key!r}]"
+    def _value(self, key: str, group: str | None = None) -> tuple[object, str]:
+        """The value at key, or at group[key] when key names a column of the
+        object group, and the name errors give it."""
+        name = key if group is None else f"{group}[{key!r}]"
+        doc = self.doc if group is None else self.group(group)
         if key not in doc:
             raise FormatError(f"{self.what}: missing key {name!r}")
-        col = doc[key]
-        if not isinstance(col, list):
-            raise FormatError(f"{self.what}: {name} must be an array")
-        if length is not None and len(col) != length:
-            raise FormatError(f"{self.what}: {name} has {len(col)} entries, expected {length}")
-        return col
+        return doc[key], name
 
     def group(self, key: str) -> dict:
         """The object at key, whose values are columns."""
-        if key not in self.doc:
-            raise FormatError(f"{self.what}: missing key {key!r}")
-        value = self.doc[key]
+        value, _ = self._value(key)
         if not isinstance(value, dict):
             raise FormatError(f"{self.what}: {key} must be an object")
         return value
 
-    def rows(self, key: str, group: str | None = None) -> list:
-        """A row column: one entry per row."""
-        return self.column(key, self.n_rows, group)
-
-    def times(self, integral_floats: bool = False) -> np.ndarray:
-        """The t column as int64. It must hold integers (or, if
-        integral_floats, floats with integral values, read as ints) of
-        magnitude below 2**53. Rows are named by t from here on."""
-        t = self.rows("t")
-        if not set(map(type, t)) <= _INT:
-            if integral_floats:
-                t = [int(v) if type(v) is float and v.is_integer() else v for v in t]
-            self.typed(t, _INT, self.row, "t must be an integer")
-        self.t = t
+    def _bytes(self, key: str, group: str | None) -> tuple[bytes, str]:
+        """The bytes of the base64 string at key (or group[key]), and its name."""
+        text, name = self._value(key, group)
+        if not isinstance(text, str):
+            raise FormatError(f"{self.what}: {name} must be a base64 string")
         try:
-            array = np.array(t, dtype=np.int64)
-        except OverflowError:
-            array = None
-        if array is None or ((array >= 2**53) | (array <= -(2**53))).any():
-            i = next(i for i, v in enumerate(t) if abs(v) >= 2**53)
-            raise FormatError(f"{self.row(i)}: number out of range")
-        return array
+            return base64.b64decode(text, validate=True), name
+        except ValueError as exc:  # binascii.Error, or a character outside ASCII
+            raise FormatError(f"{self.what}: {name} is not valid base64 ({exc})") from exc
+
+    def buffer(
+        self, key: str, dtype: np.dtype, count: int, group: str | None = None
+    ) -> np.ndarray:
+        """The count entries of dtype (I4 or F8) at key, or at group[key], as
+        a new int64 or float64 array."""
+        raw, name = self._bytes(key, group)
+        size = dtype.itemsize
+        if len(raw) != count * size:
+            have = f"{len(raw) // size} entries" if len(raw) % size == 0 else f"{len(raw)} bytes"
+            raise FormatError(
+                f"{self.what}: {name} has {have}, expected {count} ({dtype.str}, {size} bytes each)"
+            )
+        return np.frombuffer(raw, dtype).astype(np.int64 if dtype.kind == "i" else np.float64)
+
+    def bitmap(self, key: str, count: int, group: str | None = None) -> np.ndarray:
+        """The count flags of the bitmap at key, or at group[key], as bools."""
+        raw, name = self._bytes(key, group)
+        if len(raw) != -(-count // 8):
+            raise FormatError(
+                f"{self.what}: {name} has {len(raw)} bytes, expected {-(-count // 8)} "
+                f"for {count} flags"
+            )
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=count, bitorder="little")
+        return bits.astype(bool)
 
     def patient(self, i: int) -> str:
-        return f"{self.what}: patient {self.doc['patient_id'][i]!r}"
+        return f"{self.what}: patient {self.patient_ids[i]!r}"
 
     def row(self, i: int) -> str:
-        p = bisect_right(self.offsets, i) - 1
-        at = f"row {i - self.offsets[p]}" if self.t is None else f"t={self.t[i]}"
-        return f"{self.patient(p)} {at}"
+        return f"{self.patient(bisect_right(self.offsets, i) - 1)} t={self.t[i]}"
 
-    @staticmethod
-    def typed(col: list, kinds, where, message: str) -> list:
-        """col, once each entry's type is one of kinds; where(i) names entry i."""
-        if not set(map(type, col)) <= kinds:
-            i = next(i for i, v in enumerate(col) if type(v) not in kinds)
-            raise FormatError(f"{where(i)}: {message}, got {col[i]!r}")
-        return col
 
-    def numbers(
-        self, col: list, where, message: str, nullable: bool = False, integers: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """col as a float array (NaN where null, if nullable) and the mask of
-        its non-null entries. integers admits integers only, of magnitude
-        below 2**53 so that the array holds each exactly."""
-        kinds = _INT if integers else _NUMBER
-        kinds = kinds | {_NONE} if nullable else kinds
-        seen = set(map(type, col))
-        if not seen <= kinds:
-            self.typed(col, kinds, where, message)
-        try:
-            array = np.array(col, dtype=float)
-        except OverflowError:
-            array = None
-        if array is None or (integers and (np.abs(array) >= 2.0**53).any()):
-            limit = 2**53 if integers else _FLOAT_OVERFLOW
-            i = next(i for i, v in enumerate(col) if type(v) is int and abs(v) >= limit)
-            raise FormatError(f"{where(i)}: number out of range")
-        if _NONE not in seen:
-            return array, np.ones(len(col), dtype=bool)
-        # A null reads as NaN; so does a NaN number, which is present.
-        present = ~np.isnan(array)
-        if col.count(None) != len(col) - int(present.sum()):
-            present = np.fromiter((v is not None for v in col), dtype=bool, count=len(col))
-        return array, present
+def to_buffer(column, dtype: np.dtype) -> str:
+    """The base64 text of column's entries as dtype, the inverse of
+    RaggedColumns.buffer. Integer columns must fit dtype."""
+    return base64.b64encode(np.asarray(column).astype(dtype).tobytes()).decode("ascii")
+
+
+def to_bitmap(flags) -> str:
+    """The base64 text of a bitmap of flags, the inverse of RaggedColumns.bitmap."""
+    bits = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
+    return base64.b64encode(bits.tobytes()).decode("ascii")
 
 
 def _feature_to_json(spec: FeatureSpec) -> dict:
@@ -535,20 +529,12 @@ def _feature_to_json(spec: FeatureSpec) -> dict:
     return doc
 
 
-def _json_column(col: np.ndarray, present: np.ndarray, integers: bool = False) -> list:
-    """col as a JSON array: null where not present; ints if integers and
-    every entry is a whole number that an int64 holds."""
-    if integers and np.all((np.trunc(col) == col) & (np.abs(col) < 2.0**63)):
-        col = col.astype(np.int64)
-    out = col.tolist()
-    for i in np.flatnonzero(~present).tolist():
-        out[i] = None
-    return out
-
-
 def dataset_to_json(dataset: TrajectoryDataset) -> dict:
     trajs = dataset.trajectories
     cols = dataset.columns
+    # Only the features and actions some step has get a column.
+    features = [(j, fid) for j, fid in enumerate(cols.feature_ids) if cols.mask[:, j].any()]
+    actions = [(j, aid) for j, aid in enumerate(cols.action_ids) if cols.action_mask[:, j].any()]
     return {
         "format": FORMAT,
         "feature_schema": {
@@ -559,24 +545,16 @@ def dataset_to_json(dataset: TrajectoryDataset) -> dict:
             for aid, spec in sorted(dataset.action_schema.items())
         },
         "patient_id": [traj.patient_id for traj in trajs],
-        "survived": [traj.survived for traj in trajs],
-        "sofa_baseline": [traj.sofa_baseline for traj in trajs],
-        "offsets": cols.offsets.tolist(),
-        "t": cols.t.tolist(),
-        "sofa": cols.sofa.tolist(),
-        # Only the features and actions some step has get a column.
-        "values": {
-            fid: _json_column(cols.values[:, j], cols.mask[:, j])
-            for j, fid in enumerate(cols.feature_ids) if cols.mask[:, j].any()
-        },
-        "staleness": {
-            fid: _json_column(cols.staleness[:, j], cols.mask[:, j], integers=True)
-            for j, fid in enumerate(cols.feature_ids) if cols.mask[:, j].any()
-        },
-        "actions": {
-            aid: _json_column(cols.actions[:, j], cols.action_mask[:, j], cols.whole[j])
-            for j, aid in enumerate(cols.action_ids) if cols.action_mask[:, j].any()
-        },
+        "survived": to_bitmap([traj.survived for traj in trajs]),
+        "sofa_baseline": to_buffer([traj.sofa_baseline for traj in trajs], F8),
+        "offsets": to_buffer(cols.offsets, I4),
+        "t": to_buffer(cols.t, I4),
+        "sofa": to_buffer(cols.sofa, F8),
+        "values": {fid: to_buffer(cols.values[:, j], F8) for j, fid in features},
+        "staleness": {fid: to_buffer(cols.staleness[:, j], I4) for j, fid in features},
+        "mask": {fid: to_bitmap(cols.mask[:, j]) for j, fid in features},
+        "actions": {aid: to_buffer(cols.actions[:, j], F8) for j, aid in actions},
+        "action_mask": {aid: to_bitmap(cols.action_mask[:, j]) for j, aid in actions},
     }
 
 
@@ -605,38 +583,13 @@ def _parse_action(aid: str, doc) -> ActionSpec:
     return ActionSpec(**fields_from_json(ActionSpec, doc, where, finite=False, keys=_ACTION_KEYS))
 
 
-def _observation_columns(frame: RaggedColumns, fid: str):
-    """Presence, values and staleness of feature fid per row (0 where absent)."""
-    where = frame.row
-    values, present = frame.numbers(
-        frame.rows(fid, "values"), where, f"feature {fid!r} v must be a number or null", True
-    )
-    staleness, measured = frame.numbers(
-        frame.rows(fid, "staleness"), where,
-        f"feature {fid!r} dt must be an integer or null", True, integers=True,
-    )
-    if not (present == measured).all():
-        i = int(np.argmax(present != measured))
-        raise FormatError(f"{where(i)}: feature {fid!r} needs both v and dt, or neither")
-    return present, np.where(present, values, 0.0), np.where(present, staleness, 0.0)
-
-
-def _action_column(frame: RaggedColumns, aid: str, spec: ActionSpec | None):
-    """Presence and level of action aid per row (0 where unset), and
-    whether its levels are whole: a discrete action's levels are truncated
-    to whole numbers, as int() does."""
-    where = frame.row
-    levels, present = frame.numbers(
-        frame.rows(aid, "actions"), where, f"action {aid!r} level must be a number or null", True
-    )
-    whole = spec is not None and spec.discrete
-    if whole:
-        infinite = present & ~np.isfinite(levels)
-        if infinite.any():
-            i = int(np.argmax(infinite))
-            raise ValidationError(f"{where(i)}: action {aid!r} level {levels[i].item()} not finite")
-        levels = np.trunc(levels)
-    return present, np.where(present, levels, 0.0), whole
+def _column_ids(frame: RaggedColumns, groups: tuple[str, ...], what: str) -> list[str]:
+    """The sorted column ids of groups, which must all have the same ones."""
+    first, *rest = [set(frame.group(g)) for g in groups]
+    if any(ids != first for ids in rest):
+        names = " and ".join(groups[:-1])
+        raise FormatError(f"dataset: {names} must have the same {what} columns as {groups[-1]}")
+    return sorted(first)
 
 
 def dataset_from_json(doc) -> TrajectoryDataset:
@@ -647,36 +600,36 @@ def dataset_from_json(doc) -> TrajectoryDataset:
     action_schema = {
         aid: _parse_action(aid, entry) for aid, entry in frame.group("action_schema").items()
     }
-    n = len(frame.patient_ids)
-    survived = frame.typed(
-        frame.column("survived", n), {bool}, frame.patient, "survived must be true or false"
-    )
-    baselines, _ = frame.numbers(
-        frame.column("sofa_baseline", n), frame.patient, "sofa_baseline must be a number"
-    )
-    t = frame.times()
-    sofa, _ = frame.numbers(frame.rows("sofa"), frame.row, "sofa must be a number")
-    if set(frame.group("values")) != set(frame.group("staleness")):
-        raise FormatError("dataset: values and staleness must have the same feature columns")
-    fids = sorted(frame.group("values"))
-    aids = sorted(frame.group("actions"))
-    shape = (frame.n_rows, len(fids))
+    n, rows = len(frame.patient_ids), frame.n_rows
+    survived = frame.bitmap("survived", n)
+    baselines = frame.buffer("sofa_baseline", F8, n)
+    sofa = frame.buffer("sofa", F8, rows)
+    fids = _column_ids(frame, ("values", "staleness", "mask"), "feature")
+    aids = _column_ids(frame, ("actions", "action_mask"), "action")
+    shape = (rows, len(fids))
     mask, values, staleness = np.zeros(shape, dtype=bool), np.zeros(shape), np.zeros(shape)
     for j, fid in enumerate(fids):
-        mask[:, j], values[:, j], staleness[:, j] = _observation_columns(frame, fid)
-    action_mask = np.zeros((frame.n_rows, len(aids)), dtype=bool)
-    actions = np.zeros((frame.n_rows, len(aids)))
-    whole = []
+        mask[:, j] = present = frame.bitmap(fid, rows, "mask")
+        values[present, j] = frame.buffer(fid, F8, rows, "values")[present]
+        staleness[present, j] = frame.buffer(fid, I4, rows, "staleness")[present]
+    action_mask = np.zeros((rows, len(aids)), dtype=bool)
+    actions = np.zeros((rows, len(aids)))
+    whole = [aid in action_schema and action_schema[aid].discrete for aid in aids]
     for j, aid in enumerate(aids):
-        action_mask[:, j], actions[:, j], is_whole = _action_column(
-            frame, aid, action_schema.get(aid)
-        )
-        whole.append(is_whole)
+        action_mask[:, j] = present = frame.bitmap(aid, rows, "action_mask")
+        actions[present, j] = frame.buffer(aid, F8, rows, "actions")[present]
+        if whole[j]:  # a discrete action's levels are truncated, as int() does
+            infinite = ~np.isfinite(actions[:, j])
+            if infinite.any():
+                i = int(np.argmax(infinite))
+                level = actions[i, j].item()
+                raise ValidationError(f"{frame.row(i)}: action {aid!r} level {level} not finite")
+            actions[:, j] = np.trunc(actions[:, j])
 
     block = CohortColumns(
         feature_ids=fids,
         action_ids=aids,
-        t=t,
+        t=frame.t,
         sofa=sofa,
         values=values,
         staleness=staleness,
@@ -684,10 +637,10 @@ def dataset_from_json(doc) -> TrajectoryDataset:
         actions=actions,
         action_mask=action_mask,
         whole=whole,
-        offsets=np.array(frame.offsets, dtype=np.int64),
+        offsets=frame.offsets,
     )
     dataset = TrajectoryDataset(
-        trajectories=block.views(frame.patient_ids, survived, baselines.tolist()),
+        trajectories=block.views(frame.patient_ids, survived.tolist(), baselines.tolist()),
         feature_schema=feature_schema,
         action_schema=action_schema,
     )

@@ -34,7 +34,9 @@ from . import defaults
 from .errors import DegenerateStatisticError, FormatError, SchemaError, ValidationError
 from .fitness import _quantiles
 from .jsonio import read_json, write_compact_json
-from .model import FORMAT, RaggedColumns, Trajectory, TrajectoryDataset
+from .model import (
+    F8, FORMAT, I4, I4_LIMIT, RaggedColumns, Trajectory, TrajectoryDataset, to_buffer,
+)
 from .rewards import RewardTrace
 
 
@@ -105,16 +107,20 @@ class PolicyProbTable:
         return self.probs == other.probs
 
     def validate(self) -> None:
-        """Raises ValidationError at the first row, in row order, whose
-        p_eval is outside [0, 1] or whose p_behavior is outside (0, 1]."""
+        """Raises ValidationError at the first row, in row order, whose t
+        is not below 2**31 in magnitude, whose p_eval is outside [0, 1] or
+        whose p_behavior is outside (0, 1], checked in that order."""
         spans, t, p_eval, p_behavior = self.columns
+        bad_t = ~((-I4_LIMIT < t) & (t < I4_LIMIT))
         bad_eval = ~((0.0 <= p_eval) & (p_eval <= 1.0))
-        bad = bad_eval | ~((0.0 < p_behavior) & (p_behavior <= 1.0))
+        bad = bad_t | bad_eval | ~((0.0 < p_behavior) & (p_behavior <= 1.0))
         if not bad.any():
             return
         row = int(np.argmax(bad))
         pid = next(pid for pid, (lo, hi) in spans.items() if lo <= row < hi)
         where = f"({pid!r}, t={t[row].item()})"
+        if bad_t[row]:
+            raise ValidationError(f"{where}: t not of magnitude below 2**31")
         if bad_eval[row]:
             raise ValidationError(f"{where}: p_eval {p_eval[row].item()} out of [0,1]")
         raise ValidationError(
@@ -356,16 +362,18 @@ def mortality_curve(
 
 
 # ---------------------------------------------------------------------------
-# Probability-table file format: format 2, the patient frame of the dataset
-# format (patient_id, offsets) over row columns t, p_eval and p_behavior,
-# written with patients sorted by id; t strictly increases within each.
+# Probability-table file format: format 3, the patient frame of the dataset
+# format (patient_id, offsets, t) over the F8 row columns p_eval and
+# p_behavior, written with patients sorted by id; t strictly increases
+# within each.
 # ---------------------------------------------------------------------------
 
 
-def _check_increasing(frame: RaggedColumns, t: np.ndarray) -> None:
+def _check_increasing(frame: RaggedColumns) -> None:
     """t strictly increases within each patient, so (patient, t) is unique."""
+    t = frame.t
     backwards = np.diff(t) <= 0  # [i - 1]: row i does not follow row i - 1
-    starts = np.array(frame.offsets[1:-1], dtype=np.int64) - 1
+    starts = frame.offsets[1:-1] - 1
     backwards[starts[(0 <= starts) & (starts < len(backwards))]] = False
     if backwards.any():
         i = int(np.argmax(backwards)) + 1
@@ -376,14 +384,12 @@ def _check_increasing(frame: RaggedColumns, t: np.ndarray) -> None:
 
 def prob_table_from_json(doc) -> PolicyProbTable:
     frame = RaggedColumns(doc, "probability table")
-    t = frame.times(integral_floats=True)
-    _check_increasing(frame, t)
-    message = "p_eval and p_behavior must be numbers"
-    p_eval = frame.numbers(frame.rows("p_eval"), frame.row, message)[0]
-    p_behavior = frame.numbers(frame.rows("p_behavior"), frame.row, message)[0]
-    offsets = frame.offsets
+    _check_increasing(frame)
+    p_eval = frame.buffer("p_eval", F8, frame.n_rows)
+    p_behavior = frame.buffer("p_behavior", F8, frame.n_rows)
+    offsets = frame.offsets.tolist()
     spans = dict(zip(frame.patient_ids, zip(offsets, offsets[1:])))
-    table = PolicyProbTable.of_columns(ProbColumns(spans, t, p_eval, p_behavior))
+    table = PolicyProbTable.of_columns(ProbColumns(spans, frame.t, p_eval, p_behavior))
     table.validate()
     return table
 
@@ -399,10 +405,10 @@ def prob_table_to_json(table: PolicyProbTable) -> dict:
     return {
         "format": FORMAT,
         "patient_id": patients,
-        "offsets": offsets,
-        "t": t.tolist(),
-        "p_eval": p_eval.tolist(),
-        "p_behavior": p_behavior.tolist(),
+        "offsets": to_buffer(offsets, I4),
+        "t": to_buffer(t, I4),
+        "p_eval": to_buffer(p_eval, F8),
+        "p_behavior": to_buffer(p_behavior, F8),
     }
 
 
@@ -411,4 +417,6 @@ def load_prob_table(path: str | Path) -> PolicyProbTable:
 
 
 def save_prob_table(table: PolicyProbTable, path: str | Path) -> None:
+    """Write the table; load_prob_table reproduces it exactly."""
+    table.validate()
     write_compact_json(path, prob_table_to_json(table))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import copy
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -245,6 +248,22 @@ def _oracle_patient(config, i):
     return Trajectory(f"synth_{i:05d}", steps, survived, float(sofa[0]))
 
 
+def cohort_digest(dataset):
+    """sha256 of a cohort's content, whatever file format carried it: the
+    block's ids and arrays (integers as int64, reals as float64, flags as
+    bools), the patient ids, survived and the baselines."""
+    cols, trajs = dataset.columns, dataset.trajectories
+    h = hashlib.sha256()
+    h.update(json.dumps([cols.feature_ids, cols.action_ids, cols.whole,
+                         [t.patient_id for t in trajs], [t.survived for t in trajs]]).encode())
+    h.update(np.array([t.sofa_baseline for t in trajs], dtype="<f8").tobytes())
+    for name, dtype in (("offsets", "<i8"), ("t", "<i8"), ("sofa", "<f8"), ("values", "<f8"),
+                        ("staleness", "<f8"), ("mask", "?"), ("actions", "<f8"),
+                        ("action_mask", "?")):
+        h.update(np.ascontiguousarray(getattr(cols, name), dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # Independent oracle: tabular value iteration for policy-invariance checks.
 # ---------------------------------------------------------------------------
@@ -360,6 +379,9 @@ def oracle_validate(dataset):
         prev_t = None
         feature_set = None
         for step in traj.steps:
+            if not (float(step.t).is_integer() and abs(step.t) < 2**31):
+                return (f"patient {pid!r}: time index {step.t} not a whole number of magnitude "
+                        "below 2**31")
             if prev_t is not None and step.t <= prev_t:
                 return f"patient {pid!r}: non-increasing time index at t={step.t}"
             prev_t = step.t
@@ -377,6 +399,9 @@ def oracle_validate(dataset):
                     return f"patient {pid!r}: feature {fid!r} value out of [0,1] at t={step.t}"
                 if not (obs.staleness >= 0):
                     return f"patient {pid!r}: feature {fid!r} staleness negative at t={step.t}"
+                if not (float(obs.staleness).is_integer() and obs.staleness < 2**31):
+                    return (f"patient {pid!r}: feature {fid!r} staleness {float(obs.staleness)} "
+                            f"not a whole number below 2**31 at t={step.t}")
             for aid, level in sorted(step.action.items()):
                 if aid not in dataset.action_schema:
                     return f"patient {pid!r}: action {aid!r} not in action_schema"
@@ -586,15 +611,97 @@ def oracle_bootstrap_ci(dataset, traces, probs, level=0.95, resamples=1000, seed
     )
 
 
+# ---------------------------------------------------------------------------
+# Test-side codec of the format-3 documents: their base64 columns as plain
+# lists and back, so that a test can change one entry of a column. In the
+# plain form a dataset has the shape of format 2: survived as bools, and
+# null where the mask (or action_mask) marks a slot absent, with no mask
+# groups. A plain document may hold what format 3 cannot: binary_document
+# writes a null as an absent slot holding 0, and a staleness of null as 0.
+# ---------------------------------------------------------------------------
+
+_DTYPES = {
+    "sofa_baseline": "<f8", "offsets": "<i4", "t": "<i4", "sofa": "<f8", "values": "<f8",
+    "staleness": "<i4", "actions": "<f8", "p_eval": "<f8", "p_behavior": "<f8",
+}
+_MASKS = {"values": "mask", "staleness": "mask", "actions": "action_mask"}
+
+
+def _unpack(text, dtype):
+    return np.frombuffer(base64.b64decode(text), dtype).tolist()
+
+
+def _pack(column, dtype):
+    return base64.b64encode(np.array(column, dtype=dtype).tobytes()).decode("ascii")
+
+
+def _unpack_bits(text, count):
+    raw = np.frombuffer(base64.b64decode(text), np.uint8)
+    return np.unpackbits(raw, count=count, bitorder="little").astype(bool).tolist()
+
+
+def _pack_bits(flags):
+    return base64.b64encode(np.packbits(flags, bitorder="little").tobytes()).decode("ascii")
+
+
+def plain_document(doc):
+    """A format-3 dataset or table document with plain lists for columns."""
+    plain = {key: value for key, value in doc.items() if key not in ("mask", "action_mask")}
+    rows = len(_unpack(doc["t"], "<i4"))
+    for key, dtype in _DTYPES.items():
+        if key not in doc:
+            continue
+        if key in _MASKS:
+            masks = doc[_MASKS[key]]
+            plain[key] = {
+                cid: [v if m else None for v, m in
+                      zip(_unpack(text, dtype), _unpack_bits(masks[cid], rows))]
+                for cid, text in doc[key].items()
+            }
+        else:
+            plain[key] = _unpack(doc[key], dtype)
+    if "survived" in doc:
+        plain["survived"] = _unpack_bits(doc["survived"], len(doc["patient_id"]))
+    return plain
+
+
+def binary_document(plain):
+    """The format-3 document of a plain one; a value that is not a plain
+    column (a test's malformed entry) is kept as it is."""
+    doc = dict(plain)
+    for key, dtype in _DTYPES.items():
+        column = plain.get(key)
+        if key in _MASKS and isinstance(column, dict):
+            doc[key] = {cid: _pack([0 if v is None else v for v in c], dtype)
+                        for cid, c in column.items()}
+            if key != "staleness":
+                doc[_MASKS[key]] = {cid: _pack_bits([v is not None for v in c])
+                                    for cid, c in column.items()}
+        elif key not in _MASKS and isinstance(column, list):
+            doc[key] = _pack(column, dtype)
+    if isinstance(plain.get("survived"), list):
+        doc["survived"] = _pack_bits(plain["survived"])
+    return doc
+
+
 # Values a fuzzed document may hold in place of any other.
 _SUBSTITUTES = st.sampled_from([0, -3, 2**70, "x", [], [1.5], {}, None, True, False, math.nan])
+
+
+def _base64_bytes(value):
+    """The bytes a base64 string decodes to, or None for any other value."""
+    try:
+        return base64.b64decode(value, validate=True) if isinstance(value, str) else None
+    except ValueError:
+        return None
 
 
 @st.composite
 def mutated_documents(draw, document):
     """document after one mutation of one entry, anywhere in it: drop the
-    entry, replace its value, truncate its array there, or perturb an offset
-    (when the document has offsets)."""
+    entry, replace its value, truncate its array there, perturb an offset
+    (when the document has offsets), or, for a base64 column (a buffer or a
+    bitmap), corrupt its text or make its bytes shorter or longer."""
     doc = copy.deepcopy(document)
     slots, nodes = [], [doc]
     for node in nodes:
@@ -603,7 +710,9 @@ def mutated_documents(draw, document):
             if isinstance(node[key], (dict, list)):
                 nodes.append(node[key])
     node, key = draw(st.sampled_from(slots))
+    raw = _base64_bytes(node[key])
     actions = ["drop", "replace", "truncate"] + (["offsets"] if "offsets" in doc else [])
+    actions += ["corrupt", "shorten", "lengthen"] if raw is not None else []
     action = draw(st.sampled_from(actions))
     if action == "drop":
         del node[key]
@@ -612,6 +721,15 @@ def mutated_documents(draw, document):
     elif action == "truncate" and isinstance(node, list):
         del node[key:]
     elif action == "offsets":
-        i = draw(st.integers(0, len(doc["offsets"]) - 1))
-        doc["offsets"][i] += draw(st.sampled_from([-2, -1, 1, 2]))
+        offsets = np.frombuffer(base64.b64decode(doc["offsets"]), "<i4").copy()
+        offsets[draw(st.integers(0, len(offsets) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+        doc["offsets"] = _pack(offsets, "<i4")
+    elif action == "corrupt":
+        i = draw(st.integers(0, len(node[key])))
+        bad = draw(st.sampled_from(["!", "=", "A", "é", " "]))
+        node[key] = node[key][:i] + bad + node[key][i:]
+    elif action == "shorten":
+        node[key] = base64.b64encode(raw[: -draw(st.integers(1, 9))]).decode("ascii")
+    elif action == "lengthen":
+        node[key] = base64.b64encode(raw + bytes(draw(st.integers(1, 9)))).decode("ascii")
     return doc

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mutated_documents
+from conftest import binary_document, mutated_documents, plain_document
 from tridrive import __version__
 from tridrive.cli import main
 from tridrive.model import load_dataset
@@ -73,7 +76,7 @@ class TestStats:
         path.write_text(json.dumps({"feature_schema": {}, "action_schema": {}, "trajectories": []}))
         result = _invoke("stats", "--dataset", path, "--out", tmp_path / "o")
         _assert_usage_error(result)
-        assert '"format": 2' in result.output
+        assert '"format": 3' in result.output
 
     def test_rerun_identical_bytes(self, workdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -238,8 +241,9 @@ class TestOpe:
 
     def test_malformed_table_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": 2, "patient_id": ["p1"], "offsets": [0, 1], '
-                       '"t": [Infinity], "p_eval": [0.5], "p_behavior": [0.5]}')
+        plain = {"format": 3, "patient_id": ["p1"], "offsets": [0, 2], "t": [3, 3],
+                 "p_eval": [0.5, 0.5], "p_behavior": [0.5, 0.5]}
+        bad.write_text(json.dumps(binary_document(plain)))
         result = _invoke(
             "ope", "--dataset", workdir / "cohort.json", "--spec", workdir / "ref_spec.json",
             "--probs", bad, "--bootstrap", 20, "--bins", 4, "--out", tmp_path / "ope",
@@ -323,10 +327,10 @@ class TestPipelineCommand:
 
 
 def _nan_dataset(workdir, tmp_path):
-    doc = json.loads((workdir / "cohort.json").read_text())
+    doc = plain_document(json.loads((workdir / "cohort.json").read_text()))
     doc["sofa"][1] = float("nan")
     path = tmp_path / "nan_cohort.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(binary_document(doc)))
     return path
 
 
@@ -441,6 +445,23 @@ def test_manifest_champion_not_a_candidate_is_usage_error(finished_run, tmp_path
     result = _invoke("pipeline", "--config", config, "--out", copy)
     _assert_usage_error(result)
     assert "champion 'spec_999' is not a candidate" in result.output
+
+
+def test_cli_import_loads_no_network_stack():
+    """Only the HTTP client needs urllib.request and what it loads, so a
+    fresh CLI process, which may never make a request, leaves them out."""
+    code = (
+        "import sys\n"
+        "import tridrive.cli\n"
+        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl'} & set(sys.modules)))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_help_lists_commands():

@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    binary_document,
     make_step,
     oracle_efficiency,
     oracle_ground_truth,
@@ -26,6 +28,7 @@ from conftest import (
     oracle_trace,
     oracle_uncertainty,
     oracle_validate,
+    plain_document,
     simple_spec,
 )
 from tridrive import model
@@ -193,10 +196,10 @@ def test_pipeline_readers_build_no_steps(tmp_path, monkeypatch):
     )
 
 
-# Recorded with the generator that built Step objects, before the cohort
-# became columns: generate and save_dataset write the same bytes.
-COHORT_50_SHA256 = "63ab6ae5e1f8aa58a39568ce4d7a9dc37d4e62b138252dabd2537322aeed9462"
-COHORT_50_RUN_ID = "2af887b950fa28ca"
+# The format-3 file of the 50-patient seed-0 cohort, whose content
+# test_synth pins apart from the format, and the run id it gives.
+COHORT_50_SHA256 = "17a86b8a90dcd82599392c23b09687d786cc0accb47505758a0caf3041d7cb7b"
+COHORT_50_RUN_ID = "edf89ef51101f8a2"
 
 
 def test_generated_file_bytes_are_pinned(tmp_path, monkeypatch):
@@ -272,6 +275,57 @@ def _offender_dataset(trajs):
         {"f1": FEATURE_SCHEMA["f1"], "e0": FEATURE_SCHEMA["f2"]},
         {"drug_a": ActionSpec(4.0)},
     )
+
+
+# Offenders a format-3 file cannot hold (its t and staleness are I4), so
+# save_dataset must refuse them before it writes.
+_UNWRITABLE = pytest.mark.parametrize(
+    "trajs, message",
+    [
+        (
+            _two_patients(_OK, [make_step(0, {"f1": 0.5}), make_step(1.5, {"f1": 0.5})]),
+            "patient 'p2': time index 1.5 not a whole number of magnitude below 2**31",
+        ),
+        (
+            _two_patients(_OK, [make_step(-(2**31), {"f1": 0.5}), make_step(1, {"f1": 0.5})]),
+            "patient 'p2': time index -2147483648 not a whole number of magnitude below 2**31",
+        ),
+        (
+            _two_patients([make_step(0, {"f1": 0.5}), make_step(2**31, {"f1": 0.5})], _OK),
+            "patient 'p1': time index 2147483648 not a whole number of magnitude below 2**31",
+        ),
+        (
+            _two_patients(_OK, [make_step(0, {"f1": 0.5}), make_step(1, {"f1": 0.5}, {"f1": 0.5})]),
+            "patient 'p2': feature 'f1' staleness 0.5 not a whole number below 2**31 at t=1",
+        ),
+        (
+            _two_patients([make_step(0, {"f1": 0.5}, {"f1": math.inf}), _OK[1]], _OK),
+            "patient 'p1': feature 'f1' staleness inf not a whole number below 2**31 at t=0",
+        ),
+        (
+            _two_patients(_OK, [make_step(0, {"f1": 0.5}, {"f1": 2**31}), _OK[1]]),
+            "patient 'p2': feature 'f1' staleness 2147483648.0 not a whole number below 2**31 "
+            "at t=0",
+        ),
+        (
+            _two_patients(_OK, [make_step(0, {"f1": 0.5}, {"f1": -1.5}), _OK[1]]),
+            "patient 'p2': feature 'f1' staleness negative at t=0",
+        ),
+    ],
+    ids=["fractional-time", "time-below-range", "time-above-range", "fractional-staleness",
+         "infinite-staleness", "staleness-above-range", "negative-fractional-staleness"],
+)
+
+
+@_UNWRITABLE
+def test_save_refuses_what_the_file_cannot_hold(tmp_path, trajs, message):
+    dataset = _offender_dataset(trajs)
+    assert oracle_validate(dataset) == message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dataset.validate()
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        save_dataset(dataset, tmp_path / "d.json")
+    assert not (tmp_path / "d.json").exists()
 
 
 @_OFFENDERS
@@ -397,15 +451,15 @@ def test_discrete_levels_read_back_as_ints(tmp_path):
     )
     path = tmp_path / "d.json"
     save_dataset(dataset, path)
-    doc = json.loads(path.read_text())
+    doc = plain_document(json.loads(path.read_text()))
     # A discrete level is truncated as int() truncates; a continuous one is kept.
     doc["actions"] = {"dose": [2.7, -0.5], "flow": [2, None]}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(binary_document(doc)))
     loaded = load_dataset(path)
     actions = [step.action for step in loaded.trajectories[0].steps]
     assert actions == [{"dose": 2, "flow": 2.0}, {"dose": 0}]
     assert [type(a["dose"]) for a in actions] == [int, int]
     assert type(actions[0]["flow"]) is float
     save_dataset(loaded, path)
-    assert json.loads(path.read_text())["actions"] == {"dose": [2, 0], "flow": [2.0, None]}
-    assert '"flow":[2.0,null]' in path.read_text()
+    doc = plain_document(json.loads(path.read_text()))
+    assert doc["actions"] == {"dose": [2.0, 0.0], "flow": [2.0, None]}

@@ -70,6 +70,16 @@ class TestPearson:
         with pytest.raises(DegenerateStatisticError, match="constant"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("value", [0.1, 0.7, 1 / 3])
+    @pytest.mark.parametrize("n", [3, 7, 10, 100])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_constant_side_rejected_exactly(self, side, n, value):
+        # The float mean of these constant arrays is not always the value.
+        constant, ramp = [value] * n, list(range(n))
+        xs, ys = (constant, ramp) if side == "x" else (ramp, constant)
+        with pytest.raises(DegenerateStatisticError, match=f"^{side} is constant"):
+            pearson(xs, ys)
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             pearson([1.0], [1.0])

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -131,6 +132,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(b"completion text")
 
+    def do_GET(self):  # what a followed 301-303 would send: recorded, then refused
+        _Handler.calls.append({"payload": None, "auth": self.headers.get("Authorization")})
+        self.send_response(405)
+        self.end_headers()
+
     def log_message(self, *args):
         pass
 
@@ -233,6 +239,55 @@ class TestHttpClient:
         monkeypatch.delenv(ENDPOINT_ENV, raising=False)
         with pytest.raises(ConfigError, match="endpoint"):
             HttpLlmClient(LlmClientConfig())
+
+    def test_refused_connection_is_retried_then_fails(self, monkeypatch):
+        with socket.socket() as probe:  # a local port with no listener once closed
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        slept = []
+        monkeypatch.setattr(llm_module.time, "sleep", slept.append)
+        client = HttpLlmClient(
+            LlmClientConfig(endpoint=f"http://127.0.0.1:{port}/complete", retries=2, backoff=0.5)
+        )
+        with pytest.raises(LlmClientError, match="failed after 3 attempts: .*refused"):
+            client.complete("x")
+        assert slept == [0.5, 1.0]
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_refused_and_the_key_stays_home(self, http_endpoint, monkeypatch, status):
+        # The endpoint redirects to a second server on another port (another
+        # origin), which must see neither the key nor any request at all.
+        class Redirect(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.send_response(status)
+                self.send_header("Location", http_endpoint)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        redirector = HTTPServer(("127.0.0.1", 0), Redirect)
+        threading.Thread(target=redirector.serve_forever, daemon=True).start()
+        monkeypatch.setenv(KEY_ENV, "secret-token")
+        client = HttpLlmClient(LlmClientConfig(
+            endpoint=f"http://127.0.0.1:{redirector.server_port}/complete", retries=2, backoff=0.01,
+        ))
+        try:
+            with pytest.raises(LlmClientError, match=f"redirected with {status}; redirects are not"):
+                client.complete("x")
+        finally:
+            redirector.shutdown()
+            redirector.server_close()
+        assert _Handler.calls == []
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["file:///completion.txt", " file:///completion.txt", "ftp://127.0.0.1/x", "localhost:8000"],
+    )
+    def test_endpoint_must_be_http(self, endpoint):
+        with pytest.raises(ConfigError, match="must be an http or https URL"):
+            HttpLlmClient(LlmClientConfig(endpoint=endpoint))
 
     def test_no_auth_header_without_key(self, http_endpoint, monkeypatch):
         monkeypatch.delenv(KEY_ENV, raising=False)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_generate
+from conftest import cohort_digest, oracle_generate
 from tridrive.errors import ConfigError, FormatError
 from tridrive.fitness import CompMetricConfig, FitnessTargets, pearson
-from tridrive.model import FeatureType, dataset_to_json, save_dataset
+from tridrive.model import FeatureType, dataset_to_json, load_dataset, save_dataset
 from tridrive.synth import (
     CohortConfig,
     cohort_config_from_json,
@@ -113,9 +113,12 @@ class TestGenerate:
             generate(CohortConfig(horizon_min=1, horizon_max=0))
 
 
-# sha256 of the file save_dataset writes for CohortConfig(n_patients=50, seed=0),
-# recorded from the patient-at-a-time generator this one replaced.
-_GOLDEN_50_SEED_0 = "63ab6ae5e1f8aa58a39568ce4d7a9dc37d4e62b138252dabd2537322aeed9462"
+# conftest.cohort_digest of CohortConfig(n_patients=50, seed=0), generated
+# and loaded back from its file: the cohort's content, whatever the file
+# format. Recorded from the format-2 file, before format 3.
+_DIGEST_50_SEED_0 = "10a6145926940a462b14cad3b1e4e57c4307d7433b9ead0a2b9120192c24799f"
+# sha256 of the format-3 file save_dataset writes for it.
+_GOLDEN_50_SEED_0 = "17a86b8a90dcd82599392c23b09687d786cc0accb47505758a0caf3041d7cb7b"
 
 
 def _json_bytes(dataset) -> bytes:
@@ -173,7 +176,9 @@ class TestMatchesScalarOracle:
 
     def test_output_pinned_by_golden_hash(self, tmp_path):
         path = tmp_path / "cohort.json"
-        save_dataset(generate(CohortConfig(n_patients=50, seed=0)), path)
+        dataset = generate(CohortConfig(n_patients=50, seed=0))
+        save_dataset(dataset, path)
+        assert cohort_digest(dataset) == cohort_digest(load_dataset(path)) == _DIGEST_50_SEED_0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == _GOLDEN_50_SEED_0
 
 
