@@ -73,7 +73,10 @@ class PolicyProbTable:
 
     @cached_property
     def columns(self) -> ProbColumns:
-        """The rows, derived from probs once, on first use, for a dict-built table."""
+        """The rows, derived from probs once, on first use, for a dict-built
+        table. Raises ValidationError naming the first key, in row order,
+        whose t is not a whole number below 2**53 in magnitude (so that a
+        float holds it exactly)."""
         keys = sorted(self.probs)
         values = list(map(self.probs.__getitem__, keys))
         rows = Counter(map(itemgetter(0), keys))  # per patient, in sorted order
@@ -82,9 +85,16 @@ class PolicyProbTable:
         def column(entries, i, dtype):
             return np.fromiter(map(itemgetter(i), entries), dtype, count=len(keys))
 
+        t = column(keys, 1, float)
+        bad = ~((np.trunc(t) == t) & (np.abs(t) < 2.0**53))
+        if bad.any():
+            pid, step = keys[int(np.argmax(bad))]
+            raise ValidationError(
+                f"({pid!r}, t={step}): t not a whole number of magnitude below 2**31"
+            )
         return ProbColumns(
             dict(zip(rows, zip([0, *ends], ends))),
-            column(keys, 1, np.int64),
+            t.astype(np.int64),
             column(values, 0, float),
             column(values, 1, float),
         )

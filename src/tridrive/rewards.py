@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -156,17 +156,37 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 #   asymmetric_above  0        ln 2/sigma    mu
 #
 # The exponent's floor at 0 makes asymmetric_above flat at 1 up to mu and
-# caps every score at 1.
+# caps every score at 1. Trust in a measurement dt hours old is
+# exp(-dt/tau). A potential needs only score times trust, so _potentials
+# takes one exponential per cell, of the two exponents summed. The
+# exponents divide by tau, and costs divide by the action maxima, rather
+# than multiplying by reciprocals: a subnormal tau such as 5e-324 passes
+# validate, its reciprocal is inf, and 0 * inf would turn the full trust
+# of a fresh measurement into NaN.
+#
+# A spec's arrays over a block's columns are built once per content of
+# (survival, confidence_tau, block feature ids), and of (action_max, block
+# action ids), and reused by every call with equal content; the scalar
+# fields are read on every call. A block column the spec does not name is
+# never read, and a spec that names every column reads them with no gather.
+
+
+def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
+    d = values - m
+    z = c * d
+    return np.maximum(0.5 * z * z + b * d, 0.0)
+
+
+def _staleness_exponents(staleness: np.ndarray, tau) -> np.ndarray:
+    return staleness / tau
 
 
 def _survival_scores(values: np.ndarray, c, b, m) -> np.ndarray:
-    d = values - m
-    z = c * d
-    return np.exp(-np.maximum(0.5 * z * z + b * d, 0.0))
+    return np.exp(-_survival_exponents(values, c, b, m))
 
 
 def _confidence_weights(staleness: np.ndarray, tau) -> np.ndarray:
-    return np.exp(-staleness / tau)
+    return np.exp(-_staleness_exponents(staleness, tau))
 
 
 def _time_decays(t: np.ndarray, half_life: float) -> np.ndarray:
@@ -176,6 +196,47 @@ def _time_decays(t: np.ndarray, half_life: float) -> np.ndarray:
 def _competence_costs(levels: np.ndarray, maxima: np.ndarray, scale: float) -> np.ndarray:
     """Per-row dose penalty of a [steps, actions] level matrix."""
     return scale * (levels / maxima).sum(axis=-1)
+
+
+def _selector(picked: list[int], width: int):
+    """Selects the picked columns of a block width columns wide: a slice,
+    which reads them in place with no gather, when it picks them all, else
+    their indices (read-only, as the cached arrays below are shared by
+    every caller with equal content)."""
+    if len(picked) == width:
+        return slice(None)
+    index = np.array(picked, dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+@lru_cache(maxsize=256)
+def _feature_columns(survival: tuple, confidence_tau: tuple, feature_ids: tuple):
+    """(selector, c, b, m, weight, tau): the block feature columns a spec
+    names, and their survival coefficients, weights and confidence taus,
+    in block order."""
+    configs, taus = dict(survival), dict(confidence_tau)
+    picked = [j for j, fid in enumerate(feature_ids) if fid in configs]
+    rows = [
+        (*configs[fid].coefficients, configs[fid].weight, taus[fid])
+        for fid in map(feature_ids.__getitem__, picked)
+    ]
+    table = np.array(rows, dtype=float).reshape(len(rows), 5).T.copy()
+    table.flags.writeable = False
+    return _selector(picked, len(feature_ids)), *table
+
+
+@lru_cache(maxsize=256)
+def _action_columns(action_max: tuple, action_ids: tuple):
+    """(selector, maxima, undeclared): the block action columns a spec
+    declares and their maxima, in block order, and the ids of the block
+    actions it does not declare."""
+    maxima = dict(action_max)
+    picked = [j for j, aid in enumerate(action_ids) if aid in maxima]
+    levels_max = np.array([maxima[action_ids[j]] for j in picked], dtype=float)
+    levels_max.flags.writeable = False
+    undeclared = tuple(aid for aid in action_ids if aid not in maxima)
+    return _selector(picked, len(action_ids)), levels_max, undeclared
 
 
 def _check_declared_actions(action_ids, spec: RewardSpec) -> None:
@@ -217,25 +278,33 @@ def _potentials(cols: CohortColumns, spec: RewardSpec) -> np.ndarray:
     from that step's normalizer; if every feature is missing the base
     potential is the neutral 0.5.
     """
-    fids = [fid for fid in spec.survival if fid in cols.feature_ids]
-    idx = [cols.feature_ids.index(fid) for fid in fids]
-    c, b, m, weight, tau = np.array(
-        [
-            (*spec.survival[fid].coefficients, spec.survival[fid].weight, spec.confidence_tau[fid])
-            for fid in fids
-        ],
-        dtype=float,
-    ).reshape(len(fids), 5).T
-    weights = cols.mask[:, idx] * weight
-    score = _survival_scores(cols.values[:, idx], c, b, m)
-    trust = _confidence_weights(cols.staleness[:, idx], tau)
-    num = (weights * score * trust).sum(axis=1)
-    den = weights.sum(axis=1)
+    select, c, b, m, weight, tau = _feature_columns(
+        tuple(spec.survival.items()), tuple(spec.confidence_tau.items()), tuple(cols.feature_ids)
+    )
+    exponents = _survival_exponents(cols.values[:, select], c, b, m)
+    exponents += _staleness_exponents(cols.staleness[:, select], tau)
+    mask = cols.mask[:, select]
+    num = np.dot(np.exp(-exponents) * mask, weight)
+    den = np.dot(mask, weight)
     present = den > 0.0
-    if spec.normalize_potential:
-        num = np.minimum(num / np.where(present, den, 1.0), 1.0)
     base = np.where(present, num, 0.5)
+    if spec.normalize_potential:
+        base = np.minimum(np.divide(num, den, out=base, where=present), 1.0)
     return _time_decays(cols.t, spec.decay_half_life) * base
+
+
+def _check_undeclared_unset(trajectory: Trajectory, undeclared: tuple[str, ...]) -> None:
+    """Raises SchemaError if a transition of the trajectory sets an action
+    of undeclared, naming the patient, the first such action in block
+    order and the first t at which it is set."""
+    cols = trajectory.columns
+    for aid in undeclared:
+        (rows,) = np.nonzero(cols.action_mask[:-1, cols.action_ids.index(aid)])
+        if rows.size:
+            raise SchemaError(
+                f"patient {trajectory.patient_id!r}: action {aid!r} not declared in the reward "
+                f"spec's action_max at t={cols.t[rows[0]].item()}"
+            )
 
 
 def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
@@ -248,15 +317,12 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     potentials = _potentials(cols, spec)
     rewards = spec.gamma * potentials[1:] - potentials[:-1]
     if spec.lam != 0.0:
-        declared = [aid for aid in cols.action_ids if aid in spec.action_max]
-        if len(declared) < len(cols.action_ids):
-            acting = cols.action_mask[:-1].any(axis=0).tolist()
-            _check_declared_actions([aid for aid, a in zip(cols.action_ids, acting) if a], spec)
-        costs = _competence_costs(
-            cols.actions[:-1, [cols.action_ids.index(aid) for aid in declared]],
-            np.array([spec.action_max[aid] for aid in declared]),
-            spec.action_cost_scale,
+        select, maxima, undeclared = _action_columns(
+            tuple(spec.action_max.items()), tuple(cols.action_ids)
         )
+        if undeclared:
+            _check_undeclared_unset(trajectory, undeclared)
+        costs = _competence_costs(cols.actions[:-1, select], maxima, spec.action_cost_scale)
         rewards -= spec.lam * costs
     discounts = np.power(spec.gamma, np.arange(len(rewards)))
     return RewardTrace(

@@ -459,6 +459,13 @@ class TestProbTableIO:
             save_prob_table(table, tmp_path / "probs.json")
         assert not (tmp_path / "probs.json").exists()
 
+    @pytest.mark.parametrize("t", [1.5, math.nan, math.inf], ids=["fraction", "nan", "inf"])
+    def test_time_not_whole_is_refused_before_writing(self, tmp_path, t):
+        table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", t): (0.5, 0.5)})
+        with pytest.raises(ValidationError, match=rf"\('p1', t={t}\): t not a whole number"):
+            save_prob_table(table, tmp_path / "probs.json")
+        assert not (tmp_path / "probs.json").exists()
+
     def test_non_finite_time_in_file_is_format_error(self, tmp_path):
         path = tmp_path / "probs.json"
         path.write_text('{"format": 3, "patient_id": ["p1"], "offsets": "AAAAAAEAAAA=", '

@@ -175,6 +175,23 @@ class TestScoreAndPareto:
             "error": f"patient {traj.patient_id!r}: feature 'lo1' absent at t={traj.steps[0].t}",
         }]
 
+    def test_undeclared_action_names_patient_and_t(self, small_dataset_path):
+        ds = load_dataset(small_dataset_path)
+        spec = reference_spec(SMALL)
+        del spec.action_max["drug_b"]
+        traj, step = next(
+            (traj, step)
+            for traj in ds.trajectories
+            for step in traj.steps[:-1]
+            if "drug_b" in step.action
+        )
+        rows = score_specs(ds, [("undeclared", spec)])
+        assert rows == [{
+            "spec_id": "undeclared",
+            "error": f"patient {traj.patient_id!r}: action 'drug_b' not declared in the reward "
+                     f"spec's action_max at t={step.t}",
+        }]
+
     def test_pareto_from_rows_skips_invalid(self):
         rows = [
             {"spec_id": "a", "j_surv": 0.9, "j_conf": 0.1, "j_comp": 0.5},

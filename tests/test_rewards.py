@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     make_dataset,
     make_step,
+    mutated_documents,
     oracle_trace,
     potential as oracle_potential,
     random_mdp,
@@ -16,12 +18,13 @@ from conftest import (
     simple_spec,
     value_iteration,
 )
-from tridrive.errors import FormatError, SchemaError, ValidationError
+from tridrive.errors import FormatError, SchemaError, TridriveError, ValidationError
 from tridrive.model import Trajectory
 from tridrive.rewards import (
     RewardSpec,
     SurvivalConfig,
     SurvivalForm,
+    _potentials,
     baseline_oprm,
     baseline_orm,
     baseline_prm,
@@ -35,6 +38,7 @@ from tridrive.rewards import (
     time_decay,
     trace,
 )
+from tridrive.synth import CohortConfig, generate, reference_spec
 
 BELL = SurvivalConfig(form=SurvivalForm.BELL, mu=0.5, sigma=0.1)
 DECAY_LOW = SurvivalConfig(form=SurvivalForm.DECAY_LOW, tau=0.3)
@@ -115,7 +119,9 @@ class TestCompetenceCost:
         assert competence_cost({"drug_a": 2}, spec) == pytest.approx(0.05)
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(SchemaError, match="not declared"):
+        with pytest.raises(
+            SchemaError, match=r"^action 'mystery' not declared in the reward spec's action_max$"
+        ):
             competence_cost({"mystery": 1}, simple_spec())
 
 
@@ -334,6 +340,81 @@ class TestTrace:
         )
         assert hi.cumulative - lo.cumulative == pytest.approx(-spec.lam * cost_diff, abs=1e-12)
 
+    def test_undeclared_action_names_patient_and_first_t(self):
+        spec = simple_spec(lam=0.5)
+        steps = [
+            make_step(0, {"f1": 0.5}, action={"drug_a": 1}),
+            make_step(2, {"f1": 0.5}, action={"mystery": 1, "other": 1}),
+            make_step(3, {"f1": 0.5}, action={"mystery": 2}),
+            make_step(5, {"f1": 0.5}),
+        ]
+        with pytest.raises(
+            SchemaError,
+            match=r"^patient 'q': action 'mystery' not declared in the reward spec's action_max "
+                  r"at t=2$",
+        ):
+            trace(Trajectory("q", steps, True, 5.0), spec)
+
+    def test_undeclared_action_of_the_last_step_is_not_read(self):
+        spec = simple_spec(lam=0.5)
+        steps = [
+            make_step(0, {"f1": 0.5}, action={"drug_a": 1}),
+            make_step(1, {"f1": 0.4}, action={"mystery": 1}),
+        ]
+        unset = [steps[0], make_step(1, {"f1": 0.4})]
+        got = trace(Trajectory("q", steps, True, 5.0), spec)
+        assert got == trace(Trajectory("q", unset, True, 5.0), spec)
+
+
+def _assert_matches_oracle(traj, spec):
+    rewards, potentials, cumulative = oracle_trace(traj, spec)
+    got = trace(traj, spec)
+    assert got.rewards == pytest.approx(rewards, rel=0, abs=1e-12)
+    assert got.potentials == pytest.approx(potentials, rel=0, abs=1e-12)
+    assert got.cumulative == pytest.approx(cumulative, rel=0, abs=1e-12)
+
+
+class TestKernelEdgeCases:
+    """Inputs on which a kernel that multiplied by reciprocals, or read a
+    block column its spec does not name, would part from the oracle."""
+
+    def test_subnormal_confidence_tau_with_fresh_measurements(self):
+        spec = simple_spec(tau_conf=5e-324)
+        spec.validate()
+        steps = [make_step(t, {"f1": 0.3 + 0.1 * t}) for t in range(4)]
+        _assert_matches_oracle(Trajectory("p", steps, True, 5.0), spec)
+
+    def test_subnormal_action_max_with_zero_levels(self):
+        spec = simple_spec(lam=0.5, action_max={"drug_a": 5e-324, "drug_b": 4.0})
+        spec.validate()
+        steps = [make_step(t, {"f1": 0.5}, action={"drug_a": 0, "drug_b": t}) for t in range(4)]
+        _assert_matches_oracle(Trajectory("p", steps, True, 5.0), spec)
+
+    def test_nan_in_a_column_the_spec_does_not_name(self):
+        spec = simple_spec(fids=("f1", "f3"))
+        steps = [make_step(t, {"f1": 0.2 * t, "f2": math.nan, "f3": 0.5}) for t in range(4)]
+        _assert_matches_oracle(Trajectory("p", steps, True, 5.0), spec)
+
+
+@pytest.mark.parametrize("named", ["all", "subset"])
+def test_block_potentials_split_at_offsets_match_trace(named):
+    config = CohortConfig(n_patients=40, seed=17)
+    dataset = generate(config)
+    spec = reference_spec(config)
+    cols = dataset.columns
+    if named == "subset":
+        kept = cols.feature_ids[::2]
+        spec = dataclasses.replace(
+            spec,
+            survival={fid: spec.survival[fid] for fid in kept},
+            confidence_tau={fid: spec.confidence_tau[fid] for fid in kept},
+        )
+    assert (len(spec.survival) == len(cols.feature_ids)) == (named == "all")
+    parts = np.split(_potentials(cols, spec), cols.offsets[1:-1])
+    assert len(parts) == len(dataset.trajectories)
+    for traj, part in zip(dataset.trajectories, parts):
+        assert np.abs(part - trace(traj, spec).potentials).max() <= 1e-15
+
 
 class TestPolicyInvariance:
     def test_pure_shaping_preserves_greedy_policy(self):
@@ -440,6 +521,24 @@ _SPEC_PATHS = [
     ("action_cost_scale",),
     ("action_max", "drug_a"),
 ]
+
+
+_FUZZ_SPEC = RewardSpec(
+    survival={"a": BELL, "b": DECAY_LOW, "c": DECAY_HIGH, "d": ASYM},
+    confidence_tau={"a": 6.0, "b": 12.0, "c": 3.0, "d": 24.0},
+    action_max={"drug_a": 4.0, "drug_b": 2.0},
+    lam=0.1,
+    normalize_potential=False,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents(reward_spec_to_json(_FUZZ_SPEC)))
+def test_fuzzed_spec_parses_or_raises_toolkit_error(doc):
+    try:
+        reward_spec_from_json(doc)
+    except TridriveError:
+        pass
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
