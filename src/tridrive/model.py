@@ -252,6 +252,12 @@ class Trajectory:
         view = self.__dict__.get("_view")
         return view[0].rows(view[1]) if view else CohortColumns.of([self.steps], {})
 
+    @property
+    def block(self) -> tuple[CohortColumns, int]:
+        """(block, k): this is trajectory k of block. For a view, the block
+        it views; otherwise its own columns, a block of one trajectory."""
+        return self.__dict__.get("_view") or (self.columns, 0)
+
 
 @dataclass
 class TrajectoryDataset:

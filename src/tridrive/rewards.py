@@ -166,9 +166,14 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 #
 # A spec's arrays over a block's columns are built once per content of
 # (survival, confidence_tau, block feature ids), and of (action_max, block
-# action ids), and reused by every call with equal content; the scalar
-# fields are read on every call. A block column the spec does not name is
-# never read, and a spec that names every column reads them with no gather.
+# action ids), and reused by every block pass with equal content. A block
+# column the spec does not name is never read, and a spec that names every
+# column reads them with no gather.
+#
+# _block_rewards runs these kernels once over every row of a block; trace
+# returns one trajectory's slices of its arrays, kept in a one-slot memo
+# (see trace). The undeclared-action check stays per trajectory: the pass
+# only flags the trajectories that set such an action.
 
 
 def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
@@ -293,18 +298,86 @@ def _potentials(cols: CohortColumns, spec: RewardSpec) -> np.ndarray:
     return _time_decays(cols.t, spec.decay_half_life) * base
 
 
-def _check_undeclared_unset(trajectory: Trajectory, undeclared: tuple[str, ...]) -> None:
-    """Raises SchemaError if a transition of the trajectory sets an action
-    of undeclared, naming the patient, the first such action in block
-    order and the first t at which it is set."""
-    cols = trajectory.columns
-    for aid in undeclared:
-        (rows,) = np.nonzero(cols.action_mask[:-1, cols.action_ids.index(aid)])
+def _block_rewards(block: CohortColumns, spec: RewardSpec):
+    """(potentials[N], rewards[N - 1], cumulative[n], sets_undeclared[n])
+    of every trajectory of the block.
+
+    rewards[i] belongs to the transition from row i to row i + 1, so
+    trajectory k's rewards are rows offsets[k] to offsets[k + 1] - 2; the
+    reward at a trajectory's last row spans two trajectories and is left
+    out of every sum. cumulative[k] is trajectory k's discounted return.
+    sets_undeclared[k] is True when a row of trajectory k sets an action the
+    spec does not declare (read only when lam is not 0); _check_undeclared_unset
+    then reads its transitions, which leave out its last row.
+    """
+    offsets = block.offsets
+    lengths = np.diff(offsets)
+    sets_undeclared = np.zeros(len(lengths), dtype=bool)
+    # The rows of one trajectory can overflow or turn NaN only in its own
+    # slice and in the rewards spanning two trajectories, which no sum
+    # reads; a warning would name whichever trace call computed the block.
+    with np.errstate(all="ignore"):
+        potentials = _potentials(block, spec)
+        rewards = spec.gamma * potentials[1:] - potentials[:-1]
+        if spec.lam != 0.0:
+            select, maxima, undeclared = _action_columns(
+                tuple(spec.action_max.items()), tuple(block.action_ids)
+            )
+            if undeclared:
+                index = [block.action_ids.index(aid) for aid in undeclared]
+                rows = np.flatnonzero(block.action_mask[:, index].any(axis=1))
+                sets_undeclared[np.searchsorted(offsets, rows, side="right") - 1] = True
+            costs = _competence_costs(block.actions[:-1, select], maxima, spec.action_cost_scale)
+            rewards -= spec.lam * costs
+        position = np.arange(len(potentials)) - np.repeat(offsets[:-1], lengths)
+        discounted = np.zeros(len(potentials))
+        discounted[:-1] = rewards * np.power(spec.gamma, position[:-1])
+    nonempty = lengths > 0
+    discounted[offsets[1:][nonempty] - 1] = 0.0
+    cumulative = np.zeros(len(lengths))
+    if nonempty.any():  # reduceat gives an empty segment the next row's value
+        cumulative[nonempty] = np.add.reduceat(discounted, offsets[:-1][nonempty])
+    return potentials, rewards, cumulative, sets_undeclared
+
+
+def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
+    """Raises SchemaError naming the patient, the first action in block
+    order that a transition of the trajectory sets and the spec does not
+    declare, and the first t at which it is set."""
+    block, k = trajectory.block
+    lo, hi = block.offsets[k : k + 2].tolist()
+    for aid in _action_columns(tuple(spec.action_max.items()), tuple(block.action_ids))[2]:
+        (rows,) = np.nonzero(block.action_mask[lo : hi - 1, block.action_ids.index(aid)])
         if rows.size:
             raise SchemaError(
                 f"patient {trajectory.patient_id!r}: action {aid!r} not declared in the reward "
-                f"spec's action_max at t={cols.t[rows[0]].item()}"
+                f"spec's action_max at t={block.t[lo + rows[0]].item()}"
             )
+
+
+def _memo_key(block: CohortColumns, spec: RewardSpec, snapshot: bool = False) -> tuple:
+    """The block and every field of the spec; with snapshot, the spec's dicts
+    are copied, so that a later in-place edit of the spec no longer equals
+    the key."""
+    copy = dict if snapshot else lambda d: d
+    return (
+        block,
+        copy(spec.survival),
+        copy(spec.confidence_tau),
+        copy(spec.action_max),
+        spec.decay_half_life,
+        spec.gamma,
+        spec.lam,
+        spec.action_cost_scale,
+        spec.normalize_potential,
+    )
+
+
+# The arrays of the last block pass, and the block's offsets as a list:
+# one slot, so memory does not grow with the number of specs or blocks.
+# It is read and replaced as one (key, arrays) tuple, so concurrent calls
+# never pair a key with another key's arrays; at worst they recompute.
+_last_block: tuple = (None, None)
 
 
 def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
@@ -312,23 +385,33 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
 
     The step reward is gamma * phi(next) - phi(prev) - lambda * cost(prev.action);
     with lambda 0 the actions are not read at all.
+
+    The spec is evaluated over the trajectory's whole block (the cohort's
+    block for a view, its own columns otherwise) by _block_rewards, and the
+    trajectory's slices are returned. The block's arrays are kept for the
+    next call whose block is the same object and whose spec is equal in
+    every field (the dicts compared entry by entry, not hashed), so tracing
+    a cohort costs one block pass per spec, and editing a spec in place
+    takes effect at the next call.
     """
-    cols = trajectory.columns
-    potentials = _potentials(cols, spec)
-    rewards = spec.gamma * potentials[1:] - potentials[:-1]
-    if spec.lam != 0.0:
-        select, maxima, undeclared = _action_columns(
-            tuple(spec.action_max.items()), tuple(cols.action_ids)
+    global _last_block
+    block, k = trajectory.block
+    key, arrays = _last_block
+    if key != _memo_key(block, spec):
+        potentials, rewards, cumulative, sets_undeclared = _block_rewards(block, spec)
+        arrays = (
+            potentials, rewards, cumulative.tolist(), sets_undeclared.tolist(),
+            block.offsets.tolist(),
         )
-        if undeclared:
-            _check_undeclared_unset(trajectory, undeclared)
-        costs = _competence_costs(cols.actions[:-1, select], maxima, spec.action_cost_scale)
-        rewards -= spec.lam * costs
-    discounts = np.power(spec.gamma, np.arange(len(rewards)))
+        _last_block = (_memo_key(block, spec, snapshot=True), arrays)
+    potentials, rewards, cumulative, sets_undeclared, offsets = arrays
+    if sets_undeclared[k]:
+        _check_undeclared_unset(trajectory, spec)
+    lo, hi = offsets[k], offsets[k + 1]
     return RewardTrace(
-        rewards=rewards.tolist(),
-        potentials=potentials.tolist(),
-        cumulative=float(rewards @ discounts),
+        rewards=rewards[lo : max(lo, hi - 1)].tolist(),
+        potentials=potentials[lo:hi].tolist(),
+        cumulative=cumulative[k],
     )
 
 

@@ -1,0 +1,330 @@
+"""trace over column blocks: one block pass per spec, sliced per trajectory.
+
+Every trace is checked against the scalar oracle, on blocks whose
+trajectories sit at the edges of the block's arrays, after in-place edits
+of the spec between calls, and next to trajectories that raise or hold
+values no kernel should read.
+"""
+
+import dataclasses
+import math
+import sys
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from conftest import make_step, oracle_trace, simple_spec
+from tridrive import rewards
+from tridrive.errors import SchemaError
+from tridrive.model import CohortColumns, Trajectory
+from tridrive.pipeline import score_specs
+from tridrive.rewards import SurvivalConfig, SurvivalForm, trace
+from tridrive.synth import CohortConfig, generate, reference_spec
+
+FIDS = ("f1", "f2", "f3")
+
+
+def _steps(rng, n, actions=("drug_a", "drug_b")):
+    steps, t = [], int(rng.integers(0, 3))
+    for _ in range(n):
+        steps.append(
+            make_step(
+                t,
+                {fid: float(rng.random()) for fid in FIDS},
+                {fid: int(rng.integers(0, 12)) for fid in FIDS},
+                action={aid: int(rng.integers(0, 5)) for aid in actions if rng.random() < 0.7},
+                sofa=float(rng.random() * 20),
+            )
+        )
+        t += int(rng.integers(1, 4))
+    return steps
+
+
+def _views(step_lists):
+    """The trajectories of one block built from the step lists, as views."""
+    block = CohortColumns.of(step_lists, {})
+    n = len(step_lists)
+    return block.views([f"p{k}" for k in range(n)], [k % 2 == 0 for k in range(n)], [5.0] * n)
+
+
+def _spec(lam=0.3):
+    spec = simple_spec(fids=FIDS, gamma=0.95, lam=lam, half_life=30.0, tau_conf=8.0)
+    spec.survival["f2"] = SurvivalConfig(form=SurvivalForm.DECAY_LOW, tau=0.4, weight=2.0)
+    spec.survival["f3"] = SurvivalConfig(form=SurvivalForm.ASYMMETRIC_ABOVE, mu=0.3, sigma=0.2)
+    spec.action_cost_scale = 0.7
+    return spec
+
+
+def _assert_matches_oracle(traj, spec):
+    rewards_, potentials, cumulative = oracle_trace(traj, spec)
+    got = trace(traj, spec)
+    assert len(got.rewards) == len(rewards_) and len(got.potentials) == len(potentials)
+    assert got.rewards == pytest.approx(rewards_, rel=0, abs=1e-12)
+    assert got.potentials == pytest.approx(potentials, rel=0, abs=1e-12)
+    assert got.cumulative == pytest.approx(cumulative, rel=0, abs=1e-12)
+    return got
+
+
+# Short trajectories at the first, a middle and the last position of a block.
+LENGTHS = [
+    [1, 4, 3],
+    [4, 1, 3],
+    [4, 3, 1],
+    [1, 1, 1],
+    [1],
+    [0, 4, 3],
+    [4, 0, 3],
+    [4, 3, 0],
+    [0, 1, 0],
+    [0],
+    [2, 0, 0, 2],
+]
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_every_view_matches_the_oracle(self, lengths, lam):
+        rng = np.random.default_rng(sum(lengths) * 10 + len(lengths))
+        views = _views([_steps(rng, n) for n in lengths])
+        spec = _spec(lam)
+        for traj, n in zip(views, lengths):
+            got = _assert_matches_oracle(traj, spec)
+            if n <= 1:
+                assert got.rewards == [] and got.cumulative == 0.0
+            assert len(got.potentials) == n
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_views_traced_in_reverse_order(self, lengths):
+        rng = np.random.default_rng(7)
+        views = _views([_steps(rng, n) for n in lengths])
+        spec = _spec()
+        for traj in reversed(views):
+            _assert_matches_oracle(traj, spec)
+
+    def test_an_empty_trajectory_first_does_not_wrap_to_the_block_end(self):
+        rng = np.random.default_rng(3)
+        views = _views([[], _steps(rng, 5)])
+        got = trace(views[0], _spec())
+        assert (got.rewards, got.potentials, got.cumulative) == ([], [], 0.0)
+
+    def test_a_trajectory_built_from_steps_is_a_block_of_one(self):
+        rng = np.random.default_rng(4)
+        for n in (0, 1, 2, 6):
+            traj = Trajectory("s", _steps(rng, n), True, 5.0)
+            assert traj.block == (traj.columns, 0)
+            _assert_matches_oracle(traj, _spec())
+
+
+def _set_survival(spec):
+    spec.survival["f1"] = SurvivalConfig(form=SurvivalForm.DECAY_HIGH, tau=0.25, weight=3.0)
+
+
+def _set_tau(spec):
+    spec.confidence_tau["f2"] = 0.75
+
+
+def _set_action_max(spec):
+    spec.action_max["drug_b"] = 1.5
+
+
+EDITS = {
+    "gamma": lambda spec: setattr(spec, "gamma", 0.8),
+    "lam_to_zero": lambda spec: setattr(spec, "lam", 0.0),
+    "lam": lambda spec: setattr(spec, "lam", 1.7),
+    "decay_half_life": lambda spec: setattr(spec, "decay_half_life", 5.0),
+    "normalize_potential": lambda spec: setattr(spec, "normalize_potential", False),
+    "action_cost_scale": lambda spec: setattr(spec, "action_cost_scale", 0.05),
+    "survival": _set_survival,
+    "confidence_tau": _set_tau,
+    "action_max": _set_action_max,
+}
+
+
+class TestStaleMemo:
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_an_in_place_edit_takes_effect_at_the_next_call(self, edit):
+        rng = np.random.default_rng(11)
+        views = _views([_steps(rng, n) for n in (5, 3, 6)])
+        spec = _spec(lam=0.3)
+        before = _assert_matches_oracle(views[1], spec)
+        EDITS[edit](spec)
+        after = _assert_matches_oracle(views[1], spec)
+        assert after != before
+        for traj in views:
+            _assert_matches_oracle(traj, spec)
+
+    def test_lam_from_zero(self):
+        rng = np.random.default_rng(12)
+        views = _views([_steps(rng, n) for n in (5, 3, 6)])
+        spec = _spec(lam=0.0)
+        _assert_matches_oracle(views[0], spec)
+        spec.lam = 0.9
+        for traj in views:
+            _assert_matches_oracle(traj, spec)
+
+    def test_an_equal_copy_of_the_spec_reads_the_same_arrays(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        views = _views([_steps(rng, n) for n in (5, 3, 6)])
+        spec = _spec()
+        passes = []
+        kernel = rewards._block_rewards
+        monkeypatch.setattr(rewards, "_block_rewards", lambda *a: passes.append(a) or kernel(*a))
+        first = trace(views[2], spec)
+        copy = dataclasses.replace(spec, survival=dict(spec.survival))
+        assert [trace(traj, copy) for traj in views][2] == first
+        assert len(passes) == 1
+
+    def test_two_datasets_traced_alternately(self):
+        rng = np.random.default_rng(14)
+        a = _views([_steps(rng, n) for n in (4, 2, 5)])
+        b = _views([_steps(rng, n) for n in (3, 6, 2)])
+        spec = _spec()
+        for traj_a, traj_b in zip(a, b):
+            _assert_matches_oracle(traj_a, spec)
+            _assert_matches_oracle(traj_b, spec)
+
+    def test_a_view_whose_steps_were_reassigned(self):
+        rng = np.random.default_rng(15)
+        views = _views([_steps(rng, n) for n in (4, 5, 3)])
+        spec = _spec()
+        for traj in views:
+            _assert_matches_oracle(traj, spec)
+        views[1].steps = _steps(rng, 6)
+        assert views[1].block[0] is not views[0].block[0]
+        for traj in views:
+            _assert_matches_oracle(traj, spec)
+
+
+class TestIsolation:
+    def _block_with_mystery(self):
+        rng = np.random.default_rng(21)
+        middle = _steps(rng, 4)
+        middle[2].action["mystery"] = 1
+        middle[3].action["mystery"] = 2
+        return _views([_steps(rng, 5), middle, _steps(rng, 3)])
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
+    def test_an_undeclared_action_raises_only_from_its_own_trace(self, order):
+        views = self._block_with_mystery()
+        spec = _spec(lam=0.3)
+        t = views[1].steps[2].t
+        for k in order:
+            if k == 1:
+                with pytest.raises(
+                    SchemaError,
+                    match=rf"^patient 'p1': action 'mystery' not declared in the reward spec's "
+                          rf"action_max at t={t}$",
+                ):
+                    trace(views[1], spec)
+            else:
+                _assert_matches_oracle(views[k], spec)
+
+    def test_an_undeclared_action_is_not_read_with_lam_zero(self):
+        views = self._block_with_mystery()
+        spec = _spec(lam=0.0)
+        for traj in views:
+            _assert_matches_oracle(traj, spec)
+
+    def test_an_undeclared_action_at_a_last_step_is_not_read(self):
+        rng = np.random.default_rng(22)
+        step_lists = [_steps(rng, 3), _steps(rng, 3), _steps(rng, 3)]
+        step_lists[0][-1].action["mystery"] = 1  # the row just before trajectory 1
+        views = _views(step_lists)
+        for traj in views:
+            _assert_matches_oracle(traj, _spec(lam=0.3))
+
+    def test_nan_in_a_column_the_spec_does_not_name(self):
+        rng = np.random.default_rng(23)
+        step_lists = [_steps(rng, n) for n in (4, 3, 5)]
+        for step in step_lists[1]:
+            step.observations["f9"] = dataclasses.replace(step.observations["f1"], value=math.nan)
+        views = _views(step_lists)
+        spec = _spec()
+        for k in (1, 0, 2):
+            _assert_matches_oracle(views[k], spec)
+
+    def test_nan_in_a_named_column_stays_in_its_trajectory(self):
+        rng = np.random.default_rng(24)
+        step_lists = [_steps(rng, n) for n in (4, 3, 5)]
+        step_lists[1][0].observations["f2"] = dataclasses.replace(
+            step_lists[1][0].observations["f2"], value=math.nan
+        )
+        views = _views(step_lists)
+        spec = _spec()
+        assert math.isnan(trace(views[1], spec).cumulative)
+        _assert_matches_oracle(views[0], spec)
+        _assert_matches_oracle(views[2], spec)
+
+    def test_block_arithmetic_raises_no_warning_for_a_neighbour(self):
+        rng = np.random.default_rng(25)
+        step_lists = [_steps(rng, n) for n in (4, 3, 5)]
+        for step in step_lists[0] + step_lists[2]:
+            step.action["drug_a"] = 0
+            step.observations.update(
+                {fid: dataclasses.replace(obs, staleness=0) for fid, obs in step.observations.items()}
+            )
+        step_lists[1][0].action["drug_a"] = 3  # 3 / 5e-324 overflows
+        step_lists[1][1].observations["f1"] = dataclasses.replace(
+            step_lists[1][1].observations["f1"], staleness=4  # 4 / 5e-324 overflows
+        )
+        views = _views(step_lists)
+        spec = _spec(lam=0.3)
+        spec.action_max["drug_a"] = 5e-324
+        spec.confidence_tau["f1"] = 5e-324
+        spec.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_matches_oracle(views[0], spec)
+            _assert_matches_oracle(views[2], spec)
+            assert trace(views[1], spec).cumulative == -math.inf
+
+
+def test_score_specs_makes_one_block_pass_per_spec(monkeypatch):
+    config = CohortConfig(n_patients=30, seed=5)
+    dataset = generate(config)
+    base = reference_spec(config)
+    specs = [(f"s{i}", dataclasses.replace(base, gamma=0.9 + 0.02 * i)) for i in range(4)]
+    calls = []
+    kernel = rewards._potentials
+
+    def counted(cols, spec):
+        calls.append(cols)
+        return kernel(cols, spec)
+
+    monkeypatch.setattr(rewards, "_potentials", counted)
+    rows = score_specs(dataset, specs)
+    assert [row["spec_id"] for row in rows if "error" not in row] == [s for s, _ in specs]
+    assert len(calls) == len(specs)
+    assert all(cols is dataset.columns for cols in calls)
+
+
+def test_threads_tracing_different_blocks_and_specs_get_their_own_slices():
+    rng = np.random.default_rng(31)
+    cases = []
+    for i in range(4):
+        views = _views([_steps(rng, n) for n in (3, 5, 2, 4)])
+        spec = _spec(lam=0.1 * i)
+        cases.append((views, spec, [oracle_trace(traj, spec)[2] for traj in views]))
+    mismatches = []
+
+    def work(views, spec, expected):
+        for _ in range(200):
+            for traj, cumulative in zip(views, expected):
+                if abs(trace(traj, spec).cumulative - cumulative) > 1e-12:
+                    mismatches.append(traj.patient_id)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=case) for case in cases]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
