@@ -38,6 +38,7 @@ from .model import (
     F8, FORMAT, I4, I4_LIMIT, RaggedColumns, Trajectory, TrajectoryDataset, to_buffer,
 )
 from .rewards import RewardTrace
+from .streams import reseat, seed_states
 
 
 class ProbColumns(NamedTuple):
@@ -257,12 +258,15 @@ _BLOCK_ENTRIES = 1 << 17
 def resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
     """Read-only [resamples, n] bootstrap counts: entry [b, i] is how many
     times resample b drew trajectory i, in the smallest unsigned dtype that
-    holds n. Row b is drawn by its own generator keyed on (seed, b). The
-    counts of the last key are kept, so the tables of a series, which share
-    (seed, n, resamples), share them."""
+    holds n. Row b holds the draws of `default_rng(SeedSequence([seed, b]))`,
+    made by one generator reseated per row. The counts of the last key are
+    kept, so the tables of a series, which share (seed, n, resamples), share
+    them."""
     out = np.empty((resamples, n), dtype=np.min_scalar_type(n))
-    for b in range(resamples):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for b, words in enumerate(seed_states(seed, np.arange(resamples))):
+        reseat(bits, words)
         out[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
     out.flags.writeable = False
     return out

@@ -177,9 +177,15 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 
 
 def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
+    """max(0.5 * z * z + b * d, 0) with d = values - m and z = c * d, built
+    in place, so that at most three arrays of values' shape are alive."""
     d = values - m
     z = c * d
-    return np.maximum(0.5 * z * z + b * d, 0.0)
+    out = np.multiply(0.5, z)
+    out *= z
+    d *= b
+    out += d
+    return np.maximum(out, 0.0, out=out)
 
 
 def _staleness_exponents(staleness: np.ndarray, tau) -> np.ndarray:
@@ -252,7 +258,7 @@ def _check_declared_actions(action_ids, spec: RewardSpec) -> None:
 
 def survival_score(value: float, cfg: SurvivalConfig) -> float:
     """Score one normalized feature value in [0,1] against its survival curve."""
-    return float(_survival_scores(np.float64(value), *cfg.coefficients))
+    return float(_survival_scores(np.array([value], dtype=float), *cfg.coefficients)[0])
 
 
 def confidence_weight(staleness: float, tau: float) -> float:

@@ -16,16 +16,20 @@ unambiguous and tunable:
   maximum levels at every step with no effect on the state.
 
 Generation is a pure function of the config: all randomness flows through
-generators keyed on (seed, patient index, stream tag). It runs in two
-passes. The draw pass makes each patient's draws from that patient's
-streams, in a fixed order and size per stream, into arrays over the whole
-cohort's rows. The cohort pass then computes every patient at once: the
-wellness recursion steps all patients together, carry-forward of stale
-values is a running maximum over fresh row indices, and the rest is
-elementwise. Each element goes through the same floating-point operations
-in the same order as a patient-at-a-time loop would apply (and each mean
-wellness is numpy's pairwise mean over that patient's own steps), so the
-written dataset does not depend on how the work is batched.
+streams keyed on (seed, patient index, stream tag), each the stream of
+`np.random.default_rng(np.random.SeedSequence([seed, patient, tag]))`. The
+generator states of every key are computed at once, as arrays
+(`streams.seed_states`), and one generator is reseated to a key's state
+before its stream is read. Generation runs in two passes. The draw pass
+makes each patient's draws from that patient's streams, in a fixed order
+and size per stream, into arrays over the whole cohort's rows. The cohort
+pass then computes every patient at once: the wellness recursion steps all
+patients together, carry-forward of stale values is a running maximum over
+fresh row indices, and the rest is elementwise. Each element goes through
+the same floating-point operations in the same order as a
+patient-at-a-time loop would apply (and each mean wellness is numpy's
+pairwise mean over that patient's own steps), so the written dataset does
+not depend on how the work is batched.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from .errors import ConfigError, FormatError
 from .jsonio import fields_from_json, read_json
 from .model import ActionSpec, CohortColumns, FeatureSpec, FeatureType, TrajectoryDataset
 from .rewards import RewardSpec, SurvivalConfig, SurvivalForm
+from .streams import reseat, seed_states
 
 # Stream tags for the per-patient generators.
-_SEVERITY, _HORIZON, _WELLNESS, _DIRECTION, _VALUES, _SOFA, _STALENESS, _ACTIONS, _OUTCOME, _OVERTREAT = range(10)
+_TAGS = range(10)
+_SEVERITY, _HORIZON, _WELLNESS, _DIRECTION, _VALUES, _SOFA, _STALENESS, _ACTIONS, _OUTCOME, _OVERTREAT = _TAGS
 
 _BASE_MORTALITY = 0.3
 _ADMISSION_WELLNESS = 0.2
@@ -94,10 +100,6 @@ class CohortConfig:
             [f"lo{j}" for j in range(self.n_low)],
             [f"hi{j}" for j in range(self.n_high)],
         )
-
-
-def _rng(seed: int, patient: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, patient, tag]))
 
 
 def generate(config: CohortConfig) -> TrajectoryDataset:
@@ -218,13 +220,25 @@ class _Draws:
     """Every random draw of a cohort, made patient by patient from that
     patient's streams. Row arrays hold the patients' steps one stay after
     another (rows offsets[i] to offsets[i + 1] - 1 are patient i's);
-    features are in the config's normal, low, high order."""
+    features are in the config's normal, low, high order.
+
+    One generator reads every stream, reseated to the stream's key first."""
 
     def __init__(self, config: CohortConfig, n_normal: int, n_features: int):
-        seed, n = config.seed, config.n_patients
-        self.severity = np.array([_rng(seed, i, _SEVERITY).uniform() for i in range(n)])
+        n = config.n_patients
+        keys = np.arange(n * len(_TAGS))
+        states = seed_states(config.seed, keys // len(_TAGS), keys % len(_TAGS))
+        states = states.reshape(n, len(_TAGS), 4)
+        bits = np.random.PCG64(0)
+        generator = np.random.Generator(bits)
+
+        def stream(i: int, tag: int) -> np.random.Generator:
+            reseat(bits, states[i, tag])
+            return generator
+
+        self.severity = np.array([stream(i, _SEVERITY).uniform() for i in range(n)])
         horizons = [
-            int(_rng(seed, i, _HORIZON).integers(config.horizon_min, config.horizon_max + 1))
+            int(stream(i, _HORIZON).integers(config.horizon_min, config.horizon_max + 1))
             for i in range(n)
         ]
         self.offsets = np.array([0, *horizons]).cumsum()
@@ -240,20 +254,20 @@ class _Draws:
         bounds = self.offsets.tolist()
         for i, h in enumerate(horizons):
             rows = slice(bounds[i], bounds[i + 1])
-            self.wellness_noise[:h, i] = _rng(seed, i, _WELLNESS).normal(size=h)
-            self.sofa_noise[rows] = _rng(seed, i, _SOFA).normal(size=h)
-            self.signs[i] = _rng(seed, i, _DIRECTION).uniform(size=n_normal)
-            self.value_noise[rows] = _rng(seed, i, _VALUES).normal(size=(h, n_features))
+            self.wellness_noise[:h, i] = stream(i, _WELLNESS).normal(size=h)
+            self.sofa_noise[rows] = stream(i, _SOFA).normal(size=h)
+            self.signs[i] = stream(i, _DIRECTION).uniform(size=n_normal)
+            self.value_noise[rows] = stream(i, _VALUES).normal(size=(h, n_features))
             # A fresh measurement lands with a per-patient probability.
-            stale_rng = _rng(seed, i, _STALENESS)
+            stale_rng = stream(i, _STALENESS)
             bias = config.staleness_gradient * float(stale_rng.uniform())
             p_fresh = min(max(0.9 - 0.1 * bias, 0.05), 0.95)
             self.stale[rows] = stale_rng.uniform(size=(h, n_features)) >= p_fresh
             if config.overtreatment_prob > 0.0:
-                u = _rng(seed, i, _OVERTREAT).uniform()
+                u = stream(i, _OVERTREAT).uniform()
                 self.overtreated[i] = u < config.overtreatment_prob
-            self.action_noise[rows] = _rng(seed, i, _ACTIONS).normal(size=h)
-            self.outcome[i] = _rng(seed, i, _OUTCOME).uniform()
+            self.action_noise[rows] = stream(i, _ACTIONS).normal(size=h)
+            self.outcome[i] = stream(i, _OUTCOME).uniform()
 
 
 def reference_spec(config: CohortConfig) -> RewardSpec:

@@ -169,8 +169,13 @@ def oracle_generate(config):
     )
 
 
+def _oracle_rng(seed, patient, tag):
+    """The generator of stream (seed, patient, tag), built from its key."""
+    return np.random.default_rng(np.random.SeedSequence([seed, patient, tag]))
+
+
 def _oracle_patient(config, i):
-    seed, rng = config.seed, synth._rng
+    seed, rng = config.seed, _oracle_rng
     normal_ids, low_ids, high_ids = config.feature_ids()
     all_ids = normal_ids + low_ids + high_ids
     center = 0.5 * sum(config.healthy_interval)
@@ -578,6 +583,16 @@ def oracle_trajectory_weight(trajectory, probs, max_ratio=None):
             ratio = min(ratio, max_ratio)
         weight *= ratio
     return weight
+
+
+def oracle_resample_counts(seed, n, resamples):
+    """[resamples, n] counts: row b counts the draws of the generator keyed
+    on (seed, b), one SeedSequence and generator per resample."""
+    out = np.empty((resamples, n), dtype=np.min_scalar_type(n))
+    for b in range(resamples):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, b]))
+        out[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    return out
 
 
 def oracle_bootstrap_ci(dataset, traces, probs, level=0.95, resamples=1000, seed=0,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import (
     make_step,
     mutated_documents,
     oracle_bootstrap_ci,
+    oracle_resample_counts,
     oracle_trajectory_weight,
     plain_document,
 )
@@ -286,6 +288,9 @@ class TestBootstrapOracle:
         assert abs(est.n_effective - n_eff) <= 1e-12
 
 
+_GOLDEN_COUNTS_0_50_100 = "e8f2494d06ee83b3d1a0db62b75fe478e999b85457e1d1f221f82c8333004a6c"
+
+
 class TestResampleMemo:
     def test_counts_are_the_per_resample_draws(self):
         counts = resample_counts(5, 300, 40)
@@ -298,6 +303,19 @@ class TestResampleMemo:
         # A count reaches n when one trajectory is drawn n times.
         assert resample_counts(0, 255, 3).dtype == np.uint8
         assert resample_counts(0, 256, 3).dtype == np.uint16
+
+    @pytest.mark.parametrize("n", [2, 255, 256, 500])
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3])
+    def test_counts_match_oracle(self, seed, n):
+        counts = resample_counts(seed, n, 40)
+        expected = oracle_resample_counts(seed, n, 40)
+        assert counts.dtype == expected.dtype
+        assert np.array_equal(counts, expected)
+
+    def test_counts_pinned_by_golden_hash(self):
+        # Recorded with one SeedSequence and generator per resample.
+        counts = resample_counts(0, 50, 100)
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == _GOLDEN_COUNTS_0_50_100
 
     def test_memoized_counts_are_read_only(self):
         counts = resample_counts(0, 10, 5)

@@ -157,6 +157,9 @@ class TestMatchesScalarOracle:
             pytest.param({"staleness_gradient": 2.0}, id="staleness-gradient-2"),
             pytest.param({"overtreatment_prob": 0.3}, id="overtreatment-0.3"),
             pytest.param({"overtreatment_prob": 1.0}, id="overtreatment-1"),
+            pytest.param({"seed": 2**64 + 3}, id="seed-5-entropy-words"),
+            pytest.param({"seed": 2**96 + 5, "overtreatment_prob": 0.5},
+                         id="seed-6-entropy-words-overtreatment"),
             pytest.param({"mortality_coupling": 0.0}, id="no-mortality-coupling"),
             pytest.param({"horizon_min": 2, "horizon_max": 2}, id="horizon-2"),
             pytest.param({"n_normal": 0}, id="no-normal-features"),

@@ -10,6 +10,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -328,3 +329,24 @@ def test_threads_tracing_different_blocks_and_specs_get_their_own_slices():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert mismatches == []
+
+
+def test_survival_exponents_peak_at_three_outputs_on_a_5000_patient_block():
+    config = CohortConfig(n_patients=5000, seed=3)
+    cols = generate(config).columns
+    spec = reference_spec(config)
+    select, c, b, m, _, _ = rewards._feature_columns(
+        tuple(spec.survival.items()), tuple(spec.confidence_tau.items()), tuple(cols.feature_ids)
+    )
+    values = cols.values[:, select]
+    tracemalloc.start()
+    try:
+        out = rewards._survival_exponents(values, c, b, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # d, z and the output; the expression form kept four such arrays alive.
+    assert peak <= 3.25 * out.nbytes
+    d = values - m
+    z = c * d
+    assert np.array_equal(out, np.maximum(0.5 * z * z + b * d, 0.0))
