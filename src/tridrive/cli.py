@@ -26,6 +26,7 @@ from .fitness import CompMetricConfig
 from .llm import LlmClientConfig
 from .model import load_dataset, save_dataset
 from .pipeline import (
+    SPLIT_NAMES,
     build_client,
     candidates_stage,
     features_stage,
@@ -67,9 +68,7 @@ def _load_split(dataset_path: str, split: str | None):
     return filter_split(load_dataset(dataset_path), split)
 
 
-_SPLIT_CHOICE = click.Choice(
-    ["all", "policy_train", "reward_train", "policy_test", "reward_test"]
-)
+_SPLIT_CHOICE = click.Choice(["all", *SPLIT_NAMES])
 
 
 @click.group()

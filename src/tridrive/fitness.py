@@ -27,7 +27,7 @@ import numpy as np
 from . import defaults
 from .errors import ConfigError, DegenerateStatisticError, SchemaError, ValidationError
 from .model import CohortColumns, FeatureType, TrajectoryDataset
-from .rewards import RewardSpec, RewardTrace, trace
+from .rewards import RewardSpec, RewardTrace, trace, trace_returns
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,6 @@ def _pearson_named(xs, ys, xname: str, yname: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _returns(traces: Sequence[RewardTrace]) -> list[float]:
-    return [t.cumulative for t in traces]
-
-
 def j_surv(
     dataset: TrajectoryDataset,
     traces: Sequence[RewardTrace],
@@ -179,7 +175,8 @@ def j_surv(
     """truth: FitnessTargets.truth of the dataset and epsilon, if already known."""
     if truth is None:
         truth = FitnessTargets(dataset, CompMetricConfig(epsilon=epsilon)).truth
-    return _pearson_named(_returns(traces), truth, "cumulative reward", "ground-truth score")
+    returns = trace_returns(dataset, traces)
+    return _pearson_named(returns, truth, "cumulative reward", "ground-truth score")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,8 @@ def j_conf(
     """staleness: FitnessTargets.staleness of the dataset, if already known."""
     if staleness is None:
         staleness = FitnessTargets(dataset, CompMetricConfig()).staleness(feature_ids)
-    return -_pearson_named(_returns(traces), staleness, "cumulative reward", "uncertainty score")
+    returns = trace_returns(dataset, traces)
+    return -_pearson_named(returns, staleness, "cumulative reward", "uncertainty score")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,8 @@ def j_comp(
     """efficiency: FitnessTargets.efficiency under cfg, if already known."""
     if efficiency is None:
         efficiency = FitnessTargets(dataset, cfg.prepare(dataset)).efficiency(feature_ids)
-    return _pearson_named(_returns(traces), efficiency, "cumulative reward", "efficiency score")
+    returns = trace_returns(dataset, traces)
+    return _pearson_named(returns, efficiency, "cumulative reward", "efficiency score")
 
 
 class FitnessTargets:

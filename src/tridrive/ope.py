@@ -37,7 +37,7 @@ from .jsonio import read_json, write_compact_json
 from .model import (
     F8, FORMAT, I4, I4_LIMIT, RaggedColumns, Trajectory, TrajectoryDataset, to_buffer,
 )
-from .rewards import RewardTrace
+from .rewards import RewardTrace, trace_returns
 from .streams import reseat, seed_states
 
 
@@ -219,14 +219,12 @@ def _weights_and_returns(
     probs: PolicyProbTable,
     max_ratio: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    if len(traces) != len(dataset.trajectories):
-        raise ValidationError("one trace per trajectory is required")
+    returns = trace_returns(dataset, traces)
     if max_ratio is not None and not max_ratio > 0.0:
         raise ValidationError(f"max_ratio must be > 0 (inf allowed), got {max_ratio}")
     weights = np.array(
         [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
     )
-    returns = np.array([t.cumulative for t in traces])
     return weights, returns
 
 
@@ -355,9 +353,7 @@ def mortality_curve(
         raise ValidationError("n_bins must be positive")
     if len(dataset.trajectories) < n_bins:
         raise ValidationError("need at least one trajectory per bin")
-    if len(traces) != len(dataset.trajectories):
-        raise ValidationError("one trace per trajectory is required")
-    returns = np.array([t.cumulative for t in traces])
+    returns = trace_returns(dataset, traces)
     order = np.argsort(returns, kind="stable")
     rows = []
     for b, chunk in enumerate(np.array_split(order, n_bins)):

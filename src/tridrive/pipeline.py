@@ -617,12 +617,12 @@ class PipelineRun:
         The dataset loads once, before the first stage that runs and reads
         it, so a resume with every stage fresh reads no dataset: run_id
         already pins its bytes, and freshness depends only on the manifest
-        and the output hashes.
+        and the output hashes. Likewise only the stages that call the model
+        build an LLM client.
         """
         self._timing, self._skipped = {}, []
         self._load_seconds = self._dataset_shape = None
         dataset = None
-        client = build_client(self.config.client, self.config.llm)
         for name in STAGES:
             if self._stage_fresh(name):
                 self._skipped.append(name)
@@ -631,7 +631,7 @@ class PipelineRun:
                 dataset = self._load_dataset()
             start = time.perf_counter()
             try:
-                self._record_outputs(name, getattr(self, f"_run_{name}")(dataset, client))
+                self._record_outputs(name, getattr(self, f"_run_{name}")(dataset))
             except TridriveError as exc:
                 self.manifest["stages"][name] = {"status": "failed", "error": str(exc)}
                 write_json(self.manifest_path, self.manifest)
@@ -656,16 +656,16 @@ class PipelineRun:
     # Each _run_<stage> calls its stage function and returns the files written.
     # Selection reads only the fitness report, so no dataset is loaded for it.
 
-    def _run_stats(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+    def _run_stats(self, dataset: TrajectoryDataset) -> list[Path]:
         return stats_stage(dataset, self.out / "stats/metadata.json")[1]
 
     def _load_metadata(self) -> list[FeatureMetadata]:
         return metadata_from_json(read_json(self.out / "stats/metadata.json", "statistics"))
 
-    def _run_features(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+    def _run_features(self, dataset: TrajectoryDataset) -> list[Path]:
         return features_stage(
             dataset,
-            client,
+            build_client(self.config.client, self.config.llm),
             self.out / "features",
             rounds=self.config.rounds,
             threshold=self.config.threshold,
@@ -674,18 +674,18 @@ class PipelineRun:
             metadata=self._load_metadata(),
         )[1]
 
-    def _run_candidates(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+    def _run_candidates(self, dataset: TrajectoryDataset) -> list[Path]:
         return candidates_stage(
             dataset,
             load_feature_ids(self.out / "features/report.json"),
-            client,
+            build_client(self.config.client, self.config.llm),
             self.out / "candidates",
             n_candidates=self.config.candidates,
             task=self.config.task,
             metadata=self._load_metadata(),
         )[1]
 
-    def _run_fitness(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+    def _run_fitness(self, dataset: TrajectoryDataset) -> list[Path]:
         return fitness_stage(
             dataset,
             load_spec_dir(self.out / "candidates"),
@@ -694,16 +694,14 @@ class PipelineRun:
             feature_ids=load_feature_ids(self.out / "features/report.json"),
         )[1]
 
-    def _run_selection(
-        self, dataset: TrajectoryDataset | None, client: LlmClient
-    ) -> list[Path]:
+    def _run_selection(self, dataset: TrajectoryDataset | None) -> list[Path]:
         result, files = selection_stage(
             self.out / "fitness/report.json", self.out / "selection/report.json"
         )
         self.manifest["champion"] = result.champion
         return files
 
-    def _run_ope(self, dataset: TrajectoryDataset, client: LlmClient) -> list[Path]:
+    def _run_ope(self, dataset: TrajectoryDataset) -> list[Path]:
         champion_id = self.manifest["champion"]
         specs = dict(load_spec_dir(self.out / "candidates"))
         if champion_id not in specs:

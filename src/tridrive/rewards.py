@@ -18,15 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from . import defaults
 from .errors import FormatError, SchemaError, ValidationError
 from .jsonio import fields_from_json, read_json, write_json
-from .model import CohortColumns, Trajectory
+from .model import CohortColumns, Trajectory, TrajectoryDataset
 
 
 class SurvivalForm(str, Enum):
@@ -81,7 +81,7 @@ class SurvivalConfig:
         if not _positive(self.weight):
             raise ValidationError("weight must be a finite positive number")
 
-    @cached_property
+    @property
     def coefficients(self) -> tuple[float, float, float]:
         """(c, b, m) of this curve in the survival kernel's form."""
         if self.form is SurvivalForm.BELL:
@@ -140,6 +140,13 @@ class RewardTrace:
     cumulative: float
 
 
+def trace_returns(dataset: TrajectoryDataset, traces: Sequence[RewardTrace]) -> np.ndarray:
+    """Each trace's cumulative reward, as floats; one trace per trajectory is required."""
+    if len(traces) != len(dataset.trajectories):
+        raise ValidationError("one trace per trajectory is required")
+    return np.array([t.cumulative for t in traces], dtype=float)
+
+
 def _discounted_sum(rewards: list[float], gamma: float) -> float:
     return sum(r * gamma**i for i, r in enumerate(rewards))
 
@@ -164,16 +171,12 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 # validate, its reciprocal is inf, and 0 * inf would turn the full trust
 # of a fresh measurement into NaN.
 #
-# A spec's arrays over a block's columns are built once per content of
-# (survival, confidence_tau, block feature ids), and of (action_max, block
-# action ids), and reused by every block pass with equal content. A block
-# column the spec does not name is never read, and a spec that names every
-# column reads them with no gather.
-#
 # _block_rewards runs these kernels once over every row of a block; trace
 # returns one trajectory's slices of its arrays, kept in a one-slot memo
-# (see trace). The undeclared-action check stays per trajectory: the pass
-# only flags the trajectories that set such an action.
+# (see trace), the only cache on this path. A block column the spec does
+# not name is never read, and a spec that names every column reads them in
+# place. The undeclared-action check stays per trajectory: the pass only
+# flags the trajectories that set such an action.
 
 
 def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
@@ -192,14 +195,6 @@ def _staleness_exponents(staleness: np.ndarray, tau) -> np.ndarray:
     return staleness / tau
 
 
-def _survival_scores(values: np.ndarray, c, b, m) -> np.ndarray:
-    return np.exp(-_survival_exponents(values, c, b, m))
-
-
-def _confidence_weights(staleness: np.ndarray, tau) -> np.ndarray:
-    return np.exp(-_staleness_exponents(staleness, tau))
-
-
 def _time_decays(t: np.ndarray, half_life: float) -> np.ndarray:
     return np.power(0.5, t / half_life)
 
@@ -212,42 +207,21 @@ def _competence_costs(levels: np.ndarray, maxima: np.ndarray, scale: float) -> n
 def _selector(picked: list[int], width: int):
     """Selects the picked columns of a block width columns wide: a slice,
     which reads them in place with no gather, when it picks them all, else
-    their indices (read-only, as the cached arrays below are shared by
-    every caller with equal content)."""
-    if len(picked) == width:
-        return slice(None)
-    index = np.array(picked, dtype=np.intp)
-    index.flags.writeable = False
-    return index
+    their indices."""
+    return slice(None) if len(picked) == width else np.array(picked, dtype=np.intp)
 
 
-@lru_cache(maxsize=256)
-def _feature_columns(survival: tuple, confidence_tau: tuple, feature_ids: tuple):
+def _feature_columns(spec: RewardSpec, feature_ids: list[str]):
     """(selector, c, b, m, weight, tau): the block feature columns a spec
     names, and their survival coefficients, weights and confidence taus,
     in block order."""
-    configs, taus = dict(survival), dict(confidence_tau)
-    picked = [j for j, fid in enumerate(feature_ids) if fid in configs]
+    picked = [j for j, fid in enumerate(feature_ids) if fid in spec.survival]
     rows = [
-        (*configs[fid].coefficients, configs[fid].weight, taus[fid])
+        (*spec.survival[fid].coefficients, spec.survival[fid].weight, spec.confidence_tau[fid])
         for fid in map(feature_ids.__getitem__, picked)
     ]
     table = np.array(rows, dtype=float).reshape(len(rows), 5).T.copy()
-    table.flags.writeable = False
     return _selector(picked, len(feature_ids)), *table
-
-
-@lru_cache(maxsize=256)
-def _action_columns(action_max: tuple, action_ids: tuple):
-    """(selector, maxima, undeclared): the block action columns a spec
-    declares and their maxima, in block order, and the ids of the block
-    actions it does not declare."""
-    maxima = dict(action_max)
-    picked = [j for j, aid in enumerate(action_ids) if aid in maxima]
-    levels_max = np.array([maxima[action_ids[j]] for j in picked], dtype=float)
-    levels_max.flags.writeable = False
-    undeclared = tuple(aid for aid in action_ids if aid not in maxima)
-    return _selector(picked, len(action_ids)), levels_max, undeclared
 
 
 def _check_declared_actions(action_ids, spec: RewardSpec) -> None:
@@ -258,12 +232,13 @@ def _check_declared_actions(action_ids, spec: RewardSpec) -> None:
 
 def survival_score(value: float, cfg: SurvivalConfig) -> float:
     """Score one normalized feature value in [0,1] against its survival curve."""
-    return float(_survival_scores(np.array([value], dtype=float), *cfg.coefficients)[0])
+    exponent = _survival_exponents(np.array([value], dtype=float), *cfg.coefficients)
+    return float(np.exp(-exponent)[0])
 
 
 def confidence_weight(staleness: float, tau: float) -> float:
     """Trust in a measurement that is `staleness` hours old: exp(-dt/tau)."""
-    return float(_confidence_weights(np.float64(staleness), tau))
+    return float(np.exp(-_staleness_exponents(np.float64(staleness), tau)))
 
 
 def time_decay(t: float, half_life: float) -> float:
@@ -289,9 +264,7 @@ def _potentials(cols: CohortColumns, spec: RewardSpec) -> np.ndarray:
     from that step's normalizer; if every feature is missing the base
     potential is the neutral 0.5.
     """
-    select, c, b, m, weight, tau = _feature_columns(
-        tuple(spec.survival.items()), tuple(spec.confidence_tau.items()), tuple(cols.feature_ids)
-    )
+    select, c, b, m, weight, tau = _feature_columns(spec, cols.feature_ids)
     exponents = _survival_exponents(cols.values[:, select], c, b, m)
     exponents += _staleness_exponents(cols.staleness[:, select], tau)
     mask = cols.mask[:, select]
@@ -326,14 +299,15 @@ def _block_rewards(block: CohortColumns, spec: RewardSpec):
         potentials = _potentials(block, spec)
         rewards = spec.gamma * potentials[1:] - potentials[:-1]
         if spec.lam != 0.0:
-            select, maxima, undeclared = _action_columns(
-                tuple(spec.action_max.items()), tuple(block.action_ids)
-            )
+            ids = block.action_ids
+            declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
+            undeclared = [j for j, aid in enumerate(ids) if aid not in spec.action_max]
             if undeclared:
-                index = [block.action_ids.index(aid) for aid in undeclared]
-                rows = np.flatnonzero(block.action_mask[:, index].any(axis=1))
+                rows = np.flatnonzero(block.action_mask[:, undeclared].any(axis=1))
                 sets_undeclared[np.searchsorted(offsets, rows, side="right") - 1] = True
-            costs = _competence_costs(block.actions[:-1, select], maxima, spec.action_cost_scale)
+            maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
+            levels = block.actions[:-1, _selector(declared, len(ids))]
+            costs = _competence_costs(levels, maxima, spec.action_cost_scale)
             rewards -= spec.lam * costs
         position = np.arange(len(potentials)) - np.repeat(offsets[:-1], lengths)
         discounted = np.zeros(len(potentials))
@@ -352,9 +326,9 @@ def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
     declare, and the first t at which it is set."""
     block, k = trajectory.block
     lo, hi = block.offsets[k : k + 2].tolist()
-    for aid in _action_columns(tuple(spec.action_max.items()), tuple(block.action_ids))[2]:
-        (rows,) = np.nonzero(block.action_mask[lo : hi - 1, block.action_ids.index(aid)])
-        if rows.size:
+    for j, aid in enumerate(block.action_ids):
+        (rows,) = np.nonzero(block.action_mask[lo : hi - 1, j])
+        if rows.size and aid not in spec.action_max:
             raise SchemaError(
                 f"patient {trajectory.patient_id!r}: action {aid!r} not declared in the reward "
                 f"spec's action_max at t={block.t[lo + rows[0]].item()}"

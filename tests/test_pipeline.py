@@ -409,6 +409,63 @@ class TestHttpPipeline:
         assert manifest["champion"]
         assert all(s["status"] == "complete" for s in manifest["stages"].values())
 
+    def test_resume_builds_no_client(self, small_dataset_path, tmp_path, monkeypatch):
+        """A finished run whose endpoint came from the environment resumes
+        with the variable unset, as no stage calls the model."""
+        import threading
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+
+        from tridrive.llm import ENDPOINT_ENV
+
+        stub = StubLlmClient()
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                text = stub.complete(json.loads(body)["prompt"]).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "text/plain")
+                self.end_headers()
+                self.wfile.write(text)
+
+            def log_message(self, *args):
+                pass
+
+        config = pipeline_config_from_json(
+            {
+                "dataset": str(small_dataset_path),
+                "client": "http",
+                "llm": {"backoff": 0.01},
+                "rounds": 3,
+                "candidates": 4,
+                "bootstrap": 60,
+                "bins": 4,
+                "seed": 2,
+            }
+        )
+        out = tmp_path / "run"
+        server = HTTPServer(("127.0.0.1", 0), Handler)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            monkeypatch.setenv(ENDPOINT_ENV, f"http://127.0.0.1:{server.server_port}/complete")
+            run_pipeline(config, out)
+        finally:
+            server.shutdown()
+            server.server_close()
+        digest, manifest = run_digest(out), (out / "manifest.json").read_bytes()
+
+        monkeypatch.delenv(ENDPOINT_ENV)
+        run_pipeline(config, out)
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert run_digest(out) == digest
+
+        (out / "ope/wis.json").unlink()
+        run_pipeline(config, out)
+        timing = json.loads((out / "timing.json").read_text())
+        assert list(timing["stage_seconds"]) == ["ope"]
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert run_digest(out) == digest
+
 
 class TestPipelineSeries:
     def test_multiple_prob_tables_emit_series(self, small_dataset_path, tmp_path):

@@ -19,7 +19,9 @@ from conftest import (
     value_iteration,
 )
 from tridrive.errors import FormatError, SchemaError, TridriveError, ValidationError
+from tridrive.fitness import CompMetricConfig, j_comp, j_conf, j_surv
 from tridrive.model import Trajectory
+from tridrive.ope import bootstrap_ci, identity_prob_table, mortality_curve, wis
 from tridrive.rewards import (
     RewardSpec,
     SurvivalConfig,
@@ -37,6 +39,7 @@ from tridrive.rewards import (
     survival_score,
     time_decay,
     trace,
+    trace_returns,
 )
 from tridrive.synth import CohortConfig, generate, reference_spec
 
@@ -625,3 +628,35 @@ def test_trace_matches_scalar_oracle(traj, spec):
     assert got.rewards == pytest.approx(rewards, rel=0, abs=1e-12)
     assert got.potentials == pytest.approx(potentials, rel=0, abs=1e-12)
     assert got.cumulative == pytest.approx(cumulative, rel=0, abs=1e-12)
+
+
+def _one_short():
+    config = CohortConfig(n_patients=12, seed=5)
+    dataset = generate(config)
+    spec = reference_spec(config)
+    return dataset, list(spec.survival), [trace(t, spec) for t in dataset.trajectories[:-1]]
+
+
+@pytest.mark.parametrize(
+    "consumer",
+    [
+        lambda ds, fids, traces: j_surv(ds, traces),
+        lambda ds, fids, traces: j_conf(ds, traces, fids),
+        lambda ds, fids, traces: j_comp(ds, traces, fids, CompMetricConfig()),
+        lambda ds, fids, traces: wis(ds, traces, identity_prob_table(ds)),
+        lambda ds, fids, traces: bootstrap_ci(ds, traces, identity_prob_table(ds), resamples=10),
+        lambda ds, fids, traces: mortality_curve(ds, traces, 3),
+    ],
+    ids=["j_surv", "j_conf", "j_comp", "wis", "bootstrap_ci", "mortality_curve"],
+)
+def test_every_consumer_needs_one_trace_per_trajectory(consumer):
+    with pytest.raises(ValidationError, match="one trace per trajectory is required"):
+        consumer(*_one_short())
+
+
+def test_trace_returns_reads_cumulative_in_order():
+    dataset, _, traces = _one_short()
+    traces.append(dataclasses.replace(traces[0], cumulative=2))
+    got = trace_returns(dataset, traces)
+    assert got.dtype == np.float64
+    assert got.tolist() == [t.cumulative for t in traces]

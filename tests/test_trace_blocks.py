@@ -7,11 +7,13 @@ values no kernel should read.
 """
 
 import dataclasses
+import gc
 import math
 import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -302,6 +304,18 @@ def test_score_specs_makes_one_block_pass_per_spec(monkeypatch):
     assert all(cols is dataset.columns for cols in calls)
 
 
+def test_no_traced_spec_outlives_the_memo():
+    views = _views([_steps(np.random.default_rng(41), n) for n in (3, 5)])
+    first, second = _spec(lam=0.3), _spec(lam=0.1)
+    config = weakref.ref(first.survival["f2"])
+    for spec in (first, second):
+        for traj in views:
+            trace(traj, spec)
+    del first
+    gc.collect()
+    assert config() is None
+
+
 def test_threads_tracing_different_blocks_and_specs_get_their_own_slices():
     rng = np.random.default_rng(31)
     cases = []
@@ -335,9 +349,7 @@ def test_survival_exponents_peak_at_three_outputs_on_a_5000_patient_block():
     config = CohortConfig(n_patients=5000, seed=3)
     cols = generate(config).columns
     spec = reference_spec(config)
-    select, c, b, m, _, _ = rewards._feature_columns(
-        tuple(spec.survival.items()), tuple(spec.confidence_tau.items()), tuple(cols.feature_ids)
-    )
+    select, c, b, m, _, _ = rewards._feature_columns(spec, cols.feature_ids)
     values = cols.values[:, select]
     tracemalloc.start()
     try:
