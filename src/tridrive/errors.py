@@ -30,8 +30,4 @@ class LlmClientError(TridriveError):
 
 
 class PipelineError(TridriveError):
-    """A pipeline stage failed; carries how far the run got."""
-
-    def __init__(self, message: str, completed_rounds: int | None = None):
-        super().__init__(message)
-        self.completed_rounds = completed_rounds
+    """A pipeline stage failed; the message says how far the run got."""

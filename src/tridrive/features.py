@@ -240,12 +240,11 @@ def build_reward_prompt(
     task_description: str,
     summary: CohortSummary,
     action_max: dict[str, float],
-    action_discrete: dict[str, bool] | None = None,
+    action_discrete: dict[str, bool],
 ) -> str:
     """Instantiate the reward-design prompt: statistics in, JSON spec out."""
     if not metadata:
         raise ValidationError("build_reward_prompt needs metadata for at least one feature")
-    action_discrete = action_discrete or {}
     lines = [
         "You are an expert in clinical data science specializing in offline "
         "reinforcement learning. Design a reward function based on a potential "
@@ -283,7 +282,7 @@ def build_reward_prompt(
         "ACTION DIMENSIONS:",
     ]
     for aid, mx in sorted(action_max.items()):
-        kind = "discrete levels" if action_discrete.get(aid, True) else "continuous magnitude"
+        kind = "discrete levels" if action_discrete[aid] else "continuous magnitude"
         lines.append(f"- {aid}: 0..{mx:g} ({kind})")
     lines.append("FEATURE STATISTICS:")
     lines.extend(_feature_block(m) for m in metadata)
@@ -402,8 +401,7 @@ def run_selection(
             response = client.complete(prompt)
         except LlmClientError as exc:
             raise PipelineError(
-                f"selection round {i} failed: {exc}; completed {len(rounds)} of {n_rounds} rounds",
-                completed_rounds=len(rounds),
+                f"selection round {i} failed: {exc}; completed {len(rounds)} of {n_rounds} rounds"
             ) from exc
         doc = {"round_index": i, "prompt_sha256": prompt_sha, "response": response}
         try:

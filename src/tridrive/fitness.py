@@ -18,7 +18,7 @@ reductions run in trajectory file order for bit-reproducible results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -50,18 +50,12 @@ class FitnessVector:
 
 @dataclass
 class CompMetricConfig:
-    """Tunables of the fitness metrics.
-
-    iqr and action_max are per-dataset caches; leave them empty and call
-    prepare() (or let fitness() do it) to fill them from a dataset.
-    """
+    """Tunables of the fitness metrics; prepare() binds them to a dataset."""
 
     epsilon: float = defaults.STABILITY_EPSILON
     k: float = defaults.HOMEOSTASIS_K
     alpha: float = defaults.DOSE_ALPHA
     aggregation: str = "mean"
-    iqr: dict[str, float] = field(default_factory=dict)
-    action_max: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -73,18 +67,9 @@ class CompMetricConfig:
         if self.aggregation not in ("mean", "sum"):
             raise ConfigError("aggregation must be 'mean' or 'sum'")
 
-    def prepare(self, dataset: TrajectoryDataset) -> "CompMetricConfig":
-        """Return a copy with iqr/action_max filled in from the dataset."""
-        iqr = dict(self.iqr)
-        missing = [fid for fid in dataset.feature_schema if fid not in iqr]
-        if missing:
-            cols = dataset.columns
-            for fid in missing:
-                iqr[fid] = _feature_iqr(cols, fid)
-        action_max = dict(self.action_max)
-        for aid, spec in dataset.action_schema.items():
-            action_max.setdefault(aid, spec.max_value)
-        return replace(self, iqr=iqr, action_max=action_max)
+    def prepare(self, dataset: TrajectoryDataset) -> "FitnessTargets":
+        """The fitness targets of the dataset under these settings."""
+        return FitnessTargets(dataset, self)
 
 
 def _feature_iqr(cols: CohortColumns, fid: str) -> float:
@@ -174,7 +159,7 @@ def j_surv(
 ) -> float:
     """truth: FitnessTargets.truth of the dataset and epsilon, if already known."""
     if truth is None:
-        truth = FitnessTargets(dataset, CompMetricConfig(epsilon=epsilon)).truth
+        truth = CompMetricConfig(epsilon=epsilon).prepare(dataset).truth
     returns = trace_returns(dataset, traces)
     return _pearson_named(returns, truth, "cumulative reward", "ground-truth score")
 
@@ -193,7 +178,7 @@ def j_conf(
 ) -> float:
     """staleness: FitnessTargets.staleness of the dataset, if already known."""
     if staleness is None:
-        staleness = FitnessTargets(dataset, CompMetricConfig()).staleness(feature_ids)
+        staleness = CompMetricConfig().prepare(dataset).staleness(feature_ids)
     returns = trace_returns(dataset, traces)
     return -_pearson_named(returns, staleness, "cumulative reward", "uncertainty score")
 
@@ -254,23 +239,25 @@ def j_comp(
 ) -> float:
     """efficiency: FitnessTargets.efficiency under cfg, if already known."""
     if efficiency is None:
-        efficiency = FitnessTargets(dataset, cfg.prepare(dataset)).efficiency(feature_ids)
+        efficiency = cfg.prepare(dataset).efficiency(feature_ids)
     returns = trace_returns(dataset, traces)
     return _pearson_named(returns, efficiency, "cumulative reward", "efficiency score")
 
 
 class FitnessTargets:
-    """The spec-independent side of each fitness axis, per trajectory.
+    """The spec-independent side of each fitness axis, per trajectory, under
+    the settings cfg.
 
     Each is computed from the dataset's column block in one pass: a value
-    per row, summed per trajectory over the block's offsets. Each is
-    computed on first use and kept, so every spec scored against one
-    dataset and one prepared metric config shares them.
+    per row, summed per trajectory over the block's offsets. The feature
+    IQRs and dose maxima come from the dataset too. Each is computed on
+    first use and kept, so every spec scored against one dataset and one
+    metric config shares them.
     """
 
     def __init__(self, dataset: TrajectoryDataset, cfg: CompMetricConfig):
         self._dataset = dataset
-        self._cfg = cfg
+        self.cfg = cfg
         self._cols = dataset.columns
         self._lengths = np.diff(self._cols.offsets)
         if not self._lengths.all():
@@ -308,7 +295,7 @@ class FitnessTargets:
         Range [0, 2]."""
         trajs = self._dataset.trajectories
         baselines = np.repeat([traj.sofa_baseline for traj in trajs], self._lengths)
-        stable = np.abs(self._cols.sofa - baselines) < self._cfg.epsilon
+        stable = np.abs(self._cols.sofa - baselines) < self.cfg.epsilon
         survived = np.array([traj.survived for traj in trajs], dtype=float)
         return survived + self._sums(stable.astype(np.int64)) / self._lengths
 
@@ -322,30 +309,30 @@ class FitnessTargets:
 
     def homeostasis(self, feature_ids: Sequence[str]) -> np.ndarray:
         """Per row, the unweighted mean homeostasis over the given features."""
-        cfg, schema, values = self._cfg, self._dataset.feature_schema, self._cols.values
+        cols, schema = self._cols, self._dataset.feature_schema
         total = 0.0
         for fid, j in zip(feature_ids, self._columns(feature_ids)):
             spec = schema[fid]
             total = total + _homeostasis(
-                values[:, j], spec.feature_type, spec.healthy_interval,
-                cfg.iqr.get(fid, 1.0), cfg.k,
+                cols.values[:, j], spec.feature_type, spec.healthy_interval,
+                _feature_iqr(cols, fid), self.cfg.k,
             )
         return total / len(feature_ids)
 
     def efficiency(self, feature_ids: Sequence[str]) -> np.ndarray:
         """Mean (or sum, per cfg.aggregation) over transitions of the
         homeostasis gain minus alpha times the mean normalized dose of the
-        earlier step."""
+        earlier step, each dose over its action's schema maximum."""
         key = tuple(feature_ids)
         if key not in self._efficiency:
-            cfg, cols = self._cfg, self._cols
+            cfg, cols, schema = self.cfg, self._cols, self._dataset.action_schema
             states = self.homeostasis(key)
             dose = np.zeros(len(cols.t))
-            for aid, mx in cfg.action_max.items():
+            for aid, spec in schema.items():
                 if aid in cols.action_ids:
-                    dose = dose + cols.actions[:, cols.action_ids.index(aid)] / mx
-            if cfg.action_max:
-                dose = dose / len(cfg.action_max)
+                    dose = dose + cols.actions[:, cols.action_ids.index(aid)] / spec.max_value
+            if schema:
+                dose = dose / len(schema)
             gain = np.zeros(len(cols.t))
             gain[:-1] = states[1:] - states[:-1] - cfg.alpha * dose[:-1]
             gain[cols.offsets[1:] - 1] = 0.0  # a trajectory's last row starts no transition
@@ -363,24 +350,23 @@ class FitnessTargets:
 def fitness(
     dataset: TrajectoryDataset,
     spec: RewardSpec,
-    cfg: CompMetricConfig | None = None,
     feature_ids: Sequence[str] | None = None,
     targets: FitnessTargets | None = None,
 ) -> FitnessVector:
     """Score one reward spec on the dataset; all three axes share one set of
     traces. Defaults the feature set to the spec's own survival features.
-    targets, built from the same dataset and cfg, is shared across specs."""
+    targets, cfg.prepare(dataset), is shared across specs and carries the
+    metric settings; without it the default settings apply."""
     if len(dataset.trajectories) < 2:
         raise ValidationError("fitness needs at least 2 trajectories")
-    cfg = (cfg or CompMetricConfig()).prepare(dataset)
-    fids = list(feature_ids) if feature_ids is not None else sorted(spec.survival)
     if targets is None:
-        targets = FitnessTargets(dataset, cfg)
+        targets = CompMetricConfig().prepare(dataset)
+    fids = list(feature_ids) if feature_ids is not None else sorted(spec.survival)
     traces = [trace(traj, spec) for traj in dataset.trajectories]
     # Each target is read only after the axes before it were scored, so a
     # failure surfaces in the same order as the axes.
     return FitnessVector(
-        j_surv=j_surv(dataset, traces, cfg.epsilon, truth=targets.truth),
+        j_surv=j_surv(dataset, traces, targets.cfg.epsilon, truth=targets.truth),
         j_conf=j_conf(dataset, traces, fids, staleness=targets.staleness(fids)),
-        j_comp=j_comp(dataset, traces, fids, cfg, efficiency=targets.efficiency(fids)),
+        j_comp=j_comp(dataset, traces, fids, targets.cfg, efficiency=targets.efficiency(fids)),
     )

@@ -271,22 +271,14 @@ class TrajectoryDataset:
     @property
     def columns(self) -> CohortColumns:
         """The rows of every trajectory, in order, as one block: the block
-        the trajectories are views of when they are all of it, in order;
-        a new block of its rows when they are views of one block (a
-        split), kept while they are the same views; and otherwise a new
-        block built from their steps."""
+        the trajectories are views of when they are all of it, in order (as
+        for a loaded, generated or split dataset), and otherwise a new block
+        built from their steps."""
         views = [traj.__dict__.get("_view") for traj in self.trajectories]
-        kept = self.__dict__.get("_columns")
-        if kept is not None and kept[0] == views:
-            return kept[1]
         block = views[0][0] if views and views[0] is not None else None
-        if block is None or any(v is None or v[0] is not block for v in views):
-            return CohortColumns.of([traj.steps for traj in self.trajectories], self.action_schema)
-        ks = [k for _, k in views]
-        if ks == list(range(len(block.offsets) - 1)):
+        if block is not None and views == [(block, k) for k in range(len(block.offsets) - 1)]:
             return block
-        self.__dict__["_columns"] = (views, block.take(ks))
-        return self.__dict__["_columns"][1]
+        return CohortColumns.of([traj.steps for traj in self.trajectories], self.action_schema)
 
     def validate(self) -> None:
         """Check every type invariant; raises ValidationError naming the

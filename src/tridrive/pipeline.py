@@ -54,7 +54,7 @@ from .features import (
     run_selection,
     summarize_dataset,
 )
-from .fitness import CompMetricConfig, FitnessTargets, FitnessVector, fitness
+from .fitness import CompMetricConfig, FitnessVector, fitness
 from .jsonio import fields_from_json, read_json, write_json, write_text
 from .llm import HttpLlmClient, LlmClient, LlmClientConfig, StubLlmClient
 from .model import TrajectoryDataset, load_dataset
@@ -83,12 +83,17 @@ def assign_split(patient_id: str) -> str:
 
 
 def filter_split(dataset: TrajectoryDataset, split: str | None) -> TrajectoryDataset:
+    """The split's trajectories, as views of a new block of their rows alone."""
     if split is None or split == "all":
         return dataset
     if split not in SPLIT_NAMES:
         raise ConfigError(f"unknown split {split!r}; expected one of {SPLIT_NAMES} or 'all'")
-    kept = [t for t in dataset.trajectories if assign_split(t.patient_id) == split]
-    return replace(dataset, trajectories=kept)
+    trajs = dataset.trajectories
+    ks = [k for k, traj in enumerate(trajs) if assign_split(traj.patient_id) == split]
+    if not ks:
+        return replace(dataset, trajectories=[])
+    kept = [(trajs[k].patient_id, trajs[k].survived, trajs[k].sofa_baseline) for k in ks]
+    return replace(dataset, trajectories=dataset.columns.take(ks).views(*zip(*kept)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +258,11 @@ def score_specs(
     feature_ids: list[str] | None = None,
 ) -> list[dict]:
     """Fitness rows per spec; degenerate candidates are flagged, not fatal."""
-    cfg = (cfg or CompMetricConfig()).prepare(dataset)
-    targets = FitnessTargets(dataset, cfg)
+    targets = (cfg or CompMetricConfig()).prepare(dataset)
     rows = []
     for spec_id, spec in specs:
         try:
-            vec = fitness(dataset, spec, cfg, feature_ids, targets)
+            vec = fitness(dataset, spec, feature_ids, targets)
             rows.append({"spec_id": spec_id, **asdict(vec)})
         except (DegenerateStatisticError, SchemaError, ValidationError) as exc:
             rows.append({"spec_id": spec_id, "error": str(exc)})
@@ -437,11 +441,6 @@ def ope_stage(
 # Pipeline configuration
 # ---------------------------------------------------------------------------
 
-# Per-dataset caches of CompMetricConfig, filled in by prepare(): neither
-# config keys nor part of the config hash.
-_METRIC_CACHES = ("iqr", "action_max")
-
-
 @dataclass
 class PipelineConfig:
     dataset: str
@@ -477,10 +476,7 @@ class PipelineConfig:
             raise ConfigError(f"unknown split {self.split!r}")
 
     def canonical_json(self) -> str:
-        doc = asdict(self)
-        for key in _METRIC_CACHES:
-            del doc["metric"][key]
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
 
 def pipeline_config_from_json(doc: dict) -> PipelineConfig:
@@ -491,9 +487,7 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
         doc = {**doc, "probs": [doc["probs"]]}
     kwargs = fields_from_json(PipelineConfig, doc, what)
     llm = fields_from_json(LlmClientConfig, kwargs.get("llm", {}), f"{what}: llm")
-    metric = fields_from_json(
-        CompMetricConfig, kwargs.get("metric", {}), f"{what}: metric", exclude=_METRIC_CACHES
-    )
+    metric = fields_from_json(CompMetricConfig, kwargs.get("metric", {}), f"{what}: metric")
     config = PipelineConfig(
         **{**kwargs, "llm": LlmClientConfig(**llm), "metric": CompMetricConfig(**metric)}
     )

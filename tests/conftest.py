@@ -450,28 +450,31 @@ def _homeostasis(value, spec, iqr, k):
     return _logistic(-k * (0.5 - value))
 
 
-def oracle_efficiency(trajectory, feature_ids, cfg, feature_schema):
-    """Mean (or sum) over transitions of the homeostasis gain minus alpha
-    times the mean normalized dose of the earlier step."""
-    states = [
-        sum(
-            _homeostasis(s.observations[fid].value, feature_schema[fid], cfg.iqr.get(fid, 1.0), cfg.k)
-            for fid in feature_ids
-        )
-        / len(feature_ids)
-        for s in trajectory.steps
-    ]
-    per_step = []
-    for i, step in enumerate(trajectory.steps[:-1]):
-        dose = 0.0
-        if cfg.action_max:
-            dose = sum(
-                step.action.get(aid, 0.0) / mx for aid, mx in cfg.action_max.items()
-            ) / len(cfg.action_max)
-        per_step.append(states[i + 1] - states[i] - cfg.alpha * dose)
-    if cfg.aggregation == "sum":
-        return sum(per_step)
-    return sum(per_step) / len(per_step)
+def oracle_efficiency(dataset, feature_ids, cfg):
+    """Per trajectory, the mean (or sum) over transitions of the homeostasis
+    gain minus alpha times the mean normalized dose of the earlier step: the
+    IQRs from oracle_iqr, the dose maxima from the action schema."""
+    iqr = {fid: oracle_iqr(dataset, fid) for fid in feature_ids}
+    maxima = {aid: spec.max_value for aid, spec in dataset.action_schema.items()}
+    result = []
+    for trajectory in dataset.trajectories:
+        states = [
+            sum(
+                _homeostasis(s.observations[fid].value, dataset.feature_schema[fid], iqr[fid], cfg.k)
+                for fid in feature_ids
+            )
+            / len(feature_ids)
+            for s in trajectory.steps
+        ]
+        per_step = []
+        for i, step in enumerate(trajectory.steps[:-1]):
+            dose = 0.0
+            if maxima:
+                dose = sum(step.action.get(aid, 0.0) / mx for aid, mx in maxima.items()) / len(maxima)
+            per_step.append(states[i + 1] - states[i] - cfg.alpha * dose)
+        total = sum(per_step)
+        result.append(total if cfg.aggregation == "sum" else total / len(per_step))
+    return result
 
 
 def oracle_pearson(xs, ys):

@@ -34,7 +34,7 @@ from conftest import (
 from tridrive import model
 from tridrive.errors import ValidationError
 from tridrive.features import compute_metadata, summarize_dataset
-from tridrive.fitness import CompMetricConfig, FitnessTargets
+from tridrive.fitness import CompMetricConfig, _feature_iqr
 from tridrive.model import (
     ActionSpec,
     FeatureSpec,
@@ -45,7 +45,7 @@ from tridrive.model import (
     save_dataset,
 )
 from tridrive.ope import bootstrap_ci, identity_prob_table, mortality_curve
-from tridrive.pipeline import PipelineConfig, PipelineRun, run_pipeline, score_specs
+from tridrive.pipeline import PipelineConfig, PipelineRun, filter_split, run_pipeline, score_specs
 from tridrive.rewards import trace
 from tridrive.synth import CohortConfig, generate, reference_spec
 
@@ -117,10 +117,10 @@ def test_loaded_form_matches_the_oracles(tmp_path, dataset):
         assert got.potentials == pytest.approx(potentials, **EXACT)
         assert got.cumulative == pytest.approx(cumulative, **EXACT)
 
-    cfg = CompMetricConfig().prepare(loaded)
+    cfg = CompMetricConfig()
     for fid in FEATURE_SCHEMA:
-        assert cfg.iqr[fid] == pytest.approx(oracle_iqr(dataset, fid), **EXACT)
-    targets = FitnessTargets(loaded, cfg)
+        assert _feature_iqr(loaded.columns, fid) == pytest.approx(oracle_iqr(dataset, fid), **EXACT)
+    targets = cfg.prepare(loaded)
     fids = ["f1"]
     originals = dataset.trajectories
     assert targets.truth.tolist() == pytest.approx(
@@ -130,7 +130,7 @@ def test_loaded_form_matches_the_oracles(tmp_path, dataset):
         [oracle_uncertainty(t, fids) for t in originals], **EXACT
     )
     assert targets.efficiency(fids).tolist() == pytest.approx(
-        [oracle_efficiency(t, fids, cfg, FEATURE_SCHEMA) for t in originals], **EXACT
+        oracle_efficiency(dataset, fids, cfg), **EXACT
     )
     _assert_metadata_matches(compute_metadata(loaded), oracle_metadata(dataset))
 
@@ -425,8 +425,8 @@ def test_assigning_steps_detaches_a_view(tmp_path):
     dataset = generate(CohortConfig(n_patients=4, horizon_min=8, horizon_max=8, seed=3))
     spec = reference_spec(CohortConfig(seed=3))
     block = dataset.columns
-    subset = dataclasses.replace(dataset, trajectories=dataset.trajectories[::2])
-    assert subset.columns is subset.columns is not block  # a split's block, built once
+    split = filter_split(dataset, "policy_train")
+    assert split.columns is split.trajectories[0].block[0] is not block  # a split owns its block
     traj = dataset.trajectories[1]
     assert len(traj.columns.t) == 8
     traj.steps = traj.steps[:5]

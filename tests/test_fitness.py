@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from conftest import (
 )
 from tridrive.errors import ConfigError, DegenerateStatisticError, ValidationError
 from tridrive.fitness import (
+    _feature_iqr,
     _quantiles,
     CompMetricConfig,
     FitnessTargets,
@@ -30,6 +32,7 @@ from tridrive.fitness import (
     pearson,
 )
 from tridrive.model import FeatureType, Trajectory, TrajectoryDataset
+from tridrive.pipeline import score_specs
 from tridrive.rewards import trace
 
 
@@ -251,7 +254,7 @@ class TestHomeostasisState:
 
     def test_three_feature_mean(self):
         ds = self._dataset()
-        cfg = CompMetricConfig(iqr={"nr": 0.2, "dl": 1.0, "dh": 1.0})
+        cfg = CompMetricConfig()
         score = homeostasis_state(ds.trajectories[0].steps[0], ["nr", "dl", "dh"], cfg, ds.feature_schema)
         expected = (1.0 + 0.5 + SIGMOID_5) / 3.0
         assert score == pytest.approx(expected, abs=1e-12)
@@ -259,13 +262,19 @@ class TestHomeostasisState:
 
     def test_all_saturated(self):
         ds = self._dataset()
-        cfg = CompMetricConfig(iqr={"nr": 0.2})
+        cfg = CompMetricConfig()
         assert homeostasis_state(ds.trajectories[0].steps[0], ["nr"], cfg, ds.feature_schema) == 1.0
 
 
-def efficiency(prev, nxt, feature_ids, cfg, feature_schema):
-    """Efficiency of one transition: the efficiency of a two-step trajectory."""
-    dataset = TrajectoryDataset([Trajectory("p", [prev, nxt], True, 5.0)], feature_schema, {})
+def efficiency(prev, nxt, feature_ids, cfg, schema, spread=()):
+    """Efficiency of one transition: the efficiency of a two-step trajectory
+    under the feature and action schemas of the dataset schema. The steps
+    spread, if any, form a second trajectory, whose fresh values set the
+    IQRs when the transition's own values are stale."""
+    trajs = [Trajectory("p", [prev, nxt], True, 5.0)]
+    if spread:
+        trajs.append(Trajectory("q", list(spread), True, 5.0))
+    dataset = TrajectoryDataset(trajs, schema.feature_schema, schema.action_schema)
     return float(FitnessTargets(dataset, cfg).efficiency(feature_ids)[0])
 
 
@@ -279,11 +288,11 @@ class TestEfficiency:
                 5.0,
             )
         ]
-        return make_dataset(trajs).feature_schema
+        return make_dataset(trajs, action_max={"drug_a": 4.0})
 
     def test_no_change_zero_action(self):
         schema = self._schema(1)
-        cfg = CompMetricConfig(iqr={"f0": 0.2}, action_max={"drug_a": 4.0})
+        cfg = CompMetricConfig()
         prev = make_step(0, {"f0": 0.5}, action={"drug_a": 0})
         nxt = make_step(1, {"f0": 0.5})
         assert efficiency(prev, nxt, ["f0"], cfg, schema) == 0.0
@@ -293,22 +302,25 @@ class TestEfficiency:
         # score is sigmoid(0) = 0.5, giving H = 0.8 -> 1.0: a gain of 0.2
         schema = self._schema(5)
         fids = [f"f{i}" for i in range(5)]
-        cfg = CompMetricConfig(iqr={f: 0.2 for f in fids}, action_max={"drug_a": 4.0}, alpha=0.1)
+        cfg = CompMetricConfig(alpha=0.1)
+        stale = {f: 1 for f in fids}
         prev_vals = {"f0": 0.7, "f1": 0.7, "f2": 0.5, "f3": 0.5, "f4": 0.5}
-        prev = make_step(0, prev_vals, action={"drug_a": 4})
-        nxt = make_step(1, {f: 0.5 for f in fids})
-        assert efficiency(prev, nxt, fids, cfg, schema) == pytest.approx(0.1, abs=1e-12)
+        prev = make_step(0, prev_vals, stale, action={"drug_a": 4})
+        nxt = make_step(1, {f: 0.5 for f in fids}, stale)
+        # The only fresh values, 0, 0, 0.2 and 0.2, set every IQR to 0.2.
+        spread = [make_step(t, {f: v for f in fids}) for t, v in enumerate([0.0, 0.0, 0.2, 0.2])]
+        assert efficiency(prev, nxt, fids, cfg, schema, spread) == pytest.approx(0.1, abs=1e-12)
 
     def test_dose_only(self):
         schema = self._schema(1)
-        cfg = CompMetricConfig(iqr={"f0": 0.2}, action_max={"drug_a": 4.0}, alpha=0.1)
+        cfg = CompMetricConfig(alpha=0.1)
         prev = make_step(0, {"f0": 0.5}, action={"drug_a": 2})
         nxt = make_step(1, {"f0": 0.5})
         assert efficiency(prev, nxt, ["f0"], cfg, schema) == pytest.approx(-0.05, abs=1e-12)
 
     def test_affine_in_dose_with_slope_alpha(self):
         schema = self._schema(1)
-        cfg = CompMetricConfig(iqr={"f0": 0.2}, action_max={"drug_a": 4.0}, alpha=0.3)
+        cfg = CompMetricConfig(alpha=0.3)
         nxt = make_step(1, {"f0": 0.55})
         values = []
         for level in range(5):
@@ -351,9 +363,9 @@ class TestCorrelationMetrics:
 
     def test_j_comp_alignment(self):
         ds = self._cohort()
-        cfg = CompMetricConfig().prepare(ds)
+        cfg = CompMetricConfig()
         # efficiency differs across trajectories through the dose term
-        eff = FitnessTargets(ds, cfg).efficiency(["f1", "f2"]).tolist()
+        eff = cfg.prepare(ds).efficiency(["f1", "f2"]).tolist()
         assert j_comp(ds, _aligned_traces(ds, eff), ["f1", "f2"], cfg) == pytest.approx(1.0)
 
     def test_degenerate_reward_named(self):
@@ -404,12 +416,12 @@ class TestFitnessEndToEnd:
 
 
 def test_targets_match_scalar_oracle(cohort500):
-    cfg = CompMetricConfig().prepare(cohort500)
+    cfg = CompMetricConfig()
     fids = cohort500.feature_ids()
     trajs = cohort500.trajectories
     for fid in fids:
-        assert cfg.iqr[fid] == oracle_iqr(cohort500, fid)
-    targets = FitnessTargets(cohort500, cfg)
+        assert _feature_iqr(cohort500.columns, fid) == oracle_iqr(cohort500, fid)
+    targets = cfg.prepare(cohort500)
     exact = dict(rtol=0, atol=1e-12)
     np.testing.assert_allclose(
         targets.truth, [oracle_ground_truth(t, cfg.epsilon) for t in trajs], **exact
@@ -420,7 +432,39 @@ def test_targets_match_scalar_oracle(cohort500):
     for aggregation in ("mean", "sum"):
         agg = dataclasses.replace(cfg, aggregation=aggregation)
         np.testing.assert_allclose(
-            FitnessTargets(cohort500, agg).efficiency(fids),
-            [oracle_efficiency(t, fids, agg, cohort500.feature_schema) for t in trajs],
+            agg.prepare(cohort500).efficiency(fids),
+            oracle_efficiency(cohort500, fids, agg),
             **exact,
         )
+
+
+def test_unprepared_targets_are_what_score_specs_scores_against(monkeypatch):
+    # f1 leaves its healthy interval, so its IQR matters; every step doses.
+    trajs = [
+        Trajectory(
+            f"p{i}",
+            [
+                make_step(t, {"f1": 0.2 + 0.15 * ((i + t) % 4), "f2": 0.3 * t}, {"f1": i},
+                          action={"drug_a": 1 + (i + t) % 3, "drug_b": i}, sofa=5.0 + i * t)
+                for t in range(3)
+            ],
+            i % 2 == 0,
+            5.0,
+        )
+        for i in range(4)
+    ]
+    ds = make_dataset(trajs, {"f2": FeatureType.DIRECTIONAL_LOW}, action_max={"drug_b": 6.0})
+    scored = []
+    fitness_module = importlib.import_module("tridrive.fitness")  # the package's fitness is the function
+    real = fitness_module.j_comp
+
+    def spy(dataset, traces, feature_ids, cfg, *, efficiency=None):
+        scored.append(np.asarray(efficiency).tolist())
+        return real(dataset, traces, feature_ids, cfg, efficiency=efficiency)
+
+    monkeypatch.setattr(fitness_module, "j_comp", spy)
+    rows = score_specs(ds, [("s", simple_spec(fids=("f1", "f2"), lam=0.1))])
+    assert "error" not in rows[0] and len(scored) == 1
+    fids, cfg = ["f1", "f2"], CompMetricConfig()
+    assert FitnessTargets(ds, cfg).efficiency(fids).tolist() == scored[0]
+    assert scored[0] == pytest.approx(oracle_efficiency(ds, fids, cfg), rel=0, abs=1e-12)

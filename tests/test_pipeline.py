@@ -13,7 +13,7 @@ from conftest import ScriptedLlmClient
 from tridrive import pipeline as pipeline_module
 from tridrive.errors import ConfigError, FormatError, PipelineError
 from tridrive.llm import StubLlmClient
-from tridrive.model import Observation, load_dataset, save_dataset
+from tridrive.model import Observation, Trajectory, load_dataset, save_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
 from tridrive.pipeline import (
     STAGES,
@@ -71,6 +71,23 @@ class TestSplits:
         assert 0.65 <= counts["policy_train"] / 4000 <= 0.75
         for name in ("reward_train", "policy_test", "reward_test"):
             assert 0.06 <= counts[name] / 4000 <= 0.14
+
+    def test_split_owns_its_block(self, small_dataset_path):
+        loaded = load_dataset(small_dataset_path)
+        built = dataclasses.replace(loaded, trajectories=[
+            Trajectory(t.patient_id, t.steps, t.survived, t.sofa_baseline)
+            for t in loaded.trajectories
+        ])
+        for ds in (loaded, built):
+            split = filter_split(ds, "reward_train")
+            kept = [t for t in ds.trajectories if assign_split(t.patient_id) == "reward_train"]
+            assert kept and split.trajectories == kept
+            block = split.columns
+            assert [t.block for t in split.trajectories] == [(block, k) for k in range(len(kept))]
+            assert len(block.t) == sum(len(t.steps) for t in kept)
+        others = [t for t in loaded.trajectories if assign_split(t.patient_id) != "reward_train"]
+        none = filter_split(dataclasses.replace(loaded, trajectories=others), "reward_train")
+        assert none.trajectories == []
 
     def test_unknown_split_rejected(self, small_dataset_path):
         with pytest.raises(ConfigError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cohort_digest, oracle_generate
 from tridrive.errors import ConfigError, FormatError
-from tridrive.fitness import CompMetricConfig, FitnessTargets, pearson
+from tridrive.fitness import CompMetricConfig, pearson
 from tridrive.model import FeatureType, dataset_to_json, load_dataset, save_dataset
 from tridrive.synth import (
     CohortConfig,
@@ -19,9 +19,7 @@ from tridrive.synth import (
 
 
 def _mean_homeostasis(dataset):
-    states = FitnessTargets(dataset, CompMetricConfig().prepare(dataset)).homeostasis(
-        dataset.feature_ids()
-    )
+    states = CompMetricConfig().prepare(dataset).homeostasis(dataset.feature_ids())
     return [float(np.mean(s)) for s in np.split(states, dataset.columns.offsets[1:-1])]
 
 
