@@ -58,12 +58,6 @@ def _run(fn):
         sys.exit(1)
 
 
-def _check_threshold(ctx, param, value):
-    if value is not None and not (0.0 < value <= 1.0):
-        raise click.BadParameter("must lie in (0, 1]")
-    return value
-
-
 def _load_split(dataset_path: str, split: str | None):
     return filter_split(load_dataset(dataset_path), split)
 
@@ -121,8 +115,7 @@ def stats(dataset_path, out_path, split):
 @click.option("--client", type=click.Choice(["stub", "http"]), default="stub")
 @click.option("--endpoint", default=None, help="HTTP client endpoint (or TRIDRIVE_LLM_ENDPOINT).")
 @click.option("--rounds", type=int, default=defaults.CANDIDATE_COUNT, show_default=True)
-@click.option("--threshold", type=float, default=defaults.CONSENSUS_THRESHOLD,
-              show_default=True, callback=_check_threshold)
+@click.option("--threshold", type=float, default=defaults.CONSENSUS_THRESHOLD, show_default=True)
 @click.option("--k", type=int, default=defaults.FEATURE_COUNT, show_default=True)
 @click.option("--task", default=defaults.TASK_DESCRIPTION, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(),
@@ -260,7 +253,7 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
 @click.option("--seed", type=int, default=None)
 @click.option("--client", type=click.Choice(["stub", "http"]), default=None)
 @click.option("--rounds", type=int, default=None)
-@click.option("--threshold", type=float, default=None, callback=_check_threshold)
+@click.option("--threshold", type=float, default=None)
 @click.option("--candidates", type=int, default=None)
 @click.option("--bootstrap", type=int, default=None)
 @click.option("--level", type=float, default=None)

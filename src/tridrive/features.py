@@ -75,7 +75,6 @@ class SelectionRound:
 @dataclass
 class SelectionOutcome:
     selected: set[str]
-    rounds: list[SelectionRound]
     votes: dict[str, int]
 
 
@@ -413,4 +412,4 @@ def run_selection(
         persist(i, {**doc, "selected": rnd.selected, "rationales": rnd.rationales})
 
     selected, votes = ensemble_vote(rounds, threshold)
-    return SelectionOutcome(selected=selected, rounds=rounds, votes=votes)
+    return SelectionOutcome(selected=selected, votes=votes)

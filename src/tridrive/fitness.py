@@ -48,7 +48,7 @@ class FitnessVector:
         return (self.j_surv, self.j_conf, self.j_comp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompMetricConfig:
     """Tunables of the fitness metrics; prepare() binds them to a dataset."""
 
@@ -58,12 +58,12 @@ class CompMetricConfig:
     aggregation: str = "mean"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.k <= 0:
-            raise ConfigError("k must be positive")
-        if self.alpha < 0:
-            raise ConfigError("alpha must be nonnegative")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ConfigError("epsilon must be a finite positive number")
+        if not (0.0 < self.k < math.inf):
+            raise ConfigError("k must be a finite positive number")
+        if not (0.0 <= self.alpha < math.inf):
+            raise ConfigError("alpha must be a finite nonnegative number")
         if self.aggregation not in ("mean", "sum"):
             raise ConfigError("aggregation must be 'mean' or 'sum'")
 

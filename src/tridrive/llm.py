@@ -26,7 +26,7 @@ ENDPOINT_ENV = "TRIDRIVE_LLM_ENDPOINT"
 KEY_ENV = "TRIDRIVE_LLM_KEY"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LlmClientConfig:
     endpoint: str = ""
     model: str = "default"
@@ -38,8 +38,10 @@ class LlmClientConfig:
     def __post_init__(self):
         if self.retries < 0:
             raise ConfigError("retries must be nonnegative")
-        if self.backoff < 0:
-            raise ConfigError("backoff must be nonnegative")
+        if not (0.0 < self.timeout < math.inf):
+            raise ConfigError("timeout must be a finite positive number")
+        if not (0.0 <= self.backoff < math.inf):
+            raise ConfigError("backoff must be a finite nonnegative number")
 
 
 class LlmClient(Protocol):

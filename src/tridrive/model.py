@@ -13,8 +13,7 @@ columnar layout). Each of its trajectories is a view: its columns are
 slices of the block, and its steps, the Step and Observation objects, are
 built only when read. A trajectory built from steps,
 Trajectory(patient_id, steps, survived, sofa_baseline), derives its
-columns from them on first use instead. Assigning a view's steps
-detaches it from the block.
+columns from them on first use instead.
 """
 
 from __future__ import annotations
@@ -203,18 +202,16 @@ class CohortColumns:
 _ROW_COLUMNS = ("t", "sofa", "values", "staleness", "mask", "actions", "action_mask")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """One patient's stay.
+    """One patient's stay: a frozen value, varied with dataclasses.replace.
 
     Built from steps, a trajectory derives its columns from them on first
     use. Built by view() (as load_dataset and synth.generate do), it is a
     view of a CohortColumns block: its columns are slices of the block,
-    and its steps are built from them only when read. Assigning steps
-    detaches a view from its block, and its columns are derived from the
-    new steps. Otherwise a trajectory must not change once its columns
-    exist: changing a Step object in place changes neither its columns
-    nor, for a view, its block.
+    and its steps are built from them only when read. Changing a Step
+    object in place changes neither its trajectory's columns nor, for a
+    view, its block.
     """
 
     patient_id: str
@@ -228,8 +225,9 @@ class Trajectory:
     ) -> "Trajectory":
         """The trajectory of block's rows offsets[k] to offsets[k + 1] - 1."""
         traj = cls.__new__(cls)
-        traj.patient_id, traj.survived, traj.sofa_baseline = patient_id, survived, sofa_baseline
-        traj._view = (block, k)
+        traj.__dict__.update(
+            patient_id=patient_id, survived=survived, sofa_baseline=sofa_baseline, _view=(block, k)
+        )
         return traj
 
     def __getattr__(self, name: str):
@@ -239,12 +237,6 @@ class Trajectory:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         steps = self.__dict__["steps"] = view[0].steps(view[1])
         return steps
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "steps":
-            self.__dict__.pop("_view", None)
-            self.__dict__.pop("columns", None)
-        super().__setattr__(name, value)
 
     @cached_property
     def columns(self) -> CohortColumns:

@@ -15,8 +15,9 @@ A run directory holds one manifest plus one subdirectory per stage:
     ope/wis.json, ope/mortality_curve.csv, ope/wis_series.csv (multi-table runs)
 
 The run id is derived from the input hashes and the seed, so re-running the
-same inputs resumes: stages whose recorded output hashes still match on
-disk are skipped, and a failed stage leaves earlier outputs intact. The
+same inputs resumes: the stages before the first whose recorded output
+hashes no longer match on disk are skipped, that stage and every later one
+run, and a failed stage leaves earlier outputs intact. The
 dataset is read only when a stage that needs it runs, so a resume with
 nothing to run reads no dataset and records "load_seconds": null and
 "dataset_shape": null. Each stage is one function (stats_stage ...
@@ -441,7 +442,7 @@ def ope_stage(
 # Pipeline configuration
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     dataset: str
     client: str = "stub"
@@ -459,7 +460,7 @@ class PipelineConfig:
     split: str | None = None
     metric: CompMetricConfig = field(default_factory=CompMetricConfig)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.client not in ("stub", "http"):
             raise ConfigError("client must be 'stub' or 'http'")
         if not (0.0 < self.threshold <= 1.0):
@@ -488,11 +489,9 @@ def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     kwargs = fields_from_json(PipelineConfig, doc, what)
     llm = fields_from_json(LlmClientConfig, kwargs.get("llm", {}), f"{what}: llm")
     metric = fields_from_json(CompMetricConfig, kwargs.get("metric", {}), f"{what}: metric")
-    config = PipelineConfig(
+    return PipelineConfig(
         **{**kwargs, "llm": LlmClientConfig(**llm), "metric": CompMetricConfig(**metric)}
     )
-    config.validate()
-    return config
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:
@@ -523,7 +522,6 @@ class PipelineRun:
     """Executes the staged pipeline inside one run directory."""
 
     def __init__(self, config: PipelineConfig, out_dir: str | Path):
-        config.validate()
         self.config = config
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
@@ -608,8 +606,10 @@ class PipelineRun:
     def execute(self) -> dict:
         """Run (or resume) every stage in order; returns the manifest.
 
-        The dataset loads once, before the first stage that runs and reads
-        it, so a resume with every stage fresh reads no dataset: run_id
+        Stages are skipped while they are fresh. Once one runs, every later
+        stage runs too, since each reads the outputs of those before it.
+        The dataset loads once, before the first stage that runs, so a
+        resume with every stage fresh reads no dataset: run_id
         already pins its bytes, and freshness depends only on the manifest
         and the output hashes. Likewise only the stages that call the model
         build an LLM client.
@@ -617,11 +617,13 @@ class PipelineRun:
         self._timing, self._skipped = {}, []
         self._load_seconds = self._dataset_shape = None
         dataset = None
+        ran = False
         for name in STAGES:
-            if self._stage_fresh(name):
+            if not ran and self._stage_fresh(name):
                 self._skipped.append(name)
                 continue
-            if dataset is None and name != "selection":
+            ran = True
+            if dataset is None:
                 dataset = self._load_dataset()
             start = time.perf_counter()
             try:
@@ -648,7 +650,6 @@ class PipelineRun:
         return dataset
 
     # Each _run_<stage> calls its stage function and returns the files written.
-    # Selection reads only the fitness report, so no dataset is loaded for it.
 
     def _run_stats(self, dataset: TrajectoryDataset) -> list[Path]:
         return stats_stage(dataset, self.out / "stats/metadata.json")[1]
@@ -688,7 +689,7 @@ class PipelineRun:
             feature_ids=load_feature_ids(self.out / "features/report.json"),
         )[1]
 
-    def _run_selection(self, dataset: TrajectoryDataset | None) -> list[Path]:
+    def _run_selection(self, dataset: TrajectoryDataset) -> list[Path]:
         result, files = selection_stage(
             self.out / "fitness/report.json", self.out / "selection/report.json"
         )

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -93,9 +94,11 @@ class SurvivalConfig:
         return 0.0, math.log(2.0) / self.sigma, self.mu
 
 
-@dataclass
+@dataclass(frozen=True)
 class RewardSpec:
-    """One candidate reward function in declarative form."""
+    """One candidate reward function in declarative form: a frozen value,
+    varied with dataclasses.replace. The three mappings are held as
+    read-only copies of the ones given."""
 
     survival: dict[str, SurvivalConfig]
     confidence_tau: dict[str, float]
@@ -105,6 +108,10 @@ class RewardSpec:
     lam: float = defaults.LAMBDA
     action_cost_scale: float = defaults.ACTION_COST_SCALE
     normalize_potential: bool = True
+
+    def __post_init__(self):
+        for name in ("survival", "confidence_tau", "action_max"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def validate(self) -> None:
         if set(self.survival) != set(self.confidence_tau):
@@ -335,29 +342,14 @@ def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
             )
 
 
-def _memo_key(block: CohortColumns, spec: RewardSpec, snapshot: bool = False) -> tuple:
-    """The block and every field of the spec; with snapshot, the spec's dicts
-    are copied, so that a later in-place edit of the spec no longer equals
-    the key."""
-    copy = dict if snapshot else lambda d: d
-    return (
-        block,
-        copy(spec.survival),
-        copy(spec.confidence_tau),
-        copy(spec.action_max),
-        spec.decay_half_life,
-        spec.gamma,
-        spec.lam,
-        spec.action_cost_scale,
-        spec.normalize_potential,
-    )
-
-
-# The arrays of the last block pass, and the block's offsets as a list:
-# one slot, so memory does not grow with the number of specs or blocks.
-# It is read and replaced as one (key, arrays) tuple, so concurrent calls
-# never pair a key with another key's arrays; at worst they recompute.
-_last_block: tuple = (None, None)
+# The arrays of the last block pass, keyed on the block and the spec
+# themselves: one slot, so memory does not grow with the number of specs or
+# blocks. Both are frozen, so a call whose block and spec are the cached
+# objects reads the cached arrays; the slot holds them, so neither id can be
+# reused while it is there. It is read and replaced as one (block, spec,
+# arrays) tuple, so concurrent calls never pair a key with another key's
+# arrays; at worst they recompute.
+_last_block: tuple = (None, None, None)
 
 
 def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
@@ -369,21 +361,20 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     The spec is evaluated over the trajectory's whole block (the cohort's
     block for a view, its own columns otherwise) by _block_rewards, and the
     trajectory's slices are returned. The block's arrays are kept for the
-    next call whose block is the same object and whose spec is equal in
-    every field (the dicts compared entry by entry, not hashed), so tracing
-    a cohort costs one block pass per spec, and editing a spec in place
-    takes effect at the next call.
+    next call whose block and spec are the same objects, so tracing a cohort
+    costs one block pass per spec. A spec is frozen, so any other spec,
+    equal or not (a dataclasses.replace copy, say), is traced afresh.
     """
     global _last_block
     block, k = trajectory.block
-    key, arrays = _last_block
-    if key != _memo_key(block, spec):
+    cached_block, cached_spec, arrays = _last_block
+    if cached_block is not block or cached_spec is not spec:
         potentials, rewards, cumulative, sets_undeclared = _block_rewards(block, spec)
         arrays = (
             potentials, rewards, cumulative.tolist(), sets_undeclared.tolist(),
             block.offsets.tolist(),
         )
-        _last_block = (_memo_key(block, spec, snapshot=True), arrays)
+        _last_block = (block, spec, arrays)
     potentials, rewards, cumulative, sets_undeclared, offsets = arrays
     if sets_undeclared[k]:
         _check_undeclared_unset(trajectory, spec)

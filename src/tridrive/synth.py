@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,7 +58,7 @@ _DRIFT_RATE = 0.12
 _SOFA_RAMP = 8.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class CohortConfig:
     n_patients: int = 500
     horizon_min: int = 24
@@ -72,7 +73,9 @@ class CohortConfig:
     overtreatment_prob: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        # Read-only, so that the levels checked here are the ones generated.
+        object.__setattr__(self, "action_levels", MappingProxyType(dict(self.action_levels)))
         if self.n_patients < 2:
             raise ConfigError("n_patients must be at least 2")
         if self.horizon_min < 2 or self.horizon_max < self.horizon_min:
@@ -84,8 +87,8 @@ class CohortConfig:
             raise ConfigError("healthy_interval must satisfy 0 <= lo < hi <= 1")
         if not (0.0 <= self.mortality_coupling <= 1.0):
             raise ConfigError("mortality_coupling must lie in [0,1]")
-        if self.staleness_gradient < 0:
-            raise ConfigError("staleness_gradient must be nonnegative")
+        if not (0.0 <= self.staleness_gradient < math.inf):
+            raise ConfigError("staleness_gradient must be a finite nonnegative number")
         if not (0.0 <= self.overtreatment_prob <= 1.0):
             raise ConfigError("overtreatment_prob must lie in [0,1]")
         for aid, levels in self.action_levels.items():
@@ -104,7 +107,6 @@ class CohortConfig:
 
 def generate(config: CohortConfig) -> TrajectoryDataset:
     """Generate a cohort; identical configs produce identical datasets."""
-    config.validate()
     normal_ids, low_ids, high_ids = config.feature_ids()
     lo, hi = config.healthy_interval
     center = 0.5 * (lo + hi)
@@ -273,7 +275,6 @@ class _Draws:
 def reference_spec(config: CohortConfig) -> RewardSpec:
     """Reward spec aligned with the generator's own healthy ranges: bell
     curves centered on the normal interval, directional decays elsewhere."""
-    config.validate()
     normal_ids, low_ids, high_ids = config.feature_ids()
     lo, hi = config.healthy_interval
     center, halfwidth = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -315,9 +316,7 @@ def cohort_config_from_json(doc: dict) -> CohortConfig:
             raise FormatError(f"{what}: horizon must be [min, max]")
         bounds = {"horizon_min": h[0], "horizon_max": h[1]}
         kwargs.update(fields_from_json(CohortConfig, bounds, f"{what}: horizon"))
-    config = CohortConfig(**kwargs)
-    config.validate()
-    return config
+    return CohortConfig(**kwargs)
 
 
 def load_cohort_config(path: str | Path) -> CohortConfig:

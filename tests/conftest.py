@@ -153,7 +153,6 @@ def cohort_stale():
 
 def oracle_generate(config):
     """The cohort synth.generate makes for config."""
-    config.validate()
     normal_ids, low_ids, high_ids = config.feature_ids()
     lo, hi = config.healthy_interval
     schema = {fid: FeatureSpec(0.0, 1.0, FeatureType.NORMAL_RANGE, (lo, hi)) for fid in normal_ids}

@@ -112,6 +112,7 @@ class TestSelectFeatures:
             "--threshold", "1.01", "--out", tmp_path / "sel",
         )
         assert result.exit_code == 2
+        assert result.output == "error: consensus threshold must lie in (0, 1]\n"
 
     def test_stub_selection_matches_frozen_golden(self, workdir, tmp_path):
         # frozen once from the deterministic stub on this fixture cohort
@@ -286,6 +287,17 @@ class TestPipelineCommand:
         result = _invoke("pipeline", "--config", config, "--out", tmp_path / "run")
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("threshold", ["0", "1.01", "nan"])
+    def test_invalid_threshold_override_is_usage_error(self, workdir, tmp_path, threshold):
+        config = tmp_path / "pipe.json"
+        config.write_text(json.dumps({"dataset": str(workdir / "cohort.json")}))
+        result = _invoke(
+            "pipeline", "--config", config, "--threshold", threshold, "--out", tmp_path / "run"
+        )
+        _assert_usage_error(result)
+        assert result.output == "error: threshold must lie in (0, 1]\n"
+        assert not (tmp_path / "run").exists()
+
     def test_oversized_bins_is_usage_error(self, workdir, tmp_path):
         config = tmp_path / "pipe.json"
         config.write_text(json.dumps({
@@ -360,6 +372,18 @@ class TestNonFiniteInputs:
             "score", "--dataset", workdir / "cohort.json", "--specs", specs,
             "--out", tmp_path / "fitness.json",
         ))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--epsilon", "--sigmoid-k", "--alpha"])
+    def test_score_non_finite_setting(self, workdir, artifacts, tmp_path, flag, value):
+        _, _, specs = artifacts
+        result = _invoke(
+            "score", "--dataset", workdir / "cohort.json", "--specs", specs,
+            "--out", tmp_path / "fitness.json", flag, value,
+        )
+        _assert_usage_error(result)
+        assert result.output.startswith("error: ")
+        assert not (tmp_path / "fitness.json").exists()
 
     @pytest.mark.parametrize(
         "mutate",
@@ -495,6 +519,7 @@ def test_help_lists_commands():
         ("pipeline", "--config", '{"dataset": "@", "metric": {"iqr": {}}}'),
         ("pipeline", "--config", '{"dataset": "@", "llm": {"retries": 1e400}}'),
         ("pipeline", "--config", '{"dataset": "@", "seed": -1}'),
+        ("pipeline", "--config", '{"dataset": "@", "llm": {"timeout": -1}}'),
     ],
 )
 def test_malformed_input_is_usage_error(workdir, artifacts, tmp_path, command, flag, text):

@@ -354,12 +354,14 @@ def test_validate_builds_no_steps(tmp_path, monkeypatch, trajs, message):
 
 
 # One broken rule of TrajectoryDataset.validate each, applied at row r of
-# one trajectory. Discrete levels stay whole, as a loaded discrete level is.
+# one trajectory: in place to its steps, or, where a break returns a dict,
+# to the fields of a replaced trajectory. Discrete levels stay whole, as a
+# loaded discrete level is.
 _BREAKS = {
-    "length": lambda draw, traj, r: setattr(traj, "steps", traj.steps[:1]),
-    "baseline": lambda draw, traj, r: setattr(
-        traj, "sofa_baseline", draw(st.sampled_from([-1.0, math.nan, math.inf]))
-    ),
+    "length": lambda draw, traj, r: {"steps": traj.steps[:1]},
+    "baseline": lambda draw, traj, r: {
+        "sofa_baseline": draw(st.sampled_from([-1.0, math.nan, math.inf]))
+    },
     "time": lambda draw, traj, r: setattr(
         traj.steps[max(r, 1)], "t", traj.steps[max(r, 1) - 1].t - draw(st.integers(0, 2))
     ),
@@ -398,9 +400,12 @@ def broken_datasets(draw):
     """A valid dataset after one break of _BREAKS at a random row of a
     random trajectory."""
     dataset = draw(datasets())
-    traj = draw(st.sampled_from(dataset.trajectories))
+    k = draw(st.integers(0, len(dataset.trajectories) - 1))
+    traj = dataset.trajectories[k]
     r = draw(st.integers(0, len(traj.steps) - 1))
-    _BREAKS[draw(st.sampled_from(sorted(_BREAKS)))](draw, traj, r)
+    change = _BREAKS[draw(st.sampled_from(sorted(_BREAKS)))](draw, traj, r)
+    if isinstance(change, dict):
+        dataset.trajectories[k] = dataclasses.replace(traj, **change)
     return dataset
 
 
@@ -422,14 +427,18 @@ def test_validate_matches_the_step_by_step_oracle(tmp_path, dataset):
 
 
 def test_assigning_steps_detaches_a_view(tmp_path):
+    """Assigning a view's steps raises; a view replaced with new steps is
+    detached from the block."""
     dataset = generate(CohortConfig(n_patients=4, horizon_min=8, horizon_max=8, seed=3))
     spec = reference_spec(CohortConfig(seed=3))
     block = dataset.columns
     split = filter_split(dataset, "policy_train")
     assert split.columns is split.trajectories[0].block[0] is not block  # a split owns its block
-    traj = dataset.trajectories[1]
-    assert len(traj.columns.t) == 8
-    traj.steps = traj.steps[:5]
+    view = dataset.trajectories[1]
+    assert len(view.columns.t) == 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.steps = view.steps[:5]
+    traj = dataset.trajectories[1] = dataclasses.replace(view, steps=view.steps[:5])
     assert "_view" not in traj.__dict__
     assert traj.columns.t.tolist() == [0, 1, 2, 3, 4]
     assert len(trace(traj, spec).rewards) == 4
@@ -438,7 +447,7 @@ def test_assigning_steps_detaches_a_view(tmp_path):
     path = tmp_path / "d.json"
     save_dataset(dataset, path)
     assert load_dataset(path) == dataset
-    traj.steps = traj.steps[:1]
+    dataset.trajectories[1] = dataclasses.replace(traj, steps=traj.steps[:1])
     with pytest.raises(ValidationError, match="^patient 'synth_00001': needs >= 2 steps"):
         dataset.validate()
 

@@ -22,6 +22,7 @@ from tridrive.pipeline import (
     features_stage,
     filter_split,
     generate_candidates,
+    load_feature_ids,
     load_spec_dir,
     pareto_from_rows,
     pipeline_config_from_json,
@@ -114,7 +115,11 @@ class TestGenerateCandidates:
     def test_spec_must_cover_selected_features(self, small_dataset_path, tmp_path):
         ds = load_dataset(small_dataset_path)
         spec = reference_spec(SMALL)
-        del spec.survival["nr0"], spec.confidence_tau["nr0"]
+        spec = dataclasses.replace(
+            spec,
+            survival={fid: cfg for fid, cfg in spec.survival.items() if fid != "nr0"},
+            confidence_tau={fid: tau for fid, tau in spec.confidence_tau.items() if fid != "nr0"},
+        )
         client = ScriptedLlmClient([json.dumps(reward_spec_to_json(spec))])
         valid, quarantined = generate_candidates(
             ds, ds.feature_ids(), client, 1, tmp_path / "specs"
@@ -167,10 +172,10 @@ class TestScoreAndPareto:
     def test_non_finite_return_flagged_not_fatal(self, small_dataset_path):
         ds = load_dataset(small_dataset_path)
         traj = ds.trajectories[1]
-        traj.steps = [
+        ds.trajectories[1] = dataclasses.replace(traj, steps=[
             dataclasses.replace(step, observations={**step.observations, "nr0": Observation(math.nan, 0)})
             for step in traj.steps
-        ]
+        ])
         rows = score_specs(ds, [("nan", reference_spec(SMALL))])
         assert rows == [{
             "spec_id": "nan",
@@ -179,13 +184,12 @@ class TestScoreAndPareto:
 
     def test_absent_selected_feature_names_patient_and_t(self, small_dataset_path):
         ds = load_dataset(small_dataset_path)
-        traj = ds.trajectories[2]
-        traj.steps = [
+        traj = ds.trajectories[2] = dataclasses.replace(ds.trajectories[2], steps=[
             dataclasses.replace(step, observations={
                 fid: obs for fid, obs in step.observations.items() if fid != "lo1"
             })
-            for step in traj.steps
-        ]
+            for step in ds.trajectories[2].steps
+        ])
         rows = score_specs(ds, [("ref", reference_spec(SMALL))], feature_ids=["nr0", "lo1"])
         assert rows == [{
             "spec_id": "ref",
@@ -195,7 +199,9 @@ class TestScoreAndPareto:
     def test_undeclared_action_names_patient_and_t(self, small_dataset_path):
         ds = load_dataset(small_dataset_path)
         spec = reference_spec(SMALL)
-        del spec.action_max["drug_b"]
+        spec = dataclasses.replace(
+            spec, action_max={aid: mx for aid, mx in spec.action_max.items() if aid != "drug_b"}
+        )
         traj, step = next(
             (traj, step)
             for traj in ds.trajectories
@@ -335,13 +341,15 @@ class TestPipelineRun:
         assert (out / "manifest.json").read_bytes() == manifest
         assert json.loads((out / "timing.json").read_text())["load_seconds"] is None
 
-        # Selection reads only the fitness report: rerunning it loads nothing either.
+        # Rerunning selection reruns ope too, which loads the dataset once.
         (out / "selection/report.json").unlink()
+        loads = []
+        monkeypatch.setattr(pipeline_module, "load_dataset", lambda path: loads.append(path)
+                            or load_dataset(path))
         run_pipeline(_config(small_dataset_path), out)
         assert run_digest(out) == digest
-        assert json.loads((out / "timing.json").read_text())["skipped"] == [
-            s for s in STAGES if s != "selection"
-        ]
+        assert loads == [str(small_dataset_path)]
+        assert json.loads((out / "timing.json").read_text())["skipped"] == list(STAGES[:4])
 
     def test_stale_stage_loads_dataset_once(self, small_dataset_path, tmp_path, monkeypatch):
         run_pipeline(_config(small_dataset_path), tmp_path / "whole")
@@ -361,6 +369,28 @@ class TestPipelineRun:
         timing = json.loads((out / "timing.json").read_text())
         assert list(timing["stage_seconds"]) == ["ope"]
         assert timing["load_seconds"] > 0.0
+
+    def test_a_stage_that_runs_reruns_every_later_stage(
+        self, small_dataset_path, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path), out)
+        (out / "candidates/index.json").unlink()
+        monkeypatch.setattr(
+            pipeline_module, "build_client", lambda client, llm: StubLlmClient(generation_calls=1)
+        )
+        run_pipeline(_config(small_dataset_path), out)
+        timing = json.loads((out / "timing.json").read_text())
+        assert timing["skipped"] == ["stats", "features"]
+        assert list(timing["stage_seconds"]) == list(STAGES[2:])
+        rows = score_specs(
+            load_dataset(small_dataset_path),
+            load_spec_dir(out / "candidates"),
+            feature_ids=load_feature_ids(out / "features/report.json"),
+        )
+        assert json.loads((out / "fitness/report.json").read_text()) == rows
+        champion = json.loads((out / "manifest.json").read_text())["champion"]
+        assert champion == pareto_from_rows(rows).champion
 
     def test_changed_inputs_rejected_in_same_directory(self, small_dataset_path, tmp_path):
         out = tmp_path / "run"

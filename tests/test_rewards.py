@@ -112,13 +112,11 @@ class TestCompetenceCost:
         assert competence_cost({"drug_a": 0, "drug_b": 0}, simple_spec()) == 0.0
 
     def test_two_max_actions(self):
-        spec = simple_spec()
-        spec.action_cost_scale = 0.25
+        spec = dataclasses.replace(simple_spec(), action_cost_scale=0.25)
         assert competence_cost({"drug_a": 4, "drug_b": 4}, spec) == pytest.approx(0.5)
 
     def test_half_max(self):
-        spec = simple_spec()
-        spec.action_cost_scale = 0.1
+        spec = dataclasses.replace(simple_spec(), action_cost_scale=0.1)
         assert competence_cost({"drug_a": 2}, spec) == pytest.approx(0.05)
 
     def test_unknown_action_rejected(self):
@@ -194,16 +192,15 @@ class TestPotential:
         )
         step = make_step(0, {"a": 0.5, "b": 0.5})
         assert potential(step, spec) == pytest.approx(3.0)
-        spec.normalize_potential = True
+        spec = dataclasses.replace(spec, normalize_potential=True)
         assert potential(step, spec) == pytest.approx(1.0)
 
 
 class TestReward:
     def test_constant_potential_zero_reward(self):
-        spec = simple_spec(gamma=1.0)
+        spec = simple_spec(gamma=1.0, half_life=1e18)  # flat decay so the potential is constant
         prev = make_step(0, {"f1": 0.5}, action={"drug_a": 0, "drug_b": 0})
         nxt = make_step(1, {"f1": 0.5})
-        spec.decay_half_life = 1e18  # flat decay so the potential is constant
         assert reward(prev, nxt, spec) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_computed_difference(self):
@@ -215,8 +212,9 @@ class TestReward:
         assert reward(prev, nxt, spec) == pytest.approx(0.99 * 0.6 - 0.4, abs=1e-9)
 
     def test_cost_only_term(self):
-        spec = simple_spec(gamma=0.99, lam=1.0, half_life=1e18)
-        spec.action_cost_scale = 0.25
+        spec = dataclasses.replace(
+            simple_spec(gamma=0.99, lam=1.0, half_life=1e18), action_cost_scale=0.25
+        )
         prev = make_step(0, {"f1": 0.5}, action={"drug_a": 4, "drug_b": 4})
         nxt = make_step(1, {"f1": 0.5})
         phi = potential(prev, spec)
@@ -324,8 +322,7 @@ class TestTrace:
         assert abs(tr.cumulative - expected) < 1e-12
 
     def test_path_dependence_is_exactly_cost_difference(self):
-        spec = simple_spec(lam=0.5)
-        spec.action_cost_scale = 0.25
+        spec = dataclasses.replace(simple_spec(lam=0.5), action_cost_scale=0.25)
         base_steps = [make_step(t, {"f1": 0.4 + 0.02 * t}) for t in range(5)]
 
         def with_doses(levels):

@@ -232,3 +232,11 @@ class TestConfigIO:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             cohort_config_from_json({"mortality_coupling": 1.5})
+
+    def test_checked_action_levels_cannot_change(self):
+        levels = {"drug_a": 4}
+        config = CohortConfig(n_patients=2, action_levels=levels)
+        with pytest.raises(TypeError):
+            config.action_levels["drug_a"] = 0
+        levels["drug_a"] = 0  # the config holds a copy
+        assert generate(config).action_schema["drug_a"].max_value == 4.0

@@ -1,8 +1,8 @@
 """trace over column blocks: one block pass per spec, sliced per trajectory.
 
 Every trace is checked against the scalar oracle, on blocks whose
-trajectories sit at the edges of the block's arrays, after in-place edits
-of the spec between calls, and next to trajectories that raise or hold
+trajectories sit at the edges of the block's arrays, with replaced specs
+and trajectories between calls, and next to trajectories that raise or hold
 values no kernel should read.
 """
 
@@ -21,9 +21,11 @@ import pytest
 from conftest import make_step, oracle_trace, simple_spec
 from tridrive import rewards
 from tridrive.errors import SchemaError
+from tridrive.fitness import CompMetricConfig
+from tridrive.llm import LlmClientConfig
 from tridrive.model import CohortColumns, Trajectory
-from tridrive.pipeline import score_specs
-from tridrive.rewards import SurvivalConfig, SurvivalForm, trace
+from tridrive.pipeline import PipelineConfig, score_specs
+from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm, trace
 from tridrive.synth import CohortConfig, generate, reference_spec
 
 FIDS = ("f1", "f2", "f3")
@@ -54,10 +56,12 @@ def _views(step_lists):
 
 def _spec(lam=0.3):
     spec = simple_spec(fids=FIDS, gamma=0.95, lam=lam, half_life=30.0, tau_conf=8.0)
-    spec.survival["f2"] = SurvivalConfig(form=SurvivalForm.DECAY_LOW, tau=0.4, weight=2.0)
-    spec.survival["f3"] = SurvivalConfig(form=SurvivalForm.ASYMMETRIC_ABOVE, mu=0.3, sigma=0.2)
-    spec.action_cost_scale = 0.7
-    return spec
+    survival = {
+        **spec.survival,
+        "f2": SurvivalConfig(form=SurvivalForm.DECAY_LOW, tau=0.4, weight=2.0),
+        "f3": SurvivalConfig(form=SurvivalForm.ASYMMETRIC_ABOVE, mu=0.3, sigma=0.2),
+    }
+    return dataclasses.replace(spec, survival=survival, action_cost_scale=0.7)
 
 
 def _assert_matches_oracle(traj, spec):
@@ -121,64 +125,55 @@ class TestBlockBoundaries:
             _assert_matches_oracle(traj, _spec())
 
 
-def _set_survival(spec):
-    spec.survival["f1"] = SurvivalConfig(form=SurvivalForm.DECAY_HIGH, tau=0.25, weight=3.0)
-
-
-def _set_tau(spec):
-    spec.confidence_tau["f2"] = 0.75
-
-
-def _set_action_max(spec):
-    spec.action_max["drug_b"] = 1.5
-
-
+# One field of the spec changed each: a value the memo must not serve the
+# arrays of the spec it was replaced from.
 EDITS = {
-    "gamma": lambda spec: setattr(spec, "gamma", 0.8),
-    "lam_to_zero": lambda spec: setattr(spec, "lam", 0.0),
-    "lam": lambda spec: setattr(spec, "lam", 1.7),
-    "decay_half_life": lambda spec: setattr(spec, "decay_half_life", 5.0),
-    "normalize_potential": lambda spec: setattr(spec, "normalize_potential", False),
-    "action_cost_scale": lambda spec: setattr(spec, "action_cost_scale", 0.05),
-    "survival": _set_survival,
-    "confidence_tau": _set_tau,
-    "action_max": _set_action_max,
+    "gamma": {"gamma": 0.8},
+    "lam_to_zero": {"lam": 0.0},
+    "lam": {"lam": 1.7},
+    "decay_half_life": {"decay_half_life": 5.0},
+    "normalize_potential": {"normalize_potential": False},
+    "action_cost_scale": {"action_cost_scale": 0.05},
+    "survival": {"survival": {
+        **_spec().survival,
+        "f1": SurvivalConfig(form=SurvivalForm.DECAY_HIGH, tau=0.25, weight=3.0),
+    }},
+    "confidence_tau": {"confidence_tau": {**_spec().confidence_tau, "f2": 0.75}},
+    "action_max": {"action_max": {**_spec().action_max, "drug_b": 1.5}},
 }
 
 
 class TestStaleMemo:
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_an_in_place_edit_takes_effect_at_the_next_call(self, edit):
+        """A spec is frozen (test_specs_trajectories_and_configs_are_frozen),
+        so an edit is a replaced spec, which is traced afresh at the next call."""
         rng = np.random.default_rng(11)
         views = _views([_steps(rng, n) for n in (5, 3, 6)])
         spec = _spec(lam=0.3)
         before = _assert_matches_oracle(views[1], spec)
-        EDITS[edit](spec)
-        after = _assert_matches_oracle(views[1], spec)
+        edited = dataclasses.replace(spec, **EDITS[edit])
+        after = _assert_matches_oracle(views[1], edited)
         assert after != before
         for traj in views:
-            _assert_matches_oracle(traj, spec)
+            _assert_matches_oracle(traj, edited)
 
     def test_lam_from_zero(self):
         rng = np.random.default_rng(12)
         views = _views([_steps(rng, n) for n in (5, 3, 6)])
         spec = _spec(lam=0.0)
         _assert_matches_oracle(views[0], spec)
-        spec.lam = 0.9
+        spec = dataclasses.replace(spec, lam=0.9)
         for traj in views:
             _assert_matches_oracle(traj, spec)
 
-    def test_an_equal_copy_of_the_spec_reads_the_same_arrays(self, monkeypatch):
+    def test_an_equal_copy_of_the_spec_reads_the_same_arrays(self):
         rng = np.random.default_rng(13)
         views = _views([_steps(rng, n) for n in (5, 3, 6)])
         spec = _spec()
-        passes = []
-        kernel = rewards._block_rewards
-        monkeypatch.setattr(rewards, "_block_rewards", lambda *a: passes.append(a) or kernel(*a))
         first = trace(views[2], spec)
         copy = dataclasses.replace(spec, survival=dict(spec.survival))
         assert [trace(traj, copy) for traj in views][2] == first
-        assert len(passes) == 1
 
     def test_two_datasets_traced_alternately(self):
         rng = np.random.default_rng(14)
@@ -190,12 +185,16 @@ class TestStaleMemo:
             _assert_matches_oracle(traj_b, spec)
 
     def test_a_view_whose_steps_were_reassigned(self):
+        """Assigning a view's steps raises; a view replaced with new steps
+        is a trajectory of its own block, traced afresh."""
         rng = np.random.default_rng(15)
         views = _views([_steps(rng, n) for n in (4, 5, 3)])
         spec = _spec()
         for traj in views:
             _assert_matches_oracle(traj, spec)
-        views[1].steps = _steps(rng, 6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            views[1].steps = _steps(rng, 6)
+        views[1] = dataclasses.replace(views[1], steps=_steps(rng, 6))
         assert views[1].block[0] is not views[0].block[0]
         for traj in views:
             _assert_matches_oracle(traj, spec)
@@ -275,8 +274,11 @@ class TestIsolation:
         )
         views = _views(step_lists)
         spec = _spec(lam=0.3)
-        spec.action_max["drug_a"] = 5e-324
-        spec.confidence_tau["f1"] = 5e-324
+        spec = dataclasses.replace(
+            spec,
+            action_max={**spec.action_max, "drug_a": 5e-324},
+            confidence_tau={**spec.confidence_tau, "f1": 5e-324},
+        )
         spec.validate()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -302,6 +304,29 @@ def test_score_specs_makes_one_block_pass_per_spec(monkeypatch):
     assert [row["spec_id"] for row in rows if "error" not in row] == [s for s, _ in specs]
     assert len(calls) == len(specs)
     assert all(cols is dataset.columns for cols in calls)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [RewardSpec, SurvivalConfig, Trajectory, PipelineConfig, CohortConfig, CompMetricConfig,
+     LlmClientConfig],
+    ids=lambda cls: cls.__name__,
+)
+def test_specs_trajectories_and_configs_are_frozen(cls):
+    # trace's memo keys on the spec and block objects themselves, which is
+    # sound only while a spec cannot change after it is made.
+    assert cls.__dataclass_params__.frozen
+
+
+@pytest.mark.parametrize("name", ["survival", "confidence_tau", "action_max"])
+def test_a_spec_mapping_refuses_item_assignment(name):
+    survival = {"f1": SurvivalConfig(form=SurvivalForm.DECAY_LOW, tau=0.4)}
+    given = {"survival": survival, "confidence_tau": {"f1": 8.0}, "action_max": {"drug_a": 4.0}}
+    spec = RewardSpec(**given)
+    with pytest.raises(TypeError):
+        getattr(spec, name)["f9"] = 1.0
+    given[name].clear()  # the spec holds a copy
+    assert len(getattr(spec, name)) == 1
 
 
 def test_no_traced_spec_outlives_the_memo():
