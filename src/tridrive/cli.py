@@ -104,7 +104,7 @@ def stats(dataset_path, out_path, split):
     """Write the per-feature statistical metadata report."""
 
     def body():
-        metadata, _ = stats_stage(_load_split(dataset_path, split), Path(out_path))
+        metadata = stats_stage(_load_split(dataset_path, split), Path(out_path))
         click.echo(f"wrote statistics for {len(metadata)} features to {out_path}")
 
     _run(body)
@@ -125,7 +125,7 @@ def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, 
     """Run ensemble feature selection and write the consensus feature set."""
 
     def body():
-        selected, _ = features_stage(
+        selected = features_stage(
             _load_split(dataset_path, split),
             build_client(client, LlmClientConfig(endpoint=endpoint or "")),
             Path(out_dir),
@@ -153,7 +153,7 @@ def generate_cmd(dataset_path, features_path, client, endpoint, candidates, task
     """Generate candidate reward specs into a directory."""
 
     def body():
-        valid, _ = candidates_stage(
+        valid = candidates_stage(
             _load_split(dataset_path, split),
             load_feature_ids(features_path),
             build_client(client, LlmClientConfig(endpoint=endpoint or "")),
@@ -182,7 +182,7 @@ def score(dataset_path, specs_dir, out_path, features_path, epsilon, sigmoid_k, 
     """Compute the three-part fitness vector for every spec in a directory."""
 
     def body():
-        rows, _ = fitness_stage(
+        rows = fitness_stage(
             _load_split(dataset_path, split),
             load_spec_dir(specs_dir),
             Path(out_path),
@@ -204,7 +204,7 @@ def pareto(fitness_path, out_path):
     """Rank a fitness report and select the utopia-nearest champion."""
 
     def body():
-        result, _ = selection_stage(Path(fitness_path), Path(out_path))
+        result = selection_stage(Path(fitness_path), Path(out_path))
         click.echo(f"champion: {result.champion}")
 
     _run(body)
@@ -230,7 +230,7 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
     the mortality-vs-cumulative-reward curve."""
 
     def body():
-        est, _ = ope_stage(
+        est = ope_stage(
             _load_split(dataset_path, split),
             load_reward_spec(spec_path),
             probs_paths,

@@ -15,14 +15,15 @@ A run directory holds one manifest plus one subdirectory per stage:
     ope/wis.json, ope/mortality_curve.csv, ope/wis_series.csv (multi-table runs)
 
 The run id is derived from the input hashes and the seed, so re-running the
-same inputs resumes: the stages before the first whose recorded output
-hashes no longer match on disk are skipped, that stage and every later one
-run, and a failed stage leaves earlier outputs intact. The
-dataset is read only when a stage that needs it runs, so a resume with
-nothing to run reads no dataset and records "load_seconds": null and
-"dataset_shape": null. Each stage is one function (stats_stage ...
-ope_stage) that the matching CLI subcommand calls too, so both write the
-same files.
+same inputs resumes. Each stage owns the directory of its name, and the
+manifest records every file under it. The stages before the first that is not
+fresh are skipped; that stage and every later one are reset in one manifest
+write (pending, directories removed) and run again, so no status or file of an
+earlier attempt outlives it. The dataset is read only when a stage runs, so a
+resume with nothing to run reads no dataset, writes no manifest and records
+"load_seconds": null and "dataset_shape": null. Each stage is one function
+(stats_stage ... ope_stage) that the matching CLI subcommand calls too, so
+both write the same files.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import csv
 import hashlib
 import io
 import json
+import shutil
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
@@ -289,16 +291,14 @@ def pareto_from_rows(rows: list[dict]) -> ParetoResult:
 
 # ---------------------------------------------------------------------------
 # Stages. Each is shared by its CLI subcommand and PipelineRun, and returns
-# its result and the files it wrote.
+# its result; PipelineRun records every file under the stage's directory.
 # ---------------------------------------------------------------------------
 
 
-def stats_stage(
-    dataset: TrajectoryDataset, out_path: Path
-) -> tuple[list[FeatureMetadata], list[Path]]:
+def stats_stage(dataset: TrajectoryDataset, out_path: Path) -> list[FeatureMetadata]:
     metadata = compute_metadata(dataset)
-    doc = metadata_to_json(metadata, summarize_dataset(dataset))
-    return metadata, [write_json(out_path, doc)]
+    write_json(out_path, metadata_to_json(metadata, summarize_dataset(dataset)))
+    return metadata
 
 
 def features_stage(
@@ -311,10 +311,9 @@ def features_stage(
     k: int,
     task: str,
     metadata: list[FeatureMetadata] | None = None,
-) -> tuple[list[str], list[Path]]:
+) -> list[str]:
     """The vote, with each round's response under out_dir/rounds; fails when
     no feature reaches the threshold."""
-    rounds_dir = out_dir / "rounds"
     outcome = run_selection(
         dataset,
         client,
@@ -322,7 +321,7 @@ def features_stage(
         threshold=threshold,
         k=k,
         task_description=task,
-        audit_dir=rounds_dir,
+        audit_dir=out_dir / "rounds",
         metadata=metadata,
     )
     if not outcome.selected:
@@ -337,8 +336,8 @@ def features_stage(
         "threshold": threshold,
         "k": k,
     }
-    path = write_json(out_dir / "report.json", report)
-    return selected, [path] + sorted(rounds_dir.glob("round_*.json"))
+    write_json(out_dir / "report.json", report)
+    return selected
 
 
 def candidates_stage(
@@ -350,7 +349,7 @@ def candidates_stage(
     n_candidates: int,
     task: str,
     metadata: list[FeatureMetadata] | None = None,
-) -> tuple[list[tuple[str, RewardSpec]], list[Path]]:
+) -> list[tuple[str, RewardSpec]]:
     """generate_candidates into out_dir; fails when every candidate was quarantined."""
     valid, _ = generate_candidates(
         dataset,
@@ -363,7 +362,7 @@ def candidates_stage(
     )
     if not valid:
         raise PipelineError("every generated candidate was quarantined")
-    return valid, sorted(out_dir.rglob("*.json"))
+    return valid
 
 
 def fitness_stage(
@@ -373,14 +372,16 @@ def fitness_stage(
     *,
     cfg: CompMetricConfig,
     feature_ids: list[str] | None,
-) -> tuple[list[dict], list[Path]]:
+) -> list[dict]:
     rows = score_specs(dataset, specs, cfg, feature_ids)
-    return rows, [write_json(out_path, rows)]
+    write_json(out_path, rows)
+    return rows
 
 
-def selection_stage(fitness_path: Path, out_path: Path) -> tuple[ParetoResult, list[Path]]:
+def selection_stage(fitness_path: Path, out_path: Path) -> ParetoResult:
     result = pareto_from_rows(read_json(fitness_path, "fitness report"))
-    return result, [write_json(out_path, pareto_result_to_json(result))]
+    write_json(out_path, pareto_result_to_json(result))
+    return result
 
 
 def ope_stage(
@@ -395,14 +396,14 @@ def ope_stage(
     bins: int,
     max_ratio: float | None = None,
     champion: str | None = None,
-) -> tuple[WisEstimate, list[Path]]:
+) -> WisEstimate:
     """Evaluates each policy table in order (the logged policy when there are
     none) with a bootstrap WIS interval. Tables are loaded, evaluated and
     dropped one at a time, so memory does not grow with the table count.
     Writes wis.json (the last table, headed by the champion when given),
     wis_series.csv (several tables) and mortality_curve.csv into out_dir,
     only once every estimate and the curve are computed, so a bad input
-    leaves no file. Returns the last estimate and the files written.
+    leaves no file. Returns the last estimate.
     """
     traces = [trace(traj, spec) for traj in dataset.trajectories]
     series: list[tuple[str, WisEstimate]] = []
@@ -428,14 +429,14 @@ def ope_stage(
         n_effective=est.n_effective,
         skipped_resamples=est.skipped_resamples,
     )
-    files = [write_json(out_dir / "wis.json", doc)]
+    write_json(out_dir / "wis.json", doc)
     if len(series) > 1:
         rows = [(i, policy, e.value, e.ci_low, e.ci_high) for i, (policy, e) in enumerate(series)]
         header = ["checkpoint", "policy", "value", "ci_low", "ci_high"]
-        files.append(write_text(out_dir / "wis_series.csv", _csv(header, rows)))
+        write_text(out_dir / "wis_series.csv", _csv(header, rows))
     header = ["bin", "reward_low", "reward_high", "mortality", "count"]
-    files.append(write_text(out_dir / "mortality_curve.csv", _csv(header, curve)))
-    return est, files
+    write_text(out_dir / "mortality_curve.csv", _csv(header, curve))
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +536,6 @@ class PipelineRun:
             f"{dataset_sha}:{config_sha}:{config.seed}".encode("utf-8")
         )[:16]
         self.manifest = self._load_or_init_manifest(dataset_sha, config_sha)
-        self._load_seconds: float | None = None
-        self._dataset_shape: dict[str, int] | None = None
-        self._timing: dict[str, float] = {}
-        self._skipped: list[str] = []
 
     # -- manifest -------------------------------------------------------
 
@@ -565,6 +562,12 @@ class PipelineRun:
                     "and a string or null champion"
                 )
             return manifest
+        # A reset removes stage directories, so only a manifest's may exist.
+        if any((self.out / name).exists() for name in STAGES):
+            raise ConfigError(
+                f"run directory {self.out} holds stage outputs but no manifest.json "
+                "(use a fresh directory)"
+            )
         return {
             "run_id": self.run_id,
             "tool_version": __version__,
@@ -573,16 +576,6 @@ class PipelineRun:
             "stages": {name: {"status": "pending"} for name in STAGES},
             "champion": None,
         }
-
-    def _write_timing(self) -> None:
-        doc = {
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-            "load_seconds": self._load_seconds,
-            "dataset_shape": self._dataset_shape,
-            "stage_seconds": {k: round(v, 6) for k, v in self._timing.items()},
-            "skipped": self._skipped,
-        }
-        write_json(self.out / "timing.json", doc)
 
     def _stage_fresh(self, name: str) -> bool:
         record = self.manifest["stages"].get(name, {})
@@ -594,10 +587,22 @@ class PipelineRun:
                 return False
         return True
 
-    def _record_outputs(self, name: str, files: list[Path]) -> None:
-        outputs = {
-            f.relative_to(self.out).as_posix(): sha256_file(f) for f in sorted(files)
-        }
+    def _reset(self, names: Sequence[str]) -> None:
+        """Mark the stages pending (and the champion unset when selection is
+        among them) in one manifest write, then remove their directories."""
+        for name in names:
+            self.manifest["stages"][name] = {"status": "pending"}
+        if "selection" in names:
+            self.manifest["champion"] = None
+        write_json(self.manifest_path, self.manifest)
+        for name in names:
+            if (self.out / name).exists():
+                shutil.rmtree(self.out / name)
+
+    def _record_outputs(self, name: str) -> None:
+        """Mark the stage complete with the hash of every file under its directory."""
+        files = sorted(p for p in (self.out / name).rglob("*") if p.is_file())
+        outputs = {f.relative_to(self.out).as_posix(): sha256_file(f) for f in files}
         self.manifest["stages"][name] = {"status": "complete", "outputs": outputs}
         write_json(self.manifest_path, self.manifest)
 
@@ -606,42 +611,41 @@ class PipelineRun:
     def execute(self) -> dict:
         """Run (or resume) every stage in order; returns the manifest.
 
-        Stages are skipped while they are fresh. Once one runs, every later
-        stage runs too, since each reads the outputs of those before it.
-        The dataset loads once, before the first stage that runs, so a
-        resume with every stage fresh reads no dataset: run_id
-        already pins its bytes, and freshness depends only on the manifest
-        and the output hashes. Likewise only the stages that call the model
-        build an LLM client.
+        The first stage that is not fresh and every later one (each reads
+        the outputs of those before it) are reset, then run after one dataset
+        load. So a resume with every stage fresh reads no dataset and writes
+        no manifest: run_id pins the dataset's bytes. Only the stages that
+        call the model build an LLM client. timing.json is written at the end.
         """
-        self._timing, self._skipped = {}, []
-        self._load_seconds = self._dataset_shape = None
-        dataset = None
-        ran = False
-        for name in STAGES:
-            if not ran and self._stage_fresh(name):
-                self._skipped.append(name)
-                continue
-            ran = True
-            if dataset is None:
-                dataset = self._load_dataset()
-            start = time.perf_counter()
-            try:
-                self._record_outputs(name, getattr(self, f"_run_{name}")(dataset))
-            except TridriveError as exc:
-                self.manifest["stages"][name] = {"status": "failed", "error": str(exc)}
-                write_json(self.manifest_path, self.manifest)
-                self._write_timing()
-                raise
-            self._timing[name] = time.perf_counter() - start
-        self._write_timing()
+        timing = {"load_seconds": None, "dataset_shape": None, "stage_seconds": {}, "skipped": []}
+        try:
+            todo = list(STAGES)
+            while todo and self._stage_fresh(todo[0]):
+                timing["skipped"].append(todo.pop(0))
+            if todo:
+                self._reset(todo)
+                dataset = self._load_dataset(timing)
+            for name in todo:
+                start = time.perf_counter()
+                try:
+                    getattr(self, f"_run_{name}")(dataset)
+                    self._record_outputs(name)
+                except TridriveError as exc:
+                    self.manifest["stages"][name] = {"status": "failed", "error": str(exc)}
+                    write_json(self.manifest_path, self.manifest)
+                    raise
+                timing["stage_seconds"][name] = round(time.perf_counter() - start, 6)
+        finally:
+            written_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+            write_json(self.out / "timing.json", {"written_at": written_at, **timing})
         return self.manifest
 
-    def _load_dataset(self) -> TrajectoryDataset:
+    def _load_dataset(self, timing: dict) -> TrajectoryDataset:
+        """The split's dataset; records the load seconds and shape in timing."""
         start = time.perf_counter()
         dataset = filter_split(load_dataset(self.config.dataset), self.config.split)
-        self._load_seconds = round(time.perf_counter() - start, 6)
-        self._dataset_shape = {
+        timing["load_seconds"] = round(time.perf_counter() - start, 6)
+        timing["dataset_shape"] = {
             "patients": len(dataset.trajectories),
             "steps": len(dataset.columns.t),
         }
@@ -649,16 +653,16 @@ class PipelineRun:
             raise PipelineError("dataset (after split filtering) has no trajectories")
         return dataset
 
-    # Each _run_<stage> calls its stage function and returns the files written.
+    # Each _run_<stage> calls its stage function, writing into its directory.
 
-    def _run_stats(self, dataset: TrajectoryDataset) -> list[Path]:
-        return stats_stage(dataset, self.out / "stats/metadata.json")[1]
+    def _run_stats(self, dataset: TrajectoryDataset) -> None:
+        stats_stage(dataset, self.out / "stats/metadata.json")
 
     def _load_metadata(self) -> list[FeatureMetadata]:
         return metadata_from_json(read_json(self.out / "stats/metadata.json", "statistics"))
 
-    def _run_features(self, dataset: TrajectoryDataset) -> list[Path]:
-        return features_stage(
+    def _run_features(self, dataset: TrajectoryDataset) -> None:
+        features_stage(
             dataset,
             build_client(self.config.client, self.config.llm),
             self.out / "features",
@@ -667,10 +671,10 @@ class PipelineRun:
             k=self.config.k,
             task=self.config.task,
             metadata=self._load_metadata(),
-        )[1]
+        )
 
-    def _run_candidates(self, dataset: TrajectoryDataset) -> list[Path]:
-        return candidates_stage(
+    def _run_candidates(self, dataset: TrajectoryDataset) -> None:
+        candidates_stage(
             dataset,
             load_feature_ids(self.out / "features/report.json"),
             build_client(self.config.client, self.config.llm),
@@ -678,30 +682,29 @@ class PipelineRun:
             n_candidates=self.config.candidates,
             task=self.config.task,
             metadata=self._load_metadata(),
-        )[1]
+        )
 
-    def _run_fitness(self, dataset: TrajectoryDataset) -> list[Path]:
-        return fitness_stage(
+    def _run_fitness(self, dataset: TrajectoryDataset) -> None:
+        fitness_stage(
             dataset,
             load_spec_dir(self.out / "candidates"),
             self.out / "fitness/report.json",
             cfg=self.config.metric,
             feature_ids=load_feature_ids(self.out / "features/report.json"),
-        )[1]
+        )
 
-    def _run_selection(self, dataset: TrajectoryDataset) -> list[Path]:
-        result, files = selection_stage(
+    def _run_selection(self, dataset: TrajectoryDataset) -> None:
+        result = selection_stage(
             self.out / "fitness/report.json", self.out / "selection/report.json"
         )
         self.manifest["champion"] = result.champion
-        return files
 
-    def _run_ope(self, dataset: TrajectoryDataset) -> list[Path]:
+    def _run_ope(self, dataset: TrajectoryDataset) -> None:
         champion_id = self.manifest["champion"]
         specs = dict(load_spec_dir(self.out / "candidates"))
         if champion_id not in specs:
             raise FormatError(f"{self.manifest_path}: champion {champion_id!r} is not a candidate")
-        return ope_stage(
+        ope_stage(
             dataset,
             specs[champion_id],
             self.config.probs,
@@ -711,7 +714,7 @@ class PipelineRun:
             seed=self.config.seed,
             bins=self.config.bins,
             champion=champion_id,
-        )[1]
+        )
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> dict:

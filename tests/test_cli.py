@@ -281,6 +281,22 @@ class TestPipelineCommand:
         manifest = json.loads((tmp_path / "run/manifest.json").read_text())
         assert manifest["champion"]
 
+    def test_stage_directory_without_manifest_is_refused(self, workdir, tmp_path):
+        """A run removes a stage's directory before the stage runs, so it
+        refuses a directory whose stage files it cannot have written."""
+        config = tmp_path / "pipe.json"
+        config.write_text(json.dumps({"dataset": str(workdir / "cohort.json"), "rounds": 2}))
+        run = tmp_path / "run"
+        (run / "stats").mkdir(parents=True)
+        (run / "stats/metadata.json").write_text("kept\n")
+        result = _invoke("pipeline", "--config", config, "--out", run)
+        _assert_usage_error(result)
+        assert "no manifest.json (use a fresh directory)" in result.output
+        assert [p.relative_to(run).as_posix() for p in sorted(run.rglob("*"))] == [
+            "stats", "stats/metadata.json"
+        ]
+        assert (run / "stats/metadata.json").read_text() == "kept\n"
+
     def test_bad_config_exit_2(self, tmp_path):
         config = tmp_path / "pipe.json"
         config.write_text(json.dumps({"dataset": "missing.json"}))

@@ -557,7 +557,7 @@ class TestProbTableColumns:
             raise AssertionError("a loaded table built its probs dict")
 
         monkeypatch.setattr(PolicyProbTable, "probs", property(no_dict))
-        est, _ = ope_stage(
+        est = ope_stage(
             dataset, spec, [str(p) for p in paths], tmp_path / "ope",
             level=0.9, resamples=50, seed=0, bins=2,
         )

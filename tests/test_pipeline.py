@@ -11,7 +11,7 @@ import pytest
 
 from conftest import ScriptedLlmClient
 from tridrive import pipeline as pipeline_module
-from tridrive.errors import ConfigError, FormatError, PipelineError
+from tridrive.errors import ConfigError, FormatError, LlmClientError, PipelineError
 from tridrive.llm import StubLlmClient
 from tridrive.model import Observation, Trajectory, load_dataset, save_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
@@ -675,6 +675,137 @@ class TestCrashSafety:
         assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
         run_pipeline(config, out)
         assert run_digest(out) == run_digest(tmp_path / "whole")
+
+
+
+def _assert_owned(out: Path) -> None:
+    """The root holds the manifest, timing.json and the stage directories
+    alone, and each stage records exactly the files under its directory."""
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", "timing.json", *STAGES]
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in STAGES:
+        on_disk = {
+            p.relative_to(out).as_posix() for p in (out / name).rglob("*") if p.is_file()
+        }
+        assert set(manifest["stages"][name]["outputs"]) == on_disk, name
+
+
+class _LosesEndpoint(StubLlmClient):
+    """The stub, except that its second candidate is not JSON (so it is
+    quarantined) and its third call raises, as an endpoint that went down."""
+
+    def complete(self, prompt: str) -> str:
+        if '"confidence_tau"' in prompt and self.generation_calls == 1:
+            self.generation_calls += 1
+            return "not json"
+        if '"confidence_tau"' in prompt and self.generation_calls == 2:
+            raise LlmClientError("endpoint went down")
+        return super().complete(prompt)
+
+
+@pytest.fixture(scope="module")
+def whole_run(small_dataset_path, tmp_path_factory):
+    """The digest of an uninterrupted run of _config."""
+    out = tmp_path_factory.mktemp("whole") / "run"
+    run_pipeline(_config(small_dataset_path), out)
+    return run_digest(out)
+
+
+class TestStageOwnership:
+    def _assert_failed_at(self, out: Path, failed: str, champion_kept: bool) -> dict:
+        manifest = json.loads((out / "manifest.json").read_text())
+        at = STAGES.index(failed)
+        assert [manifest["stages"][s]["status"] for s in STAGES] == (
+            ["complete"] * at + ["failed"] + ["pending"] * (len(STAGES) - at - 1)
+        )
+        assert [s for s in STAGES[at + 1:] if (out / s).exists()] == []
+        assert (manifest["champion"] is not None) == champion_kept
+        return manifest
+
+    @pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
+    @pytest.mark.parametrize("name", STAGES)
+    def test_failed_stage_resets_later_stages_and_resumes(
+        self, small_dataset_path, tmp_path, monkeypatch, whole_run, name, rerun
+    ):
+        """A stage that fails after writing its files (and one stray file)
+        leaves every later stage pending with no directory, and the resume
+        ends where an uninterrupted run does."""
+        config = _config(small_dataset_path)
+        out = tmp_path / "run"
+        if rerun:
+            run_pipeline(config, out)
+            manifest = json.loads((out / "manifest.json").read_text())
+            (out / next(iter(manifest["stages"][name]["outputs"]))).unlink()
+        real = getattr(pipeline_module, f"{name}_stage")
+
+        def fails_part_way(*args, **kwargs):
+            real(*args, **kwargs)
+            (out / name / "stray.txt").write_text("left by a failed attempt\n")
+            raise PipelineError("injected failure")
+
+        monkeypatch.setattr(pipeline_module, f"{name}_stage", fails_part_way)
+        with pytest.raises(PipelineError, match="injected"):
+            run_pipeline(config, out)
+        monkeypatch.undo()
+        self._assert_failed_at(out, name, champion_kept=name == "ope")
+
+        run_pipeline(config, out)
+        assert run_digest(out) == whole_run
+        _assert_owned(out)
+
+    def test_interrupted_candidates_leave_no_quarantine_behind(
+        self, small_dataset_path, tmp_path, monkeypatch, whole_run
+    ):
+        config = _config(small_dataset_path)
+        out = tmp_path / "run"
+        monkeypatch.setattr(pipeline_module, "build_client", lambda client, llm: _LosesEndpoint())
+        with pytest.raises(LlmClientError):
+            run_pipeline(config, out)
+        monkeypatch.undo()
+        self._assert_failed_at(out, "candidates", champion_kept=False)
+        assert (out / "candidates/quarantine/candidate_001.json").exists()
+
+        run_pipeline(config, out)
+        assert not (out / "candidates/quarantine").exists()
+        assert json.loads((out / "candidates/index.json").read_text())["quarantined"] == 0
+        assert run_digest(out) == whole_run
+        _assert_owned(out)
+
+    def test_failed_upstream_rerun_leaves_later_stages_pending(
+        self, small_dataset_path, tmp_path, monkeypatch
+    ):
+        config = _config(small_dataset_path)
+        out = tmp_path / "run"
+        run_pipeline(config, out)
+        (out / "candidates/index.json").unlink()
+        monkeypatch.setattr(
+            pipeline_module, "build_client", lambda client, llm: ScriptedLlmClient(["{}"])
+        )
+        with pytest.raises(PipelineError, match="quarantined"):
+            run_pipeline(config, out)
+        self._assert_failed_at(out, "candidates", champion_kept=False)
+
+    @pytest.mark.parametrize("kind", ["resume", "split", "series"])
+    def test_run_directory_holds_only_stage_outputs(self, small_dataset_path, tmp_path, kind):
+        overrides = {}
+        if kind == "split":
+            overrides = {"split": "policy_train", "bins": 3}
+        elif kind == "series":
+            ds = load_dataset(small_dataset_path)
+            overrides["probs"] = [str(tmp_path / f"ckpt{i}.json") for i in range(2)]
+            for path in overrides["probs"]:
+                save_prob_table(identity_prob_table(ds), path)
+        out = tmp_path / "run"
+        run_pipeline(_config(small_dataset_path, **overrides), out)
+        _assert_owned(out)
+        if kind == "resume":
+            (out / "ope/mortality_curve.csv").unlink()
+            run_pipeline(_config(small_dataset_path, **overrides), out)
+            _assert_owned(out)
+        if kind == "series":
+            assert (out / "ope/wis_series.csv").exists()
 
 
 def test_fresh_pipeline_process_does_not_import_numpy_ma(small_dataset_path, tmp_path):
