@@ -14,13 +14,14 @@ A run directory holds one manifest plus one subdirectory per stage:
     selection/report.json
     ope/wis.json, ope/mortality_curve.csv, ope/wis_series.csv (multi-table runs)
 
-The run id is derived from the input hashes and the seed, so re-running the
-same inputs resumes. Each stage owns the directory of its name, and the
-manifest records every file under it. The stages before the first that is not
-fresh are skipped; that stage and every later one are reset in one manifest
-write (pending, directories removed) and run again, so no status or file of an
-earlier attempt outlives it. The dataset is read only when a stage runs, so a
-resume with nothing to run reads no dataset, writes no manifest and records
+The run id is derived from the dataset's bytes and the settings, so
+re-running the same inputs resumes, wherever the dataset file lies. Each
+stage owns the directory of its name, and the manifest records every file
+under it. The stages before the first that is not fresh are skipped; that
+stage and every later one are reset in one manifest write (pending,
+directories removed) and run again, so no status or file of an earlier
+attempt outlives it. The dataset is read only when a stage runs, so a resume
+with nothing to run reads no dataset, writes no manifest and records
 "load_seconds": null and "dataset_shape": null. Each stage is one function
 (stats_stage ... ope_stage) that the matching CLI subcommand calls too, so
 both write the same files.
@@ -478,7 +479,9 @@ class PipelineConfig:
             raise ConfigError(f"unknown split {self.split!r}")
 
     def canonical_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        """Every setting but the dataset's path: the run id hashes its bytes."""
+        doc = {key: value for key, value in asdict(self).items() if key != "dataset"}
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 def pipeline_config_from_json(doc: dict) -> PipelineConfig:
@@ -532,9 +535,7 @@ class PipelineRun:
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {config.dataset}: {exc}") from exc
         config_sha = sha256_bytes(config.canonical_json().encode("utf-8"))
-        self.run_id = sha256_bytes(
-            f"{dataset_sha}:{config_sha}:{config.seed}".encode("utf-8")
-        )[:16]
+        self.run_id = sha256_bytes(f"{dataset_sha}:{config_sha}".encode("utf-8"))[:16]
         self.manifest = self._load_or_init_manifest(dataset_sha, config_sha)
 
     # -- manifest -------------------------------------------------------

@@ -199,7 +199,7 @@ def test_pipeline_readers_build_no_steps(tmp_path, monkeypatch):
 # The format-3 file of the 50-patient seed-0 cohort, whose content
 # test_synth pins apart from the format, and the run id it gives.
 COHORT_50_SHA256 = "17a86b8a90dcd82599392c23b09687d786cc0accb47505758a0caf3041d7cb7b"
-COHORT_50_RUN_ID = "edf89ef51101f8a2"
+COHORT_50_RUN_ID = "7762cc3d25f172a7"
 
 
 def test_generated_file_bytes_are_pinned(tmp_path, monkeypatch):

@@ -580,17 +580,18 @@ class TestPipelineConfigIO:
             pipeline_config_from_json(doc)
 
 
-# Recorded at the commit before the config hash was computed with asdict;
-# a change to either string moves the run id of every run.
+# Recorded at the commit before the config hash was computed with asdict,
+# then without the dataset path (the run id hashes the dataset's bytes); a
+# change to either string moves the run id of every run.
 DEFAULT_CANONICAL = (
-    '{"bins":10,"bootstrap":1000,"candidates":20,"client":"stub","dataset":"cohort.json",'
+    '{"bins":10,"bootstrap":1000,"candidates":20,"client":"stub",'
     '"k":7,"level":0.95,"llm":{"backoff":1.0,"endpoint":"","model":"default","retries":2,'
     '"temperature":0.7,"timeout":30.0},"metric":{"aggregation":"mean","alpha":0.1,'
     '"epsilon":2.0,"k":10.0},"probs":[],"rounds":20,"seed":0,"split":null,'
     '"task":"intensive care treatment","threshold":0.6}'
 )
 EVERY_KEY_CANONICAL = (
-    '{"bins":8,"bootstrap":400,"candidates":12,"client":"http","dataset":"data/cohort.json",'
+    '{"bins":8,"bootstrap":400,"candidates":12,"client":"http",'
     '"k":5,"level":0.9,"llm":{"backoff":0.5,"endpoint":"http://localhost:8000/v1",'
     '"model":"clinician-7b","retries":4,"temperature":0.25,"timeout":12.5},'
     '"metric":{"aggregation":"sum","alpha":0.2,"epsilon":1.5,"k":7.5},'
@@ -632,6 +633,31 @@ class TestRunIdPins:
             "metric": {"epsilon": 1.5, "k": 7.5, "alpha": 0.2, "aggregation": "sum"},
         }
         assert pipeline_config_from_json(doc).canonical_json() == EVERY_KEY_CANONICAL
+
+
+class TestRunId:
+    def test_same_bytes_at_two_paths_share_a_run_id(self, small_dataset_path, tmp_path):
+        moved = tmp_path / "elsewhere" / "renamed.json"
+        moved.parent.mkdir()
+        moved.write_bytes(small_dataset_path.read_bytes())
+        ids = [
+            pipeline_module.PipelineRun(_config(path), tmp_path / name).run_id
+            for path, name in ((small_dataset_path, "a"), (moved, "b"))
+        ]
+        assert ids[0] == ids[1]
+        assert pipeline_module.PipelineRun(_config(moved, seed=4), tmp_path / "c").run_id != ids[0]
+
+    def test_finished_run_resumes_after_its_dataset_moves(self, small_dataset_path, tmp_path):
+        original = tmp_path / "cohort.json"
+        original.write_bytes(small_dataset_path.read_bytes())
+        out = tmp_path / "run"
+        run_pipeline(_config(original), out)
+        digest, manifest = run_digest(out), (out / "manifest.json").read_bytes()
+        moved = original.rename(tmp_path / "moved.json")
+        run_pipeline(_config(moved), out)
+        assert json.loads((out / "timing.json").read_text())["skipped"] == list(STAGES)
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert run_digest(out) == digest
 
 
 class TestStages:
