@@ -275,8 +275,14 @@ def _potentials(cols: CohortColumns, spec: RewardSpec) -> np.ndarray:
     exponents = _survival_exponents(cols.values[:, select], c, b, m)
     exponents += _staleness_exponents(cols.staleness[:, select], tau)
     mask = cols.mask[:, select]
-    num = np.dot(np.exp(-exponents) * mask, weight)
-    den = np.dot(mask, weight)
+    scores = np.exp(np.negative(exponents, out=exponents), out=exponents)
+    scores *= mask
+    # Summed column by column, so a row's sums do not depend on where it
+    # lies in the block, as a matrix-vector product's rounding does.
+    num, den = np.zeros(len(cols.t)), np.zeros(len(cols.t))
+    for j, w in enumerate(weight):
+        num += scores[:, j] * w
+        den += mask[:, j] * w
     present = den > 0.0
     base = np.where(present, num, 0.5)
     if spec.normalize_potential:
