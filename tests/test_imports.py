@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test module imports is used in
+that module.
 
-__init__.py is exempt: it imports names to re-export them. A dotted
+__init__.py is exempt: it imports names to re-export them. So is
+test_acceptance.py, which is kept byte for byte as written. A dotted
 `import a.b` counts as used only where `a.b` itself is read, and a name
 counts as read only in code (a quoted annotation does not read it).
 """
@@ -10,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tridrive"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "tridrive"
+EXEMPT = {PACKAGE / "__init__.py", TESTS / "test_acceptance.py"}
 
 
 def _dotted(node) -> str | None:
@@ -37,7 +41,7 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    sorted(p for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")] if p not in EXEMPT),
     ids=lambda p: p.name,
 )
 def test_every_import_is_used(path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    make_dataset,
     make_step,
     mutated_documents,
     oracle_trace,
