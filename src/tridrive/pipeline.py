@@ -205,7 +205,6 @@ def generate_candidates(
     )
 
     valid: list[tuple[str, RewardSpec]] = []
-    quarantined = 0
     for i in range(n_candidates):
         response = client.complete(prompt)
         try:
@@ -216,17 +215,14 @@ def generate_candidates(
         except TridriveError as exc:
             doc = {"candidate_index": i, "reason": str(exc), "response": response}
             write_json(out / "quarantine" / f"candidate_{i:03d}.json", doc)
-            quarantined += 1
             continue
         spec_id = f"spec_{i:03d}"
         write_json(out / f"{spec_id}.json", reward_spec_to_json(spec))
         valid.append((spec_id, spec))
-    index = {
-        "valid": [sid for sid, _ in valid],
-        "quarantined": quarantined,
-        "requested": n_candidates,
-    }
-    write_json(out / "index.json", index)
+    quarantined = n_candidates - len(valid)
+    write_json(out / "index.json", {
+        "valid": [sid for sid, _ in valid], "quarantined": quarantined, "requested": n_candidates
+    })
     return valid, quarantined
 
 
@@ -563,7 +559,8 @@ class PipelineRun:
                     "and a string or null champion"
                 )
             return manifest
-        # A reset removes stage directories, so only a manifest's may exist.
+        # A reset removes stage directories; without a manifest, this run
+        # did not write the ones here.
         if any((self.out / name).exists() for name in STAGES):
             raise ConfigError(
                 f"run directory {self.out} holds stage outputs but no manifest.json "
@@ -580,13 +577,10 @@ class PipelineRun:
 
     def _stage_fresh(self, name: str) -> bool:
         record = self.manifest["stages"].get(name, {})
-        if record.get("status") != "complete":
-            return False
-        for rel, sha in record.get("outputs", {}).items():
-            path = self.out / rel
-            if not path.exists() or sha256_file(path) != sha:
-                return False
-        return True
+        return record.get("status") == "complete" and all(
+            (self.out / rel).exists() and sha256_file(self.out / rel) == sha
+            for rel, sha in record.get("outputs", {}).items()
+        )
 
     def _reset(self, names: Sequence[str]) -> None:
         """Mark the stages pending (and the champion unset when selection is
@@ -612,11 +606,10 @@ class PipelineRun:
     def execute(self) -> dict:
         """Run (or resume) every stage in order; returns the manifest.
 
-        The first stage that is not fresh and every later one (each reads
-        the outputs of those before it) are reset, then run after one dataset
-        load. So a resume with every stage fresh reads no dataset and writes
-        no manifest: run_id pins the dataset's bytes. Only the stages that
-        call the model build an LLM client. timing.json is written at the end.
+        The first stage that is not fresh and every later one (each reads the
+        outputs of those before it) are reset, then run after one dataset
+        load, so a resume with every stage fresh reads no dataset and writes
+        no manifest. Only the stages that call the model build an LLM client.
         """
         timing = {"load_seconds": None, "dataset_shape": None, "stage_seconds": {}, "skipped": []}
         try:
@@ -645,11 +638,8 @@ class PipelineRun:
         """The split's dataset; records the load seconds and shape in timing."""
         start = time.perf_counter()
         dataset = filter_split(load_dataset(self.config.dataset), self.config.split)
-        timing["load_seconds"] = round(time.perf_counter() - start, 6)
-        timing["dataset_shape"] = {
-            "patients": len(dataset.trajectories),
-            "steps": len(dataset.columns.t),
-        }
+        shape = {"patients": len(dataset.trajectories), "steps": len(dataset.columns.t)}
+        timing.update(load_seconds=round(time.perf_counter() - start, 6), dataset_shape=shape)
         if not dataset.trajectories:
             raise PipelineError("dataset (after split filtering) has no trajectories")
         return dataset
@@ -695,10 +685,8 @@ class PipelineRun:
         )
 
     def _run_selection(self, dataset: TrajectoryDataset) -> None:
-        result = selection_stage(
-            self.out / "fitness/report.json", self.out / "selection/report.json"
-        )
-        self.manifest["champion"] = result.champion
+        src, dst = self.out / "fitness/report.json", self.out / "selection/report.json"
+        self.manifest["champion"] = selection_stage(src, dst).champion
 
     def _run_ope(self, dataset: TrajectoryDataset) -> None:
         champion_id = self.manifest["champion"]

@@ -799,20 +799,6 @@ class TestStageOwnership:
         assert run_digest(out) == whole_run
         _assert_owned(out)
 
-    def test_failed_upstream_rerun_leaves_later_stages_pending(
-        self, small_dataset_path, tmp_path, monkeypatch
-    ):
-        config = _config(small_dataset_path)
-        out = tmp_path / "run"
-        run_pipeline(config, out)
-        (out / "candidates/index.json").unlink()
-        monkeypatch.setattr(
-            pipeline_module, "build_client", lambda client, llm: ScriptedLlmClient(["{}"])
-        )
-        with pytest.raises(PipelineError, match="quarantined"):
-            run_pipeline(config, out)
-        self._assert_failed_at(out, "candidates", champion_kept=False)
-
     @pytest.mark.parametrize("kind", ["resume", "split", "series"])
     def test_run_directory_holds_only_stage_outputs(self, small_dataset_path, tmp_path, kind):
         overrides = {}
