@@ -577,9 +577,9 @@ class PipelineRun:
 
     def _stage_fresh(self, name: str) -> bool:
         record = self.manifest["stages"].get(name, {})
+        paths = ((self.out / rel, sha) for rel, sha in record.get("outputs", {}).items())
         return record.get("status") == "complete" and all(
-            (self.out / rel).exists() and sha256_file(self.out / rel) == sha
-            for rel, sha in record.get("outputs", {}).items()
+            path.exists() and sha256_file(path) == sha for path, sha in paths
         )
 
     def _reset(self, names: Sequence[str]) -> None:

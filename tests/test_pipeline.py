@@ -740,7 +740,7 @@ def whole_run(small_dataset_path, tmp_path_factory):
 
 
 class TestStageOwnership:
-    def _assert_failed_at(self, out: Path, failed: str, champion_kept: bool) -> dict:
+    def _assert_failed_at(self, out: Path, failed: str, champion_kept: bool) -> None:
         manifest = json.loads((out / "manifest.json").read_text())
         at = STAGES.index(failed)
         assert [manifest["stages"][s]["status"] for s in STAGES] == (
@@ -748,7 +748,6 @@ class TestStageOwnership:
         )
         assert [s for s in STAGES[at + 1:] if (out / s).exists()] == []
         assert (manifest["champion"] is not None) == champion_kept
-        return manifest
 
     @pytest.mark.parametrize("rerun", [False, True], ids=["fresh", "rerun"])
     @pytest.mark.parametrize("name", STAGES)
