@@ -703,7 +703,6 @@ class TestCrashSafety:
         assert run_digest(out) == run_digest(tmp_path / "whole")
 
 
-
 def _assert_owned(out: Path) -> None:
     """The root holds the manifest, timing.json and the stage directories
     alone, and each stage records exactly the files under its directory."""
