@@ -192,10 +192,16 @@ class CohortColumns:
         """A new block of the rows of trajectories ks, in that order."""
         lo, hi = self.offsets[ks], self.offsets[np.add(ks, 1)]
         rows = np.concatenate([np.arange(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+        return replace(self.take_rows(rows), offsets=np.concatenate([[0], np.cumsum(hi - lo)]))
+
+    def take_rows(self, rows: np.ndarray) -> "CohortColumns":
+        """A new block of the given rows, in that order, each a trajectory
+        of one row."""
+        # take is several times faster than indexing a 2-D column with rows.
         return replace(
             self,
-            **{name: getattr(self, name)[rows] for name in _ROW_COLUMNS},
-            offsets=np.concatenate([[0], np.cumsum(hi - lo)]),
+            **{name: getattr(self, name).take(rows, axis=0) for name in _ROW_COLUMNS},
+            offsets=np.arange(len(rows) + 1),
         )
 
 

@@ -16,11 +16,11 @@ functions of immutable inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
-from typing import Sequence
 
 import numpy as np
 
@@ -134,16 +134,18 @@ class RewardSpec:
 
 @dataclass
 class RewardTrace:
-    """Per-step rewards and potentials of one trajectory.
+    """Per-step rewards and potentials of one trajectory, and its return.
 
     rewards[i] belongs to the transition steps[i] -> steps[i+1];
     potentials[i] belongs to steps[i]. cumulative is the discounted sum of
     rewards where the discount exponent is the transition position (not
-    the absolute hour).
+    the absolute hour). The reference models hold plain lists; trace holds
+    read-only sequences that compute both lists on first read, and compare
+    equal to the lists they hold.
     """
 
-    rewards: list[float]
-    potentials: list[float]
+    rewards: Sequence[float]
+    potentials: Sequence[float]
     cumulative: float
 
 
@@ -178,12 +180,13 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 # validate, its reciprocal is inf, and 0 * inf would turn the full trust
 # of a fresh measurement into NaN.
 #
-# _block_rewards runs these kernels once over every row of a block; trace
-# returns one trajectory's slices of its arrays, kept in a one-slot memo
-# (see trace), the only cache on this path. A block column the spec does
-# not name is never read, and a spec that names every column reads them in
-# place. The undeclared-action check stays per trajectory: the pass only
-# flags the trajectories that set such an action.
+# trace's returns come from _block_returns, which by the shaping identity
+# needs potentials at two rows of each trajectory; its lists for the last
+# block and spec are kept in a one-slot memo (see trace), the only cache on
+# this path. The per-step lists come from _step_rewards over the
+# trajectory's own rows, only when read. A block column the spec does not
+# name is never read, and a spec that names every column reads them in
+# place.
 
 
 def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
@@ -290,47 +293,83 @@ def _potentials(cols: CohortColumns, spec: RewardSpec) -> np.ndarray:
     return _time_decays(cols.t, spec.decay_half_life) * base
 
 
-def _block_rewards(block: CohortColumns, spec: RewardSpec):
-    """(potentials[N], rewards[N - 1], cumulative[n], sets_undeclared[n])
-    of every trajectory of the block.
+def _step_rewards(cols: CohortColumns, spec: RewardSpec):
+    """(rewards[len - 1], potentials[len]) of a block of one trajectory:
+    rewards[i] belongs to the transition from row i to row i + 1. An action
+    the spec does not declare is not read."""
+    # Values that overflow or turn NaN show in the lists, as in the returns
+    # pass, and raise no warning.
+    with np.errstate(all="ignore"):
+        potentials = _potentials(cols, spec)
+        rewards = spec.gamma * potentials[1:] - potentials[:-1]
+        if spec.lam != 0.0:
+            ids = cols.action_ids
+            declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
+            maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
+            levels = cols.actions[:-1, _selector(declared, len(ids))]
+            rewards -= spec.lam * _competence_costs(levels, maxima, spec.action_cost_scale)
+    return rewards, potentials
 
-    rewards[i] belongs to the transition from row i to row i + 1, so
-    trajectory k's rewards are rows offsets[k] to offsets[k + 1] - 2; the
-    reward at a trajectory's last row spans two trajectories and is left
-    out of every sum. cumulative[k] is trajectory k's discounted return.
-    sets_undeclared[k] is True when a row of trajectory k sets an action the
-    spec does not declare (read only when lam is not 0); _check_undeclared_unset
-    then reads its transitions, which leave out its last row.
+
+def _block_returns(block: CohortColumns, spec: RewardSpec):
+    """(cumulative[n], sets_undeclared[n]) of every trajectory of the block.
+
+    By the shaping identity, trajectory k's discounted return is
+    gamma**(len - 1) * phi[last] - phi[first] - lam * sum_i gamma**i * cost_i
+    over its transitions i, so potentials are computed at its first and last
+    rows only, and the costs are summed over its transition rows (every row
+    but its last). A trajectory of one row or none has no transition, and
+    its return is 0. A full sum of rewards turns non-finite when any row's
+    potential does, so the return is NaN for a trajectory with a non-finite
+    time, or value or staleness of a feature the spec names, in any row; a
+    non-finite action level reaches the cost sum itself. sets_undeclared[k]
+    is True when a transition of trajectory k sets an action the spec does
+    not declare (flagged only when lam is not 0).
     """
     offsets = block.offsets
     lengths = np.diff(offsets)
-    sets_undeclared = np.zeros(len(lengths), dtype=bool)
-    # The rows of one trajectory can overflow or turn NaN only in its own
-    # slice and in the rewards spanning two trajectories, which no sum
-    # reads; a warning would name whichever trace call computed the block.
+    cumulative, sets_undeclared = np.zeros(len(lengths)), np.zeros(len(lengths), dtype=bool)
+    moving = np.flatnonzero(lengths > 1)
+    if not moving.size:
+        return cumulative, sets_undeclared
+    nonempty = lengths > 0
+    select = _feature_columns(spec, block.feature_ids)[0]
+    starts = offsets[:-1][nonempty]
+    cells = np.isfinite(block.values[:, select]) & np.isfinite(block.staleness[:, select])
+    finite = np.logical_and.reduceat(cells, starts).all(axis=1)
+    finite &= np.logical_and.reduceat(np.isfinite(block.t), starts)
+    finite = finite[lengths[nonempty] > 1]
+    # Values that overflow or turn NaN stay in their own trajectory's return.
     with np.errstate(all="ignore"):
-        potentials = _potentials(block, spec)
-        rewards = spec.gamma * potentials[1:] - potentials[:-1]
+        ends = np.concatenate([offsets[moving], offsets[moving + 1] - 1])
+        first, last = np.split(_potentials(block.take_rows(ends), spec), 2)
+        returns = np.power(spec.gamma, lengths[moving] - 1) * last - first
         if spec.lam != 0.0:
             ids = block.action_ids
             declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
             undeclared = [j for j, aid in enumerate(ids) if aid not in spec.action_max]
+            transition = np.ones(len(block.t), dtype=bool)
+            transition[offsets[1:][nonempty] - 1] = False
             if undeclared:
-                rows = np.flatnonzero(block.action_mask[:, undeclared].any(axis=1))
-                sets_undeclared[np.searchsorted(offsets, rows, side="right") - 1] = True
+                sets = block.action_mask[:, undeclared].any(axis=1) & transition
+                owners = np.searchsorted(offsets, np.flatnonzero(sets), side="right") - 1
+                sets_undeclared[owners] = True
+            # A cost is linear in the levels, so each action's discounted
+            # level sum over a trajectory's transitions is costed once. The
+            # levels are gathered a column at a time, which is much faster
+            # than gathering rows of a matrix this narrow.
+            rows = np.flatnonzero(transition)
+            moves = np.maximum(lengths - 1, 0)
+            discounts = np.power(spec.gamma, rows - np.repeat(offsets[:-1], moves))
+            firsts = (np.cumsum(moves) - moves)[moving]
+            sums = np.array(
+                [np.add.reduceat(block.actions[:, j][rows] * discounts, firsts) for j in declared]
+            ).reshape(len(declared), len(moving))
             maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
-            levels = block.actions[:-1, _selector(declared, len(ids))]
-            costs = _competence_costs(levels, maxima, spec.action_cost_scale)
-            rewards -= spec.lam * costs
-        position = np.arange(len(potentials)) - np.repeat(offsets[:-1], lengths)
-        discounted = np.zeros(len(potentials))
-        discounted[:-1] = rewards * np.power(spec.gamma, position[:-1])
-    nonempty = lengths > 0
-    discounted[offsets[1:][nonempty] - 1] = 0.0
-    cumulative = np.zeros(len(lengths))
-    if nonempty.any():  # reduceat gives an empty segment the next row's value
-        cumulative[nonempty] = np.add.reduceat(discounted, offsets[:-1][nonempty])
-    return potentials, rewards, cumulative, sets_undeclared
+            returns -= spec.lam * _competence_costs(sums.T, maxima, spec.action_cost_scale)
+    returns[~finite] = np.nan
+    cumulative[moving] = returns
+    return cumulative, sets_undeclared
 
 
 def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
@@ -348,13 +387,60 @@ def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
             )
 
 
-# The arrays of the last block pass, keyed on the block and the spec
+class _StepLists:
+    """A trajectory's per-step rewards and potentials under a spec,
+    computed together from its columns on first read and kept."""
+
+    __slots__ = ("trajectory", "spec", "lists")
+
+    def __init__(self, trajectory: Trajectory, spec: RewardSpec):
+        self.trajectory, self.spec, self.lists = trajectory, spec, None
+
+    def read(self) -> tuple[list[float], list[float]]:
+        # Assigned whole, once computed; two threads that both compute them
+        # assign equal lists.
+        lists = self.lists
+        if lists is None:
+            rewards, potentials = _step_rewards(self.trajectory.columns, self.spec)
+            lists = self.lists = (rewards.tolist(), potentials.tolist())
+        return lists
+
+
+class _LazyFloats(Sequence):
+    """One of a trace's per-step lists: read-only, computed on first read,
+    and equal to a list (or another such sequence) holding the same floats."""
+
+    __slots__ = ("_source", "_which")
+
+    def __init__(self, source: _StepLists, which: int):
+        self._source, self._which = source, which
+
+    def _list(self) -> list[float]:
+        return self._source.read()[self._which]
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other):
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+
+# The returns of the last block pass, keyed on the block and the spec
 # themselves: one slot, so memory does not grow with the number of specs or
 # blocks. Both are frozen, so a call whose block and spec are the cached
-# objects reads the cached arrays; the slot holds them, so neither id can be
+# objects reads the cached lists; the slot holds them, so neither id can be
 # reused while it is there. It is read and replaced as one (block, spec,
-# arrays) tuple, so concurrent calls never pair a key with another key's
-# arrays; at worst they recompute.
+# lists) tuple, so concurrent calls never pair a key with another key's
+# lists; at worst they recompute.
 _last_block: tuple = (None, None, None)
 
 
@@ -364,32 +450,27 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     The step reward is gamma * phi(next) - phi(prev) - lambda * cost(prev.action);
     with lambda 0 the actions are not read at all.
 
-    The spec is evaluated over the trajectory's whole block (the cohort's
-    block for a view, its own columns otherwise) by _block_rewards, and the
-    trajectory's slices are returned. The block's arrays are kept for the
-    next call whose block and spec are the same objects, so tracing a cohort
-    costs one block pass per spec. A spec is frozen, so any other spec,
-    equal or not (a dataclasses.replace copy, say), is traced afresh.
+    The return is computed for every trajectory of the trajectory's block
+    (the cohort's block for a view, its own columns otherwise) by
+    _block_returns, and kept for the next call whose block and spec are the
+    same objects, so tracing a cohort costs one pass per spec that reads
+    two rows' potentials per trajectory. A spec is frozen, so any other
+    spec, equal or not (a dataclasses.replace copy, say), is traced afresh.
+    The per-step rewards and potentials are computed from the trajectory's
+    own columns when first read.
     """
     global _last_block
     block, k = trajectory.block
-    cached_block, cached_spec, arrays = _last_block
+    cached_block, cached_spec, lists = _last_block
     if cached_block is not block or cached_spec is not spec:
-        potentials, rewards, cumulative, sets_undeclared = _block_rewards(block, spec)
-        arrays = (
-            potentials, rewards, cumulative.tolist(), sets_undeclared.tolist(),
-            block.offsets.tolist(),
-        )
-        _last_block = (block, spec, arrays)
-    potentials, rewards, cumulative, sets_undeclared, offsets = arrays
+        cumulative, sets_undeclared = _block_returns(block, spec)
+        lists = (cumulative.tolist(), sets_undeclared.tolist())
+        _last_block = (block, spec, lists)
+    cumulative, sets_undeclared = lists
     if sets_undeclared[k]:
         _check_undeclared_unset(trajectory, spec)
-    lo, hi = offsets[k], offsets[k + 1]
-    return RewardTrace(
-        rewards=rewards[lo : max(lo, hi - 1)].tolist(),
-        potentials=potentials[lo:hi].tolist(),
-        cumulative=cumulative[k],
-    )
+    steps = _StepLists(trajectory, spec)
+    return RewardTrace(_LazyFloats(steps, 0), _LazyFloats(steps, 1), cumulative[k])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ def _run_traced(monkeypatch, workload):
     assert result["record"]["reference_checked"]
     # A resume with every stage fresh reads no dataset.
     assert result["metrics"]["resume.model.load_s"][0] == 0
+    return result
 
 
 def test_traced_ope_series_runs_clean(monkeypatch):
@@ -35,4 +36,8 @@ def test_traced_ope_series_runs_clean(monkeypatch):
 
 
 def test_traced_score_pool_runs_clean(monkeypatch):
-    _run_traced(monkeypatch, "score-pool-500")
+    result = _run_traced(monkeypatch, "score-pool-500")
+    # The benchmark's reward layer spans the per-trajectory trace calls: one
+    # per patient for each of the 20 default candidates (fitness) and for
+    # the champion (OPE).
+    assert result["metrics"]["rewards.trace_calls"][0] == 50 * (20 + 1)

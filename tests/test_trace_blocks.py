@@ -1,4 +1,5 @@
-"""trace over column blocks: one block pass per spec, sliced per trajectory.
+"""trace over column blocks: one returns pass per spec, which computes
+potentials at two rows per trajectory, and per-step lists computed on read.
 
 Every trace is checked against the scalar oracle, on blocks whose
 trajectories sit at the edges of the block's arrays, with replaced specs
@@ -18,14 +19,22 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import make_step, oracle_trace, simple_spec
+from conftest import make_dataset, make_step, oracle_trace, simple_spec
 from tridrive import rewards
-from tridrive.errors import SchemaError
+from tridrive.errors import SchemaError, ValidationError
 from tridrive.fitness import CompMetricConfig
 from tridrive.llm import LlmClientConfig
 from tridrive.model import CohortColumns, Trajectory
-from tridrive.pipeline import PipelineConfig, filter_split, score_specs
-from tridrive.rewards import RewardSpec, SurvivalConfig, SurvivalForm, trace
+from tridrive.ope import bootstrap_ci, identity_prob_table
+from tridrive.pipeline import PipelineConfig, filter_split, ope_stage, score_specs
+from tridrive.rewards import (
+    RewardSpec,
+    RewardTrace,
+    SurvivalConfig,
+    SurvivalForm,
+    baseline_orm,
+    trace,
+)
 from tridrive.synth import CohortConfig, generate, reference_spec
 
 FIDS = ("f1", "f2", "f3")
@@ -90,18 +99,32 @@ LENGTHS = [
 ]
 
 
+# Spec settings besides _spec's own (gamma 0.95, normalized potentials).
+VARIANTS = {"gamma=1": {"gamma": 1.0}, "unnormalized": {"normalize_potential": False}}
+
+
+def _every_view_matches_the_oracle(lengths, spec):
+    rng = np.random.default_rng(sum(lengths) * 10 + len(lengths))
+    views = _views([_steps(rng, n) for n in lengths])
+    for traj, n in zip(views, lengths):
+        got = _assert_matches_oracle(traj, spec)
+        if n <= 1:
+            assert got.rewards == [] and got.cumulative == 0.0
+        assert len(got.potentials) == n
+
+
 class TestBlockBoundaries:
     @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_every_view_matches_the_oracle(self, lengths, lam):
-        rng = np.random.default_rng(sum(lengths) * 10 + len(lengths))
-        views = _views([_steps(rng, n) for n in lengths])
-        spec = _spec(lam)
-        for traj, n in zip(views, lengths):
-            got = _assert_matches_oracle(traj, spec)
-            if n <= 1:
-                assert got.rewards == [] and got.cumulative == 0.0
-            assert len(got.potentials) == n
+        _every_view_matches_the_oracle(lengths, _spec(lam))
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_every_view_matches_the_oracle_under(self, variant, lam, lengths):
+        spec = dataclasses.replace(_spec(lam), **VARIANTS[variant])
+        _every_view_matches_the_oracle(lengths, spec)
 
     @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
     def test_views_traced_in_reverse_order(self, lengths):
@@ -139,6 +162,27 @@ class TestBlockBoundaries:
             alone = Trajectory(traj.patient_id, traj.steps, traj.survived, traj.sofa_baseline)
             assert trace(traj, spec).cumulative == whole[traj.patient_id], traj.patient_id
             assert trace(alone, spec).cumulative == whole[traj.patient_id], traj.patient_id
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_step_lists_are_the_whole_block_slices_bit_for_bit(self, lam):
+        """Each trace's lists, computed from its own rows, equal the slices of
+        the kernels run over the whole block, in the cohort and in a split."""
+        cfg = CohortConfig(n_patients=300, seed=7)
+        cohort = generate(cfg)
+        spec = dataclasses.replace(reference_spec(cfg), lam=lam)
+        for dataset in (cohort, filter_split(cohort, "reward_train")):
+            cols = dataset.columns
+            potentials = rewards._potentials(cols, spec)
+            maxima = np.array([spec.action_max[aid] for aid in cols.action_ids])
+            costs = rewards._competence_costs(cols.actions, maxima, spec.action_cost_scale)
+            for k, traj in enumerate(dataset.trajectories):
+                lo, hi = cols.offsets[k : k + 2].tolist()
+                step_rewards = spec.gamma * potentials[lo + 1 : hi] - potentials[lo : hi - 1]
+                if lam:
+                    step_rewards -= lam * costs[lo : hi - 1]
+                got = trace(traj, spec)
+                assert got.potentials == potentials[lo:hi].tolist(), traj.patient_id
+                assert got.rewards == step_rewards.tolist(), traj.patient_id
 
 
 # One field of the spec changed each: a value the memo must not serve the
@@ -303,23 +347,195 @@ class TestIsolation:
             assert trace(views[1], spec).cumulative == -math.inf
 
 
-def test_score_specs_makes_one_block_pass_per_spec(monkeypatch):
+# A non-finite input in a middle row, which the returns pass does not
+# compute a potential for: (what, the edit of patient p1's step 2).
+NON_FINITE = {
+    "value nan": lambda step: _observe(step, "f2", value=math.nan),
+    "value inf": lambda step: _observe(step, "f2", value=math.inf),
+    "staleness nan": lambda step: _observe(step, "f3", staleness=math.nan),
+    # Trust exp(-inf) is 0, so a full sum stayed finite here; the returns
+    # pass treats it as any other non-finite input.
+    "staleness inf": lambda step: _observe(step, "f3", staleness=math.inf),
+    "action nan": lambda step: step.action.update(drug_b=math.nan),
+    "action inf": lambda step: step.action.update(drug_b=math.inf),
+}
+
+
+def _observe(step, fid, **changes):
+    step.observations[fid] = dataclasses.replace(step.observations[fid], **changes)
+
+
+class TestNonFiniteMiddleRows:
+    def _dataset(self, what):
+        rng = np.random.default_rng(61)
+        step_lists = [_steps(rng, 5) for _ in range(4)]
+        NON_FINITE[what](step_lists[1][2])
+        trajs = [
+            Trajectory(f"p{k}", steps, k % 2 == 0, 5.0) for k, steps in enumerate(step_lists)
+        ]
+        return make_dataset(trajs)
+
+    @pytest.mark.parametrize("what", sorted(NON_FINITE))
+    def test_the_return_is_not_finite(self, what):
+        dataset = self._dataset(what)
+        spec = _spec(lam=0.3)
+        traces = [trace(traj, spec) for traj in dataset.trajectories]
+        assert [math.isfinite(t.cumulative) for t in traces] == [True, False, True, True]
+        for traj in dataset.trajectories[::2]:
+            _assert_matches_oracle(traj, spec)
+        # The per-step rewards still sum to a non-finite return, but for an
+        # infinite staleness.
+        summed = sum(r * spec.gamma**i for i, r in enumerate(traces[1].rewards))
+        assert math.isfinite(summed) == (what == "staleness inf")
+
+    @pytest.mark.parametrize("what", sorted(NON_FINITE))
+    def test_scoring_and_the_bootstrap_refuse_it(self, what):
+        dataset = self._dataset(what)
+        spec = _spec(lam=0.3)
+        (row,) = score_specs(dataset, [("s", spec)])
+        assert row == {
+            "spec_id": "s",
+            "error": "cumulative reward has a non-finite value; correlation undefined",
+        }
+        traces = [trace(traj, spec) for traj in dataset.trajectories]
+        with pytest.raises(
+            ValidationError, match=r"^patient 'p1': trajectory return (nan|-inf) is not finite$"
+        ):
+            bootstrap_ci(dataset, traces, identity_prob_table(dataset), resamples=10)
+
+    @pytest.mark.parametrize("what", ["action nan", "action inf"])
+    def test_an_action_level_is_not_read_with_lam_zero(self, what):
+        dataset = self._dataset(what)
+        spec = _spec(lam=0.0)
+        for traj in dataset.trajectories:
+            _assert_matches_oracle(traj, spec)
+
+    def test_a_one_step_trajectory_returns_zero(self):
+        steps = _steps(np.random.default_rng(62), 1)
+        _observe(steps[0], "f1", value=math.nan)
+        views = _views([_steps(np.random.default_rng(63), 3), steps])
+        assert trace(views[1], _spec()).cumulative == 0.0
+
+
+class TestStepLists:
+    """The per-step lists of trace, computed on first read."""
+
+    def _traces(self, lam=0.3):
+        views = _views([_steps(np.random.default_rng(51), n) for n in (4, 5, 3)])
+        spec = _spec(lam)
+        return views, spec, trace(views[1], spec)
+
+    def test_a_trace_reads_as_its_lists(self):
+        views, spec, got = self._traces()
+        rewards_, potentials, cumulative = oracle_trace(views[1], spec)
+        plain_r, plain_p = list(got.rewards), list(got.potentials)
+        assert plain_r == pytest.approx(rewards_, rel=0, abs=1e-12)
+        assert plain_p == pytest.approx(potentials, rel=0, abs=1e-12)
+        assert got.cumulative == pytest.approx(cumulative, rel=0, abs=1e-12)
+        assert got.rewards == plain_r and plain_r == got.rewards
+        assert got.potentials == plain_p and not got.potentials != plain_p
+        assert got.rewards != plain_r[:-1] and got.rewards != tuple(plain_r)
+        assert (len(got.rewards), len(got.potentials)) == (4, 5)
+        assert got.rewards[-1] == plain_r[-1] and got.potentials[-2] == plain_p[-2]
+        assert got.potentials[1:3] == plain_p[1:3]
+        assert np.array_equal(np.asarray(got.potentials), np.array(plain_p))
+        assert repr(got.rewards) == repr(plain_r)
+        plain = RewardTrace(plain_r, plain_p, got.cumulative)
+        assert repr(got) == repr(plain)
+        assert got == plain and plain == got
+        assert got == trace(views[1], spec)
+        assert got != trace(views[0], spec)
+
+    def test_the_lists_are_read_only(self):
+        _, _, got = self._traces()
+        with pytest.raises(TypeError):
+            got.rewards[0] = 1.0
+        with pytest.raises(AttributeError):
+            got.potentials.append(1.0)
+
+    def test_replacing_the_return_keeps_the_lists(self):
+        _, _, got = self._traces()
+        moved = dataclasses.replace(got, cumulative=5.0)
+        assert moved.cumulative == 5.0
+        assert moved.rewards is got.rewards and moved.potentials is got.potentials
+        assert moved.rewards == list(got.rewards)
+
+    def test_a_trace_of_plain_lists_holds_them(self):
+        rewards_, potentials = [1.0, 2.0], [0.0, 0.0, 0.0]
+        plain = RewardTrace(rewards_, potentials, 3.0)
+        assert plain.rewards is rewards_ and plain.potentials is potentials
+        traj = Trajectory("p", _steps(np.random.default_rng(52), 3), True, 5.0)
+        orm = baseline_orm(traj)
+        assert type(orm.rewards) is list and type(orm.potentials) is list
+
+    def test_two_threads_reading_one_trace_get_equal_lists(self):
+        views, spec, _ = self._traces()
+        traces = [trace(traj, spec) for _ in range(100) for traj in views]
+        reads = [[], []]
+
+        def read(out):
+            for got in traces:
+                out.append((list(got.rewards), list(got.potentials)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(out,)) for out in reads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(reads[0]) == len(traces) and reads[0] == reads[1]
+
+    def test_an_undeclared_action_in_a_block_of_one(self):
+        steps = _steps(np.random.default_rng(53), 4)
+        steps[1].action["mystery"] = 1
+        steps[2].action["mystery"] = 2
+        steps[3].action["zeta"] = 1  # a last step's action is not read
+        traj = Trajectory("solo", steps, True, 5.0)
+        with pytest.raises(
+            SchemaError,
+            match=rf"^patient 'solo': action 'mystery' not declared in the reward spec's "
+                  rf"action_max at t={steps[1].t}$",
+        ):
+            trace(traj, _spec(lam=0.3))
+        _assert_matches_oracle(traj, _spec(lam=0.0))
+
+
+def test_score_specs_reads_two_potential_rows_per_trajectory(monkeypatch, tmp_path):
+    """One _potentials call per spec, on each trajectory's first and last
+    rows; neither scoring nor OPE computes a per-step list."""
     config = CohortConfig(n_patients=30, seed=5)
     dataset = generate(config)
     base = reference_spec(config)
     specs = [(f"s{i}", dataclasses.replace(base, gamma=0.9 + 0.02 * i)) for i in range(4)]
-    calls = []
-    kernel = rewards._potentials
+    calls, step_lists = [], []
+    kernel, per_step = rewards._potentials, rewards._step_rewards
 
     def counted(cols, spec):
         calls.append(cols)
         return kernel(cols, spec)
 
+    def listed(cols, spec):
+        step_lists.append(cols)
+        return per_step(cols, spec)
+
     monkeypatch.setattr(rewards, "_potentials", counted)
+    monkeypatch.setattr(rewards, "_step_rewards", listed)
     rows = score_specs(dataset, specs)
     assert [row["spec_id"] for row in rows if "error" not in row] == [s for s, _ in specs]
     assert len(calls) == len(specs)
-    assert all(cols is dataset.columns for cols in calls)
+    offsets = dataset.columns.offsets
+    ends = np.concatenate([offsets[:-1], offsets[1:] - 1])
+    for cols in calls:
+        assert len(cols.t) == 2 * len(dataset.trajectories)
+        assert np.array_equal(cols.t, dataset.columns.t[ends])
+    ope_stage(dataset, base, [], tmp_path, level=0.9, resamples=20, seed=0, bins=3)
+    assert len(calls) == len(specs) + 1
+    assert step_lists == []
 
 
 @pytest.mark.parametrize(
