@@ -267,14 +267,23 @@ class TrajectoryDataset:
         return sorted(self.feature_schema)
 
     @property
-    def columns(self) -> CohortColumns:
-        """The rows of every trajectory, in order, as one block: the block
-        the trajectories are views of when they are all of it, in order (as
-        for a loaded, generated or split dataset), and otherwise a new block
-        built from their steps."""
+    def shared_block(self) -> CohortColumns | None:
+        """The block the trajectories are views of when they are all of it,
+        in order (as for a loaded, generated or split dataset): trajectory k
+        is then its trajectory k. None otherwise."""
         views = [traj.__dict__.get("_view") for traj in self.trajectories]
         block = views[0][0] if views and views[0] is not None else None
         if block is not None and views == [(block, k) for k in range(len(block.offsets) - 1)]:
+            return block
+        return None
+
+    @property
+    def columns(self) -> CohortColumns:
+        """The rows of every trajectory, in order, as one block: the shared
+        block when there is one, and otherwise a new block built from their
+        steps."""
+        block = self.shared_block
+        if block is not None:
             return block
         return CohortColumns.of([traj.steps for traj in self.trajectories], self.action_schema)
 

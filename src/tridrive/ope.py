@@ -11,9 +11,13 @@ so results do not depend on evaluation order. The draws depend only on
 (seed, n, resamples), so they are made once, kept as how many times each
 resample drew each trajectory, and shared, read-only, by every table of a
 checkpoint series: a table's resample sums are then products of blocks of
-that count matrix with its weights. The OPE stage
-(tridrive.pipeline.ope_stage) evaluates the tables of a series one at a
-time, so memory does not grow with the table count.
+that count matrix with its weights. The counts are read from PCG64's raw
+outputs with numpy's own bounded-draw method, a chunk of resamples at a
+time, and any resample where that method might reject a word is drawn by
+numpy itself. A table's weights come from one join of its rows to the
+dataset's transition rows; trajectory_weight, called per trajectory, reads
+them. The OPE stage (tridrive.pipeline.ope_stage) evaluates the tables of a
+series one at a time, so memory does not grow with the table count.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .errors import DegenerateStatisticError, FormatError, SchemaError, Validati
 from .fitness import _quantiles
 from .jsonio import read_json, write_compact_json
 from .model import (
-    F8, FORMAT, I4, I4_LIMIT, RaggedColumns, Trajectory, TrajectoryDataset, to_buffer,
+    F8, FORMAT, I4, I4_LIMIT, CohortColumns, RaggedColumns, Trajectory, TrajectoryDataset,
+    to_buffer,
 )
 from .rewards import RewardTrace, trace_returns
 from .streams import reseat, seed_states
@@ -176,7 +181,21 @@ def trajectory_weight(
     textbook estimator. Raises SchemaError for a step the table has no row
     for, and ValidationError for a step whose p_behavior is 0, whichever
     step comes first.
+
+    Called by wis and bootstrap_ci once per trajectory of a dataset, it
+    returns the weight that their one join of the table computed
+    (_join_weights), unless the join flagged the trajectory.
     """
+    block, k = trajectory.block
+    joined_block, joined_probs, joined_max_ratio, patient_ids, weights, flagged = _joined
+    if (
+        joined_block is block
+        and joined_probs is probs
+        and joined_max_ratio == max_ratio
+        and patient_ids[k] == trajectory.patient_id
+        and not flagged[k]
+    ):
+        return weights[k]
     pid = trajectory.patient_id
     steps = trajectory.columns.t[:-1]
     table = probs.columns
@@ -213,18 +232,81 @@ def trajectory_weight(
     return math.prod(ratios.tolist(), start=1.0)
 
 
+# The weights of the table being evaluated by _weights_and_returns, keyed on
+# the dataset's shared block, the table and max_ratio: (block, table,
+# max_ratio, patient_ids, weights, flagged). One slot, emptied before
+# _weights_and_returns returns, so no table outlives its evaluation. It is
+# read and replaced as one tuple, so concurrent calls never pair a key with
+# another key's weights; at worst they compute afresh.
+_NOT_JOINED = (None, None, None, None, None, None)
+_joined: tuple = _NOT_JOINED
+
+
+def _join_weights(
+    block: CohortColumns,
+    patient_ids: list[str],
+    probs: PolicyProbTable,
+    max_ratio: float | None,
+) -> tuple[list[float], list[bool]]:
+    """Every trajectory's weight from one join of the table's rows to the
+    block's transition rows (each trajectory's rows but its last), and
+    whether it is flagged: its rows are not exactly its patient's table
+    rows, as equal t of one integer dtype, or one has p_behavior <= 0. A
+    flagged trajectory's weight is left to trajectory_weight's own code,
+    which raises for it or matches rows by t."""
+    table = probs.columns
+    n = len(patient_ids)
+    steps = np.maximum(np.diff(block.offsets), 1) - 1
+    spans = [table.spans.get(pid, (0, 0)) for pid in patient_ids]
+    lo, hi = np.array(spans, dtype=np.int64).reshape(n, 2).T
+    end = min(len(table.t), len(table.p_eval), len(table.p_behavior))
+    exact = (hi - lo == steps) & (0 <= lo) & (hi <= end)
+    exact &= table.t.dtype == block.t.dtype and table.t.dtype.kind in "iu"
+    counts = np.where(exact, steps, 0)
+    starts = np.cumsum(counts) - counts
+    within = np.arange(counts.sum()) - np.repeat(starts, counts)
+    rows = np.repeat(lo, counts) + within
+    block_rows = np.repeat(block.offsets[:-1], counts) + within
+    p_behavior = table.p_behavior[rows]
+    bad = (table.t[rows] != block.t[block_rows]) | (p_behavior <= 0.0)
+    exact[np.repeat(np.arange(n), counts)[bad]] = False
+    ratios = table.p_eval[rows] / np.where(bad, 1.0, p_behavior)
+    if max_ratio is not None:
+        np.minimum(ratios, max_ratio, out=ratios)
+    weights = np.ones(n)  # a trajectory of one step has no ratio
+    nonempty = counts > 0
+    if nonempty.any():
+        # Multiplied in step order, as math.prod does; and, as there, an
+        # overflow or inf * 0 gives inf or NaN without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights[nonempty] = np.multiply.reduceat(ratios, starts[nonempty])
+    return weights.tolist(), (~exact).tolist()
+
+
 def _weights_and_returns(
     dataset: TrajectoryDataset,
     traces: Sequence[RewardTrace],
     probs: PolicyProbTable,
     max_ratio: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each trajectory's weight, by trajectory_weight, and return. When the
+    dataset has a shared block, the table is joined to it once first, and
+    trajectory_weight reads the joined weights."""
+    global _joined
     returns = trace_returns(dataset, traces)
     if max_ratio is not None and not max_ratio > 0.0:
         raise ValidationError(f"max_ratio must be > 0 (inf allowed), got {max_ratio}")
-    weights = np.array(
-        [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
-    )
+    block = dataset.shared_block
+    try:
+        if block is not None:
+            patient_ids = [traj.patient_id for traj in dataset.trajectories]
+            joined = _join_weights(block, patient_ids, probs, max_ratio)
+            _joined = (block, probs, max_ratio, patient_ids, *joined)
+        weights = np.array(
+            [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
+        )
+    finally:
+        _joined = _NOT_JOINED
     return weights, returns
 
 
@@ -252,20 +334,56 @@ def wis(
 _BLOCK_ENTRIES = 1 << 17
 
 
+# Resamples drawn per chunk in resample_counts. Its buffers hold 64 rows of
+# words and draws, so they stay small whatever the resample count.
+_CHUNK_ROWS = 64
+
+
 @functools.lru_cache(maxsize=1)
 def resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
     """Read-only [resamples, n] bootstrap counts: entry [b, i] is how many
     times resample b drew trajectory i, in the smallest unsigned dtype that
-    holds n. Row b holds the draws of `default_rng(SeedSequence([seed, b]))`,
-    made by one generator reseated per row. The counts of the last key are
-    kept, so the tables of a series, which share (seed, n, resamples), share
-    them."""
+    holds n. Row b holds the draws of
+    `default_rng(SeedSequence([seed, b])).integers(0, n, size=n)`, made by
+    one generator reseated per row. The counts of the last key are kept, so
+    the tables of a series, which share (seed, n, resamples), share them.
+
+    numpy draws each value below n by Lemire's method: a 32-bit word u
+    (PCG64's 64-bit outputs split low half first) gives m = u * n, and the
+    draw is m >> 32 unless the low 32 bits of m fall below a threshold,
+    which is below n, when it rejects u and reads the next word. So a row
+    whose n words all leave low bits >= n has those exact draws; they are
+    read in chunks of rows from the raw outputs, and counted with one
+    bincount per chunk. The few other rows are drawn again by numpy itself.
+    """
     out = np.empty((resamples, n), dtype=np.min_scalar_type(n))
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for b, words in enumerate(seed_states(seed, np.arange(resamples))):
-        reseat(bits, words)
-        out[b] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    states = seed_states(seed, np.arange(resamples))
+    raw = np.empty((_CHUNK_ROWS, (n + 1) // 2), dtype="<u8")
+    words = raw.view("<u4")[:, :n]  # low half first; an odd n leaves one word unread
+    m = np.empty((_CHUNK_ROWS, n), dtype=np.uint64)
+    offsets = np.arange(_CHUNK_ROWS, dtype=np.uint64)[:, None] * np.uint64(n)
+    for start in range(0, resamples, _CHUNK_ROWS):
+        chunk = states[start : start + _CHUNK_ROWS]
+        rows = len(chunk)
+        for i, row_state in enumerate(chunk):
+            reseat(bits, row_state)
+            raw[i] = bits.random_raw(raw.shape[1])
+        np.multiply(words[:rows], np.uint64(n), out=m[:rows])
+        low = words[:rows]
+        low *= np.uint32(n)  # the low 32 bits of m, in place of the words
+        redraw = np.flatnonzero((low < n).any(axis=1)).tolist()
+        draws = m[:rows]
+        draws >>= np.uint64(32)
+        draws += offsets[:rows]  # row i counts into bins i * n to i * n + n - 1
+        # One statement, so no chunk's counts are alive while the next are made.
+        out[start : start + rows] = np.bincount(
+            draws.view(np.int64).ravel(), minlength=rows * n
+        ).reshape(rows, n)
+        for i in redraw:
+            reseat(bits, chunk[i])
+            out[start + i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
     out.flags.writeable = False
     return out
 

@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import hashlib
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from tridrive.errors import (
     TridriveError,
     ValidationError,
 )
-from tridrive.model import Trajectory, save_dataset
+from tridrive.model import CohortColumns, Trajectory, save_dataset
 from tridrive.ope import (
     PolicyProbTable,
     bootstrap_ci,
@@ -150,6 +154,178 @@ class TestTrajectoryWeight:
                 got = trajectory_weight(traj, table, max_ratio)
                 assert type(got) is float
                 assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def _view_dataset(times):
+    """A dataset whose trajectories are views of one block, one per list of
+    step times, patients p0, p1, ..."""
+    steps = [[make_step(t, {"f1": 0.5}) for t in ts] for ts in times]
+    block = CohortColumns.of(steps, {})
+    pids = [f"p{i}" for i in range(len(times))]
+    return make_dataset(block.views(pids, [True] * len(times), [5.0] * len(times)))
+
+
+def _assert_weights_match_oracle(dataset, table, max_ratio):
+    """_weights_and_returns raises what the oracle first raises, in trajectory
+    order, or gives its weights bit for bit."""
+    traces = [RewardTrace([], [0.0], 0.0) for _ in dataset.trajectories]
+    try:
+        expected = [oracle_trajectory_weight(t, table, max_ratio) for t in dataset.trajectories]
+    except (SchemaError, ValidationError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            ope._weights_and_returns(dataset, traces, table, max_ratio)
+        assert str(raised.value) == str(exc)
+        return
+    weights, _ = ope._weights_and_returns(dataset, traces, table, max_ratio)
+    assert np.array_equal(weights, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(weights), np.signbit(expected))
+
+
+def _random_table(dataset, seed, zero_eval=0.0):
+    """The identity table's rows with random probabilities."""
+    rng = np.random.default_rng(seed)
+    columns = identity_prob_table(dataset).columns
+    rows = len(columns.t)
+    p_eval = rng.uniform(0.0, 1.0, rows) * (rng.uniform(size=rows) >= zero_eval)
+    p_behavior = rng.uniform(0.02, 1.0, rows)
+    return PolicyProbTable.of_columns(columns._replace(p_eval=p_eval, p_behavior=p_behavior))
+
+
+class TestJoinedWeights:
+    """The one join per table behind trajectory_weight, against the oracle."""
+
+    @pytest.mark.parametrize("max_ratio", [None, 5.0, math.inf])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_generated_cohort_matches_oracle(self, seed, max_ratio):
+        dataset = generate(CohortConfig(n_patients=80, horizon_min=2, horizon_max=30, seed=seed))
+        table = _random_table(dataset, seed, zero_eval=0.02)
+        patient_ids = [traj.patient_id for traj in dataset.trajectories]
+        weights, flagged = ope._join_weights(
+            dataset.shared_block, patient_ids, table, max_ratio
+        )
+        assert not any(flagged)
+        expected = [oracle_trajectory_weight(t, table, max_ratio) for t in dataset.trajectories]
+        assert weights == expected
+        _assert_weights_match_oracle(dataset, table, max_ratio)
+
+    def test_overflowing_products_match_without_warnings(self):
+        # p0's product overflows to inf; p1's then meets a zero ratio: NaN.
+        dataset = _view_dataset([list(range(12)), [0, 1, 2, 3]])
+        tiny = {("p0", t): 1e-300 if t % 2 else 1.0 for t in range(11)}
+        tiny |= {("p1", 0): 1e-300, ("p1", 1): 1e-300, ("p1", 2): 1e-300}
+        for p_eval in (1.0, 0.5):
+            probs = {key: (p_eval, p) for key, p in tiny.items()}
+            probs[("p1", 2)] = (0.0, 1e-300)
+            _assert_weights_match_oracle(dataset, PolicyProbTable(probs), None)
+
+    def test_one_step_and_empty_trajectories(self):
+        dataset = _view_dataset([[0], [3, 4, 5], [7], [], [2, 9]])
+        table = PolicyProbTable(
+            {("p1", 3): (0.5, 0.25), ("p1", 4): (0.3, 0.9), ("p4", 2): (1.0, 0.5)}
+        )
+        patient_ids = [traj.patient_id for traj in dataset.trajectories]
+        weights, flagged = ope._join_weights(dataset.shared_block, patient_ids, table, None)
+        assert weights[0] == weights[2] == weights[3] == 1.0
+        assert not any(flagged)
+        _assert_weights_match_oracle(dataset, table, None)
+
+    @pytest.mark.parametrize(
+        "rows, flagged",
+        [
+            pytest.param({("p1", 9): (0.5, 0.5)}, [False, True, False], id="extra-row"),
+            pytest.param({("p0", 0): (0.5, 0.5)}, [True, False, False], id="extra-row-first"),
+            pytest.param({("p1", 4): None}, [False, True, False], id="skipped-step"),
+            pytest.param({("p1", 5): (0.5, 0.5), ("p1", 4): None}, [False, True, False],
+                         id="row-off-the-steps"),
+            pytest.param({("p2", 8): (0.5, 0.0)}, [False, False, True], id="zero-behavior"),
+        ],
+    )
+    def test_rows_that_do_not_match_are_flagged(self, rows, flagged):
+        dataset = _view_dataset([[1], [3, 4, 6], [7, 8, 10]])
+        probs = {("p1", 3): (0.5, 0.25), ("p1", 4): (0.3, 0.9), ("p2", 7): (0.4, 0.5),
+                 ("p2", 8): (0.9, 0.3)}
+        probs.update(rows)
+        probs = {key: p for key, p in probs.items() if p is not None}
+        table = PolicyProbTable(probs)
+        patient_ids = [traj.patient_id for traj in dataset.trajectories]
+        assert ope._join_weights(dataset.shared_block, patient_ids, table, None)[1] == flagged
+        for max_ratio in (None, 1.5):
+            _assert_weights_match_oracle(dataset, table, max_ratio)
+
+    def test_first_offender_in_trajectory_order(self):
+        # p1 misses a row; p3, later, has a zero p_behavior: p1 is reported.
+        dataset = _view_dataset([[0, 1], [0, 1, 2], [0, 1], [0, 1, 2]])
+        table = PolicyProbTable({
+            ("p0", 0): (0.5, 0.5), ("p1", 0): (0.5, 0.5), ("p2", 0): (0.5, 0.5),
+            ("p3", 0): (0.5, 0.5), ("p3", 1): (0.5, 0.0),
+        })
+        with pytest.raises(SchemaError, match=r"^no policy probabilities for patient 'p1' at t=1"):
+            bootstrap_ci(dataset, [RewardTrace([], [0.0], 0.0)] * 4, table, resamples=10)
+        _assert_weights_match_oracle(dataset, table, None)
+        del dataset.trajectories[1]  # no longer one block: every weight is computed alone
+        with pytest.raises(ValidationError, match=r"^patient 'p3' t=1: behavior probability is 0"):
+            wis(dataset, [RewardTrace([], [0.0], 0.0)] * 3, table)
+        assert ope._joined == ope._NOT_JOINED
+
+    def test_dataset_not_a_view_of_one_block(self):
+        cohort = generate(CohortConfig(n_patients=30, horizon_min=2, horizon_max=12, seed=4))
+        table = _random_table(cohort, seed=4)
+        rebuilt = make_dataset([Trajectory(t.patient_id, t.steps, t.survived, 5.0)
+                                for t in cohort.trajectories])
+        reordered = dataclasses.replace(cohort, trajectories=cohort.trajectories[::-1])
+        for dataset in (rebuilt, reordered):
+            assert dataset.shared_block is None
+            _assert_weights_match_oracle(dataset, table, 2.0)
+
+    def test_memo_keys_on_block_table_and_max_ratio(self, monkeypatch):
+        dataset = generate(CohortConfig(n_patients=6, horizon_min=3, horizon_max=6, seed=2))
+        table = _random_table(dataset, seed=2)
+        twin = PolicyProbTable.of_columns(table.columns)
+        assert twin == table and twin is not table
+        trajs = dataset.trajectories
+        patient_ids = [traj.patient_id for traj in trajs]
+        n = len(trajs)
+        monkeypatch.setattr(
+            ope, "_joined",
+            (dataset.shared_block, table, 5.0, patient_ids, [7.0] * n, [False] * (n - 1) + [True]),
+        )
+        assert trajectory_weight(trajs[0], table, 5.0) == 7.0  # read from the slot
+        expected = [oracle_trajectory_weight(t, table, 5.0) for t in trajs]
+        assert trajectory_weight(trajs[-1], table, 5.0) == expected[-1]  # flagged
+        assert trajectory_weight(trajs[0], twin, 5.0) == expected[0]
+        assert trajectory_weight(trajs[0], table) == oracle_trajectory_weight(trajs[0], table)
+        assert trajectory_weight(trajs[0], table, 4.0) == oracle_trajectory_weight(
+            trajs[0], table, 4.0
+        )
+        rebuilt = Trajectory(trajs[0].patient_id, trajs[0].steps, True, 5.0)
+        assert trajectory_weight(rebuilt, table, 5.0) == expected[0]
+        other = Trajectory.view("q", dataset.shared_block, 0, True, 5.0)
+        with pytest.raises(SchemaError, match="'q'"):
+            trajectory_weight(other, table, 5.0)
+
+    def test_equal_tables_and_changed_max_ratio_between_calls(self):
+        dataset = generate(CohortConfig(n_patients=40, horizon_min=2, horizon_max=10, seed=6))
+        alone = make_dataset(
+            [Trajectory(t.patient_id, t.steps, t.survived, 5.0) for t in dataset.trajectories]
+        )
+        traces = [RewardTrace([], [0.0], float(i % 3)) for i in range(40)]
+        table = _random_table(dataset, seed=6)
+        twin = PolicyProbTable.of_columns(table.columns)
+        for max_ratio in (None, 1.5, None, math.inf, 1.5):
+            for probs in (table, twin):
+                est = bootstrap_ci(dataset, traces, probs, resamples=64, max_ratio=max_ratio)
+                assert est == bootstrap_ci(alone, traces, probs, resamples=64, max_ratio=max_ratio)
+
+    def test_no_table_outlives_its_evaluation(self):
+        dataset = generate(CohortConfig(n_patients=10, horizon_min=2, horizon_max=6, seed=8))
+        traces = [RewardTrace([], [0.0], 1.0)] * 10
+        table = _random_table(dataset, seed=8)
+        ref = weakref.ref(table)
+        bootstrap_ci(dataset, traces, table, resamples=20)
+        assert ope._joined == ope._NOT_JOINED
+        del table
+        gc.collect()
+        assert ref() is None
 
 
 class TestWis:
@@ -304,13 +480,41 @@ class TestResampleMemo:
         assert resample_counts(0, 255, 3).dtype == np.uint8
         assert resample_counts(0, 256, 3).dtype == np.uint16
 
-    @pytest.mark.parametrize("n", [2, 255, 256, 500])
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 500, 501])
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3])
     def test_counts_match_oracle(self, seed, n):
-        counts = resample_counts(seed, n, 40)
-        expected = oracle_resample_counts(seed, n, 40)
-        assert counts.dtype == expected.dtype
-        assert np.array_equal(counts, expected)
+        # Row b depends on (seed, b) alone, so each count is a prefix of the
+        # oracle's rows. The counts are made in chunks of 64 rows.
+        expected = oracle_resample_counts(seed, n, 129)
+        for resamples in (1, 40, 63, 64, 65, 129):
+            counts = resample_counts(seed, n, resamples)
+            assert counts.dtype == expected.dtype
+            assert np.array_equal(counts, expected[:resamples])
+
+    def test_counts_match_oracle_where_rows_are_redrawn(self):
+        n, resamples = 70000, 65
+        # Rows with a word whose m = u * n leaves low bits below n, where
+        # numpy may reject a word: resample_counts draws them again.
+        redrawn = 0
+        for b in range(resamples):
+            bits = np.random.PCG64(np.random.SeedSequence([0, b]))
+            words = bits.random_raw(n // 2).astype("<u8").view("<u4")
+            redrawn += bool((words * np.uint32(n) < n).any())
+        assert redrawn == 43
+        expected = oracle_resample_counts(0, n, resamples)
+        assert np.array_equal(resample_counts(0, n, resamples), expected)
+
+    def test_counts_hold_no_whole_matrix_of_words(self):
+        resample_counts(0, 2, 1)  # numpy's first-use allocations, outside the trace
+        resample_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = resample_counts(0, 500, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every word at once would be 10 MB; a chunk's buffers are well under 1 MB.
+        assert peak - counts.nbytes < 1_000_000
 
     def test_counts_pinned_by_golden_hash(self):
         # Recorded with one SeedSequence and generator per resample.

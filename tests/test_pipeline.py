@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import ScriptedLlmClient
+from tridrive import ope as ope_module
 from tridrive import pipeline as pipeline_module
 from tridrive.errors import ConfigError, FormatError, LlmClientError, PipelineError
 from tridrive.llm import StubLlmClient
@@ -24,6 +25,7 @@ from tridrive.pipeline import (
     generate_candidates,
     load_feature_ids,
     load_spec_dir,
+    ope_stage,
     pareto_from_rows,
     pipeline_config_from_json,
     run_digest,
@@ -525,6 +527,31 @@ class TestPipelineSeries:
         series = (tmp_path / "run/ope/wis_series.csv").read_text().splitlines()
         assert series[0] == "checkpoint,policy,value,ci_low,ci_high"
         assert len(series) == 3
+
+
+    @pytest.mark.parametrize("tables", [0, 2])
+    def test_weights_called_once_per_trajectory_per_table(
+        self, small_dataset_path, tmp_path, monkeypatch, tables
+    ):
+        # perfbench's traced run patches tridrive.ope.trajectory_weight and
+        # fails when a patched call site goes uncalled.
+        ds = load_dataset(small_dataset_path)
+        paths = [tmp_path / f"ckpt{i}.json" for i in range(tables)]
+        for path in paths:
+            save_prob_table(identity_prob_table(ds), path)
+        calls = []
+        weight = ope_module.trajectory_weight
+
+        def counted(traj, probs, max_ratio=None):
+            calls.append(traj.patient_id)
+            return weight(traj, probs, max_ratio)
+
+        monkeypatch.setattr(ope_module, "trajectory_weight", counted)
+        ope_stage(
+            ds, reference_spec(SMALL), [str(p) for p in paths], tmp_path / "ope",
+            level=0.9, resamples=20, seed=0, bins=2,
+        )
+        assert calls == [traj.patient_id for traj in ds.trajectories] * max(tables, 1)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2**20, 2**20 + 1, 3 * 2**20 + 12345])
