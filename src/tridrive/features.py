@@ -114,20 +114,13 @@ def compute_metadata(dataset: TrajectoryDataset) -> list[FeatureMetadata]:
     outcome = np.repeat(
         [1.0 if traj.survived else 0.0 for traj in dataset.trajectories], np.diff(cols.offsets)
     )
-    feature_column = {fid: j for j, fid in enumerate(cols.feature_ids)}
+    present = dict(zip(cols.feature_ids, cols.mask.sum(axis=0).tolist()))
     action_column = {aid: j for j, aid in enumerate(cols.action_ids)}
     action_ids = sorted(dataset.action_schema)
     result = []
     for fid in dataset.feature_ids():
-        j = feature_column.get(fid)
-        if j is None:  # no step has the feature
-            total = missing = 0
-            fresh, arr = np.zeros(len(cols.t), dtype=bool), np.zeros(0)
-        else:
-            stale = cols.mask[:, j] & (cols.staleness[:, j] > 0)
-            fresh = cols.mask[:, j] & ~stale
-            total, missing = int(cols.mask[:, j].sum()), int(stale.sum())
-            arr = cols.values[fresh, j]
+        fresh, arr = cols.fresh(fid)
+        total = present.get(fid, 0)  # 0 when no step has the feature
         if arr.size:
             q25, median, q75 = _quantiles(arr, [0.25, 0.5, 0.75])
             mean, std = float(arr.mean()), float(arr.std())
@@ -144,7 +137,7 @@ def compute_metadata(dataset: TrajectoryDataset) -> list[FeatureMetadata]:
                 count=int(arr.size),
                 mean=mean,
                 std=std,
-                missingness=missing / total if total else 1.0,
+                missingness=(total - arr.size) / total if total else 1.0,
                 rho_outcome=_safe_pearson(arr, outcome[fresh]),
                 rho_action={aid: _safe_pearson(arr, levels[aid]) for aid in action_ids},
                 q25=q25,

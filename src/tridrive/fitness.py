@@ -78,13 +78,7 @@ def _feature_iqr(cols: CohortColumns, fid: str) -> float:
     Falls back to all values if nothing is fresh, and to 1.0 (the full
     normalized scale) if the spread is degenerate.
     """
-    if fid not in cols.feature_ids:
-        return 1.0
-    j = cols.feature_ids.index(fid)
-    present = cols.mask[:, j]
-    values = cols.values[present & (cols.staleness[:, j] == 0), j]
-    if not values.size:
-        values = cols.values[present, j]
+    _, values = cols.fresh(fid, or_present=True)
     if not values.size:
         return 1.0
     q25, q75 = _quantiles(values, [0.25, 0.75])

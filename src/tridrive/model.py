@@ -3,17 +3,17 @@
 A dataset is a cohort of per-patient trajectories with irregular
 observations. Feature values arrive pre-normalized to [0, 1]; each
 observation also carries its staleness (hours since the value was last
-genuinely measured, 0 when fresh). Datasets are immutable after load and
-safe to share across parallel workers.
+genuinely measured, 0 when fresh). Datasets are frozen values, safe to
+share across parallel workers.
 
-In memory, a loaded or generated cohort is held once, as columns: one
-CohortColumns block with a row per step, patient after patient, and
-offsets that give each patient its rows (the offsets buffer of the Arrow
-columnar layout). Each of its trajectories is a view: its columns are
-slices of the block, and its steps, the Step and Observation objects, are
-built only when read. A trajectory built from steps,
-Trajectory(patient_id, steps, survived, sofa_baseline), derives its
-columns from them on first use instead.
+A dataset holds its cohort once, as columns: one CohortColumns block with
+a row per step, patient after patient, and offsets that give each patient
+its rows (the offsets buffer of the Arrow columnar layout). Its trajectory
+k is a view of row span k: its columns are slices of the block, and its
+steps, the Step and Observation objects, are built only when read. A
+trajectory built from steps, Trajectory(patient_id, steps, survived,
+sofa_baseline), derives its own columns from them on first use; a dataset
+of such trajectories builds its block from their steps once.
 """
 
 from __future__ import annotations
@@ -188,6 +188,18 @@ class CohortColumns:
             offsets=np.array([0] + [len(sl) for sl in step_lists]).cumsum(),
         )
 
+    def fresh(self, fid: str, or_present: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, values): a flag per row, where feature fid is present with
+        staleness 0, and its values there. With or_present, a feature never
+        fresh gives the rows where it is present instead."""
+        if fid not in self.feature_ids:
+            return np.zeros(len(self.t), dtype=bool), np.zeros(0)
+        j = self.feature_ids.index(fid)
+        rows = self.mask[:, j] & (self.staleness[:, j] == 0)
+        if or_present and not rows.any():
+            rows = self.mask[:, j]
+        return rows, self.values[rows, j]
+
     def take(self, ks: list[int]) -> "CohortColumns":
         """A new block of the rows of trajectories ks, in that order."""
         lo, hi = self.offsets[ks], self.offsets[np.add(ks, 1)]
@@ -213,7 +225,7 @@ class Trajectory:
     """One patient's stay: a frozen value, varied with dataclasses.replace.
 
     Built from steps, a trajectory derives its columns from them on first
-    use. Built by view() (as load_dataset and synth.generate do), it is a
+    use. Built by view(), as every trajectory of a dataset is, it is a
     view of a CohortColumns block: its columns are slices of the block,
     and its steps are built from them only when read. Changing a Step
     object in place changes neither its trajectory's columns nor, for a
@@ -227,13 +239,17 @@ class Trajectory:
 
     @classmethod
     def view(
-        cls, patient_id: str, block: CohortColumns, k: int, survived: bool, sofa_baseline: float
+        cls, patient_id: str, block: CohortColumns, k: int, survived: bool, sofa_baseline: float,
+        steps: list[Step] | None = None,
     ) -> "Trajectory":
-        """The trajectory of block's rows offsets[k] to offsets[k + 1] - 1."""
+        """The trajectory of block's rows offsets[k] to offsets[k + 1] - 1;
+        its steps, unless given, are built from them when first read."""
         traj = cls.__new__(cls)
         traj.__dict__.update(
             patient_id=patient_id, survived=survived, sofa_baseline=sofa_baseline, _view=(block, k)
         )
+        if steps is not None:
+            traj.__dict__["steps"] = steps
         return traj
 
     def __getattr__(self, name: str):
@@ -257,35 +273,35 @@ class Trajectory:
         return self.__dict__.get("_view") or (self.columns, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryDataset:
-    trajectories: list[Trajectory]
+    """A cohort whose trajectory k is a view of row span k of its block,
+    columns: the block the trajectories view when they are all of it in
+    order; else a new block of their rows, taken from the one block they
+    view or built from their steps. A trajectory's steps, if it has them,
+    are kept."""
+
+    trajectories: tuple[Trajectory, ...]
     feature_schema: dict[str, FeatureSpec]
     action_schema: dict[str, ActionSpec]
+    columns: CohortColumns = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        trajs = tuple(self.trajectories)
+        views = [traj.__dict__.get("_view") for traj in trajs]
+        block = views[0][0] if views and views[0] is not None else None
+        if block is None or views != [(block, k) for k in range(len(block.offsets) - 1)]:
+            if block is not None and all(view and view[0] is block for view in views):
+                block = block.take([k for _, k in views])
+            else:
+                block = CohortColumns.of([traj.steps for traj in trajs], self.action_schema)
+            trajs = tuple(Trajectory.view(t.patient_id, block, k, t.survived, t.sofa_baseline,
+                                          t.__dict__.get("steps")) for k, t in enumerate(trajs))
+        object.__setattr__(self, "trajectories", trajs)
+        object.__setattr__(self, "columns", block)
 
     def feature_ids(self) -> list[str]:
         return sorted(self.feature_schema)
-
-    @property
-    def shared_block(self) -> CohortColumns | None:
-        """The block the trajectories are views of when they are all of it,
-        in order (as for a loaded, generated or split dataset): trajectory k
-        is then its trajectory k. None otherwise."""
-        views = [traj.__dict__.get("_view") for traj in self.trajectories]
-        block = views[0][0] if views and views[0] is not None else None
-        if block is not None and views == [(block, k) for k in range(len(block.offsets) - 1)]:
-            return block
-        return None
-
-    @property
-    def columns(self) -> CohortColumns:
-        """The rows of every trajectory, in order, as one block: the shared
-        block when there is one, and otherwise a new block built from their
-        steps."""
-        block = self.shared_block
-        if block is not None:
-            return block
-        return CohortColumns.of([traj.steps for traj in self.trajectories], self.action_schema)
 
     def validate(self) -> None:
         """Check every type invariant; raises ValidationError naming the

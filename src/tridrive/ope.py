@@ -15,9 +15,10 @@ that count matrix with its weights. The counts are read from PCG64's raw
 outputs with numpy's own bounded-draw method, a chunk of resamples at a
 time, and any resample where that method might reject a word is drawn by
 numpy itself. A table's weights come from one join of its rows to the
-dataset's transition rows; trajectory_weight, called per trajectory, reads
-them. The OPE stage (tridrive.pipeline.ope_stage) evaluates the tables of a
-series one at a time, so memory does not grow with the table count.
+transition rows of the dataset's block; trajectory_weight, called per
+trajectory, reads them, or works out alone one the join flags. The OPE
+stage (tridrive.pipeline.ope_stage) evaluates a series' tables one at a
+time, so memory does not grow with the table count.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class PolicyProbTable:
         if bad.any():
             pid, step = keys[int(np.argmax(bad))]
             raise ValidationError(
-                f"({pid!r}, t={step}): t not a whole number of magnitude below 2**31"
+                f"({pid!r}, t={step}): t not a whole number of magnitude below 2**53"
             )
         return ProbColumns(
             dict(zip(rows, zip([0, *ends], ends))),
@@ -183,8 +184,8 @@ def trajectory_weight(
     step comes first.
 
     Called by wis and bootstrap_ci once per trajectory of a dataset, it
-    returns the weight that their one join of the table computed
-    (_join_weights), unless the join flagged the trajectory.
+    returns the weight their one join of the table to the dataset's block
+    computed (_join_weights), unless the join flagged the trajectory.
     """
     block, k = trajectory.block
     joined_block, joined_probs, joined_max_ratio, patient_ids, weights, flagged = _joined
@@ -233,7 +234,7 @@ def trajectory_weight(
 
 
 # The weights of the table being evaluated by _weights_and_returns, keyed on
-# the dataset's shared block, the table and max_ratio: (block, table,
+# the dataset's block, the table and max_ratio: (block, table,
 # max_ratio, patient_ids, weights, flagged). One slot, emptied before
 # _weights_and_returns returns, so no table outlives its evaluation. It is
 # read and replaced as one tuple, so concurrent calls never pair a key with
@@ -289,19 +290,17 @@ def _weights_and_returns(
     probs: PolicyProbTable,
     max_ratio: float | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each trajectory's weight, by trajectory_weight, and return. When the
-    dataset has a shared block, the table is joined to it once first, and
+    """Each trajectory's weight, by trajectory_weight, and return. The
+    table is joined to the dataset's block once first, and
     trajectory_weight reads the joined weights."""
     global _joined
     returns = trace_returns(dataset, traces)
     if max_ratio is not None and not max_ratio > 0.0:
         raise ValidationError(f"max_ratio must be > 0 (inf allowed), got {max_ratio}")
-    block = dataset.shared_block
+    patient_ids = [traj.patient_id for traj in dataset.trajectories]
     try:
-        if block is not None:
-            patient_ids = [traj.patient_id for traj in dataset.trajectories]
-            joined = _join_weights(block, patient_ids, probs, max_ratio)
-            _joined = (block, probs, max_ratio, patient_ids, *joined)
+        joined = _join_weights(dataset.columns, patient_ids, probs, max_ratio)
+        _joined = (dataset.columns, probs, max_ratio, patient_ids, *joined)
         weights = np.array(
             [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
         )

@@ -87,17 +87,13 @@ def assign_split(patient_id: str) -> str:
 
 
 def filter_split(dataset: TrajectoryDataset, split: str | None) -> TrajectoryDataset:
-    """The split's trajectories, as views of a new block of their rows alone."""
+    """The split's trajectories, as a dataset of their rows alone."""
     if split is None or split == "all":
         return dataset
     if split not in SPLIT_NAMES:
         raise ConfigError(f"unknown split {split!r}; expected one of {SPLIT_NAMES} or 'all'")
-    trajs = dataset.trajectories
-    ks = [k for k, traj in enumerate(trajs) if assign_split(traj.patient_id) == split]
-    if not ks:
-        return replace(dataset, trajectories=[])
-    kept = [(trajs[k].patient_id, trajs[k].survived, trajs[k].sofa_baseline) for k in ks]
-    return replace(dataset, trajectories=dataset.columns.take(ks).views(*zip(*kept)))
+    kept = [traj for traj in dataset.trajectories if assign_split(traj.patient_id) == split]
+    return replace(dataset, trajectories=kept)
 
 
 # ---------------------------------------------------------------------------

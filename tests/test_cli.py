@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -333,7 +334,7 @@ class TestPipelineCommand:
             None,
         )
         if empty is None:
-            ds.trajectories = ds.trajectories[:2]
+            ds = dataclasses.replace(ds, trajectories=ds.trajectories[:2])
             taken = {assign_split(t.patient_id) for t in ds.trajectories}
             empty = next(s for s in ("reward_test", "policy_test", "reward_train")
                          if s not in taken)

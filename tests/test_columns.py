@@ -34,7 +34,7 @@ from conftest import (
 from tridrive import model
 from tridrive.errors import ValidationError
 from tridrive.features import compute_metadata, summarize_dataset
-from tridrive.fitness import CompMetricConfig, _feature_iqr
+from tridrive.fitness import CompMetricConfig, _feature_iqr, fitness
 from tridrive.model import (
     ActionSpec,
     FeatureSpec,
@@ -44,7 +44,7 @@ from tridrive.model import (
     load_dataset,
     save_dataset,
 )
-from tridrive.ope import bootstrap_ci, identity_prob_table, mortality_curve
+from tridrive.ope import PolicyProbTable, bootstrap_ci, identity_prob_table, mortality_curve, wis
 from tridrive.pipeline import PipelineConfig, PipelineRun, filter_split, run_pipeline, score_specs
 from tridrive.rewards import trace
 from tridrive.synth import CohortConfig, generate, reference_spec
@@ -398,15 +398,16 @@ def _observe(step, **change):
 @st.composite
 def broken_datasets(draw):
     """A valid dataset after one break of _BREAKS at a random row of a
-    random trajectory."""
+    random trajectory. A dataset's block is built once, so the dataset is
+    made again from the broken steps."""
     dataset = draw(datasets())
-    k = draw(st.integers(0, len(dataset.trajectories) - 1))
-    traj = dataset.trajectories[k]
-    r = draw(st.integers(0, len(traj.steps) - 1))
-    change = _BREAKS[draw(st.sampled_from(sorted(_BREAKS)))](draw, traj, r)
+    trajs = [dataclasses.replace(traj) for traj in dataset.trajectories]
+    k = draw(st.integers(0, len(trajs) - 1))
+    r = draw(st.integers(0, len(trajs[k].steps) - 1))
+    change = _BREAKS[draw(st.sampled_from(sorted(_BREAKS)))](draw, trajs[k], r)
     if isinstance(change, dict):
-        dataset.trajectories[k] = dataclasses.replace(traj, **change)
-    return dataset
+        trajs[k] = dataclasses.replace(trajs[k], **change)
+    return dataclasses.replace(dataset, trajectories=trajs)
 
 
 @settings(
@@ -426,6 +427,72 @@ def test_validate_matches_the_step_by_step_oracle(tmp_path, dataset):
     assert str(loaded.value) == message
 
 
+def test_a_dataset_is_frozen():
+    dataset = generate(CohortConfig(n_patients=3, horizon_min=2, horizon_max=4, seed=1))
+    assert isinstance(dataset.trajectories, tuple)
+    for name in ("trajectories", "feature_schema", "action_schema", "columns"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dataset, name, getattr(dataset, name))
+
+
+@pytest.mark.parametrize(
+    "route", ["loaded", "step-built", "reordered", "subset", "repeated", "mixed", "empty"]
+)
+def test_trajectory_k_is_row_span_k_of_the_block(tmp_path, route):
+    path = tmp_path / "c.json"
+    save_dataset(generate(CohortConfig(n_patients=6, horizon_min=3, horizon_max=8, seed=5)), path)
+    loaded, other = load_dataset(path), load_dataset(path)
+    views = loaded.trajectories
+    given = {
+        "loaded": views,
+        "step-built": [
+            Trajectory(t.patient_id, t.steps, t.survived, t.sofa_baseline)
+            for t in other.trajectories
+        ],
+        "reordered": views[::-1],
+        "subset": views[1::2],
+        "repeated": [views[2]] * 3 + [views[0]],
+        "mixed": [views[0], other.trajectories[1], dataclasses.replace(views[2])],
+        "empty": [],
+    }[route]
+    dataset = dataclasses.replace(loaded, trajectories=given)
+    block = dataset.columns
+    assert (block is loaded.columns) == (route == "loaded")
+    assert isinstance(dataset.trajectories, tuple) and len(block.offsets) == len(given) + 1
+    assert [t.block for t in dataset.trajectories] == [(block, k) for k in range(len(given))]
+    steps = [t.steps for t in given]
+    assert [block.steps(k) for k in range(len(given))] == steps
+    assert [t.steps for t in dataset.trajectories] == steps
+    assert [(t.patient_id, t.survived, t.sofa_baseline) for t in dataset.trajectories] == [
+        (t.patient_id, t.survived, t.sofa_baseline) for t in given
+    ]
+
+
+def test_a_step_built_cohort_scores_as_its_file(tmp_path):
+    config = CohortConfig(n_patients=40, horizon_min=4, horizon_max=12, seed=9)
+    cohort = generate(config)
+    built = dataclasses.replace(cohort, trajectories=[
+        Trajectory(t.patient_id, t.steps, t.survived, t.sofa_baseline) for t in cohort.trajectories
+    ])
+    path = tmp_path / "c.json"
+    save_dataset(built, path)
+    rng = np.random.default_rng(9)
+    rows = identity_prob_table(cohort).columns
+    table = PolicyProbTable.of_columns(rows._replace(
+        p_eval=rng.uniform(0.1, 1.0, len(rows.t)), p_behavior=rng.uniform(0.1, 1.0, len(rows.t))
+    ))
+    spec = reference_spec(config)
+    results = []
+    for dataset in (built, load_dataset(path)):
+        traces = [trace(t, spec) for t in dataset.trajectories]
+        results.append((
+            fitness(dataset, spec),
+            wis(dataset, traces, table),
+            bootstrap_ci(dataset, traces, table, resamples=200),
+        ))
+    assert results[0] == results[1]
+
+
 def test_assigning_steps_detaches_a_view(tmp_path):
     """Assigning a view's steps raises; a view replaced with new steps is
     detached from the block."""
@@ -438,16 +505,21 @@ def test_assigning_steps_detaches_a_view(tmp_path):
     assert len(view.columns.t) == 8
     with pytest.raises(dataclasses.FrozenInstanceError):
         view.steps = view.steps[:5]
-    traj = dataset.trajectories[1] = dataclasses.replace(view, steps=view.steps[:5])
+    traj = dataclasses.replace(view, steps=view.steps[:5])
     assert "_view" not in traj.__dict__
     assert traj.columns.t.tolist() == [0, 1, 2, 3, 4]
     assert len(trace(traj, spec).rewards) == 4
+    first, _, *rest = dataset.trajectories
+    dataset = dataclasses.replace(dataset, trajectories=[first, traj, *rest])
     cols = dataset.columns
     assert cols is not block and np.diff(cols.offsets).tolist() == [8, 5, 8, 8]
+    assert dataset.trajectories[1].block == (cols, 1)
+    assert dataset.trajectories[1].steps is traj.steps
     path = tmp_path / "d.json"
     save_dataset(dataset, path)
     assert load_dataset(path) == dataset
-    dataset.trajectories[1] = dataclasses.replace(traj, steps=traj.steps[:1])
+    short = dataclasses.replace(traj, steps=traj.steps[:1])
+    dataset = dataclasses.replace(dataset, trajectories=[first, short, *rest])
     with pytest.raises(ValidationError, match="^patient 'synth_00001': needs >= 2 steps"):
         dataset.validate()
 

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 
 import pytest
@@ -54,10 +55,10 @@ def test_empty_trajectory_list_is_valid(tmp_path):
             )
         ]
     )
-    dataset.trajectories = []
+    dataset = dataclasses.replace(dataset, trajectories=[])
     path = tmp_path / "empty.json"
     save_dataset(dataset, path)
-    assert load_dataset(path).trajectories == []
+    assert load_dataset(path).trajectories == ()
 
 
 def _write_doc(tmp_path, mutate):

@@ -28,7 +28,7 @@ from tridrive.errors import (
     TridriveError,
     ValidationError,
 )
-from tridrive.model import CohortColumns, Trajectory, save_dataset
+from tridrive.model import Trajectory, save_dataset
 from tridrive.ope import (
     PolicyProbTable,
     bootstrap_ci,
@@ -157,12 +157,11 @@ class TestTrajectoryWeight:
 
 
 def _view_dataset(times):
-    """A dataset whose trajectories are views of one block, one per list of
-    step times, patients p0, p1, ..."""
-    steps = [[make_step(t, {"f1": 0.5}) for t in ts] for ts in times]
-    block = CohortColumns.of(steps, {})
-    pids = [f"p{i}" for i in range(len(times))]
-    return make_dataset(block.views(pids, [True] * len(times), [5.0] * len(times)))
+    """A dataset of one trajectory per list of step times, patients p0, p1, ..."""
+    return make_dataset([
+        Trajectory(f"p{i}", [make_step(t, {"f1": 0.5}) for t in ts], True, 5.0)
+        for i, ts in enumerate(times)
+    ])
 
 
 def _assert_weights_match_oracle(dataset, table, max_ratio):
@@ -201,12 +200,33 @@ class TestJoinedWeights:
         table = _random_table(dataset, seed, zero_eval=0.02)
         patient_ids = [traj.patient_id for traj in dataset.trajectories]
         weights, flagged = ope._join_weights(
-            dataset.shared_block, patient_ids, table, max_ratio
+            dataset.columns, patient_ids, table, max_ratio
         )
         assert not any(flagged)
         expected = [oracle_trajectory_weight(t, table, max_ratio) for t in dataset.trajectories]
         assert weights == expected
         _assert_weights_match_oracle(dataset, table, max_ratio)
+
+    def test_a_step_built_dataset_is_joined_once(self, monkeypatch):
+        # Built from steps, as acceptance criterion 8 builds its cohort.
+        trajs, probs = [], {}
+        for i in range(20):
+            pid = f"mdp_{i:05d}"
+            steps = [make_step(t, {"s": 0.25 + 0.5 * ((i + t) % 2)}, action={"a": i % 2})
+                     for t in range(2)]
+            trajs.append(Trajectory(pid, [*steps, make_step(2, {"s": 0.75})], True, 5.0))
+            probs |= {(pid, t): (0.3 + 0.2 * ((i + t) % 3), 0.4 + 0.1 * t) for t in range(2)}
+        dataset = make_dataset(trajs, action_max={"a": 1.0})
+        table = PolicyProbTable(probs)
+        join, joins = ope._join_weights, []
+        monkeypatch.setattr(
+            ope, "_join_weights", lambda *args: joins.append(join(*args)) or joins[-1]
+        )
+        traces = [RewardTrace([], [0.0], float(i % 4)) for i in range(20)]
+        weights = np.array([oracle_trajectory_weight(t, table, None) for t in trajs])
+        returns = np.array([t.cumulative for t in traces])
+        assert wis(dataset, traces, table) == float(np.dot(weights, returns) / weights.sum())
+        assert len(joins) == 1 and not any(joins[0][1])
 
     def test_overflowing_products_match_without_warnings(self):
         # p0's product overflows to inf; p1's then meets a zero ratio: NaN.
@@ -224,7 +244,7 @@ class TestJoinedWeights:
             {("p1", 3): (0.5, 0.25), ("p1", 4): (0.3, 0.9), ("p4", 2): (1.0, 0.5)}
         )
         patient_ids = [traj.patient_id for traj in dataset.trajectories]
-        weights, flagged = ope._join_weights(dataset.shared_block, patient_ids, table, None)
+        weights, flagged = ope._join_weights(dataset.columns, patient_ids, table, None)
         assert weights[0] == weights[2] == weights[3] == 1.0
         assert not any(flagged)
         _assert_weights_match_oracle(dataset, table, None)
@@ -248,7 +268,7 @@ class TestJoinedWeights:
         probs = {key: p for key, p in probs.items() if p is not None}
         table = PolicyProbTable(probs)
         patient_ids = [traj.patient_id for traj in dataset.trajectories]
-        assert ope._join_weights(dataset.shared_block, patient_ids, table, None)[1] == flagged
+        assert ope._join_weights(dataset.columns, patient_ids, table, None)[1] == flagged
         for max_ratio in (None, 1.5):
             _assert_weights_match_oracle(dataset, table, max_ratio)
 
@@ -262,19 +282,25 @@ class TestJoinedWeights:
         with pytest.raises(SchemaError, match=r"^no policy probabilities for patient 'p1' at t=1"):
             bootstrap_ci(dataset, [RewardTrace([], [0.0], 0.0)] * 4, table, resamples=10)
         _assert_weights_match_oracle(dataset, table, None)
-        del dataset.trajectories[1]  # no longer one block: every weight is computed alone
+        # Without p1, the join flags p3 alone, and its own weight raises.
+        first, _, *rest = dataset.trajectories
+        dataset = dataclasses.replace(dataset, trajectories=[first, *rest])
         with pytest.raises(ValidationError, match=r"^patient 'p3' t=1: behavior probability is 0"):
             wis(dataset, [RewardTrace([], [0.0], 0.0)] * 3, table)
         assert ope._joined == ope._NOT_JOINED
 
     def test_dataset_not_a_view_of_one_block(self):
+        # Made of trajectories that are not all of one block in order, a
+        # dataset owns a new block, and its table is joined to that.
         cohort = generate(CohortConfig(n_patients=30, horizon_min=2, horizon_max=12, seed=4))
         table = _random_table(cohort, seed=4)
         rebuilt = make_dataset([Trajectory(t.patient_id, t.steps, t.survived, 5.0)
                                 for t in cohort.trajectories])
         reordered = dataclasses.replace(cohort, trajectories=cohort.trajectories[::-1])
         for dataset in (rebuilt, reordered):
-            assert dataset.shared_block is None
+            block = dataset.columns
+            assert block is not cohort.columns
+            assert [t.block for t in dataset.trajectories] == [(block, k) for k in range(30)]
             _assert_weights_match_oracle(dataset, table, 2.0)
 
     def test_memo_keys_on_block_table_and_max_ratio(self, monkeypatch):
@@ -287,7 +313,7 @@ class TestJoinedWeights:
         n = len(trajs)
         monkeypatch.setattr(
             ope, "_joined",
-            (dataset.shared_block, table, 5.0, patient_ids, [7.0] * n, [False] * (n - 1) + [True]),
+            (dataset.columns, table, 5.0, patient_ids, [7.0] * n, [False] * (n - 1) + [True]),
         )
         assert trajectory_weight(trajs[0], table, 5.0) == 7.0  # read from the slot
         expected = [oracle_trajectory_weight(t, table, 5.0) for t in trajs]
@@ -299,7 +325,7 @@ class TestJoinedWeights:
         )
         rebuilt = Trajectory(trajs[0].patient_id, trajs[0].steps, True, 5.0)
         assert trajectory_weight(rebuilt, table, 5.0) == expected[0]
-        other = Trajectory.view("q", dataset.shared_block, 0, True, 5.0)
+        other = Trajectory.view("q", dataset.columns, 0, True, 5.0)
         with pytest.raises(SchemaError, match="'q'"):
             trajectory_weight(other, table, 5.0)
 
@@ -685,6 +711,14 @@ class TestProbTableIO:
     def test_time_not_whole_is_refused_before_writing(self, tmp_path, t):
         table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", t): (0.5, 0.5)})
         with pytest.raises(ValidationError, match=rf"\('p1', t={t}\): t not a whole number"):
+            save_prob_table(table, tmp_path / "probs.json")
+        assert not (tmp_path / "probs.json").exists()
+
+    def test_time_past_float_precision_is_refused_before_writing(self, tmp_path):
+        # 2**60 is whole, but a float cannot hold every whole number that large.
+        table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", 2**60): (0.5, 0.5)})
+        message = rf"^\('p1', t={2**60}\): t not a whole number of magnitude below 2\*\*53$"
+        with pytest.raises(ValidationError, match=message):
             save_prob_table(table, tmp_path / "probs.json")
         assert not (tmp_path / "probs.json").exists()
 

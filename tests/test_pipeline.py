@@ -84,13 +84,13 @@ class TestSplits:
         for ds in (loaded, built):
             split = filter_split(ds, "reward_train")
             kept = [t for t in ds.trajectories if assign_split(t.patient_id) == "reward_train"]
-            assert kept and split.trajectories == kept
+            assert kept and split.trajectories == tuple(kept)
             block = split.columns
             assert [t.block for t in split.trajectories] == [(block, k) for k in range(len(kept))]
             assert len(block.t) == sum(len(t.steps) for t in kept)
         others = [t for t in loaded.trajectories if assign_split(t.patient_id) != "reward_train"]
         none = filter_split(dataclasses.replace(loaded, trajectories=others), "reward_train")
-        assert none.trajectories == []
+        assert none.trajectories == ()
 
     def test_unknown_split_rejected(self, small_dataset_path):
         with pytest.raises(ConfigError):
@@ -160,8 +160,7 @@ class TestScoreAndPareto:
         assert "error" not in rows[0]
         # identical trajectories force a constant reward: craft by scoring a
         # dataset with two clones
-        clone = load_dataset(small_dataset_path)
-        clone.trajectories = [ds.trajectories[0]] * 3
+        clone = dataclasses.replace(ds, trajectories=[ds.trajectories[0]] * 3)
         rows = score_specs(clone, [("deg", spec)])
         assert rows[0]["spec_id"] == "deg" and "error" in rows[0]
 
@@ -173,11 +172,12 @@ class TestScoreAndPareto:
 
     def test_non_finite_return_flagged_not_fatal(self, small_dataset_path):
         ds = load_dataset(small_dataset_path)
-        traj = ds.trajectories[1]
-        ds.trajectories[1] = dataclasses.replace(traj, steps=[
+        trajs = list(ds.trajectories)
+        trajs[1] = dataclasses.replace(trajs[1], steps=[
             dataclasses.replace(step, observations={**step.observations, "nr0": Observation(math.nan, 0)})
-            for step in traj.steps
+            for step in trajs[1].steps
         ])
+        ds = dataclasses.replace(ds, trajectories=trajs)
         rows = score_specs(ds, [("nan", reference_spec(SMALL))])
         assert rows == [{
             "spec_id": "nan",
@@ -186,12 +186,14 @@ class TestScoreAndPareto:
 
     def test_absent_selected_feature_names_patient_and_t(self, small_dataset_path):
         ds = load_dataset(small_dataset_path)
-        traj = ds.trajectories[2] = dataclasses.replace(ds.trajectories[2], steps=[
+        trajs = list(ds.trajectories)
+        traj = trajs[2] = dataclasses.replace(trajs[2], steps=[
             dataclasses.replace(step, observations={
                 fid: obs for fid, obs in step.observations.items() if fid != "lo1"
             })
-            for step in ds.trajectories[2].steps
+            for step in trajs[2].steps
         ])
+        ds = dataclasses.replace(ds, trajectories=trajs)
         rows = score_specs(ds, [("ref", reference_spec(SMALL))], feature_ids=["nr0", "lo1"])
         assert rows == [{
             "spec_id": "ref",
