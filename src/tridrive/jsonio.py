@@ -1,14 +1,14 @@
 """The on-disk convention of every file the toolkit reads or writes.
 
-Files are UTF-8 with one trailing newline. Reports, configs and reward
-specs are JSON indented by 2, for people to read. Datasets and probability
-tables are compact JSON (no indent, no spaces) whose columns are base64
-strings of binary buffers and bitmaps (format 3, read and written by
-tridrive.model.RaggedColumns, to_buffer and to_bitmap), so json.dumps and
-json.loads handle a few long strings rather than a number per entry. A
-write goes to a temporary sibling that is renamed over the target, so a
-crash leaves the old file or the new one, never half of either. Read
-failures are FormatErrors.
+Reports, configs and reward specs are UTF-8 JSON indented by 2, for people
+to read, with one trailing newline. Datasets and probability tables are
+column files (format 4): the line MAGIC, one compact JSON header line, then
+the raw little-endian buffers of the columns the header lists (read and
+written by tridrive.model.RaggedColumns and pack_columns), so a load is one
+read, one small JSON parse and a view per column. A write goes to a
+temporary sibling that is renamed over the target, so a crash leaves the
+old file or the new one, never half of either. Read failures are
+FormatErrors.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import types
 import typing
 from pathlib import Path
@@ -25,27 +26,43 @@ from pathlib import Path
 from .errors import FormatError
 
 
-def read_json(path: str | Path, what: str):
-    """The parsed document at path; what names it in error messages."""
+# The first line of a column file; its number is the format's.
+MAGIC = b"TRIDRIVE COLUMNS 4\n"
+
+
+def _read_bytes(path: str | Path, what: str) -> bytes:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str):
+    """The parsed document at path; what names it in error messages."""
+    raw = _read_bytes(path, what)
+    if raw.startswith(MAGIC):
+        raise FormatError(
+            f"{path}: a column file (a dataset or probability table), not the JSON {what}"
+        )
+    try:
+        return json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # undecodable UTF-8, an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, too many digits, deep nesting
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_text(path: str | Path, text: str) -> Path:
-    """Write text to path atomically, creating its directory; returns the path."""
+def write_bytes(path: str | Path, *chunks: bytes) -> Path:
+    """Write the chunks, in order, to path atomically, creating its
+    directory; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # Not named *.json, so globs over a stage's outputs never match it.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -53,12 +70,61 @@ def write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def write_text(path: str | Path, text: str) -> Path:
+    return write_bytes(path, text.encode("utf-8"))
+
+
 def write_json(path: str | Path, doc) -> Path:
     return write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
-def write_compact_json(path: str | Path, doc) -> Path:
-    return write_text(path, json.dumps(doc, separators=(",", ":")) + "\n")
+def write_columns(path: str | Path, header: dict, data: bytes) -> Path:
+    """Write a column file: MAGIC, header as one line of compact JSON,
+    padded with spaces so that data, the buffer section, starts at a
+    multiple of 8 bytes, then data."""
+    line = json.dumps(header, separators=(",", ":")).encode("ascii")
+    pad = -(len(MAGIC) + len(line) + 1) % 8
+    return write_bytes(path, MAGIC, line, b" " * pad + b"\n", data)
+
+
+def read_columns(path: str | Path, what: str) -> tuple[dict, memoryview]:
+    """The header and the buffer section of the column file at path, read
+    at once; what names it in error messages. The header is only parsed:
+    its columns are checked by whoever reads them."""
+    raw = _read_bytes(path, what)
+    if not raw.startswith(MAGIC):
+        raise FormatError(f"{what} {path}: {_not_a_column_file(raw)}")
+    end = raw.find(b"\n", len(MAGIC))
+    if end < 0:
+        raise FormatError(f"{what} {path}: the header line has no end")
+    if (end + 1) % 8:
+        raise FormatError(
+            f"{what} {path}: the buffers start at byte {end + 1}, not a multiple of 8"
+        )
+    try:
+        header = json.loads(raw[len(MAGIC) : end].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, deep nesting
+        raise FormatError(f"{what} {path}: invalid header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{what} {path}: the header must be a JSON object")
+    return header, memoryview(raw)[end + 1 :]
+
+
+_JSON_FORMAT = re.compile(rb'\s*\{\s*"format"\s*:\s*(\d{1,9})\b')
+
+
+def _not_a_column_file(raw: bytes) -> str:
+    """Why raw is not read: the earlier format it has, if it has one."""
+    found = _JSON_FORMAT.match(raw)
+    if found:
+        kind = {3: " (columns as base64 text in JSON)", 2: " (numbers as JSON text)"}
+        number = int(found[1])
+        old = f"a format-{number} file{kind.get(number, '')}"
+    elif raw.lstrip()[:1] == b"{":
+        old = "a JSON file without a format number, as in the one-object-per-row format"
+    else:
+        return f"not a format-4 column file (its first line is not {MAGIC.decode().strip()!r})"
+    return f"{old}, which this version no longer reads; regenerate it in format 4"
 
 
 def fields_from_json(

@@ -1,4 +1,4 @@
-"""Trajectory data model, dataset container, and canonical JSON serialization.
+"""Trajectory data model, dataset container, and the dataset file format.
 
 A dataset is a cohort of per-patient trajectories with irregular
 observations. Feature values arrive pre-normalized to [0, 1]; each
@@ -14,11 +14,16 @@ steps, the Step and Observation objects, are built only when read. A
 trajectory built from steps, Trajectory(patient_id, steps, survived,
 sofa_baseline), derives its own columns from them on first use; a dataset
 of such trajectories builds its block from their steps once.
+
+A dataset file is a format-4 column file (see the Serialization section):
+a JSON header of the schemas, the patient ids and a table of the columns,
+then each column's raw little-endian bytes, so loading reads the block's
+columns straight from the file's bytes. Probability tables share the
+format and its one reader, RaggedColumns.
 """
 
 from __future__ import annotations
 
-import base64
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -29,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .jsonio import fields_from_json, read_json, write_compact_json
+from .jsonio import fields_from_json, read_columns, write_columns
 
 
 class FeatureType(str, Enum):
@@ -413,42 +418,62 @@ def _per_column(present: np.ndarray, *rules: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: format 3, one compact UTF-8 JSON document of columns. Per
-# patient: patient_id (the one JSON array of the format), survived,
-# sofa_baseline, and offsets of n + 1 entries, so that patient i owns rows
-# offsets[i] to offsets[i + 1] - 1 of every row column (the offsets buffer of
-# the Arrow columnar layout). Per row, one per step: t, sofa, and per feature
-# its values, staleness and mask, per action its actions and action_mask.
-# Every numeric column is a base64 string of its little-endian bytes, in the
-# one dtype the format fixes for it: I4 for integers, F8 for real numbers.
-# Every flag column is a bitmap, np.packbits least significant bit first (the
-# validity bitmaps of the Arrow layout). A slot its mask marks absent holds 0.
-# Columns are in a canonical order (patients in list order, ids
-# lexicographic), so load(save(d)) is byte-stable.
+# Serialization: format 4, a column file (tridrive.jsonio.write_columns): the
+# magic line, a compact JSON header, then the columns' raw buffers. The header
+# holds the schemas, patient_id (one string per patient) and "columns", the
+# column table: per column its name, for a column of a group (values,
+# staleness, mask, actions, action_mask) the feature or action id, its dtype
+# and the byte offset and length of its buffer. The buffers follow one
+# another in table order, each padded with zero bytes to a multiple of 8.
+# Per patient: survived, sofa_baseline, and offsets of n + 1 entries, so that
+# patient i owns rows offsets[i] to offsets[i + 1] - 1 of every row column
+# (the offsets buffer of the Arrow columnar layout). Per row, one per step:
+# t, sofa, and per feature its values, staleness and mask, per action its
+# actions and action_mask. Every numeric column holds little-endian values in
+# the one dtype the format fixes for it: I4 for integers, F8 for real
+# numbers. Every flag column is a BITMAP, np.packbits least significant bit
+# first (the validity bitmaps of the Arrow layout). A slot its mask marks
+# absent holds 0. Columns are in a canonical order (patients in list order,
+# ids lexicographic), so load(save(d)) is byte-stable.
 # ---------------------------------------------------------------------------
 
-FORMAT = 3
 I4, F8 = np.dtype("<i4"), np.dtype("<f8")
+BITMAP = "bitmap"  # the dtype name of a flag column
 I4_LIMIT = 2**31  # validate() keeps the integers a file holds as I4 below it in magnitude
+_COLUMN_KEYS = {"name", "dtype", "offset", "length"}  # and "id" for a column of a group
+
+
+def pack_columns(columns) -> tuple[list[dict], bytes]:
+    """The column table and the buffer section of columns, (name, id,
+    dtype, values) in file order with id None outside a group: values as
+    dtype (I4 or F8; integers must fit it), or a bitmap of them for
+    BITMAP."""
+    table, chunks, end = [], [], 0
+    for name, cid, dtype, values in columns:
+        if dtype is BITMAP:
+            raw = np.packbits(np.asarray(values, dtype=bool), bitorder="little").tobytes()
+        else:
+            raw = np.asarray(values).astype(dtype).tobytes()
+        entry = {"name": name} if cid is None else {"name": name, "id": cid}
+        label = dtype if dtype is BITMAP else dtype.str
+        table.append({**entry, "dtype": label, "offset": end, "length": len(raw)})
+        pad = bytes(-len(raw) % 8)
+        chunks += [raw, pad]
+        end += len(raw) + len(pad)
+    return table, b"".join(chunks)
 
 
 class RaggedColumns:
-    """The patient frame of a format-3 document (patient_id, offsets and
-    the t column), with reads of its buffers and bitmaps. Errors name the
-    document, and a row's patient and t where there is one."""
+    """The patient frame of a column file (patient_id, offsets and the t
+    column) and its column table, with reads of its buffers and bitmaps.
+    Every entry of the table is checked against the buffer section before
+    any buffer is read. Errors name the file's kind, and a row's patient
+    and t where there is one."""
 
-    def __init__(self, doc, what: str):
-        if not isinstance(doc, dict):
-            raise FormatError(f"{what} must be a JSON object")
-        fmt = doc.get("format")
-        if type(fmt) is not int or fmt != FORMAT:
-            raise FormatError(
-                f'{what}: not a format-{FORMAT} file (no "format": {FORMAT}); files of format 2 '
-                "(numbers as JSON text) and of the one-object-per-row format before it are no "
-                "longer read, so regenerate it"
-            )
-        self.doc, self.what = doc, what
-        ids = self.patient_ids = self._value("patient_id")[0]
+    def __init__(self, header: dict, data, what: str):
+        self.doc, self.data, self.what = header, data, what
+        self.table = self._table(len(data))
+        ids = self.patient_ids = self._value("patient_id")
         if not isinstance(ids, list):
             raise FormatError(f"{what}: patient_id must be an array")
         seen = set()
@@ -469,74 +494,133 @@ class RaggedColumns:
         self.n_rows = int(offsets[-1])
         self.t = self.buffer("t", I4, self.n_rows)
 
-    def _value(self, key: str, group: str | None = None) -> tuple[object, str]:
-        """The value at key, or at group[key] when key names a column of the
-        object group, and the name errors give it."""
-        name = key if group is None else f"{group}[{key!r}]"
-        doc = self.doc if group is None else self.group(group)
-        if key not in doc:
-            raise FormatError(f"{self.what}: missing key {name!r}")
-        return doc[key], name
+    def _table(self, size: int) -> dict[tuple[str, str | None], tuple[str, int, int, str]]:
+        """{(name, id): (dtype, offset, length, the name errors give it)} of
+        the column table, whose buffers must tile the size bytes of the
+        buffer section in table order: each starts where the one before
+        ends, padded to a multiple of 8, and the last ends, padded, at the
+        end of the file."""
+        what, entries = self.what, self._value("columns")
+        if not isinstance(entries, list):
+            raise FormatError(f"{what}: columns must be an array")
+        table, end = {}, 0
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or entry.keys() - {"id"} != _COLUMN_KEYS:
+                raise FormatError(
+                    f"{what}: columns[{i}] must be an object of name, dtype, offset, length "
+                    "and, for a column of a group, id"
+                )
+            name, cid, dtype, offset, length = (
+                entry["name"], entry.get("id"), entry["dtype"], entry["offset"], entry["length"]
+            )
+            if type(name) is not str or ("id" in entry and type(cid) is not str):
+                raise FormatError(f"{what}: columns[{i}] name and id must be strings")
+            where = name if cid is None else f"{name}[{cid!r}]"
+            if dtype not in (I4.str, F8.str, BITMAP):
+                raise FormatError(f"{what}: {where} has dtype {dtype!r}, not <i4, <f8 or bitmap")
+            if type(offset) is not int or type(length) is not int or length < 0:
+                raise FormatError(f"{what}: {where} offset and length must be whole numbers >= 0")
+            start = end + -end % 8
+            if offset != start:
+                raise FormatError(
+                    f"{what}: {where} starts at byte {offset} of the buffers, expected {start} "
+                    "(each buffer follows the one before it, padded to a multiple of 8 bytes)"
+                )
+            end = offset + length
+            if end > size:
+                raise FormatError(
+                    f"{what}: {where} ends at byte {end} of the buffers, past their end at "
+                    f"byte {size}"
+                )
+            if (name, cid) in table:
+                raise FormatError(f"{what}: column {where} appears more than once")
+            table[name, cid] = dtype, offset, length, where
+        if end + -end % 8 != size:
+            raise FormatError(
+                f"{what}: the columns fill {end + -end % 8} bytes of buffers, the file has {size}"
+            )
+        return table
+
+    def _value(self, key: str):
+        """The header's value at key."""
+        if key not in self.doc:
+            raise FormatError(f"{self.what}: missing key {key!r}")
+        return self.doc[key]
 
     def group(self, key: str) -> dict:
-        """The object at key, whose values are columns."""
-        value, _ = self._value(key)
+        """The header's object at key."""
+        value = self._value(key)
         if not isinstance(value, dict):
             raise FormatError(f"{self.what}: {key} must be an object")
         return value
 
-    def _bytes(self, key: str, group: str | None) -> tuple[bytes, str]:
-        """The bytes of the base64 string at key (or group[key]), and its name."""
-        text, name = self._value(key, group)
-        if not isinstance(text, str):
-            raise FormatError(f"{self.what}: {name} must be a base64 string")
-        try:
-            return base64.b64decode(text, validate=True), name
-        except ValueError as exc:  # binascii.Error, or a character outside ASCII
-            raise FormatError(f"{self.what}: {name} is not valid base64 ({exc})") from exc
+    def ids(self, group: str) -> set[str]:
+        """The ids of the columns of group."""
+        return {cid for name, cid in self.table if name == group and cid is not None}
+
+    def _column(self, key: str, group: str | None, dtype: str) -> tuple[int, int, str]:
+        """(offset, length, name) of the column key, or group[key], which must have dtype."""
+        entry = self.table.get((key, None) if group is None else (group, key))
+        if entry is None:
+            name = key if group is None else f"{group}[{key!r}]"
+            raise FormatError(f"{self.what}: missing column {name}")
+        have, offset, length, name = entry
+        if have != dtype:
+            raise FormatError(f"{self.what}: {name} has dtype {have}, expected {dtype}")
+        return offset, length, name
+
+    def _entries(self, key: str, dtype: np.dtype, count: int, group: str | None) -> np.ndarray:
+        """The count entries of dtype (I4 or F8) of the column key, or
+        group[key], as a view of the file's bytes."""
+        offset, length, name = self._column(key, group, dtype.str)
+        size = dtype.itemsize
+        if length != count * size:
+            have = f"{length // size} entries" if length % size == 0 else f"{length} bytes"
+            raise FormatError(
+                f"{self.what}: {name} has {have}, expected {count} ({dtype.str}, {size} bytes each)"
+            )
+        return np.frombuffer(self.data, dtype, count, offset)
 
     def buffer(
         self, key: str, dtype: np.dtype, count: int, group: str | None = None
     ) -> np.ndarray:
-        """The count entries of dtype (I4 or F8) at key, or at group[key], as
-        a new int64 or float64 array."""
-        raw, name = self._bytes(key, group)
-        size = dtype.itemsize
-        if len(raw) != count * size:
-            have = f"{len(raw) // size} entries" if len(raw) % size == 0 else f"{len(raw)} bytes"
-            raise FormatError(
-                f"{self.what}: {name} has {have}, expected {count} ({dtype.str}, {size} bytes each)"
-            )
-        return np.frombuffer(raw, dtype).astype(np.int64 if dtype.kind == "i" else np.float64)
+        """The count entries of dtype (I4 or F8) of the column key, or
+        group[key], as a new int64 or float64 array."""
+        entries = self._entries(key, dtype, count, group)
+        return entries.astype(np.int64 if dtype.kind == "i" else np.float64)
 
     def bitmap(self, key: str, count: int, group: str | None = None) -> np.ndarray:
-        """The count flags of the bitmap at key, or at group[key], as bools."""
-        raw, name = self._bytes(key, group)
-        if len(raw) != -(-count // 8):
+        """The count flags of the bitmap column key, or group[key], as bools."""
+        offset, length, name = self._column(key, group, BITMAP)
+        if length != -(-count // 8):
             raise FormatError(
-                f"{self.what}: {name} has {len(raw)} bytes, expected {-(-count // 8)} "
+                f"{self.what}: {name} has {length} bytes, expected {-(-count // 8)} "
                 f"for {count} flags"
             )
-        bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=count, bitorder="little")
-        return bits.astype(bool)
+        raw = np.frombuffer(self.data, np.uint8, length, offset)
+        return np.unpackbits(raw, count=count, bitorder="little").view(bool)
+
+    def matrix(
+        self, group: str, ids: list[str], count: int, dtype: np.dtype | None = None
+    ) -> np.ndarray:
+        """[count, len(ids)]: column j holds column group[ids[j]], its count
+        entries of dtype (I4 or F8) as float64 or, without dtype, its count
+        flags. Every column is checked before the matrix is allocated."""
+        columns = [
+            self.bitmap(cid, count, group) if dtype is None
+            else self._entries(cid, dtype, count, group)
+            for cid in ids
+        ]
+        out = np.empty((count, len(ids)), dtype=bool if dtype is None else np.float64)
+        for j, column in enumerate(columns):
+            out[:, j] = column
+        return out
 
     def patient(self, i: int) -> str:
         return f"{self.what}: patient {self.patient_ids[i]!r}"
 
     def row(self, i: int) -> str:
         return f"{self.patient(bisect_right(self.offsets, i) - 1)} t={self.t[i]}"
-
-
-def to_buffer(column, dtype: np.dtype) -> str:
-    """The base64 text of column's entries as dtype, the inverse of
-    RaggedColumns.buffer. Integer columns must fit dtype."""
-    return base64.b64encode(np.asarray(column).astype(dtype).tobytes()).decode("ascii")
-
-
-def to_bitmap(flags) -> str:
-    """The base64 text of a bitmap of flags, the inverse of RaggedColumns.bitmap."""
-    bits = np.packbits(np.asarray(flags, dtype=bool), bitorder="little")
-    return base64.b64encode(bits.tobytes()).decode("ascii")
 
 
 def _feature_to_json(spec: FeatureSpec) -> dict:
@@ -550,14 +634,26 @@ def _feature_to_json(spec: FeatureSpec) -> dict:
     return doc
 
 
-def dataset_to_json(dataset: TrajectoryDataset) -> dict:
+def dataset_to_json(dataset: TrajectoryDataset) -> tuple[dict, bytes]:
+    """The header and the buffer section of the dataset's column file."""
     trajs = dataset.trajectories
     cols = dataset.columns
     # Only the features and actions some step has get a column.
     features = [(j, fid) for j, fid in enumerate(cols.feature_ids) if cols.mask[:, j].any()]
     actions = [(j, aid) for j, aid in enumerate(cols.action_ids) if cols.action_mask[:, j].any()]
-    return {
-        "format": FORMAT,
+    table, data = pack_columns([
+        ("survived", None, BITMAP, [traj.survived for traj in trajs]),
+        ("sofa_baseline", None, F8, [traj.sofa_baseline for traj in trajs]),
+        ("offsets", None, I4, cols.offsets),
+        ("t", None, I4, cols.t),
+        ("sofa", None, F8, cols.sofa),
+        *[("values", fid, F8, cols.values[:, j]) for j, fid in features],
+        *[("staleness", fid, I4, cols.staleness[:, j]) for j, fid in features],
+        *[("mask", fid, BITMAP, cols.mask[:, j]) for j, fid in features],
+        *[("actions", aid, F8, cols.actions[:, j]) for j, aid in actions],
+        *[("action_mask", aid, BITMAP, cols.action_mask[:, j]) for j, aid in actions],
+    ])
+    header = {
         "feature_schema": {
             fid: _feature_to_json(spec) for fid, spec in sorted(dataset.feature_schema.items())
         },
@@ -566,23 +662,15 @@ def dataset_to_json(dataset: TrajectoryDataset) -> dict:
             for aid, spec in sorted(dataset.action_schema.items())
         },
         "patient_id": [traj.patient_id for traj in trajs],
-        "survived": to_bitmap([traj.survived for traj in trajs]),
-        "sofa_baseline": to_buffer([traj.sofa_baseline for traj in trajs], F8),
-        "offsets": to_buffer(cols.offsets, I4),
-        "t": to_buffer(cols.t, I4),
-        "sofa": to_buffer(cols.sofa, F8),
-        "values": {fid: to_buffer(cols.values[:, j], F8) for j, fid in features},
-        "staleness": {fid: to_buffer(cols.staleness[:, j], I4) for j, fid in features},
-        "mask": {fid: to_bitmap(cols.mask[:, j]) for j, fid in features},
-        "actions": {aid: to_buffer(cols.actions[:, j], F8) for j, aid in actions},
-        "action_mask": {aid: to_bitmap(cols.action_mask[:, j]) for j, aid in actions},
+        "columns": table,
     }
+    return header, data
 
 
 def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write the dataset; load_dataset reproduces it exactly."""
     dataset.validate()
-    write_compact_json(path, dataset_to_json(dataset))
+    write_columns(path, *dataset_to_json(dataset))
 
 
 def _parse_feature(fid: str, doc) -> FeatureSpec:
@@ -606,15 +694,16 @@ def _parse_action(aid: str, doc) -> ActionSpec:
 
 def _column_ids(frame: RaggedColumns, groups: tuple[str, ...], what: str) -> list[str]:
     """The sorted column ids of groups, which must all have the same ones."""
-    first, *rest = [set(frame.group(g)) for g in groups]
+    first, *rest = [frame.ids(g) for g in groups]
     if any(ids != first for ids in rest):
         names = " and ".join(groups[:-1])
         raise FormatError(f"dataset: {names} must have the same {what} columns as {groups[-1]}")
     return sorted(first)
 
 
-def dataset_from_json(doc) -> TrajectoryDataset:
-    frame = RaggedColumns(doc, "dataset")
+def dataset_from_json(header: dict, data) -> TrajectoryDataset:
+    """The dataset of a column file's header and buffer section."""
+    frame = RaggedColumns(header, data, "dataset")
     feature_schema = {
         fid: _parse_feature(fid, entry) for fid, entry in frame.group("feature_schema").items()
     }
@@ -627,18 +716,15 @@ def dataset_from_json(doc) -> TrajectoryDataset:
     sofa = frame.buffer("sofa", F8, rows)
     fids = _column_ids(frame, ("values", "staleness", "mask"), "feature")
     aids = _column_ids(frame, ("actions", "action_mask"), "action")
-    shape = (rows, len(fids))
-    mask, values, staleness = np.zeros(shape, dtype=bool), np.zeros(shape), np.zeros(shape)
-    for j, fid in enumerate(fids):
-        mask[:, j] = present = frame.bitmap(fid, rows, "mask")
-        values[present, j] = frame.buffer(fid, F8, rows, "values")[present]
-        staleness[present, j] = frame.buffer(fid, I4, rows, "staleness")[present]
-    action_mask = np.zeros((rows, len(aids)), dtype=bool)
-    actions = np.zeros((rows, len(aids)))
+    mask, action_mask = frame.matrix("mask", fids, rows), frame.matrix("action_mask", aids, rows)
+    values = frame.matrix("values", fids, rows, F8)
+    staleness = frame.matrix("staleness", fids, rows, I4)
+    actions = frame.matrix("actions", aids, rows, F8)
+    # An absent slot reads as 0, whatever the file holds there.
+    for columns, present in ((values, mask), (staleness, mask), (actions, action_mask)):
+        np.copyto(columns, 0.0, where=~present)
     whole = [aid in action_schema and action_schema[aid].discrete for aid in aids]
     for j, aid in enumerate(aids):
-        action_mask[:, j] = present = frame.bitmap(aid, rows, "action_mask")
-        actions[present, j] = frame.buffer(aid, F8, rows, "actions")[present]
         if whole[j]:  # a discrete action's levels are truncated, as int() does
             infinite = ~np.isfinite(actions[:, j])
             if infinite.any():
@@ -670,5 +756,5 @@ def dataset_from_json(doc) -> TrajectoryDataset:
 
 
 def load_dataset(path: str | Path) -> TrajectoryDataset:
-    """Read a dataset document; ordering of trajectories is preserved."""
-    return dataset_from_json(read_json(path, "dataset file"))
+    """Read a dataset file; ordering of trajectories is preserved."""
+    return dataset_from_json(*read_columns(path, "dataset file"))

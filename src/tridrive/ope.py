@@ -18,7 +18,10 @@ numpy itself. A table's weights come from one join of its rows to the
 transition rows of the dataset's block; trajectory_weight, called per
 trajectory, reads them, or works out alone one the join flags. The OPE
 stage (tridrive.pipeline.ope_stage) evaluates a series' tables one at a
-time, so memory does not grow with the table count.
+time, so memory does not grow with the table count. A table file is a
+format-4 column file, read by the dataset files' reader
+(tridrive.model.RaggedColumns): its patient frame and two F8 columns, so a
+load is one read, a small JSON header and a view per column.
 """
 
 from __future__ import annotations
@@ -38,10 +41,9 @@ import numpy as np
 from . import defaults
 from .errors import DegenerateStatisticError, FormatError, SchemaError, ValidationError
 from .fitness import _quantiles
-from .jsonio import read_json, write_compact_json
+from .jsonio import read_columns, write_columns
 from .model import (
-    F8, FORMAT, I4, I4_LIMIT, CohortColumns, RaggedColumns, Trajectory, TrajectoryDataset,
-    to_buffer,
+    F8, I4, I4_LIMIT, CohortColumns, RaggedColumns, Trajectory, TrajectoryDataset, pack_columns,
 )
 from .rewards import RewardTrace, trace_returns
 from .streams import reseat, seed_states
@@ -489,10 +491,10 @@ def mortality_curve(
 
 
 # ---------------------------------------------------------------------------
-# Probability-table file format: format 3, the patient frame of the dataset
-# format (patient_id, offsets, t) over the F8 row columns p_eval and
-# p_behavior, written with patients sorted by id; t strictly increases
-# within each.
+# Probability-table file format: a format-4 column file holding the patient
+# frame of the dataset format (patient_id, offsets, t) over the F8 row columns
+# p_eval and p_behavior, written with patients sorted by id; t strictly
+# increases within each.
 # ---------------------------------------------------------------------------
 
 
@@ -509,8 +511,9 @@ def _check_increasing(frame: RaggedColumns) -> None:
         raise FormatError(f"{frame.row(i)}: {problem} t={after}")
 
 
-def prob_table_from_json(doc) -> PolicyProbTable:
-    frame = RaggedColumns(doc, "probability table")
+def prob_table_from_json(header: dict, data) -> PolicyProbTable:
+    """The table of a column file's header and buffer section."""
+    frame = RaggedColumns(header, data, "probability table")
     _check_increasing(frame)
     p_eval = frame.buffer("p_eval", F8, frame.n_rows)
     p_behavior = frame.buffer("p_behavior", F8, frame.n_rows)
@@ -521,7 +524,8 @@ def prob_table_from_json(doc) -> PolicyProbTable:
     return table
 
 
-def prob_table_to_json(table: PolicyProbTable) -> dict:
+def prob_table_to_json(table: PolicyProbTable) -> tuple[dict, bytes]:
+    """The header and the buffer section of the table's column file."""
     spans, t, p_eval, p_behavior = table.columns
     patients = sorted(pid for pid, (lo, hi) in spans.items() if hi > lo)
     bounds = [spans[pid] for pid in patients]
@@ -529,21 +533,20 @@ def prob_table_to_json(table: PolicyProbTable) -> dict:
     if bounds != list(zip(offsets, offsets[1:])):  # rows not already in patient order
         rows = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
         t, p_eval, p_behavior = t[rows], p_eval[rows], p_behavior[rows]
-    return {
-        "format": FORMAT,
-        "patient_id": patients,
-        "offsets": to_buffer(offsets, I4),
-        "t": to_buffer(t, I4),
-        "p_eval": to_buffer(p_eval, F8),
-        "p_behavior": to_buffer(p_behavior, F8),
-    }
+    table, data = pack_columns([
+        ("offsets", None, I4, offsets),
+        ("t", None, I4, t),
+        ("p_eval", None, F8, p_eval),
+        ("p_behavior", None, F8, p_behavior),
+    ])
+    return {"patient_id": patients, "columns": table}, data
 
 
 def load_prob_table(path: str | Path) -> PolicyProbTable:
-    return prob_table_from_json(read_json(path, "probability table"))
+    return prob_table_from_json(*read_columns(path, "probability table"))
 
 
 def save_prob_table(table: PolicyProbTable, path: str | Path) -> None:
     """Write the table; load_prob_table reproduces it exactly."""
     table.validate()
-    write_compact_json(path, prob_table_to_json(table))
+    write_columns(path, *prob_table_to_json(table))

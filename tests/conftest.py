@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import base64
 import copy
 import hashlib
 import json
@@ -629,96 +628,124 @@ def oracle_bootstrap_ci(dataset, traces, probs, level=0.95, resamples=1000, seed
 
 
 # ---------------------------------------------------------------------------
-# Test-side codec of the format-3 documents: their base64 columns as plain
-# lists and back, so that a test can change one entry of a column. In the
-# plain form a dataset has the shape of format 2: survived as bools, and
-# null where the mask (or action_mask) marks a slot absent, with no mask
-# groups. A plain document may hold what format 3 cannot: binary_document
-# writes a null as an absent slot holding 0, and a staleness of null as 0.
+# Test-side codec of the format-4 column files, written from the format's
+# description: the magic line, a header line of compact JSON padded with
+# spaces to a multiple of 8 bytes, then the columns' buffers, each padded
+# with zero bytes to a multiple of 8. plain_document turns a file's header
+# and buffers into one document of plain lists, so that a test can change
+# one entry of a column. In the plain form a dataset has the shape of format
+# 2: survived as bools, and null where the mask (or action_mask) marks a slot
+# absent, with no mask groups. A plain document may hold what a file cannot:
+# binary_document writes a null as an absent slot holding 0, a staleness of
+# null as 0, and a column given as bytes as those bytes.
 # ---------------------------------------------------------------------------
 
+COLUMN_MAGIC = b"TRIDRIVE COLUMNS 4\n"
+
+# The dtype of each column, in the order the files hold them.
 _DTYPES = {
-    "sofa_baseline": "<f8", "offsets": "<i4", "t": "<i4", "sofa": "<f8", "values": "<f8",
-    "staleness": "<i4", "actions": "<f8", "p_eval": "<f8", "p_behavior": "<f8",
+    "survived": "bitmap", "sofa_baseline": "<f8", "offsets": "<i4", "t": "<i4", "sofa": "<f8",
+    "values": "<f8", "staleness": "<i4", "mask": "bitmap", "actions": "<f8",
+    "action_mask": "bitmap", "p_eval": "<f8", "p_behavior": "<f8",
 }
 _MASKS = {"values": "mask", "staleness": "mask", "actions": "action_mask"}
+_FLAGS_OF = {"mask": "values", "action_mask": "actions"}
 
 
-def _unpack(text, dtype):
-    return np.frombuffer(base64.b64decode(text), dtype).tolist()
+def column_file(header, data):
+    """The bytes of a column file of header and buffer section data."""
+    line = json.dumps(header, separators=(",", ":")).encode("ascii")
+    return COLUMN_MAGIC + line + b" " * (-(len(COLUMN_MAGIC) + len(line) + 1) % 8) + b"\n" + data
+
+
+def split_column_file(raw):
+    """(header, buffer section) of the bytes of a column file."""
+    magic, line, data = raw.split(b"\n", 2)
+    assert magic + b"\n" == COLUMN_MAGIC
+    return json.loads(line), data
+
+
+def _unpack(raw, dtype, count):
+    if dtype == "bitmap":
+        bits = np.unpackbits(np.frombuffer(raw, np.uint8), count=count, bitorder="little")
+        return bits.astype(bool).tolist()
+    return np.frombuffer(raw, dtype).tolist()
 
 
 def _pack(column, dtype):
-    return base64.b64encode(np.array(column, dtype=dtype).tobytes()).decode("ascii")
+    if isinstance(column, bytes):
+        return column
+    if dtype == "bitmap":
+        return np.packbits(np.array(column, dtype=bool), bitorder="little").tobytes()
+    return np.array(column, dtype=dtype).tobytes()
 
 
-def _unpack_bits(text, count):
-    raw = np.frombuffer(base64.b64decode(text), np.uint8)
-    return np.unpackbits(raw, count=count, bitorder="little").astype(bool).tolist()
-
-
-def _pack_bits(flags):
-    return base64.b64encode(np.packbits(flags, bitorder="little").tobytes()).decode("ascii")
-
-
-def plain_document(doc):
-    """A format-3 dataset or table document with plain lists for columns."""
-    plain = {key: value for key, value in doc.items() if key not in ("mask", "action_mask")}
-    rows = len(_unpack(doc["t"], "<i4"))
-    for key, dtype in _DTYPES.items():
-        if key not in doc:
-            continue
-        if key in _MASKS:
-            masks = doc[_MASKS[key]]
-            plain[key] = {
-                cid: [v if m else None for v, m in
-                      zip(_unpack(text, dtype), _unpack_bits(masks[cid], rows))]
-                for cid, text in doc[key].items()
-            }
-        else:
-            plain[key] = _unpack(doc[key], dtype)
-    if "survived" in doc:
-        plain["survived"] = _unpack_bits(doc["survived"], len(doc["patient_id"]))
+def plain_document(header, data):
+    """A column file's header and buffers as one document of plain lists."""
+    buffers = {(e["name"], e.get("id")): data[e["offset"] : e["offset"] + e["length"]]
+               for e in header["columns"]}
+    plain = {key: value for key, value in header.items() if key != "columns"}
+    if "feature_schema" in header:
+        plain.update(values={}, staleness={}, actions={})
+    rows = len(buffers["t", None]) // 4
+    for (name, cid), raw in buffers.items():
+        if name == "survived":
+            plain[name] = _unpack(raw, "bitmap", len(header["patient_id"]))
+        elif name in _MASKS:
+            flags = _unpack(buffers[_MASKS[name], cid], "bitmap", rows)
+            column = _unpack(raw, _DTYPES[name], None)
+            plain[name][cid] = [v if m else None for v, m in zip(column, flags)]
+        elif name not in _FLAGS_OF:
+            plain[name] = _unpack(raw, _DTYPES[name], None)
     return plain
 
 
 def binary_document(plain):
-    """The format-3 document of a plain one; a value that is not a plain
-    column (a test's malformed entry) is kept as it is."""
-    doc = dict(plain)
-    for key, dtype in _DTYPES.items():
-        column = plain.get(key)
-        if key in _MASKS and isinstance(column, dict):
-            doc[key] = {cid: _pack([0 if v is None else v for v in c], dtype)
-                        for cid, c in column.items()}
-            if key != "staleness":
-                doc[_MASKS[key]] = {cid: _pack_bits([v is not None for v in c])
-                                    for cid, c in column.items()}
-        elif key not in _MASKS and isinstance(column, list):
-            doc[key] = _pack(column, dtype)
-    if isinstance(plain.get("survived"), list):
-        doc["survived"] = _pack_bits(plain["survived"])
-    return doc
+    """(header, buffer section) of a plain document; a value that is not a
+    plain column (a test's malformed entry) is kept in the header."""
+    header, columns = dict(plain), []
+    for name, dtype in _DTYPES.items():
+        # A mask flags the entries of its group, unless the document has it.
+        source = name if name in plain else _FLAGS_OF.get(name, name)
+        value = plain.get(source)
+        if (name in _MASKS or name in _FLAGS_OF) and isinstance(value, dict):
+            for cid, column in value.items():
+                if name != source:
+                    column = [v is not None for v in column]
+                elif not isinstance(column, bytes):
+                    column = [0 if v is None else v for v in column]
+                columns.append(({"name": name, "id": cid, "dtype": dtype}, _pack(column, dtype)))
+            header.pop(source, None)
+        elif name not in _MASKS and name not in _FLAGS_OF and isinstance(value, (list, bytes)):
+            columns.append(({"name": name, "dtype": dtype}, _pack(value, dtype)))
+            header.pop(name)
+    table, chunks, end = [], [], 0
+    for entry, raw in columns:
+        table.append({**entry, "offset": end, "length": len(raw)})
+        chunks += [raw, bytes(-len(raw) % 8)]
+        end += len(raw) + -len(raw) % 8
+    header["columns"] = table
+    return header, b"".join(chunks)
+
+
+def read_plain(path):
+    """The plain document of the column file at path."""
+    return plain_document(*split_column_file(path.read_bytes()))
+
+
+def write_plain(path, plain):
+    """Write the column file of a plain document to path."""
+    path.write_bytes(column_file(*binary_document(plain)))
 
 
 # Values a fuzzed document may hold in place of any other.
 _SUBSTITUTES = st.sampled_from([0, -3, 2**70, "x", [], [1.5], {}, None, True, False, math.nan])
 
 
-def _base64_bytes(value):
-    """The bytes a base64 string decodes to, or None for any other value."""
-    try:
-        return base64.b64decode(value, validate=True) if isinstance(value, str) else None
-    except ValueError:
-        return None
-
-
 @st.composite
 def mutated_documents(draw, document):
     """document after one mutation of one entry, anywhere in it: drop the
-    entry, replace its value, truncate its array there, perturb an offset
-    (when the document has offsets), or, for a base64 column (a buffer or a
-    bitmap), corrupt its text or make its bytes shorter or longer."""
+    entry, replace its value or truncate its array there."""
     doc = copy.deepcopy(document)
     slots, nodes = [], [doc]
     for node in nodes:
@@ -727,26 +754,49 @@ def mutated_documents(draw, document):
             if isinstance(node[key], (dict, list)):
                 nodes.append(node[key])
     node, key = draw(st.sampled_from(slots))
-    raw = _base64_bytes(node[key])
-    actions = ["drop", "replace", "truncate"] + (["offsets"] if "offsets" in doc else [])
-    actions += ["corrupt", "shorten", "lengthen"] if raw is not None else []
-    action = draw(st.sampled_from(actions))
+    action = draw(st.sampled_from(["drop", "replace", "truncate"]))
     if action == "drop":
         del node[key]
     elif action == "replace":
         node[key] = draw(_SUBSTITUTES)
     elif action == "truncate" and isinstance(node, list):
         del node[key:]
-    elif action == "offsets":
-        offsets = np.frombuffer(base64.b64decode(doc["offsets"]), "<i4").copy()
-        offsets[draw(st.integers(0, len(offsets) - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
-        doc["offsets"] = _pack(offsets, "<i4")
-    elif action == "corrupt":
-        i = draw(st.integers(0, len(node[key])))
-        bad = draw(st.sampled_from(["!", "=", "A", "é", " "]))
-        node[key] = node[key][:i] + bad + node[key][i:]
-    elif action == "shorten":
-        node[key] = base64.b64encode(raw[: -draw(st.integers(1, 9))]).decode("ascii")
-    elif action == "lengthen":
-        node[key] = base64.b64encode(raw + bytes(draw(st.integers(1, 9)))).decode("ascii")
     return doc
+
+
+@st.composite
+def mutated_column_files(draw, header, data):
+    """(header, buffer section) of a column file after one mutation: one of
+    mutated_documents in the header; a column's offset or length moved past
+    the end, onto another column, off the 8-byte grid or negative; its
+    dtype changed; an entry of offsets perturbed; a byte of the buffers
+    changed; or the buffers cut short or lengthened."""
+    header, data = copy.deepcopy(header), bytearray(data)
+    columns = header["columns"]
+    entry = draw(st.sampled_from(columns))
+    action = draw(st.sampled_from(["header", "offset", "length", "dtype", "offsets", "byte",
+                                   "shorten", "lengthen"]))
+    if action == "header":
+        header = draw(mutated_documents(header))
+    elif action in ("offset", "length"):
+        other = draw(st.sampled_from(columns))
+        entry[action] = draw(st.sampled_from([
+            len(data) + draw(st.integers(0, 16)), other["offset"],
+            other["offset"] + other["length"],
+            entry[action] + draw(st.sampled_from([-8, -3, -1, 1, 4, 7, 8])), -8, 2**40, 2**63,
+        ]))
+    elif action == "dtype":
+        entry["dtype"] = draw(st.sampled_from(["<i4", "<f8", "bitmap", "<i8", ">f8", "|u1", ""]))
+    elif action == "offsets":
+        column = next(e for e in columns if e["name"] == "offsets")
+        lo = column["offset"] + 4 * draw(st.integers(0, column["length"] // 4 - 1))
+        value = int.from_bytes(data[lo : lo + 4], "little", signed=True)
+        value += draw(st.sampled_from([-2, -1, 1, 2, 2**20]))
+        data[lo : lo + 4] = value.to_bytes(4, "little", signed=True)
+    elif action == "byte" and data:
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif action == "shorten":
+        del data[len(data) - draw(st.integers(1, min(9, len(data)) or 1)) :]
+    elif action == "lengthen":
+        data += bytes(draw(st.integers(1, 9)))
+    return header, bytes(data)

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_document, mutated_documents, plain_document
+from conftest import mutated_documents, read_plain, write_plain
 from tridrive import __version__
 from tridrive.cli import main
 from tridrive.model import load_dataset
@@ -72,12 +72,25 @@ class TestStats:
         result = _invoke("stats", "--dataset", tmp_path / "nope.json", "--out", tmp_path / "o")
         assert result.exit_code == 2
 
-    def test_earlier_format_dataset_is_exit_2(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({"feature_schema": {}, "action_schema": {}, "trajectories": []}))
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"feature_schema": {}, "action_schema": {}, "trajectories": []},
+             "one-object-per-row format"),
+            ({"format": 2, "feature_schema": {}, "action_schema": {}, "patient_id": [],
+              "offsets": [0], "t": []}, "a format-2 file (numbers as JSON text)"),
+            ({"format": 3, "feature_schema": {}, "action_schema": {}, "patient_id": [],
+              "offsets": "AAAAAA==", "t": ""}, "a format-3 file (columns as base64 text in JSON)"),
+        ],
+        ids=["format-1", "format-2", "format-3"],
+    )
+    def test_earlier_format_dataset_is_exit_2(self, tmp_path, doc, named):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc, separators=(",", ":")) + "\n")
         result = _invoke("stats", "--dataset", path, "--out", tmp_path / "o")
         _assert_usage_error(result)
-        assert '"format": 3' in result.output
+        assert named in result.output
+        assert "regenerate it in format 4" in result.output
 
     def test_rerun_identical_bytes(self, workdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -243,9 +256,9 @@ class TestOpe:
 
     def test_malformed_table_is_usage_error(self, workdir, tmp_path):
         bad = tmp_path / "bad.json"
-        plain = {"format": 3, "patient_id": ["p1"], "offsets": [0, 2], "t": [3, 3],
+        plain = {"patient_id": ["p1"], "offsets": [0, 2], "t": [3, 3],
                  "p_eval": [0.5, 0.5], "p_behavior": [0.5, 0.5]}
-        bad.write_text(json.dumps(binary_document(plain)))
+        write_plain(bad, plain)
         result = _invoke(
             "ope", "--dataset", workdir / "cohort.json", "--spec", workdir / "ref_spec.json",
             "--probs", bad, "--bootstrap", 20, "--bins", 4, "--out", tmp_path / "ope",
@@ -356,10 +369,10 @@ class TestPipelineCommand:
 
 
 def _nan_dataset(workdir, tmp_path):
-    doc = plain_document(json.loads((workdir / "cohort.json").read_text()))
+    doc = read_plain(workdir / "cohort.json")
     doc["sofa"][1] = float("nan")
     path = tmp_path / "nan_cohort.json"
-    path.write_text(json.dumps(binary_document(doc)))
+    write_plain(path, doc)
     return path
 
 
@@ -553,6 +566,19 @@ def test_malformed_input_is_usage_error(workdir, artifacts, tmp_path, command, f
     result = _invoke(command, flag, bad, *rest)
     _assert_usage_error(result)
     assert result.output.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command, flag, out",
+    [("pipeline", "--config", "run"), ("synth", "--config", "o.json"),
+     ("pareto", "--fitness", "o.json")],
+)
+def test_column_file_where_json_is_expected_is_usage_error(workdir, tmp_path, command, flag, out):
+    # A dataset file is a column file, not JSON, whatever its name.
+    result = _invoke(command, flag, workdir / "cohort.json", "--out", tmp_path / out)
+    _assert_usage_error(result)
+    assert result.output.startswith("error: ")
+    assert "a column file (a dataset or probability table), not the JSON" in result.output
 
 
 def test_version_is_package_version(workdir, tmp_path):

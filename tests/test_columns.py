@@ -9,7 +9,6 @@ object form wrote.
 
 import dataclasses
 import hashlib
-import json
 import math
 import re
 
@@ -19,7 +18,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    binary_document,
     make_step,
     oracle_efficiency,
     oracle_ground_truth,
@@ -28,8 +26,9 @@ from conftest import (
     oracle_trace,
     oracle_uncertainty,
     oracle_validate,
-    plain_document,
+    read_plain,
     simple_spec,
+    write_plain,
 )
 from tridrive import model
 from tridrive.errors import ValidationError
@@ -196,10 +195,10 @@ def test_pipeline_readers_build_no_steps(tmp_path, monkeypatch):
     )
 
 
-# The format-3 file of the 50-patient seed-0 cohort, whose content
+# The format-4 file of the 50-patient seed-0 cohort, whose content
 # test_synth pins apart from the format, and the run id it gives.
-COHORT_50_SHA256 = "17a86b8a90dcd82599392c23b09687d786cc0accb47505758a0caf3041d7cb7b"
-COHORT_50_RUN_ID = "7762cc3d25f172a7"
+COHORT_50_SHA256 = "7a7a857cd3cd252bf5ea1c86efb17a0d48a2b6ce33fbe86386079e983215bb58"
+COHORT_50_RUN_ID = "026126174134e4b0"
 
 
 def test_generated_file_bytes_are_pinned(tmp_path, monkeypatch):
@@ -277,7 +276,7 @@ def _offender_dataset(trajs):
     )
 
 
-# Offenders a format-3 file cannot hold (its t and staleness are I4), so
+# Offenders a format-4 file cannot hold (its t and staleness are I4), so
 # save_dataset must refuse them before it writes.
 _UNWRITABLE = pytest.mark.parametrize(
     "trajs, message",
@@ -339,7 +338,7 @@ def test_validate_reports_the_first_offender_of_views(tmp_path, trajs, message):
     # The same trajectories, written unchecked and validated as views of
     # the loaded block.
     path = tmp_path / "d.json"
-    model.write_compact_json(path, model.dataset_to_json(_offender_dataset(trajs)))
+    model.write_columns(path, *model.dataset_to_json(_offender_dataset(trajs)))
     with pytest.raises(ValidationError, match=f"^{message}"):
         load_dataset(path)
 
@@ -347,7 +346,7 @@ def test_validate_reports_the_first_offender_of_views(tmp_path, trajs, message):
 @_OFFENDERS
 def test_validate_builds_no_steps(tmp_path, monkeypatch, trajs, message):
     path = tmp_path / "d.json"
-    model.write_compact_json(path, model.dataset_to_json(_offender_dataset(trajs)))
+    model.write_columns(path, *model.dataset_to_json(_offender_dataset(trajs)))
     monkeypatch.setattr(model.CohortColumns, "steps", _no_steps)
     with pytest.raises(ValidationError, match=f"^{message}"):
         load_dataset(path)
@@ -421,7 +420,7 @@ def test_validate_matches_the_step_by_step_oracle(tmp_path, dataset):
         dataset.validate()
     assert str(built.value) == message
     path = tmp_path / "d.json"
-    model.write_compact_json(path, model.dataset_to_json(dataset))
+    model.write_columns(path, *model.dataset_to_json(dataset))
     with pytest.raises(ValidationError) as loaded:
         load_dataset(path)
     assert str(loaded.value) == message
@@ -532,15 +531,15 @@ def test_discrete_levels_read_back_as_ints(tmp_path):
     )
     path = tmp_path / "d.json"
     save_dataset(dataset, path)
-    doc = plain_document(json.loads(path.read_text()))
+    doc = read_plain(path)
     # A discrete level is truncated as int() truncates; a continuous one is kept.
     doc["actions"] = {"dose": [2.7, -0.5], "flow": [2, None]}
-    path.write_text(json.dumps(binary_document(doc)))
+    write_plain(path, doc)
     loaded = load_dataset(path)
     actions = [step.action for step in loaded.trajectories[0].steps]
     assert actions == [{"dose": 2, "flow": 2.0}, {"dose": 0}]
     assert [type(a["dose"]) for a in actions] == [int, int]
     assert type(actions[0]["flow"]) is float
     save_dataset(loaded, path)
-    doc = plain_document(json.loads(path.read_text()))
+    doc = read_plain(path)
     assert doc["actions"] == {"dose": [2.0, 0.0], "flow": [2.0, None]}

@@ -1,11 +1,14 @@
-import base64
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import binary_document, make_dataset, make_step, mutated_documents, plain_document
+from conftest import (
+    COLUMN_MAGIC, binary_document, column_file, make_dataset, make_step, mutated_column_files,
+    read_plain, split_column_file, write_plain,
+)
 from tridrive.errors import FormatError, TridriveError, ValidationError
 from tridrive.model import (
     FeatureSpec,
@@ -31,8 +34,9 @@ def test_round_trip_is_byte_stable(two_patient_dataset, tmp_path):
     save_dataset(two_patient_dataset, p1)
     save_dataset(load_dataset(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
-    text = p1.read_text()
-    assert text.startswith('{"format":3,') and text.count("\n") == 1 and ", " not in text
+    raw = p1.read_bytes()
+    assert raw.startswith(COLUMN_MAGIC) and raw.count(b"\n", 0, raw.index(b"\n") + 1) == 1
+    assert raw == column_file(*binary_document(read_plain(p1)))
 
 
 def test_round_trip_500_patient_cohort(tmp_path):
@@ -43,8 +47,9 @@ def test_round_trip_500_patient_cohort(tmp_path):
     assert reloaded == dataset
     save_dataset(reloaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    # Format 3 is smaller than format 2 was (2,749,184 bytes for this cohort).
-    assert p1.stat().st_size < 2_500_000
+    # Format 4 is smaller than format 3 was (2,436,787 bytes for a 500-patient
+    # seed-0 cohort; format 2, 2,749,184 bytes for this one).
+    assert p1.stat().st_size < 2_000_000
 
 
 def test_empty_trajectory_list_is_valid(tmp_path):
@@ -63,7 +68,7 @@ def test_empty_trajectory_list_is_valid(tmp_path):
 
 def _write_doc(tmp_path, mutate):
     """Save a one-patient dataset (steps t=0 and t=1, feature f1, no
-    actions), apply mutate to the plain form of its document (see
+    actions), apply mutate to the plain form of its file (see
     conftest.plain_document) and write it back."""
     dataset = make_dataset(
         [
@@ -77,9 +82,9 @@ def _write_doc(tmp_path, mutate):
     )
     path = tmp_path / "data.json"
     save_dataset(dataset, path)
-    doc = plain_document(json.loads(path.read_text()))
+    doc = read_plain(path)
     mutate(doc)
-    path.write_text(json.dumps(binary_document(doc)))
+    write_plain(path, doc)
     return path
 
 
@@ -169,19 +174,17 @@ def test_non_finite_number_rejected(tmp_path, mutate):
 
 def test_parse_failure_has_context(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"feature_schema": {,}')
-    with pytest.raises(FormatError, match="line 1"):
+    path.write_bytes(COLUMN_MAGIC + b'{"feature_schema": {,}      \n')
+    with pytest.raises(FormatError, match="invalid header.*line 1"):
         load_dataset(path)
 
 
 def test_missing_key_reported(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(
-        json.dumps(
-            {"format": 3, "feature_schema": {}, "patient_id": [], "offsets": "AAAAAA==", "t": ""}
-        )
-    )
-    with pytest.raises(FormatError, match="action_schema"):
+    path.write_bytes(column_file(*binary_document(
+        {"feature_schema": {}, "patient_id": [], "offsets": [0], "t": []}
+    )))
+    with pytest.raises(FormatError, match="missing key 'action_schema'"):
         load_dataset(path)
 
 
@@ -243,7 +246,7 @@ def test_trajectory_order_preserved(tmp_path):
 def test_earlier_format_rejected(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps({"feature_schema": {}, "action_schema": {}, "trajectories": []}))
-    with pytest.raises(FormatError, match='"format": 3'):
+    with pytest.raises(FormatError, match="one-object-per-row format.*regenerate it in format 4"):
         load_dataset(path)
 
 
@@ -251,7 +254,16 @@ def test_format_2_file_rejected(tmp_path):
     path = tmp_path / "v2.json"
     path.write_text(json.dumps({"format": 2, "feature_schema": {}, "action_schema": {},
                                 "patient_id": [], "offsets": [0], "t": []}))
-    with pytest.raises(FormatError, match="format 2 .numbers as JSON text.*regenerate"):
+    with pytest.raises(FormatError, match="format-2 file .numbers as JSON text.*regenerate"):
+        load_dataset(path)
+
+
+def test_format_3_file_rejected(tmp_path):
+    path = tmp_path / "v3.json"
+    path.write_text('{"format":3,"feature_schema":{},"action_schema":{},"patient_id":[],'
+                    '"offsets":"AAAAAA==","t":""}\n')
+    with pytest.raises(FormatError, match="format-3 file .columns as base64 text in JSON.*"
+                                          "regenerate it in format 4"):
         load_dataset(path)
 
 
@@ -274,10 +286,10 @@ def _two_patients(doc):
         (lambda d: (_two_patients(d), d.update(patient_id=["p1", "p1"])), "'p1' appears more"),
         (lambda d: d["patient_id"].__setitem__(0, 7), "patient_id must be a string"),
         (lambda d: d.update(staleness={}), "values and staleness must have the same"),
-        (lambda d: d.update(actions=[]), "actions must be an object"),
         (lambda d: d["feature_schema"]["f1"].update(feature_type="Flat"), "unknown feature_type"),
         (lambda d: d["action_schema"].update(drug_a={"max": "4"}), "max must be a number"),
-        (lambda d: d.update(format="3"), '"format": 3'),
+        (lambda d: d.update(action_schema=[]), "action_schema must be an object"),
+        (lambda d: d.pop("patient_id"), "missing key 'patient_id'"),
     ],
 )
 def test_malformed_document_names_the_row(tmp_path, mutate, message):
@@ -285,35 +297,113 @@ def test_malformed_document_names_the_row(tmp_path, mutate, message):
         load_dataset(_write_doc(tmp_path, mutate))
 
 
+def _entry(header, name, cid=None):
+    """The column table entry of column name (or name[cid])."""
+    return next(e for e in header["columns"] if (e["name"], e.get("id")) == (name, cid))
+
+
+def _shifted(header, data, name, by):
+    """header and data with column name's buffer longer by `by` bytes (a
+    multiple of 8), the columns after it moved along."""
+    entry = _entry(header, name)
+    end = entry["offset"] + entry["length"]
+    entry["length"] += by
+    for later in header["columns"]:
+        if later["offset"] >= end and later is not entry:
+            later["offset"] += by
+    return header, data[:end] + bytes(by) + data[end:]
+
+
+def _duplicated_last(header, data):
+    last = dict(header["columns"][-1])
+    header["columns"].append({**last, "offset": len(data)})
+    return header, data + data[last["offset"] :]
+
+
 @pytest.mark.parametrize(
-    "mutate, message",
+    "mutate, edit, message",
     [
-        (lambda d: d.update(sofa=[5.0, 5.0]), "sofa must be a base64 string"),
-        (lambda d: d["values"].update(f1=0), r"values\['f1'\] must be a base64 string"),
-        (lambda d: d.update(t="AAAA!AAA"), "t is not valid base64"),
-        (lambda d: d.update(t="AAAAAA"), "t is not valid base64"),
-        (lambda d: d.update(t="AAAAAAA="), r"t has 5 bytes, expected 2 \(<i4"),
-        (lambda d: d.update(offsets="AAAAAA=="), r"offsets has 1 entries, expected 2"),
-        (lambda d: d.update(sofa_baseline=""), "sofa_baseline has 0 entries, expected 1"),
-        (lambda d: d.update(survived=""), "survived has 0 bytes, expected 1 for 1 flags"),
-        (lambda d: d["mask"].update(f1="AAA="), r"mask\['f1'\] has 2 bytes, expected 1"),
-        (lambda d: d["mask"].pop("f1"), "values and staleness must have the same feature columns"),
-        (lambda d: d.update(action_mask={"drug_a": "AA=="}), "actions must have the same action"),
-        (lambda d: d.pop("t"), "missing key 't'"),
-        (lambda d: d.update(offsets=d["sofa_baseline"]), r"t has 2 entries, expected \d{10}"),
-        (lambda d: d.update(t=base64.b64encode(bytes(4 * 1_000_001)).decode()),
-         r"t has 1000001 entries, expected 2 \("),
+        (lambda d: d.update(t=bytes(5)), None, r"t has 5 bytes, expected 2 \(<i4"),
+        (lambda d: d.update(offsets=bytes(4)), None, r"offsets has 1 entries, expected 2"),
+        (lambda d: d.update(sofa_baseline=b""), None, "sofa_baseline has 0 entries, expected 1"),
+        (lambda d: d.update(survived=b""), None, "survived has 0 bytes, expected 1 for 1 flags"),
+        (lambda d: d.update(mask={"f1": bytes(2)}), None,
+         r"mask\['f1'\] has 2 bytes, expected 1"),
+        (lambda d: d.update(mask={}), None,
+         "values and staleness must have the same feature columns"),
+        (lambda d: d.update(action_mask={"drug_a": [True, False]}), None,
+         "actions must have the same action columns as action_mask"),
+        (lambda d: d.pop("t"), None, "missing column t"),
+        (lambda d: d.update(offsets=np.array([5.0]).tobytes()), None,
+         r"t has 2 entries, expected \d{10}"),
+        (lambda d: d.update(t=bytes(4 * 1_000_001)), None, r"t has 1000001 entries, expected 2 \("),
+        (None, lambda h, d: (_entry(h, "sofa").update(dtype="<i4"), (h, d))[1],
+         "sofa has dtype <i4, expected <f8"),
+        (None, lambda h, d: (_entry(h, "mask", "f1").update(dtype="<f8"), (h, d))[1],
+         r"mask\['f1'\] has dtype <f8, expected bitmap"),
+        (None, lambda h, d: (_entry(h, "t").update(dtype="<i8"), (h, d))[1],
+         "t has dtype '<i8', not <i4, <f8 or bitmap"),
+        (None, lambda h, d: (_entry(h, "sofa").update(offset=_entry(h, "t")["offset"]), (h, d))[1],
+         r"sofa starts at byte \d+ of the buffers, expected \d+"),
+        (None, lambda h, d: (_entry(h, "sofa").update(offset=_entry(h, "sofa")["offset"] + 4),
+                             (h, d))[1], r"sofa starts at byte \d+ of the buffers, expected \d+"),
+        (None, lambda h, d: (h["columns"][-1].update(length=2**40), (h, d))[1],
+         r"mask\['f1'\] ends at byte \d{13} of the buffers, past their end at byte \d+"),
+        (None, lambda h, d: (_entry(h, "t").update(length=-8), (h, d))[1],
+         "t offset and length must be whole numbers >= 0"),
+        (None, lambda h, d: (_entry(h, "t").update(offset=True), (h, d))[1],
+         "t offset and length must be whole numbers >= 0"),
+        (None, lambda h, d: (h, d + bytes(8)),
+         r"the columns fill \d+ bytes of buffers, the file has"),
+        (None, lambda h, d: (h, d[:-8]), r"mask\['f1'\] ends at byte \d+ of the buffers, past"),
+        (None, lambda h, d: _shifted(h, d, "sofa", 8), r"sofa has 3 entries, expected 2"),
+        (None, _duplicated_last, r"column mask\['f1'\] appears more than once"),
+        (None, lambda h, d: (h.update(columns={}), (h, d))[1], "columns must be an array"),
+        (None, lambda h, d: (h.pop("columns"), (h, d))[1], "missing key 'columns'"),
+        (None, lambda h, d: (h["columns"].__setitem__(0, "t"), (h, d))[1],
+         r"columns\[0\] must be an object of name, dtype, offset, length"),
+        (None, lambda h, d: (h["columns"][0].update(rows=2), (h, d))[1],
+         r"columns\[0\] must be an object"),
+        (None, lambda h, d: (h["columns"][0].update(id=3), (h, d))[1],
+         r"columns\[0\] name and id must be strings"),
+        (None, lambda h, d: (h["columns"][0].update(id=None), (h, d))[1],
+         r"columns\[0\] name and id must be strings"),
     ],
-    ids=["non-string-buffer", "non-string-group-buffer", "bad-character", "bad-padding",
-         "partial-entry", "short-offsets", "empty-buffer", "empty-bitmap", "long-bitmap",
-         "missing-mask", "mask-without-column", "missing-t", "offsets-of-another-dtype",
-         "long-buffer-counted-exactly"],
+    ids=["partial-entry", "short-offsets", "empty-buffer", "empty-bitmap", "long-bitmap",
+         "missing-mask", "mask-without-column", "missing-t", "offsets-of-another-dtype", "long-buffer-counted-exactly",
+         "wrong-dtype", "bitmap-of-another-dtype", "unknown-dtype", "overlapping-columns",
+         "misaligned-column", "length-past-the-end", "negative-length", "offset-not-a-number",
+         "trailing-bytes", "truncated-buffers", "long-buffer-moved-along", "duplicate-column",
+         "columns-not-an-array", "no-column-table", "entry-not-an-object", "entry-extra-key",
+         "id-not-a-string", "id-null"],
 )
-def test_malformed_column_is_format_error(tmp_path, mutate, message):
-    path = _write_doc(tmp_path, lambda d: None)
-    doc = json.loads(path.read_text())
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+def test_malformed_column_is_format_error(tmp_path, mutate, edit, message):
+    path = _write_doc(tmp_path, mutate or (lambda d: None))
+    header, data = split_column_file(path.read_bytes())
+    if edit is not None:
+        header, data = edit(header, data)
+    path.write_bytes(column_file(header, data))
+    with pytest.raises(FormatError, match=message):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (COLUMN_MAGIC + b'{"columns": []}', "the header line has no end"),
+        (COLUMN_MAGIC + b'{"columns": []}\n', "the buffers start at byte 35, not a multiple of 8"),
+        (COLUMN_MAGIC + b"[]" + b" " * 2 + b"\n", "the header must be a JSON object"),
+        (COLUMN_MAGIC + b'{"\xff": 1}    \n', "invalid header"),
+        (COLUMN_MAGIC + b"[" * 100_004 + b"\n", "invalid header"),
+        (b"TRIDRIVE COLUMNS 5\n", "not a format-4 column file"),
+        (b"", "not a format-4 column file"),
+    ],
+    ids=["header-without-end", "unpadded-header", "header-not-an-object", "header-not-utf8",
+         "header-nested-too-deep", "later-format", "empty-file"],
+)
+def test_malformed_header_is_format_error(tmp_path, raw, message):
+    path = tmp_path / "d.json"
+    path.write_bytes(raw)
     with pytest.raises(FormatError, match=message):
         load_dataset(path)
 
@@ -332,9 +422,9 @@ _FUZZ_DATASET = dataset_to_json(
 
 
 @settings(max_examples=300, deadline=None)
-@given(mutated_documents(_FUZZ_DATASET))
-def test_fuzzed_document_parses_or_raises_toolkit_error(doc):
+@given(mutated_column_files(*_FUZZ_DATASET))
+def test_fuzzed_document_parses_or_raises_toolkit_error(file):
     try:
-        dataset_from_json(doc)
+        dataset_from_json(*file)
     except TridriveError:
         pass

@@ -14,7 +14,7 @@ from conftest import (
     binary_document,
     make_dataset,
     make_step,
-    mutated_documents,
+    mutated_column_files,
     oracle_bootstrap_ci,
     oracle_resample_counts,
     oracle_trajectory_weight,
@@ -138,7 +138,7 @@ class TestTrajectoryWeight:
         trajs, probs, max_ratio = case
         tables = [PolicyProbTable(probs)]
         try:
-            tables.append(prob_table_from_json(prob_table_to_json(tables[0])))
+            tables.append(prob_table_from_json(*prob_table_to_json(tables[0])))
         except ValidationError:  # a zero p_behavior is no table file
             assert any(p_behavior == 0.0 for _, p_behavior in probs.values())
         for traj in trajs:
@@ -614,9 +614,9 @@ class TestMortalityCurve:
 
 
 def _table_doc(rows_by_patient):
-    """The format-3 document of a table given as {patient: [{t, p_eval,
-    p_behavior}, ...]}, in the given order."""
-    doc = {"format": 3, "patient_id": [], "offsets": [0], "t": [], "p_eval": [], "p_behavior": []}
+    """(header, buffer section) of the column file of a table given as
+    {patient: [{t, p_eval, p_behavior}, ...]}, in the given order."""
+    doc = {"patient_id": [], "offsets": [0], "t": [], "p_eval": [], "p_behavior": []}
     for pid, rows in rows_by_patient.items():
         doc["patient_id"].append(pid)
         doc["offsets"].append(doc["offsets"][-1] + len(rows))
@@ -640,25 +640,34 @@ class TestProbTableIO:
         save_prob_table(_TABLE, p1)
         save_prob_table(load_prob_table(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_text() == (
-            '{"format":3,"patient_id":["p1","p2"],"offsets":"AAAAAAIAAAADAAAA",'
-            '"t":"AAAAAAMAAAAAAAAA","p_eval":"AAAAAAAA4D+amZmZmZnJPwAAAAAAAPA/",'
-            '"p_behavior":"AAAAAAAA4D+amZmZmZnZPwAAAAAAAPA/"}\n'
+        header = (
+            b'{"patient_id":["p1","p2"],"columns":['
+            b'{"name":"offsets","dtype":"<i4","offset":0,"length":12},'
+            b'{"name":"t","dtype":"<i4","offset":16,"length":12},'
+            b'{"name":"p_eval","dtype":"<f8","offset":32,"length":24},'
+            b'{"name":"p_behavior","dtype":"<f8","offset":56,"length":24}]}'
         )
+        buffers = (
+            np.array([0, 2, 3], "<i4").tobytes() + bytes(4)
+            + np.array([0, 3, 0], "<i4").tobytes() + bytes(4)
+            + np.array([0.5, 0.2, 1.0], "<f8").tobytes()
+            + np.array([0.5, 0.4, 1.0], "<f8").tobytes()
+        )
+        assert p1.read_bytes() == b"TRIDRIVE COLUMNS 4\n" + header + b" " * 7 + b"\n" + buffers
 
     def test_zero_behavior_probability_rejected(self):
         with pytest.raises(ValidationError, match="support"):
-            prob_table_from_json(_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.0}]}))
+            prob_table_from_json(*_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.0}]}))
 
     def test_eval_probability_range_checked(self):
         with pytest.raises(ValidationError, match="p_eval"):
-            prob_table_from_json(_table_doc({"p1": [{"t": 0, "p_eval": 1.2, "p_behavior": 0.5}]}))
+            prob_table_from_json(*_table_doc({"p1": [{"t": 0, "p_eval": 1.2, "p_behavior": 0.5}]}))
 
     def test_missing_field_rejected(self):
-        doc = _table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]})
-        del doc["p_behavior"]
-        with pytest.raises(FormatError):
-            prob_table_from_json(doc)
+        header, data = _table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]})
+        header["columns"].pop()
+        with pytest.raises(FormatError, match="missing column p_behavior"):
+            prob_table_from_json(header, data[:-8])
 
     @pytest.mark.parametrize(
         "entries, message",
@@ -670,35 +679,64 @@ class TestProbTableIO:
     def test_malformed_entries_name_the_patient(self, entries, message):
         rows = [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5, **e} for e in entries]
         with pytest.raises(FormatError, match=rf"patient 'p7'.*{message}"):
-            prob_table_from_json(_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}],
-                                             "p7": rows}))
+            prob_table_from_json(*_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}],
+                                              "p7": rows}))
 
     def test_repeated_patient_rejected(self):
-        doc = plain_document(_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]}))
+        doc = plain_document(*_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]}))
         doc["patient_id"].append("p1")
         doc["offsets"].append(1)
         with pytest.raises(FormatError, match="patient 'p1' appears more than once"):
-            prob_table_from_json(binary_document(doc))
+            prob_table_from_json(*binary_document(doc))
+
+    def test_decreasing_offsets_rejected(self):
+        doc = plain_document(*_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}],
+                                          "p2": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]}))
+        doc["offsets"] = [0, 2, 1]
+        with pytest.raises(FormatError, match=r"patient 'p2': offsets decrease \(2 then 1\)"):
+            prob_table_from_json(*binary_document(doc))
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            pytest.param("t", [0], "t must be a base64 string", id="non-string-buffer"),
-            pytest.param("p_eval", 0.5, "p_eval must be a base64 string", id="number-buffer"),
-            pytest.param("p_behavior", "0.5", "p_behavior is not valid base64", id="bad-base64"),
-            pytest.param("t", "AAAAAA==", "t has 1 entries, expected 2", id="short-buffer"),
-            pytest.param("offsets", "AAAAAAIAAAADAAAA", "offsets has 3 entries, expected 2",
-                         id="long-offsets"),
-            pytest.param("p_eval", "AAAAAAAA4D8=", r"p_eval has 1 entries, expected 2",
-                         id="one-float-short"),
+            pytest.param("t", bytes(5), "t has 5 bytes, expected 2", id="partial-entry"),
+            pytest.param("p_eval", b"", "p_eval has 0 entries, expected 2", id="empty-buffer"),
+            pytest.param("t", bytes(4), "t has 1 entries, expected 2", id="short-buffer"),
+            pytest.param("offsets", np.array([0, 2, 3], "<i4").tobytes(),
+                         "offsets has 3 entries, expected 2", id="long-offsets"),
+            pytest.param("p_eval", np.array([0.5], "<f8").tobytes(),
+                         r"p_eval has 1 entries, expected 2", id="one-float-short"),
         ],
     )
     def test_malformed_buffer_is_format_error(self, key, value, message):
-        doc = _table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5},
-                                 {"t": 1, "p_eval": 0.5, "p_behavior": 0.5}]})
+        doc = plain_document(*_table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5},
+                                                 {"t": 1, "p_eval": 0.5, "p_behavior": 0.5}]}))
         doc[key] = value
         with pytest.raises(FormatError, match=f"probability table: {message}"):
-            prob_table_from_json(doc)
+            prob_table_from_json(*binary_document(doc))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param("dtype", "<f8", "t has dtype <f8, expected <i4", id="wrong-dtype"),
+            pytest.param("dtype", "<f4", "t has dtype '<f4', not <i4, <f8 or bitmap",
+                         id="unknown-dtype"),
+            pytest.param("offset", 0, "t starts at byte 0 of the buffers, expected 8",
+                         id="overlapping"),
+            pytest.param("offset", 12, "t starts at byte 12 of the buffers, expected 8",
+                         id="misaligned"),
+            pytest.param("length", 2**42,
+                         rf"t ends at byte {8 + 2**42} of the buffers, past their end at byte 32",
+                         id="past-the-end"),
+            pytest.param("length", 1.5, "t offset and length must be whole numbers",
+                         id="length-not-whole"),
+        ],
+    )
+    def test_malformed_column_entry_is_format_error(self, field, value, message):
+        header, data = _table_doc({"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]})
+        header["columns"][1][field] = value
+        with pytest.raises(FormatError, match=f"probability table: {message}"):
+            prob_table_from_json(header, data)
 
     @pytest.mark.parametrize("t", [2**31, -(2**31), 2**40])
     def test_time_beyond_the_file_is_refused_before_writing(self, tmp_path, t):
@@ -722,31 +760,38 @@ class TestProbTableIO:
             save_prob_table(table, tmp_path / "probs.json")
         assert not (tmp_path / "probs.json").exists()
 
-    def test_non_finite_time_in_file_is_format_error(self, tmp_path):
+    def test_integer_past_digit_limit_in_header_is_format_error(self, tmp_path):
         path = tmp_path / "probs.json"
-        path.write_text('{"format": 3, "patient_id": ["p1"], "offsets": "AAAAAAEAAAA=", '
-                        '"t": Infinity, "p_eval": "AAAAAAAA4D8=", "p_behavior": "AAAAAAAA4D8="}')
-        with pytest.raises(FormatError, match="t must be a base64 string"):
-            load_prob_table(path)
-
-    def test_integer_past_digit_limit_in_file_is_format_error(self, tmp_path):
-        path = tmp_path / "probs.json"
-        path.write_text('{"format": 3, "patient_id": ["p1"], "offsets": "AAAAAAEAAAA=", '
-                        '"t": [1' + "0" * 5000 + '], "p_eval": "", "p_behavior": ""}')
-        with pytest.raises(FormatError, match="probs.json"):
+        line = b'{"patient_id":["p1"],"columns":[' + b"1" + b"0" * 5000 + b"]}"
+        path.write_bytes(b"TRIDRIVE COLUMNS 4\n" + line + b" " * (-(len(line) + 20) % 8) + b"\n")
+        with pytest.raises(FormatError, match="probs.json: invalid header"):
             load_prob_table(path)
 
     def test_earlier_format_rejected(self, tmp_path):
         path = tmp_path / "probs.json"
         path.write_text('{"p1": [{"t": 0, "p_eval": 0.5, "p_behavior": 0.5}]}')
-        with pytest.raises(FormatError, match='"format": 3'):
+        with pytest.raises(FormatError, match="one-object-per-row format.*regenerate"):
+            load_prob_table(path)
+
+    def test_format_3_file_rejected(self, tmp_path):
+        path = tmp_path / "probs.json"
+        path.write_text('{"format":3,"patient_id":["p1","p2"],"offsets":"AAAAAAIAAAADAAAA",'
+                        '"t":"AAAAAAMAAAAAAAAA","p_eval":"AAAAAAAA4D+amZmZmZnJPwAAAAAAAPA/",'
+                        '"p_behavior":"AAAAAAAA4D+amZmZmZnZPwAAAAAAAPA/"}\n')
+        with pytest.raises(FormatError, match="probs.json: a format-3 file .*regenerate"):
+            load_prob_table(path)
+
+    def test_dataset_is_not_a_table(self, tmp_path, two_patient_dataset):
+        path = tmp_path / "cohort.json"
+        save_dataset(two_patient_dataset, path)
+        with pytest.raises(FormatError, match="probability table: missing column p_eval"):
             load_prob_table(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(mutated_documents(prob_table_to_json(_TABLE)))
-    def test_fuzzed_document_parses_or_raises_toolkit_error(self, doc):
+    @given(mutated_column_files(*prob_table_to_json(_TABLE)))
+    def test_fuzzed_document_parses_or_raises_toolkit_error(self, file):
         try:
-            prob_table_from_json(doc)
+            prob_table_from_json(*file)
         except TridriveError:
             pass
 
@@ -774,7 +819,7 @@ class TestProbTableColumns:
             "p0": [],
             "p1": [{"t": 0, "p_eval": 0.2, "p_behavior": 0.4}, {"t": 3, "p_eval": 1, "p_behavior": 1}],
         })
-        table = prob_table_from_json(doc)
+        table = prob_table_from_json(*doc)
         assert table.columns.spans == {"p2": (0, 1), "p0": (1, 1), "p1": (1, 3)}
         assert table.probs == {("p2", 1): (0.5, 0.5), ("p1", 0): (0.2, 0.4), ("p1", 3): (1.0, 1.0)}
         assert prob_table_to_json(table) == prob_table_to_json(PolicyProbTable(table.probs))

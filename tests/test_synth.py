@@ -113,14 +113,15 @@ class TestGenerate:
 
 # conftest.cohort_digest of CohortConfig(n_patients=50, seed=0), generated
 # and loaded back from its file: the cohort's content, whatever the file
-# format. Recorded from the format-2 file, before format 3.
+# format. Recorded from the format-2 file, before formats 3 and 4.
 _DIGEST_50_SEED_0 = "10a6145926940a462b14cad3b1e4e57c4307d7433b9ead0a2b9120192c24799f"
-# sha256 of the format-3 file save_dataset writes for it.
-_GOLDEN_50_SEED_0 = "17a86b8a90dcd82599392c23b09687d786cc0accb47505758a0caf3041d7cb7b"
+# sha256 of the format-4 file save_dataset writes for it.
+_GOLDEN_50_SEED_0 = "7a7a857cd3cd252bf5ea1c86efb17a0d48a2b6ce33fbe86386079e983215bb58"
 
 
-def _json_bytes(dataset) -> bytes:
-    return json.dumps(dataset_to_json(dataset), separators=(",", ":")).encode()
+def _file_bytes(dataset) -> bytes:
+    header, data = dataset_to_json(dataset)
+    return json.dumps(header, separators=(",", ":")).encode() + data
 
 
 @st.composite
@@ -168,12 +169,12 @@ class TestMatchesScalarOracle:
     )
     def test_same_bytes_as_oracle(self, overrides):
         config = CohortConfig(**{"n_patients": 25, **overrides})
-        assert _json_bytes(generate(config)) == _json_bytes(oracle_generate(config))
+        assert _file_bytes(generate(config)) == _file_bytes(oracle_generate(config))
 
     @settings(max_examples=60, deadline=None)
     @given(small_configs())
     def test_small_configs_match_oracle(self, config):
-        assert _json_bytes(generate(config)) == _json_bytes(oracle_generate(config))
+        assert _file_bytes(generate(config)) == _file_bytes(oracle_generate(config))
 
     def test_output_pinned_by_golden_hash(self, tmp_path):
         path = tmp_path / "cohort.json"
