@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -75,14 +76,20 @@ class ActionSpec:
     discrete: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class Step:
-    """One time step: absolute hour, severity score, observations, action."""
+    """One time step: absolute hour, severity score, observations, action.
+    A frozen value, varied with dataclasses.replace; the two mappings are
+    held as read-only copies of the ones given."""
 
     t: int
     sofa: float
     observations: dict[str, Observation]
     action: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("observations", "action"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +180,6 @@ class CohortColumns:
         ).reshape(len(steps), len(aids))
         actions = np.zeros(action_mask.shape)
         actions[action_mask] = [s.action[aid] for s in steps for aid in aids if aid in s.action]
-        whole = [
-            aid in action_schema
-            and action_schema[aid].discrete
-            and bool(np.all(np.isfinite(levels) & (np.trunc(levels) == levels)))
-            for aid, levels in zip(aids, actions.T)
-        ]
         return cls(
             feature_ids=fids,
             action_ids=aids,
@@ -189,7 +190,7 @@ class CohortColumns:
             mask=mask,
             actions=actions,
             action_mask=action_mask,
-            whole=whole,
+            whole=_whole(aids, actions, action_schema),
             offsets=np.array([0] + [len(sl) for sl in step_lists]).cumsum(),
         )
 
@@ -225,6 +226,19 @@ class CohortColumns:
 _ROW_COLUMNS = ("t", "sofa", "values", "staleness", "mask", "actions", "action_mask")
 
 
+def _whole(
+    aids: list[str], actions: np.ndarray, action_schema: dict[str, ActionSpec]
+) -> list[bool]:
+    """Per action of an [N, A] level matrix, whether it reads back as ints:
+    its schema entry is discrete and every level it has is a whole number."""
+    return [
+        aid in action_schema
+        and action_schema[aid].discrete
+        and bool(np.all(np.isfinite(levels) & (np.trunc(levels) == levels)))
+        for aid, levels in zip(aids, actions.T)
+    ]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """One patient's stay: a frozen value, varied with dataclasses.replace.
@@ -232,9 +246,7 @@ class Trajectory:
     Built from steps, a trajectory derives its columns from them on first
     use. Built by view(), as every trajectory of a dataset is, it is a
     view of a CohortColumns block: its columns are slices of the block,
-    and its steps are built from them only when read. Changing a Step
-    object in place changes neither its trajectory's columns nor, for a
-    view, its block.
+    and its steps are built from them only when read.
     """
 
     patient_id: str
@@ -356,8 +368,9 @@ class TrajectoryDataset:
         first = np.repeat(cols.offsets[:-1], lengths)
         backwards = np.zeros(n, dtype=bool)
         backwards[1:] = cols.t[1:] <= cols.t[:-1]
-        maxima = [getattr(self.action_schema.get(aid), "max_value", math.inf)
-                  for aid in cols.action_ids]
+        schemas = [self.action_schema.get(aid) for aid in cols.action_ids]
+        maxima = [getattr(spec, "max_value", math.inf) for spec in schemas]
+        discrete = np.array([getattr(spec, "discrete", False) for spec in schemas], dtype=bool)
         return np.column_stack([
             ~_whole_below(np.abs(cols.t), I4_LIMIT),
             backwards & (np.arange(n) != first),
@@ -375,6 +388,7 @@ class TrajectoryDataset:
                 np.array([aid not in self.action_schema for aid in cols.action_ids], dtype=bool),
                 ~(cols.actions >= 0),
                 cols.actions > np.array(maxima, dtype=float),
+                discrete & (np.trunc(cols.actions) != cols.actions),
             ),
         ])
 
@@ -401,6 +415,7 @@ class TrajectoryDataset:
                 f"action {aid!r} not in action_schema",
                 f"action {aid!r} level {level} not >= 0 {at}",
                 f"action {aid!r} level {level} exceeds max {maximum} {at}",
+                f"discrete action {aid!r} level {level} not a whole number {at}",
             ]
         return messages
 
@@ -723,16 +738,6 @@ def dataset_from_json(header: dict, data) -> TrajectoryDataset:
     # An absent slot reads as 0, whatever the file holds there.
     for columns, present in ((values, mask), (staleness, mask), (actions, action_mask)):
         np.copyto(columns, 0.0, where=~present)
-    whole = [aid in action_schema and action_schema[aid].discrete for aid in aids]
-    for j, aid in enumerate(aids):
-        if whole[j]:  # a discrete action's levels are truncated, as int() does
-            infinite = ~np.isfinite(actions[:, j])
-            if infinite.any():
-                i = int(np.argmax(infinite))
-                level = actions[i, j].item()
-                raise ValidationError(f"{frame.row(i)}: action {aid!r} level {level} not finite")
-            actions[:, j] = np.trunc(actions[:, j])
-
     block = CohortColumns(
         feature_ids=fids,
         action_ids=aids,
@@ -743,7 +748,7 @@ def dataset_from_json(header: dict, data) -> TrajectoryDataset:
         mask=mask,
         actions=actions,
         action_mask=action_mask,
-        whole=whole,
+        whole=_whole(aids, actions, action_schema),
         offsets=frame.offsets,
     )
     dataset = TrajectoryDataset(

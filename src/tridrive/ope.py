@@ -65,10 +65,10 @@ class PolicyProbTable:
     evaluation and behavior policies. Keyed on (patient_id, t) where t is
     the absolute time index of the step whose action was taken.
 
-    Held as columns. A table built from a dict, PolicyProbTable(probs),
-    derives its columns once, on first use, sorted by (patient, t). A
-    loaded or identity table holds only its columns, and its probs dict is
-    built only when read.
+    Held as columns, checked (_check_rows) when made: by of_columns for a
+    loaded or identity table, whose probs dict is built only when read;
+    once, on first use, for a table built from a dict, PolicyProbTable(probs),
+    whose columns are sorted by (patient, t).
     """
 
     def __init__(self, probs: dict[tuple[str, int], tuple[float, float]]):
@@ -76,6 +76,7 @@ class PolicyProbTable:
 
     @classmethod
     def of_columns(cls, columns: ProbColumns) -> "PolicyProbTable":
+        _check_rows(columns)
         table = cls.__new__(cls)
         table.__dict__["columns"] = columns
         return table
@@ -85,7 +86,7 @@ class PolicyProbTable:
         """The rows, derived from probs once, on first use, for a dict-built
         table. Raises ValidationError naming the first key, in row order,
         whose t is not a whole number below 2**53 in magnitude (so that a
-        float holds it exactly)."""
+        float holds it exactly), or else what _check_rows raises."""
         keys = sorted(self.probs)
         values = list(map(self.probs.__getitem__, keys))
         rows = Counter(map(itemgetter(0), keys))  # per patient, in sorted order
@@ -101,12 +102,14 @@ class PolicyProbTable:
             raise ValidationError(
                 f"({pid!r}, t={step}): t not a whole number of magnitude below 2**53"
             )
-        return ProbColumns(
+        columns = ProbColumns(
             dict(zip(rows, zip([0, *ends], ends))),
             t.astype(np.int64),
             column(values, 0, float),
             column(values, 1, float),
         )
+        _check_rows(columns)
+        return columns
 
     @cached_property
     def probs(self) -> dict[tuple[str, int], tuple[float, float]]:
@@ -115,37 +118,33 @@ class PolicyProbTable:
         rows = list(zip(t.tolist(), zip(p_eval.tolist(), p_behavior.tolist())))
         return {(pid, step): p for pid, (lo, hi) in spans.items() for step, p in rows[lo:hi]}
 
-    @cached_property
-    def _supported(self) -> bool:
-        """Whether every row's p_behavior is > 0, so that no step can hit a zero."""
-        return bool((self.columns.p_behavior > 0.0).all())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyProbTable):
             return NotImplemented
         return self.probs == other.probs
 
-    def validate(self) -> None:
-        """Raises ValidationError at the first row, in row order, whose t
-        is not below 2**31 in magnitude, whose p_eval is outside [0, 1] or
-        whose p_behavior is outside (0, 1], checked in that order."""
-        spans, t, p_eval, p_behavior = self.columns
-        bad_t = ~((-I4_LIMIT < t) & (t < I4_LIMIT))
-        bad_eval = ~((0.0 <= p_eval) & (p_eval <= 1.0))
-        bad = bad_t | bad_eval | ~((0.0 < p_behavior) & (p_behavior <= 1.0))
-        if not bad.any():
-            return
-        row = int(np.argmax(bad))
-        pid = next(pid for pid, (lo, hi) in spans.items() if lo <= row < hi)
-        where = f"({pid!r}, t={t[row].item()})"
-        if bad_t[row]:
-            raise ValidationError(f"{where}: t not of magnitude below 2**31")
-        if bad_eval[row]:
-            raise ValidationError(f"{where}: p_eval {p_eval[row].item()} out of [0,1]")
-        raise ValidationError(
-            f"{where}: p_behavior {p_behavior[row].item()} must lie in (0,1] "
-            "(logged actions need behavior-policy support)"
-        )
+
+def _check_rows(columns: ProbColumns) -> None:
+    """Raises ValidationError at the first row, in row order, whose t is
+    not below 2**31 in magnitude, whose p_eval is outside [0, 1] or whose
+    p_behavior is outside (0, 1], checked in that order."""
+    spans, t, p_eval, p_behavior = columns
+    bad_t = ~((-I4_LIMIT < t) & (t < I4_LIMIT))
+    bad_eval = ~((0.0 <= p_eval) & (p_eval <= 1.0))
+    bad = bad_t | bad_eval | ~((0.0 < p_behavior) & (p_behavior <= 1.0))
+    if not bad.any():
+        return
+    row = int(np.argmax(bad))
+    pid = next(pid for pid, (lo, hi) in spans.items() if lo <= row < hi)
+    where = f"({pid!r}, t={t[row].item()})"
+    if bad_t[row]:
+        raise ValidationError(f"{where}: t not of magnitude below 2**31")
+    if bad_eval[row]:
+        raise ValidationError(f"{where}: p_eval {p_eval[row].item()} out of [0,1]")
+    raise ValidationError(
+        f"{where}: p_behavior {p_behavior[row].item()} must lie in (0,1] "
+        "(logged actions need behavior-policy support)"
+    )
 
 
 @dataclass
@@ -181,9 +180,9 @@ def trajectory_weight(
     step order.
 
     max_ratio optionally caps each per-step ratio; disabled (None) gives the
-    textbook estimator. Raises SchemaError for a step the table has no row
-    for, and ValidationError for a step whose p_behavior is 0, whichever
-    step comes first.
+    textbook estimator. Raises SchemaError for the first step the table has
+    no row for. Every p_behavior of a table in use is > 0: a table with a
+    bad row, any patient's, raises ValidationError when first used.
 
     Called by wis and bootstrap_ci once per trajectory of a dataset, it
     returns the weight their one join of the table to the dataset's block
@@ -204,30 +203,17 @@ def trajectory_weight(
     table = probs.columns
     span = slice(*table.spans.get(pid, (0, 0)))
     t, p_eval, p_behavior = table.t[span], table.p_eval[span], table.p_behavior[span]
-    missing = None
     # Usually the patient's rows are the steps, as equal bytes of one dtype.
     if not (t.dtype == steps.dtype and t.tobytes() == steps.tobytes()):
         at = np.searchsorted(t, steps)
         found = np.zeros(len(steps), dtype=bool)
         inside = at < len(t)
         found[inside] = t[at[inside]] == steps[inside]
-        rows = at[found]
-        # A step without a row reads p 0 / 1 until it is reported below.
-        p_eval, p_behavior = np.zeros(len(steps)), np.ones(len(steps))
-        p_eval[found], p_behavior[found] = table.p_eval[span][rows], table.p_behavior[span][rows]
-        missing = ~found
-    if missing is not None or not probs._supported:
-        bad = p_behavior <= 0.0 if missing is None else missing | (p_behavior <= 0.0)
-        if bad.any():
-            k = int(np.argmax(bad))
-            if missing is not None and missing[k]:
-                raise SchemaError(
-                    f"no policy probabilities for patient {pid!r} at t={steps[k].item()}"
-                )
-            raise ValidationError(
-                f"patient {pid!r} t={steps[k].item()}: behavior probability is 0 "
-                "(support violation)"
+        if not found.all():
+            raise SchemaError(
+                f"no policy probabilities for patient {pid!r} at t={steps[~found][0].item()}"
             )
+        p_eval, p_behavior = p_eval[at], p_behavior[at]
     ratios = p_eval / p_behavior
     if max_ratio is not None:
         ratios = np.minimum(ratios, max_ratio)
@@ -254,9 +240,9 @@ def _join_weights(
     """Every trajectory's weight from one join of the table's rows to the
     block's transition rows (each trajectory's rows but its last), and
     whether it is flagged: its rows are not exactly its patient's table
-    rows, as equal t of one integer dtype, or one has p_behavior <= 0. A
-    flagged trajectory's weight is left to trajectory_weight's own code,
-    which raises for it or matches rows by t."""
+    rows, as equal t of one integer dtype. A flagged trajectory's weight is
+    left to trajectory_weight's own code, which raises for it or matches
+    rows by t."""
     table = probs.columns
     n = len(patient_ids)
     steps = np.maximum(np.diff(block.offsets), 1) - 1
@@ -270,10 +256,8 @@ def _join_weights(
     within = np.arange(counts.sum()) - np.repeat(starts, counts)
     rows = np.repeat(lo, counts) + within
     block_rows = np.repeat(block.offsets[:-1], counts) + within
-    p_behavior = table.p_behavior[rows]
-    bad = (table.t[rows] != block.t[block_rows]) | (p_behavior <= 0.0)
-    exact[np.repeat(np.arange(n), counts)[bad]] = False
-    ratios = table.p_eval[rows] / np.where(bad, 1.0, p_behavior)
+    exact[np.repeat(np.arange(n), counts)[table.t[rows] != block.t[block_rows]]] = False
+    ratios = table.p_eval[rows] / table.p_behavior[rows]
     if max_ratio is not None:
         np.minimum(ratios, max_ratio, out=ratios)
     weights = np.ones(n)  # a trajectory of one step has no ratio
@@ -519,9 +503,7 @@ def prob_table_from_json(header: dict, data) -> PolicyProbTable:
     p_behavior = frame.buffer("p_behavior", F8, frame.n_rows)
     offsets = frame.offsets.tolist()
     spans = dict(zip(frame.patient_ids, zip(offsets, offsets[1:])))
-    table = PolicyProbTable.of_columns(ProbColumns(spans, frame.t, p_eval, p_behavior))
-    table.validate()
-    return table
+    return PolicyProbTable.of_columns(ProbColumns(spans, frame.t, p_eval, p_behavior))
 
 
 def prob_table_to_json(table: PolicyProbTable) -> tuple[dict, bytes]:
@@ -548,5 +530,4 @@ def load_prob_table(path: str | Path) -> PolicyProbTable:
 
 def save_prob_table(table: PolicyProbTable, path: str | Path) -> None:
     """Write the table; load_prob_table reproduces it exactly."""
-    table.validate()
     write_columns(path, *prob_table_to_json(table))

@@ -222,21 +222,24 @@ def generate_candidates(
     return valid, quarantined
 
 
-def load_spec_dir(path: str | Path) -> list[tuple[str, RewardSpec]]:
-    """The reward specs of a directory as (id, spec), id = file stem. With an
-    index.json (as generate_candidates writes), the specs its "valid" list
-    names, in that order; otherwise every *.json file, in file-name order."""
-    root = Path(path)
+def _spec_ids(root: Path) -> list[str]:
+    """The ids (file stems) of a directory's reward specs: the "valid" list
+    of its index.json, as generate_candidates writes, or else every *.json
+    file's, in file-name order."""
     index_path = root / "index.json"
-    if index_path.exists():
-        index = read_json(index_path, "candidate index")
-        ids = index.get("valid") if isinstance(index, dict) else None
-        if not (isinstance(ids, list) and all(isinstance(sid, str) for sid in ids)):
-            raise FormatError(f"{index_path}: expected a 'valid' list of spec ids")
-        files = [root / f"{sid}.json" for sid in ids]
-    else:
-        files = sorted(root.glob("*.json"))
-    specs = [(file.stem, load_reward_spec(file)) for file in files]
+    if not index_path.exists():
+        return [file.stem for file in sorted(root.glob("*.json"))]
+    index = read_json(index_path, "candidate index")
+    ids = index.get("valid") if isinstance(index, dict) else None
+    if not (isinstance(ids, list) and all(isinstance(sid, str) for sid in ids)):
+        raise FormatError(f"{index_path}: expected a 'valid' list of spec ids")
+    return ids
+
+
+def load_spec_dir(path: str | Path) -> list[tuple[str, RewardSpec]]:
+    """The reward specs of a directory as (id, spec), in _spec_ids order."""
+    root = Path(path)
+    specs = [(sid, load_reward_spec(root / f"{sid}.json")) for sid in _spec_ids(root)]
     if not specs:
         raise ConfigError(f"no reward specs found in {path}")
     return specs
@@ -686,12 +689,12 @@ class PipelineRun:
 
     def _run_ope(self, dataset: TrajectoryDataset) -> None:
         champion_id = self.manifest["champion"]
-        specs = dict(load_spec_dir(self.out / "candidates"))
-        if champion_id not in specs:
+        candidates = self.out / "candidates"
+        if champion_id not in _spec_ids(candidates):
             raise FormatError(f"{self.manifest_path}: champion {champion_id!r} is not a candidate")
         ope_stage(
             dataset,
-            specs[champion_id],
+            load_reward_spec(candidates / f"{champion_id}.json"),
             self.config.probs,
             self.out / "ope",
             level=self.config.level,

@@ -97,8 +97,9 @@ class SurvivalConfig:
 @dataclass(frozen=True)
 class RewardSpec:
     """One candidate reward function in declarative form: a frozen value,
-    varied with dataclasses.replace. The three mappings are held as
-    read-only copies of the ones given."""
+    varied with dataclasses.replace, that checks itself (validate) when
+    made. The three mappings are held as read-only copies of the ones
+    given. An infinite confidence_tau turns that feature's decay off."""
 
     survival: dict[str, SurvivalConfig]
     confidence_tau: dict[str, float]
@@ -112,13 +113,14 @@ class RewardSpec:
     def __post_init__(self):
         for name in ("survival", "confidence_tau", "action_max"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        self.validate()
 
     def validate(self) -> None:
         if set(self.survival) != set(self.confidence_tau):
             raise ValidationError("survival and confidence_tau must cover the same features")
         for fid, tau in self.confidence_tau.items():
-            if not _positive(tau):
-                raise ValidationError(f"confidence_tau[{fid!r}] must be a finite positive number")
+            if not (0.0 < tau <= math.inf):
+                raise ValidationError(f"confidence_tau[{fid!r}] must be a positive number")
         if not _positive(self.decay_half_life):
             raise ValidationError("decay_half_life must be a finite positive number")
         if not (0.0 < self.gamma <= 1.0):
@@ -524,7 +526,7 @@ def baseline_oprm(
 # Spec (de)serialization: UTF-8 JSON mirroring the fields exactly, except
 # that lam is written "lambda". Unknown keys are rejected so machine-produced
 # specs fail loudly. Values are typed on read; their ranges are checked by
-# SurvivalConfig and RewardSpec.validate.
+# SurvivalConfig and RewardSpec when they are made.
 # ---------------------------------------------------------------------------
 
 
@@ -541,19 +543,26 @@ def _survival_from_json(fid: str, doc) -> SurvivalConfig:
     return SurvivalConfig(**kwargs)
 
 
+def _in_file(spec: RewardSpec) -> RewardSpec:
+    """The spec, whose confidence taus must be finite in a file, as JSON
+    numbers are (every other field's range excludes inf)."""
+    for fid, tau in spec.confidence_tau.items():
+        if tau == math.inf:
+            raise ValidationError(f"confidence_tau[{fid!r}] must be finite in a spec file")
+    return spec
+
+
 def reward_spec_from_json(doc) -> RewardSpec:
     kwargs = fields_from_json(RewardSpec, doc, "reward spec", finite=False, keys=_KEYS)
     kwargs["survival"] = {
         fid: _survival_from_json(fid, entry) for fid, entry in kwargs["survival"].items()
     }
-    spec = RewardSpec(**kwargs)
-    spec.validate()
-    return spec
+    return _in_file(RewardSpec(**kwargs))
 
 
 def reward_spec_to_json(spec: RewardSpec) -> dict:
     survival = {}
-    for fid, cfg in sorted(spec.survival.items()):
+    for fid, cfg in sorted(_in_file(spec).survival.items()):
         entry = {"form": cfg.form.value}
         for name in _FORM_PARAMS[cfg.form]:
             entry[name] = getattr(cfg, name)
@@ -576,5 +585,4 @@ def load_reward_spec(path: str | Path) -> RewardSpec:
 
 
 def save_reward_spec(spec: RewardSpec, path: str | Path) -> None:
-    spec.validate()
     write_json(path, reward_spec_to_json(spec))

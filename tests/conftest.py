@@ -415,6 +415,9 @@ def oracle_validate(dataset):
                         f"patient {pid!r}: action {aid!r} level {level} exceeds max "
                         f"{dataset.action_schema[aid].max_value} at t={step.t}"
                     )
+                if dataset.action_schema[aid].discrete and not float(level).is_integer():
+                    return (f"patient {pid!r}: discrete action {aid!r} level {level} not a whole "
+                            f"number at t={step.t}")
     return None
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import mutated_documents, read_plain, write_plain
 from tridrive import __version__
 from tridrive.cli import main
+from tridrive.errors import ValidationError
 from tridrive.model import load_dataset
 from tridrive.ope import identity_prob_table, save_prob_table
 
@@ -91,6 +93,34 @@ class TestStats:
         _assert_usage_error(result)
         assert named in result.output
         assert "regenerate it in format 4" in result.output
+
+    @pytest.mark.parametrize("level", [2.7, -0.5, math.inf, math.nan])
+    def test_a_discrete_level_not_whole_is_exit_2(self, workdir, tmp_path, level):
+        """Exit 2 with the message validation gives the same cohort in
+        memory, naming the patient, action, level and t: not truncated."""
+        doc = read_plain(workdir / "cohort.json")
+        aid = min(doc["actions"])
+        assert doc["action_schema"][aid]["discrete"]
+        row = next(i for i, x in enumerate(doc["actions"][aid]) if x is not None)
+        doc["actions"][aid][row] = level
+        path = tmp_path / "bad.json"
+        write_plain(path, doc)
+        result = _invoke("stats", "--dataset", path, "--out", tmp_path / "o.json")
+        _assert_usage_error(result)
+        cohort = load_dataset(workdir / "cohort.json")
+        k = sum(1 for end in doc["offsets"][1:] if end <= row)
+        traj = cohort.trajectories[k]
+        steps = list(traj.steps)
+        i = row - doc["offsets"][k]
+        steps[i] = dataclasses.replace(steps[i], action={**steps[i].action, aid: level})
+        trajs = list(cohort.trajectories)
+        trajs[k] = dataclasses.replace(traj, steps=steps)
+        with pytest.raises(ValidationError) as built:
+            dataclasses.replace(cohort, trajectories=trajs).validate()
+        message = str(built.value)
+        assert message.startswith(f"patient {traj.patient_id!r}: ")
+        assert f"action {aid!r} level {level} " in message and message.endswith(f"t={steps[i].t}")
+        assert result.stderr == f"error: {message}\n"
 
     def test_rerun_identical_bytes(self, workdir, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

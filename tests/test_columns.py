@@ -61,9 +61,10 @@ LEVELS = {"dose": st.integers(0, 4), "flow": st.integers(0, 240).map(lambda k: k
 
 
 @st.composite
-def trajectories(draw, patient_id):
+def trajectories(draw, patient_id, levels=LEVELS):
     """2 to 5 steps; f1 always observed, f2 and f3 for the whole stay or
-    never; each action set or unset at each step."""
+    never; each action set or unset at each step, to a level drawn from
+    levels."""
     fids = ["f1"] + [fid for fid in ("f2", "f3") if draw(st.booleans())]
     t = 0
     steps = []
@@ -71,17 +72,19 @@ def trajectories(draw, patient_id):
         t += draw(st.integers(1, 3))
         values = {fid: draw(st.integers(0, 1000)) / 1000 for fid in fids}
         staleness = {fid: draw(st.integers(0, 3)) for fid in fids}
-        action = {aid: draw(level) for aid, level in LEVELS.items() if draw(st.booleans())}
+        action = {aid: draw(level) for aid, level in levels.items() if draw(st.booleans())}
         sofa = draw(st.integers(0, 200)) / 10
         steps.append(make_step(t, values, staleness, action=action, sofa=sofa))
     return Trajectory(patient_id, steps, draw(st.booleans()), draw(st.integers(0, 200)) / 10)
 
 
 @st.composite
-def datasets(draw):
+def datasets(draw, levels=LEVELS):
     n = draw(st.integers(2, 4))
     return TrajectoryDataset(
-        [draw(trajectories(f"p{i}")) for i in range(n)], dict(FEATURE_SCHEMA), dict(ACTION_SCHEMA)
+        [draw(trajectories(f"p{i}", levels)) for i in range(n)],
+        dict(FEATURE_SCHEMA),
+        dict(ACTION_SCHEMA),
     )
 
 
@@ -353,59 +356,81 @@ def test_validate_builds_no_steps(tmp_path, monkeypatch, trajs, message):
 
 
 # One broken rule of TrajectoryDataset.validate each, applied at row r of
-# one trajectory: in place to its steps, or, where a break returns a dict,
-# to the fields of a replaced trajectory. Discrete levels stay whole, as a
-# loaded discrete level is.
+# one trajectory: each break returns the fields of a replaced trajectory,
+# whose steps are new Step values made with dataclasses.replace.
 _BREAKS = {
     "length": lambda draw, traj, r: {"steps": traj.steps[:1]},
     "baseline": lambda draw, traj, r: {
         "sofa_baseline": draw(st.sampled_from([-1.0, math.nan, math.inf]))
     },
-    "time": lambda draw, traj, r: setattr(
-        traj.steps[max(r, 1)], "t", traj.steps[max(r, 1) - 1].t - draw(st.integers(0, 2))
+    "time": lambda draw, traj, r: _edit(
+        traj, max(r, 1), t=traj.steps[max(r, 1) - 1].t - draw(st.integers(0, 2))
     ),
-    "sofa": lambda draw, traj, r: setattr(
-        traj.steps[r], "sofa", draw(st.sampled_from([-1.0, math.nan, math.inf]))
+    "sofa": lambda draw, traj, r: _edit(
+        traj, r, sofa=draw(st.sampled_from([-1.0, math.nan, math.inf]))
     ),
-    "feature-set": lambda draw, traj, r: _toggle(traj.steps[r].observations, "f2"),
-    "unknown-feature": lambda draw, traj, r: [
-        step.observations.update(zz=model.Observation(0.5, 0)) for step in traj.steps
-    ],
+    "feature-set": lambda draw, traj, r: _edit(
+        traj, r, observations=_toggle(traj.steps[r].observations, "f2")
+    ),
+    "unknown-feature": lambda draw, traj, r: {"steps": [
+        dataclasses.replace(
+            step, observations={**step.observations, "zz": model.Observation(0.5, 0)}
+        )
+        for step in traj.steps
+    ]},
     "value": lambda draw, traj, r: _observe(
-        traj.steps[r], value=draw(st.sampled_from([1.5, -0.25, math.inf]))
+        traj, r, value=draw(st.sampled_from([1.5, -0.25, math.inf]))
     ),
-    "staleness": lambda draw, traj, r: _observe(traj.steps[r], staleness=-1),
-    "unknown-action": lambda draw, traj, r: traj.steps[r].action.update(zz=1),
-    "negative-level": lambda draw, traj, r: traj.steps[r].action.update(
-        draw(st.sampled_from([{"dose": -1}, {"flow": -0.25}]))
+    "staleness": lambda draw, traj, r: _observe(traj, r, staleness=-1),
+    "unknown-action": lambda draw, traj, r: _act(traj, r, {"zz": 1}),
+    "negative-level": lambda draw, traj, r: _act(
+        traj, r, draw(st.sampled_from([{"dose": -1}, {"flow": -0.25}]))
     ),
-    "level-over-max": lambda draw, traj, r: traj.steps[r].action.update(
-        draw(st.sampled_from([{"dose": 5}, {"dose": 9}, {"flow": 60.25}]))
+    "level-over-max": lambda draw, traj, r: _act(
+        traj, r, draw(st.sampled_from([{"dose": 5}, {"dose": 9}, {"flow": 60.25}]))
+    ),
+    # Discrete levels that are not whole numbers: the integer-only breaks
+    # above never make them.
+    "fractional-level": lambda draw, traj, r: _act(
+        traj, r, {"dose": draw(st.sampled_from([-0.5, 2.7, 4.5]))}
     ),
 }
 
 
+def _edit(traj, r, **change):
+    """{"steps": traj's steps with step r replaced by a copy with change}."""
+    steps = list(traj.steps)
+    steps[r] = dataclasses.replace(steps[r], **change)
+    return {"steps": steps}
+
+
 def _toggle(observations, fid):
-    if observations.pop(fid, None) is None:
-        observations[fid] = model.Observation(0.5, 0)
+    """observations without fid, or with it when it is absent."""
+    if fid in observations:
+        return {key: obs for key, obs in observations.items() if key != fid}
+    return {**observations, fid: model.Observation(0.5, 0)}
 
 
-def _observe(step, **change):
-    step.observations["f1"] = dataclasses.replace(step.observations["f1"], **change)
+def _observe(traj, r, **change):
+    observations = traj.steps[r].observations
+    f1 = dataclasses.replace(observations["f1"], **change)
+    return _edit(traj, r, observations={**observations, "f1": f1})
+
+
+def _act(traj, r, levels):
+    return _edit(traj, r, action={**traj.steps[r].action, **levels})
 
 
 @st.composite
 def broken_datasets(draw):
     """A valid dataset after one break of _BREAKS at a random row of a
-    random trajectory. A dataset's block is built once, so the dataset is
-    made again from the broken steps."""
+    random trajectory."""
     dataset = draw(datasets())
-    trajs = [dataclasses.replace(traj) for traj in dataset.trajectories]
+    trajs = list(dataset.trajectories)
     k = draw(st.integers(0, len(trajs) - 1))
     r = draw(st.integers(0, len(trajs[k].steps) - 1))
     change = _BREAKS[draw(st.sampled_from(sorted(_BREAKS)))](draw, trajs[k], r)
-    if isinstance(change, dict):
-        trajs[k] = dataclasses.replace(trajs[k], **change)
+    trajs[k] = dataclasses.replace(trajs[k], **change)
     return dataclasses.replace(dataset, trajectories=trajs)
 
 
@@ -532,8 +557,8 @@ def test_discrete_levels_read_back_as_ints(tmp_path):
     path = tmp_path / "d.json"
     save_dataset(dataset, path)
     doc = read_plain(path)
-    # A discrete level is truncated as int() truncates; a continuous one is kept.
-    doc["actions"] = {"dose": [2.7, -0.5], "flow": [2, None]}
+    # A whole discrete level reads back as an int; a continuous one is kept.
+    doc["actions"] = {"dose": [2.0, 0.0], "flow": [2, None]}
     write_plain(path, doc)
     loaded = load_dataset(path)
     actions = [step.action for step in loaded.trajectories[0].steps]
@@ -541,5 +566,34 @@ def test_discrete_levels_read_back_as_ints(tmp_path):
     assert [type(a["dose"]) for a in actions] == [int, int]
     assert type(actions[0]["flow"]) is float
     save_dataset(loaded, path)
-    doc = read_plain(path)
-    assert doc["actions"] == {"dose": [2.0, 0.0], "flow": [2.0, None]}
+    assert read_plain(path)["actions"] == {"dose": [2.0, 0.0], "flow": [2.0, None]}
+    # Any other discrete level is refused, not truncated, with the message
+    # validate gives the same steps in memory.
+    for levels, message in (
+        ([2.7, 0.0], "discrete action 'dose' level 2.7 not a whole number at t=0"),
+        ([2.0, -0.5], "action 'dose' level -0.5 not >= 0 at t=1"),
+    ):
+        doc["actions"] = {"dose": levels}
+        write_plain(path, doc)
+        steps = [make_step(t, {"f1": 0.5}, action={"dose": x}) for t, x in enumerate(levels)]
+        built = dataclasses.replace(dataset, trajectories=[Trajectory("p1", steps, True, 5.0)])
+        for check in (built.validate, lambda: load_dataset(path)):
+            with pytest.raises(ValidationError, match=f"^patient 'p1': {re.escape(message)}$"):
+                check()
+
+
+# Discrete levels drawn as ints or as whole floats.
+_WHOLE_FLOAT_LEVELS = {**LEVELS, "dose": st.one_of(LEVELS["dose"], LEVELS["dose"].map(float))}
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(datasets(_WHOLE_FLOAT_LEVELS))
+def test_a_valid_dataset_reads_back_equal(tmp_path, dataset):
+    dataset.validate()
+    path = tmp_path / "d.json"
+    save_dataset(dataset, path)
+    loaded = load_dataset(path)
+    assert loaded == dataset
+    assert loaded.columns.whole == dataset.columns.whole

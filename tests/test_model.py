@@ -14,6 +14,7 @@ from tridrive.model import (
     FeatureSpec,
     FeatureType,
     Observation,
+    Step,
     Trajectory,
     dataset_from_json,
     dataset_to_json,
@@ -21,6 +22,22 @@ from tridrive.model import (
     save_dataset,
 )
 from tridrive.synth import CohortConfig, generate
+
+
+def test_a_step_is_frozen_with_read_only_copies_of_its_mappings():
+    observations, action = {"f1": Observation(0.5, 0)}, {"dose": 1}
+    step = Step(0, 5.0, observations, action)
+    observations["f1"], action["dose"] = Observation(0.9, 2), 3
+    assert step == Step(0, 5.0, {"f1": Observation(0.5, 0)}, {"dose": 1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.sofa = 9.0
+    with pytest.raises(TypeError):
+        step.action["dose"] = 2
+    with pytest.raises(TypeError):
+        step.observations["f2"] = Observation(0.5, 0)
+    assert Step(1, 5.0, {}).action == {}
+    changed = dataclasses.replace(step, action={**step.action, "flow": 2.5})
+    assert (changed.action, step.action) == ({"dose": 1, "flow": 2.5}, {"dose": 1})
 
 
 def test_round_trip_equality(two_patient_dataset, tmp_path):
@@ -202,12 +219,11 @@ def test_observation_staleness_must_be_nonnegative():
         "p",
         [
             make_step(0, {"f1": 0.5}),
-            make_step(1, {"f1": 0.5}),
+            make_step(1, {"f1": 0.5}, {"f1": -1}),
         ],
         True,
         5.0,
     )
-    traj.steps[1].observations["f1"] = Observation(value=0.5, staleness=-1)
     with pytest.raises(ValidationError, match="staleness negative"):
         make_dataset([traj]).validate()
 

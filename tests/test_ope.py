@@ -28,6 +28,7 @@ from tridrive.errors import (
     TridriveError,
     ValidationError,
 )
+from tridrive.jsonio import write_columns
 from tridrive.model import Trajectory, save_dataset
 from tridrive.ope import (
     PolicyProbTable,
@@ -137,10 +138,19 @@ class TestTrajectoryWeight:
     def test_matches_dict_oracle(self, case):
         trajs, probs, max_ratio = case
         tables = [PolicyProbTable(probs)]
-        try:
-            tables.append(prob_table_from_json(*prob_table_to_json(tables[0])))
-        except ValidationError:  # a zero p_behavior is no table file
-            assert any(p_behavior == 0.0 for _, p_behavior in probs.values())
+        zeros = sorted(key for key, (_, p_behavior) in probs.items() if p_behavior == 0.0)
+        if zeros:
+            # The table is refused at first use, at its first zero row in
+            # (patient, t) order, whichever trajectory uses it.
+            pid, t = zeros[0]
+            message = (f"({pid!r}, t={t}): p_behavior 0.0 must lie in (0,1] "
+                       "(logged actions need behavior-policy support)")
+            for traj in trajs:
+                with pytest.raises(ValidationError) as raised:
+                    trajectory_weight(traj, tables[0], max_ratio)
+                assert str(raised.value) == message
+            return
+        tables.append(prob_table_from_json(*prob_table_to_json(tables[0])))
         for traj in trajs:
             try:
                 expected = oracle_trajectory_weight(traj, tables[0], max_ratio)
@@ -257,7 +267,6 @@ class TestJoinedWeights:
             pytest.param({("p1", 4): None}, [False, True, False], id="skipped-step"),
             pytest.param({("p1", 5): (0.5, 0.5), ("p1", 4): None}, [False, True, False],
                          id="row-off-the-steps"),
-            pytest.param({("p2", 8): (0.5, 0.0)}, [False, False, True], id="zero-behavior"),
         ],
     )
     def test_rows_that_do_not_match_are_flagged(self, rows, flagged):
@@ -273,11 +282,11 @@ class TestJoinedWeights:
             _assert_weights_match_oracle(dataset, table, max_ratio)
 
     def test_first_offender_in_trajectory_order(self):
-        # p1 misses a row; p3, later, has a zero p_behavior: p1 is reported.
+        # p1 and p3, later, each miss a row: p1 is reported.
         dataset = _view_dataset([[0, 1], [0, 1, 2], [0, 1], [0, 1, 2]])
         table = PolicyProbTable({
             ("p0", 0): (0.5, 0.5), ("p1", 0): (0.5, 0.5), ("p2", 0): (0.5, 0.5),
-            ("p3", 0): (0.5, 0.5), ("p3", 1): (0.5, 0.0),
+            ("p3", 0): (0.5, 0.5),
         })
         with pytest.raises(SchemaError, match=r"^no policy probabilities for patient 'p1' at t=1"):
             bootstrap_ci(dataset, [RewardTrace([], [0.0], 0.0)] * 4, table, resamples=10)
@@ -285,8 +294,16 @@ class TestJoinedWeights:
         # Without p1, the join flags p3 alone, and its own weight raises.
         first, _, *rest = dataset.trajectories
         dataset = dataclasses.replace(dataset, trajectories=[first, *rest])
-        with pytest.raises(ValidationError, match=r"^patient 'p3' t=1: behavior probability is 0"):
+        with pytest.raises(SchemaError, match=r"^no policy probabilities for patient 'p3' at t=1$"):
             wis(dataset, [RewardTrace([], [0.0], 0.0)] * 3, table)
+        assert ope._joined == ope._NOT_JOINED
+        # A zero p_behavior refuses the whole table at first use, before any
+        # trajectory's weight.
+        zero = PolicyProbTable({**table.probs, ("p3", 1): (0.5, 0.0)})
+        with pytest.raises(
+            ValidationError, match=r"^\('p3', t=1\): p_behavior 0.0 must lie in \(0,1\] "
+        ):
+            wis(dataset, [RewardTrace([], [0.0], 0.0)] * 3, zero)
         assert ope._joined == ope._NOT_JOINED
 
     def test_dataset_not_a_view_of_one_block(self):
@@ -366,7 +383,7 @@ class TestWis:
     def test_scale_invariance(self):
         ds, traces = _cohort([1.0, -2.0, 0.5])
         base = wis(ds, traces, _table(ds, [0.5, 2.0, 1.0]))
-        scaled = wis(ds, traces, _table(ds, [1.5, 6.0, 3.0]))
+        scaled = wis(ds, traces, _table(ds, [0.75, 3.0, 1.5]))
         assert scaled == pytest.approx(base, abs=1e-12)
 
     def test_bounded_by_return_range(self):
@@ -432,13 +449,19 @@ class TestBootstrap:
         est = bootstrap_ci(ds, traces, identity_prob_table(ds), resamples=50, seed=0)
         assert est.n_effective == pytest.approx(4.0)
 
-    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
-    def test_non_finite_weight_rejected(self, ratio):
-        ds, traces = _cohort([1.0, 2.0, 3.0])
-        probs = _table(ds, [1.0, 1.0, 1.0]).probs
-        probs[("p1", 0)] = (ratio, 1.0)
-        with pytest.raises(ValidationError, match=r"patient 'p1': trajectory weight .* not finite"):
-            bootstrap_ci(ds, traces, PolicyProbTable(probs), resamples=10)
+    @pytest.mark.parametrize("last_eval, weight", [(1.0, "inf"), (0.0, "nan")])
+    def test_non_finite_weight_rejected(self, last_eval, weight):
+        # p1's ratios overflow to inf, and a zero ratio after them gives NaN.
+        ds = _view_dataset([[0, 1], [0, 1, 2, 3], [0, 1]])
+        traces = [RewardTrace([], [0.0], r) for r in (1.0, 2.0, 3.0)]
+        table = PolicyProbTable({
+            ("p0", 0): (0.5, 0.5), ("p2", 0): (0.5, 0.5),
+            ("p1", 0): (1.0, 1e-300), ("p1", 1): (1.0, 1e-300), ("p1", 2): (last_eval, 0.5),
+        })
+        with pytest.raises(
+            ValidationError, match=rf"^patient 'p1': trajectory weight {weight} is not finite$"
+        ):
+            bootstrap_ci(ds, traces, table, resamples=10)
 
     def test_level_validated(self):
         ds, traces = _cohort([1.0, 2.0])
@@ -802,6 +825,40 @@ class TestProbTableIO:
 
 
 class TestProbTableColumns:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.5, 0.0), "p_behavior 0.0 must lie in (0,1] (logged actions need "
+                         "behavior-policy support)"),
+            ((1.5, 0.5), "p_eval 1.5 out of [0,1]"),
+        ],
+        ids=["zero-behavior", "eval-above-one"],
+    )
+    def test_a_dict_table_is_refused_at_first_use_as_its_file_is(self, tmp_path, row, message):
+        # The bad row is patient q's, and q is not in the dataset.
+        dataset = _view_dataset([[0, 1], [0, 1, 2]])
+        probs = {("p0", 0): (0.5, 0.5), ("p1", 0): (0.5, 0.5), ("p1", 1): (0.4, 0.8), ("q", 3): row}
+        rows = {}
+        for (pid, t), (p_eval, p_behavior) in sorted(probs.items()):
+            rows.setdefault(pid, []).append({"t": t, "p_eval": p_eval, "p_behavior": p_behavior})
+        path = tmp_path / "probs.json"
+        write_columns(path, *_table_doc(rows))
+        with pytest.raises(ValidationError) as loaded:
+            load_prob_table(path)
+        assert str(loaded.value) == f"('q', t=3): {message}"
+        traces = [RewardTrace([], [0.0], 0.0)] * 2
+        uses = [
+            lambda table: trajectory_weight(dataset.trajectories[0], table),
+            lambda table: wis(dataset, traces, table),
+            lambda table: bootstrap_ci(dataset, traces, table, resamples=10),
+            lambda table: save_prob_table(table, tmp_path / "saved.json"),
+        ]
+        for use in uses:
+            with pytest.raises(ValidationError) as raised:
+                use(PolicyProbTable(probs))
+            assert str(raised.value) == str(loaded.value)
+        assert not (tmp_path / "saved.json").exists()
+
     def test_dict_table_columns_sorted_by_patient_and_t(self):
         table = PolicyProbTable({("p2", 4): (0.1, 0.2), ("p1", 7): (0.3, 0.4), ("p1", 2): (0.5, 0.6)})
         spans, t, p_eval, p_behavior = table.columns

@@ -826,6 +826,29 @@ class TestStageOwnership:
         assert run_digest(out) == whole_run
         _assert_owned(out)
 
+    def test_ope_reads_only_the_champion_spec(
+        self, small_dataset_path, tmp_path, monkeypatch, whole_run
+    ):
+        config = _config(small_dataset_path)
+        out = tmp_path / "run"
+        run_pipeline(config, out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        (out / next(iter(manifest["stages"]["ope"]["outputs"]))).unlink()
+        read, real = [], pipeline_module.load_reward_spec
+        monkeypatch.setattr(
+            pipeline_module, "load_reward_spec", lambda path: read.append(path) or real(path)
+        )
+        run_pipeline(config, out)
+        champion = out / "candidates" / f"{manifest['champion']}.json"
+        assert read == [champion]
+        assert run_digest(out) == whole_run
+        # A champion the index does not list is refused, even with a file.
+        (out / "candidates/spec_999.json").write_bytes(champion.read_bytes())
+        run = pipeline_module.PipelineRun(config, out)
+        run.manifest["champion"] = "spec_999"
+        with pytest.raises(FormatError, match="champion 'spec_999' is not a candidate$"):
+            run._run_ope(load_dataset(small_dataset_path))
+
     @pytest.mark.parametrize("kind", ["resume", "split", "series"])
     def test_run_directory_holds_only_stage_outputs(self, small_dataset_path, tmp_path, kind):
         overrides = {}

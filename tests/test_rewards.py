@@ -500,6 +500,42 @@ class TestSpecSerialization:
             load_reward_spec(path)
 
 
+class TestSpecChecksItself:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda spec: RewardSpec(spec.survival, spec.confidence_tau, spec.action_max, gamma=2.0),
+             r"gamma must lie in \(0,1\]"),
+            (lambda spec: dataclasses.replace(spec, lam=-1.0),
+             "lambda must be a finite nonnegative number"),
+            (lambda spec: dataclasses.replace(spec, confidence_tau={"f1": -1.0}),
+             r"confidence_tau\['f1'\] must be a positive number"),
+            (lambda spec: dataclasses.replace(spec, confidence_tau={"f1": math.nan}),
+             r"confidence_tau\['f1'\] must be a positive number"),
+            (lambda spec: dataclasses.replace(spec, action_max={"drug_a": 0.0}),
+             r"action_max\['drug_a'\] must be a finite positive number"),
+        ],
+        ids=["gamma-built", "lam-replaced", "negative-tau", "nan-tau", "zero-action-max"],
+    )
+    def test_an_invalid_spec_is_refused_when_made(self, make, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make(simple_spec())
+
+    def test_an_infinite_confidence_tau_turns_decay_off_and_has_no_file(self, tmp_path):
+        spec = dataclasses.replace(simple_spec(), confidence_tau={"f1": math.inf})
+        fresh = Trajectory("p", [make_step(t, {"f1": 0.3}) for t in range(3)], True, 5.0)
+        stale = Trajectory("p", [make_step(t, {"f1": 0.3}, {"f1": 7}) for t in range(3)], True, 5.0)
+        assert trace(stale, spec).potentials == trace(fresh, spec).potentials
+        message = r"^confidence_tau\['f1'\] must be finite in a spec file$"
+        with pytest.raises(ValidationError, match=message):
+            save_reward_spec(spec, tmp_path / "spec.json")
+        assert not (tmp_path / "spec.json").exists()
+        doc = reward_spec_to_json(simple_spec())
+        doc["confidence_tau"]["f1"] = math.inf
+        with pytest.raises(ValidationError, match=message):
+            reward_spec_from_json(json.loads(json.dumps(doc)))
+
+
 def _spec_doc():
     spec = RewardSpec(
         survival={"a": BELL, "b": DECAY_LOW},

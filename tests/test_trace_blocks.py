@@ -56,6 +56,18 @@ def _steps(rng, n, actions=("drug_a", "drug_b")):
     return steps
 
 
+def _act(steps, i, **levels):
+    """Replaces steps[i] with a copy that also sets the given action levels."""
+    steps[i] = dataclasses.replace(steps[i], action={**steps[i].action, **levels})
+
+
+def _observe(steps, i, fid, **changes):
+    """Replaces steps[i] with a copy whose observation of fid has changes."""
+    observations = steps[i].observations
+    changed = dataclasses.replace(observations[fid], **changes)
+    steps[i] = dataclasses.replace(steps[i], observations={**observations, fid: changed})
+
+
 def _views(step_lists):
     """The trajectories of one block built from the step lists, as views."""
     block = CohortColumns.of(step_lists, {})
@@ -264,8 +276,8 @@ class TestIsolation:
     def _block_with_mystery(self):
         rng = np.random.default_rng(21)
         middle = _steps(rng, 4)
-        middle[2].action["mystery"] = 1
-        middle[3].action["mystery"] = 2
+        _act(middle, 2, mystery=1)
+        _act(middle, 3, mystery=2)
         return _views([_steps(rng, 5), middle, _steps(rng, 3)])
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (2, 1, 0), (1, 0, 2)])
@@ -293,7 +305,7 @@ class TestIsolation:
     def test_an_undeclared_action_at_a_last_step_is_not_read(self):
         rng = np.random.default_rng(22)
         step_lists = [_steps(rng, 3), _steps(rng, 3), _steps(rng, 3)]
-        step_lists[0][-1].action["mystery"] = 1  # the row just before trajectory 1
+        _act(step_lists[0], -1, mystery=1)  # the row just before trajectory 1
         views = _views(step_lists)
         for traj in views:
             _assert_matches_oracle(traj, _spec(lam=0.3))
@@ -301,8 +313,9 @@ class TestIsolation:
     def test_nan_in_a_column_the_spec_does_not_name(self):
         rng = np.random.default_rng(23)
         step_lists = [_steps(rng, n) for n in (4, 3, 5)]
-        for step in step_lists[1]:
-            step.observations["f9"] = dataclasses.replace(step.observations["f1"], value=math.nan)
+        for i, step in enumerate(step_lists[1]):
+            f9 = dataclasses.replace(step.observations["f1"], value=math.nan)
+            step_lists[1][i] = dataclasses.replace(step, observations={**step.observations, "f9": f9})
         views = _views(step_lists)
         spec = _spec()
         for k in (1, 0, 2):
@@ -311,9 +324,7 @@ class TestIsolation:
     def test_nan_in_a_named_column_stays_in_its_trajectory(self):
         rng = np.random.default_rng(24)
         step_lists = [_steps(rng, n) for n in (4, 3, 5)]
-        step_lists[1][0].observations["f2"] = dataclasses.replace(
-            step_lists[1][0].observations["f2"], value=math.nan
-        )
+        _observe(step_lists[1], 0, "f2", value=math.nan)
         views = _views(step_lists)
         spec = _spec()
         assert math.isnan(trace(views[1], spec).cumulative)
@@ -323,15 +334,13 @@ class TestIsolation:
     def test_block_arithmetic_raises_no_warning_for_a_neighbour(self):
         rng = np.random.default_rng(25)
         step_lists = [_steps(rng, n) for n in (4, 3, 5)]
-        for step in step_lists[0] + step_lists[2]:
-            step.action["drug_a"] = 0
-            step.observations.update(
-                {fid: dataclasses.replace(obs, staleness=0) for fid, obs in step.observations.items()}
-            )
-        step_lists[1][0].action["drug_a"] = 3  # 3 / 5e-324 overflows
-        step_lists[1][1].observations["f1"] = dataclasses.replace(
-            step_lists[1][1].observations["f1"], staleness=4  # 4 / 5e-324 overflows
-        )
+        for k in (0, 2):
+            for i in range(len(step_lists[k])):
+                _act(step_lists[k], i, drug_a=0)
+                for fid in FIDS:
+                    _observe(step_lists[k], i, fid, staleness=0)
+        _act(step_lists[1], 0, drug_a=3)  # 3 / 5e-324 overflows
+        _observe(step_lists[1], 1, "f1", staleness=4)  # 4 / 5e-324 overflows
         views = _views(step_lists)
         spec = _spec(lam=0.3)
         spec = dataclasses.replace(
@@ -348,28 +357,25 @@ class TestIsolation:
 
 
 # A non-finite input in a middle row, which the returns pass does not
-# compute a potential for: (what, the edit of patient p1's step 2).
+# compute a potential for: (what, the edit of patient p1's step 2, made by
+# replacing steps[i]).
 NON_FINITE = {
-    "value nan": lambda step: _observe(step, "f2", value=math.nan),
-    "value inf": lambda step: _observe(step, "f2", value=math.inf),
-    "staleness nan": lambda step: _observe(step, "f3", staleness=math.nan),
+    "value nan": lambda steps, i: _observe(steps, i, "f2", value=math.nan),
+    "value inf": lambda steps, i: _observe(steps, i, "f2", value=math.inf),
+    "staleness nan": lambda steps, i: _observe(steps, i, "f3", staleness=math.nan),
     # Trust exp(-inf) is 0, so a full sum stayed finite here; the returns
     # pass treats it as any other non-finite input.
-    "staleness inf": lambda step: _observe(step, "f3", staleness=math.inf),
-    "action nan": lambda step: step.action.update(drug_b=math.nan),
-    "action inf": lambda step: step.action.update(drug_b=math.inf),
+    "staleness inf": lambda steps, i: _observe(steps, i, "f3", staleness=math.inf),
+    "action nan": lambda steps, i: _act(steps, i, drug_b=math.nan),
+    "action inf": lambda steps, i: _act(steps, i, drug_b=math.inf),
 }
-
-
-def _observe(step, fid, **changes):
-    step.observations[fid] = dataclasses.replace(step.observations[fid], **changes)
 
 
 class TestNonFiniteMiddleRows:
     def _dataset(self, what):
         rng = np.random.default_rng(61)
         step_lists = [_steps(rng, 5) for _ in range(4)]
-        NON_FINITE[what](step_lists[1][2])
+        NON_FINITE[what](step_lists[1], 2)
         trajs = [
             Trajectory(f"p{k}", steps, k % 2 == 0, 5.0) for k, steps in enumerate(step_lists)
         ]
@@ -412,7 +418,7 @@ class TestNonFiniteMiddleRows:
 
     def test_a_one_step_trajectory_returns_zero(self):
         steps = _steps(np.random.default_rng(62), 1)
-        _observe(steps[0], "f1", value=math.nan)
+        _observe(steps, 0, "f1", value=math.nan)
         views = _views([_steps(np.random.default_rng(63), 3), steps])
         assert trace(views[1], _spec()).cumulative == 0.0
 
@@ -492,9 +498,9 @@ class TestStepLists:
 
     def test_an_undeclared_action_in_a_block_of_one(self):
         steps = _steps(np.random.default_rng(53), 4)
-        steps[1].action["mystery"] = 1
-        steps[2].action["mystery"] = 2
-        steps[3].action["zeta"] = 1  # a last step's action is not read
+        _act(steps, 1, mystery=1)
+        _act(steps, 2, mystery=2)
+        _act(steps, 3, zeta=1)  # a last step's action is not read
         traj = Trajectory("solo", steps, True, 5.0)
         with pytest.raises(
             SchemaError,
