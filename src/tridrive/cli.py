@@ -9,6 +9,7 @@ documents).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -46,16 +47,21 @@ from .synth import CohortConfig, generate, load_cohort_config, reference_spec
 _USAGE_ERRORS = (ConfigError, FormatError, ValidationError, SchemaError)
 
 
-def _run(fn):
-    """Map toolkit errors onto the exit-code contract."""
-    try:
-        fn()
-    except _USAGE_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except (TridriveError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+def _exit_codes(command):
+    """The command, with toolkit errors mapped onto the exit-code contract."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except _USAGE_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except (TridriveError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+
+    return run
 
 
 def _load_split(dataset_path: str, split: str | None):
@@ -79,35 +85,29 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Dataset file to write.")
 @click.option("--reference-spec", "spec_path", type=click.Path(), default=None,
               help="Also write the generator-aligned reward spec here.")
+@_exit_codes
 def synth(config_path, seed, out_path, spec_path):
     """Generate a synthetic cohort dataset."""
-
-    def body():
-        config = load_cohort_config(config_path) if config_path else CohortConfig()
-        if seed is not None:
-            config = dataclasses.replace(config, seed=seed)
-        dataset = generate(config)
-        save_dataset(dataset, out_path)
-        click.echo(f"wrote {len(dataset.trajectories)} trajectories to {out_path}")
-        if spec_path:
-            save_reward_spec(reference_spec(config), spec_path)
-            click.echo(f"wrote reference spec to {spec_path}")
-
-    _run(body)
+    config = load_cohort_config(config_path) if config_path else CohortConfig()
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
+    dataset = generate(config)
+    save_dataset(dataset, out_path)
+    click.echo(f"wrote {len(dataset.trajectories)} trajectories to {out_path}")
+    if spec_path:
+        save_reward_spec(reference_spec(config), spec_path)
+        click.echo(f"wrote reference spec to {spec_path}")
 
 
 @main.command()
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
+@_exit_codes
 def stats(dataset_path, out_path, split):
     """Write the per-feature statistical metadata report."""
-
-    def body():
-        metadata = stats_stage(_load_split(dataset_path, split), Path(out_path))
-        click.echo(f"wrote statistics for {len(metadata)} features to {out_path}")
-
-    _run(body)
+    metadata = stats_stage(_load_split(dataset_path, split), Path(out_path))
+    click.echo(f"wrote statistics for {len(metadata)} features to {out_path}")
 
 
 @main.command("select-features")
@@ -121,22 +121,19 @@ def stats(dataset_path, out_path, split):
 @click.option("--out", "out_dir", required=True, type=click.Path(),
               help="Directory for the report and per-round audit log.")
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
+@_exit_codes
 def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, out_dir, split):
     """Run ensemble feature selection and write the consensus feature set."""
-
-    def body():
-        selected = features_stage(
-            _load_split(dataset_path, split),
-            build_client(client, LlmClientConfig(endpoint=endpoint or "")),
-            Path(out_dir),
-            rounds=rounds,
-            threshold=threshold,
-            k=k,
-            task=task,
-        )
-        click.echo(f"selected features: {selected}")
-
-    _run(body)
+    selected = features_stage(
+        _load_split(dataset_path, split),
+        build_client(client, LlmClientConfig(endpoint=endpoint or "")),
+        Path(out_dir),
+        rounds=rounds,
+        threshold=threshold,
+        k=k,
+        task=task,
+    )
+    click.echo(f"selected features: {selected}")
 
 
 @main.command("generate")
@@ -149,21 +146,18 @@ def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, 
 @click.option("--task", default=defaults.TASK_DESCRIPTION, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
+@_exit_codes
 def generate_cmd(dataset_path, features_path, client, endpoint, candidates, task, out_dir, split):
     """Generate candidate reward specs into a directory."""
-
-    def body():
-        valid = candidates_stage(
-            _load_split(dataset_path, split),
-            load_feature_ids(features_path),
-            build_client(client, LlmClientConfig(endpoint=endpoint or "")),
-            Path(out_dir),
-            n_candidates=candidates,
-            task=task,
-        )
-        click.echo(f"{len(valid)} valid specs, {candidates - len(valid)} quarantined, in {out_dir}")
-
-    _run(body)
+    valid = candidates_stage(
+        _load_split(dataset_path, split),
+        load_feature_ids(features_path),
+        build_client(client, LlmClientConfig(endpoint=endpoint or "")),
+        Path(out_dir),
+        n_candidates=candidates,
+        task=task,
+    )
+    click.echo(f"{len(valid)} valid specs, {candidates - len(valid)} quarantined, in {out_dir}")
 
 
 @main.command()
@@ -177,37 +171,31 @@ def generate_cmd(dataset_path, features_path, client, endpoint, candidates, task
 @click.option("--alpha", type=float, default=defaults.DOSE_ALPHA, show_default=True)
 @click.option("--aggregation", type=click.Choice(["mean", "sum"]), default="mean")
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
+@_exit_codes
 def score(dataset_path, specs_dir, out_path, features_path, epsilon, sigmoid_k, alpha,
           aggregation, split):
     """Compute the three-part fitness vector for every spec in a directory."""
-
-    def body():
-        rows = fitness_stage(
-            _load_split(dataset_path, split),
-            load_spec_dir(specs_dir),
-            Path(out_path),
-            cfg=CompMetricConfig(
-                epsilon=epsilon, k=sigmoid_k, alpha=alpha, aggregation=aggregation
-            ),
-            feature_ids=load_feature_ids(features_path) if features_path else None,
-        )
-        bad = sum(1 for r in rows if "error" in r)
-        click.echo(f"scored {len(rows) - bad} specs ({bad} invalid) -> {out_path}")
-
-    _run(body)
+    rows = fitness_stage(
+        _load_split(dataset_path, split),
+        load_spec_dir(specs_dir),
+        Path(out_path),
+        cfg=CompMetricConfig(
+            epsilon=epsilon, k=sigmoid_k, alpha=alpha, aggregation=aggregation
+        ),
+        feature_ids=load_feature_ids(features_path) if features_path else None,
+    )
+    bad = sum(1 for r in rows if "error" in r)
+    click.echo(f"scored {len(rows) - bad} specs ({bad} invalid) -> {out_path}")
 
 
 @main.command()
 @click.option("--fitness", "fitness_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
+@_exit_codes
 def pareto(fitness_path, out_path):
     """Rank a fitness report and select the utopia-nearest champion."""
-
-    def body():
-        result = selection_stage(Path(fitness_path), Path(out_path))
-        click.echo(f"champion: {result.champion}")
-
-    _run(body)
+    result = selection_stage(Path(fitness_path), Path(out_path))
+    click.echo(f"champion: {result.champion}")
 
 
 @main.command()
@@ -224,26 +212,23 @@ def pareto(fitness_path, out_path):
               help="Cap each per-step likelihood ratio; omit for the textbook estimator.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
+@_exit_codes
 def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_ratio,
         out_dir, split):
     """Off-policy evaluation of one reward spec: WIS with bootstrap CIs plus
     the mortality-vs-cumulative-reward curve."""
-
-    def body():
-        est = ope_stage(
-            _load_split(dataset_path, split),
-            load_reward_spec(spec_path),
-            probs_paths,
-            Path(out_dir),
-            level=level,
-            resamples=bootstrap,
-            seed=seed,
-            bins=bins,
-            max_ratio=max_ratio,
-        )
-        click.echo(f"WIS {est.value:.4f} [{est.ci_low:.4f}, {est.ci_high:.4f}] -> {out_dir}")
-
-    _run(body)
+    est = ope_stage(
+        _load_split(dataset_path, split),
+        load_reward_spec(spec_path),
+        probs_paths,
+        Path(out_dir),
+        level=level,
+        resamples=bootstrap,
+        seed=seed,
+        bins=bins,
+        max_ratio=max_ratio,
+    )
+    click.echo(f"WIS {est.value:.4f} [{est.ci_low:.4f}, {est.ci_high:.4f}] -> {out_dir}")
 
 
 @main.command()
@@ -258,20 +243,17 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
 @click.option("--bootstrap", type=int, default=None)
 @click.option("--level", type=float, default=None)
 @click.option("--split", type=_SPLIT_CHOICE, default=None)
+@_exit_codes
 def pipeline(config_path, out_dir, **overrides):
     """Run the full staged pipeline (stats -> features -> candidates ->
     fitness -> selection -> OPE) into a resumable run directory. Each flag
     given overrides the config key of its name."""
-
-    def body():
-        config = dataclasses.replace(
-            load_pipeline_config(config_path),
-            **{key: value for key, value in overrides.items() if value is not None},
-        )
-        manifest = run_pipeline(config, out_dir)
-        click.echo(f"run {manifest['run_id']} complete; champion: {manifest['champion']}")
-
-    _run(body)
+    config = dataclasses.replace(
+        load_pipeline_config(config_path),
+        **{key: value for key, value in overrides.items() if value is not None},
+    )
+    manifest = run_pipeline(config, out_dir)
+    click.echo(f"run {manifest['run_id']} complete; champion: {manifest['champion']}")
 
 
 if __name__ == "__main__":

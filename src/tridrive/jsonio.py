@@ -1,14 +1,15 @@
 """The on-disk convention of every file the toolkit reads or writes.
 
 Reports, configs and reward specs are UTF-8 JSON indented by 2, for people
-to read, with one trailing newline. Datasets and probability tables are
-column files (format 4): the line MAGIC, one compact JSON header line, then
-the raw little-endian buffers of the columns the header lists (read and
-written by tridrive.model.RaggedColumns and pack_columns), so a load is one
-read, one small JSON parse and a view per column. A write goes to a
-temporary sibling that is renamed over the target, so a crash leaves the
-old file or the new one, never half of either. Read failures are
-FormatErrors.
+to read, with one trailing newline. A spec, schema or config is a dataclass
+document: to_json writes it and from_json reads it back, checking every key
+and type. Datasets and probability tables are column files (format 4): the
+line MAGIC, one compact JSON header line, then the raw little-endian
+buffers of the columns the header lists (read and written by
+tridrive.model.RaggedColumns and pack_columns), so a load is one read, one
+small JSON parse and a view per column. A write goes to a temporary
+sibling that is renamed over the target, so a crash leaves the old file or
+the new one, never half of either. Read failures are FormatErrors.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import os
 import re
 import types
 import typing
+from collections.abc import Mapping
+from enum import Enum
 from pathlib import Path
 
 from .errors import FormatError
@@ -128,24 +131,22 @@ def _not_a_column_file(raw: bytes) -> str:
 
 
 def fields_from_json(
-    cls, doc, what: str, exclude: tuple[str, ...] = (), finite: bool = True, keys=None
+    cls, doc, what: str, exclude: tuple[str, ...] = (), finite: bool = True
 ) -> dict:
     """Keyword arguments of dataclass cls read from the JSON object doc.
 
-    Each key must name a field of cls outside exclude, each such field
-    without a default must be present, and each value must have its field's
-    type: a JSON integer for int, a JSON number for float (integers widen),
-    a JSON bool for bool, never a bool for a number. A float must be finite
-    unless finite is False, which leaves the range check to the class's
-    validate(). keys maps a field name to its JSON key where the two differ.
-    Nested dataclasses and enums are left for the caller to read.
+    Each key must name a field of cls outside exclude (under its JSON key:
+    the field's metadata "json", else its name), each such field without a
+    default must be present, and each value must have its field's type: a
+    JSON integer for int, a JSON number for float (integers widen), a JSON
+    bool for bool, never a bool for a number, an enum's value for an enum,
+    and for a dataclass an object of its fields, read by these rules and
+    then made. A float must be finite unless finite is False, which leaves
+    the range check to the class's validate().
     """
     if not isinstance(doc, dict):
         raise FormatError(f"{what} must be a JSON object")
-    keys = keys or {}
-    by_key = {
-        keys.get(f.name, f.name): f for f in dataclasses.fields(cls) if f.name not in exclude
-    }
+    by_key = {_key(f): f for f in dataclasses.fields(cls) if f.name not in exclude}
     unknown = set(doc) - set(by_key)
     if unknown:
         raise FormatError(f"{what}: unknown keys {sorted(unknown)}")
@@ -160,9 +161,36 @@ def fields_from_json(
         raise FormatError(f"{what}: missing keys {missing}")
     hints = _type_hints(cls)
     return {
-        by_key[key].name: _typed(value, hints[by_key[key].name], f"{what}: {key}", finite)
+        by_key[key].name: from_json(value, hints[by_key[key].name], f"{what}: {key}", finite)
         for key, value in doc.items()
     }
+
+
+def to_json(value):
+    """The JSON form of value, which from_json reads back: a dataclass as
+    an object of its fields in field order, under their JSON keys, leaving
+    out those that are None; an enum as its value; a mapping with its keys
+    sorted; a tuple or list as an array; a number, string or bool as itself."""
+    if type(value) in _KINDS:
+        return value
+    if dataclasses.is_dataclass(value):
+        return {
+            _key(f): to_json(item)
+            for f in dataclasses.fields(value)
+            if (item := getattr(value, f.name)) is not None
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Mapping):
+        return {key: to_json(value[key]) for key in sorted(value)}
+    if isinstance(value, (tuple, list)):
+        return [to_json(item) for item in value]
+    return value
+
+
+def _key(f: dataclasses.Field) -> str:
+    """The JSON key of dataclass field f."""
+    return f.metadata.get("json", f.name)
 
 
 @functools.cache
@@ -174,10 +202,12 @@ def _type_hints(cls) -> dict:
 _KINDS = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
 
 
-def _typed(value, hint, where: str, finite: bool):
+def from_json(value, hint, what: str, finite: bool = True):
+    """The value of type hint read from the JSON value by the rules of
+    fields_from_json; what names it in error messages."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is types.UnionType:  # X | None
-        return None if value is None else _typed(value, args[0], where, finite)
+        return None if value is None else from_json(value, args[0], what, finite)
     if hint is float and type(value) is int:
         try:
             value = float(value)
@@ -185,17 +215,25 @@ def _typed(value, hint, where: str, finite: bool):
             pass  # stays an int, so it is rejected below
     if hint in _KINDS:
         if type(value) is not hint:
-            raise FormatError(f"{where} must be {_KINDS[hint]}, got {value!r}")
+            raise FormatError(f"{what} must be {_KINDS[hint]}, got {value!r}")
         if hint is float and finite and not math.isfinite(value):
-            raise FormatError(f"{where} must be a finite number, got {value!r}")
+            raise FormatError(f"{what} must be a finite number, got {value!r}")
         return value
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            parent, _, key = what.rpartition(": ")
+            raise FormatError(f"{parent}: unknown {key} {value!r}") from None
+    if dataclasses.is_dataclass(hint):
+        return hint(**fields_from_json(hint, value, what, finite=finite))
     if origin is list and isinstance(value, list):
-        return [_typed(v, args[0], where, finite) for v in value]
+        return [from_json(v, args[0], what, finite) for v in value]
     if origin is tuple and isinstance(value, list) and len(value) == len(args):
-        return tuple(_typed(v, a, where, finite) for v, a in zip(value, args))
+        return tuple(from_json(v, a, what, finite) for v, a in zip(value, args))
     if origin is dict and isinstance(value, dict):
-        return {k: _typed(v, args[1], f"{where}[{k!r}]", finite) for k, v in value.items()}
+        return {k: from_json(v, args[1], f"{what}[{k!r}]", finite) for k, v in value.items()}
     if origin in (list, tuple, dict):
         shape = {list: "an array", tuple: f"an array of {len(args)}", dict: "an object"}
-        raise FormatError(f"{where} must be {shape[origin]}, got {value!r}")
+        raise FormatError(f"{what} must be {shape[origin]}, got {value!r}")
     return value

@@ -35,7 +35,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .jsonio import fields_from_json, read_columns, write_columns
+from .jsonio import from_json, read_columns, to_json, write_columns
 
 
 class FeatureType(str, Enum):
@@ -72,7 +72,7 @@ class FeatureSpec:
 class ActionSpec:
     """Schema entry for one action dimension: its maximum level/magnitude."""
 
-    max_value: float
+    max_value: float = field(metadata={"json": "max"})
     discrete: bool = True
 
 
@@ -135,7 +135,7 @@ class CohortColumns:
             offsets=np.array([0, hi - lo]),
         )
 
-    def steps(self, k: int) -> list[Step]:
+    def steps(self, k: int) -> tuple[Step, ...]:
         """Trajectory k's rows as Step and Observation objects."""
         lo, hi = self.offsets[k : k + 2].tolist()
         rows = zip(
@@ -148,7 +148,7 @@ class CohortColumns:
             self.action_mask[lo:hi].tolist(),
         )
         fids, aids, whole = self.feature_ids, self.action_ids, self.whole
-        return [
+        return tuple(
             Step(
                 t,
                 sofa,
@@ -156,7 +156,7 @@ class CohortColumns:
                 {aid: int(x) if w else x for aid, x, w, m in zip(aids, levels, whole, set_) if m},
             )
             for t, sofa, values, stale, mask, levels, set_ in rows
-        ]
+        )
 
     @classmethod
     def of(
@@ -243,21 +243,25 @@ def _whole(
 class Trajectory:
     """One patient's stay: a frozen value, varied with dataclasses.replace.
 
-    Built from steps, a trajectory derives its columns from them on first
-    use. Built by view(), as every trajectory of a dataset is, it is a
-    view of a CohortColumns block: its columns are slices of the block,
-    and its steps are built from them only when read.
+    Built from steps, a trajectory holds a tuple copy of them and derives
+    its columns from them on first use. Built by view(), as every
+    trajectory of a dataset is, it is a view of a CohortColumns block: its
+    columns are slices of the block, and its steps are built from them only
+    when read.
     """
 
     patient_id: str
-    steps: list[Step]
+    steps: tuple[Step, ...]
     survived: bool
     sofa_baseline: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
 
     @classmethod
     def view(
         cls, patient_id: str, block: CohortColumns, k: int, survived: bool, sofa_baseline: float,
-        steps: list[Step] | None = None,
+        steps: tuple[Step, ...] | None = None,
     ) -> "Trajectory":
         """The trajectory of block's rows offsets[k] to offsets[k + 1] - 1;
         its steps, unless given, are built from them when first read."""
@@ -638,17 +642,6 @@ class RaggedColumns:
         return f"{self.patient(bisect_right(self.offsets, i) - 1)} t={self.t[i]}"
 
 
-def _feature_to_json(spec: FeatureSpec) -> dict:
-    doc = {
-        "declared_min": spec.declared_min,
-        "declared_max": spec.declared_max,
-        "feature_type": spec.feature_type.value,
-    }
-    if spec.healthy_interval is not None:
-        doc["healthy_interval"] = list(spec.healthy_interval)
-    return doc
-
-
 def dataset_to_json(dataset: TrajectoryDataset) -> tuple[dict, bytes]:
     """The header and the buffer section of the dataset's column file."""
     trajs = dataset.trajectories
@@ -669,13 +662,8 @@ def dataset_to_json(dataset: TrajectoryDataset) -> tuple[dict, bytes]:
         *[("action_mask", aid, BITMAP, cols.action_mask[:, j]) for j, aid in actions],
     ])
     header = {
-        "feature_schema": {
-            fid: _feature_to_json(spec) for fid, spec in sorted(dataset.feature_schema.items())
-        },
-        "action_schema": {
-            aid: {"max": spec.max_value, "discrete": spec.discrete}
-            for aid, spec in sorted(dataset.action_schema.items())
-        },
+        "feature_schema": to_json(dataset.feature_schema),
+        "action_schema": to_json(dataset.action_schema),
         "patient_id": [traj.patient_id for traj in trajs],
         "columns": table,
     }
@@ -686,25 +674,6 @@ def save_dataset(dataset: TrajectoryDataset, path: str | Path) -> None:
     """Write the dataset; load_dataset reproduces it exactly."""
     dataset.validate()
     write_columns(path, *dataset_to_json(dataset))
-
-
-def _parse_feature(fid: str, doc) -> FeatureSpec:
-    where = f"feature_schema[{fid!r}]"
-    kwargs = fields_from_json(FeatureSpec, doc, where)
-    try:
-        kwargs["feature_type"] = FeatureType(kwargs["feature_type"])
-    except ValueError as exc:
-        raise FormatError(f"{where}: unknown feature_type") from exc
-    return FeatureSpec(**kwargs)
-
-
-_ACTION_KEYS = {"max_value": "max"}
-
-
-def _parse_action(aid: str, doc) -> ActionSpec:
-    # A non-finite max is left to validate(), which names the action.
-    where = f"action_schema[{aid!r}]"
-    return ActionSpec(**fields_from_json(ActionSpec, doc, where, finite=False, keys=_ACTION_KEYS))
 
 
 def _column_ids(frame: RaggedColumns, groups: tuple[str, ...], what: str) -> list[str]:
@@ -719,12 +688,13 @@ def _column_ids(frame: RaggedColumns, groups: tuple[str, ...], what: str) -> lis
 def dataset_from_json(header: dict, data) -> TrajectoryDataset:
     """The dataset of a column file's header and buffer section."""
     frame = RaggedColumns(header, data, "dataset")
-    feature_schema = {
-        fid: _parse_feature(fid, entry) for fid, entry in frame.group("feature_schema").items()
-    }
-    action_schema = {
-        aid: _parse_action(aid, entry) for aid, entry in frame.group("action_schema").items()
-    }
+    feature_schema = from_json(
+        frame.group("feature_schema"), dict[str, FeatureSpec], "feature_schema"
+    )
+    # A non-finite max is left to validate(), which names the action.
+    action_schema = from_json(
+        frame.group("action_schema"), dict[str, ActionSpec], "action_schema", finite=False
+    )
     n, rows = len(frame.patient_ids), frame.n_rows
     survived = frame.bitmap("survived", n)
     baselines = frame.buffer("sofa_baseline", F8, n)

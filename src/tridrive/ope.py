@@ -34,6 +34,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,11 +69,12 @@ class PolicyProbTable:
     Held as columns, checked (_check_rows) when made: by of_columns for a
     loaded or identity table, whose probs dict is built only when read;
     once, on first use, for a table built from a dict, PolicyProbTable(probs),
-    whose columns are sorted by (patient, t).
+    which holds a read-only copy of the dict and whose columns are sorted
+    by (patient, t).
     """
 
     def __init__(self, probs: dict[tuple[str, int], tuple[float, float]]):
-        self.__dict__["probs"] = probs
+        self.__dict__["probs"] = MappingProxyType(dict(probs))
 
     @classmethod
     def of_columns(cls, columns: ProbColumns) -> "PolicyProbTable":
@@ -113,10 +115,13 @@ class PolicyProbTable:
 
     @cached_property
     def probs(self) -> dict[tuple[str, int], tuple[float, float]]:
-        """{(patient_id, t): (p_eval, p_behavior)}, built from the columns when first read."""
+        """{(patient_id, t): (p_eval, p_behavior)}, read-only, built from the
+        columns when first read."""
         spans, t, p_eval, p_behavior = self.columns
         rows = list(zip(t.tolist(), zip(p_eval.tolist(), p_behavior.tolist())))
-        return {(pid, step): p for pid, (lo, hi) in spans.items() for step, p in rows[lo:hi]}
+        return MappingProxyType(
+            {(pid, step): p for pid, (lo, hi) in spans.items() for step, p in rows[lo:hi]}
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolicyProbTable):

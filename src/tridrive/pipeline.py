@@ -59,7 +59,7 @@ from .features import (
     summarize_dataset,
 )
 from .fitness import CompMetricConfig, FitnessVector, fitness
-from .jsonio import fields_from_json, read_json, write_json, write_text
+from .jsonio import from_json, read_json, write_json, write_text
 from .llm import HttpLlmClient, LlmClient, LlmClientConfig, StubLlmClient
 from .model import TrajectoryDataset, load_dataset
 from .ope import (
@@ -482,15 +482,9 @@ class PipelineConfig:
 def pipeline_config_from_json(doc: dict) -> PipelineConfig:
     """The keys are PipelineConfig's fields, with llm and metric objects;
     probs may be one path instead of a list."""
-    what = "pipeline config"
     if isinstance(doc, dict) and isinstance(doc.get("probs"), str):
         doc = {**doc, "probs": [doc["probs"]]}
-    kwargs = fields_from_json(PipelineConfig, doc, what)
-    llm = fields_from_json(LlmClientConfig, kwargs.get("llm", {}), f"{what}: llm")
-    metric = fields_from_json(CompMetricConfig, kwargs.get("metric", {}), f"{what}: metric")
-    return PipelineConfig(
-        **{**kwargs, "llm": LlmClientConfig(**llm), "metric": CompMetricConfig(**metric)}
-    )
+    return from_json(doc, PipelineConfig, "pipeline config")
 
 
 def load_pipeline_config(path: str | Path) -> PipelineConfig:

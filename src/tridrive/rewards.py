@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -25,8 +25,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import defaults
-from .errors import FormatError, SchemaError, ValidationError
-from .jsonio import fields_from_json, read_json, write_json
+from .errors import SchemaError, ValidationError
+from .jsonio import from_json, read_json, to_json, write_json
 from .model import CohortColumns, Trajectory, TrajectoryDataset
 
 
@@ -106,7 +106,7 @@ class RewardSpec:
     action_max: dict[str, float]
     decay_half_life: float = defaults.DECAY_HALF_LIFE
     gamma: float = defaults.GAMMA
-    lam: float = defaults.LAMBDA
+    lam: float = field(default=defaults.LAMBDA, metadata={"json": "lambda"})
     action_cost_scale: float = defaults.ACTION_COST_SCALE
     normalize_potential: bool = True
 
@@ -524,23 +524,10 @@ def baseline_oprm(
 
 # ---------------------------------------------------------------------------
 # Spec (de)serialization: UTF-8 JSON mirroring the fields exactly, except
-# that lam is written "lambda". Unknown keys are rejected so machine-produced
-# specs fail loudly. Values are typed on read; their ranges are checked by
-# SurvivalConfig and RewardSpec when they are made.
+# that lam is written "lambda" (its field's JSON key). Unknown keys are
+# rejected so machine-produced specs fail loudly. Values are typed on read;
+# their ranges are checked by SurvivalConfig and RewardSpec when they are made.
 # ---------------------------------------------------------------------------
-
-
-_KEYS = {"lam": "lambda"}
-
-
-def _survival_from_json(fid: str, doc) -> SurvivalConfig:
-    what = f"survival[{fid!r}]"
-    kwargs = fields_from_json(SurvivalConfig, doc, what, finite=False)
-    try:
-        kwargs["form"] = SurvivalForm(kwargs["form"])
-    except ValueError as exc:
-        raise FormatError(f"{what}: unknown form {kwargs['form']!r}") from exc
-    return SurvivalConfig(**kwargs)
 
 
 def _in_file(spec: RewardSpec) -> RewardSpec:
@@ -553,31 +540,11 @@ def _in_file(spec: RewardSpec) -> RewardSpec:
 
 
 def reward_spec_from_json(doc) -> RewardSpec:
-    kwargs = fields_from_json(RewardSpec, doc, "reward spec", finite=False, keys=_KEYS)
-    kwargs["survival"] = {
-        fid: _survival_from_json(fid, entry) for fid, entry in kwargs["survival"].items()
-    }
-    return _in_file(RewardSpec(**kwargs))
+    return _in_file(from_json(doc, RewardSpec, "reward spec", finite=False))
 
 
 def reward_spec_to_json(spec: RewardSpec) -> dict:
-    survival = {}
-    for fid, cfg in sorted(_in_file(spec).survival.items()):
-        entry = {"form": cfg.form.value}
-        for name in _FORM_PARAMS[cfg.form]:
-            entry[name] = getattr(cfg, name)
-        entry["weight"] = cfg.weight
-        survival[fid] = entry
-    return {
-        "survival": survival,
-        "confidence_tau": dict(sorted(spec.confidence_tau.items())),
-        "action_max": dict(sorted(spec.action_max.items())),
-        "decay_half_life": spec.decay_half_life,
-        "gamma": spec.gamma,
-        "lambda": spec.lam,
-        "action_cost_scale": spec.action_cost_scale,
-        "normalize_potential": spec.normalize_potential,
-    }
+    return to_json(_in_file(spec))
 
 
 def load_reward_spec(path: str | Path) -> RewardSpec:

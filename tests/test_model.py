@@ -40,6 +40,17 @@ def test_a_step_is_frozen_with_read_only_copies_of_its_mappings():
     assert (changed.action, step.action) == ({"dose": 1, "flow": 2.5}, {"dose": 1})
 
 
+def test_a_trajectory_holds_a_copy_of_its_steps():
+    steps = [make_step(t, {"f1": 0.5}) for t in range(2)]
+    traj = Trajectory("p", steps, True, 5.0)
+    dataset = make_dataset([traj])
+    steps[1] = dataclasses.replace(steps[1], sofa=9.0)
+    assert traj.steps == tuple(make_step(t, {"f1": 0.5}) for t in range(2))
+    assert [s.sofa for s in dataset.trajectories[0].steps] == dataset.columns.sofa.tolist()
+    assert dataset.columns.sofa.tolist() == [5.0, 5.0]
+    assert dataset.columns.steps(0) == traj.steps
+
+
 def test_round_trip_equality(two_patient_dataset, tmp_path):
     path = tmp_path / "data.json"
     save_dataset(two_patient_dataset, path)
@@ -302,7 +313,8 @@ def _two_patients(doc):
         (lambda d: (_two_patients(d), d.update(patient_id=["p1", "p1"])), "'p1' appears more"),
         (lambda d: d["patient_id"].__setitem__(0, 7), "patient_id must be a string"),
         (lambda d: d.update(staleness={}), "values and staleness must have the same"),
-        (lambda d: d["feature_schema"]["f1"].update(feature_type="Flat"), "unknown feature_type"),
+        (lambda d: d["feature_schema"]["f1"].update(feature_type="Flat"),
+         r"^feature_schema\['f1'\]: unknown feature_type 'Flat'$"),
         (lambda d: d["action_schema"].update(drug_a={"max": "4"}), "max must be a number"),
         (lambda d: d.update(action_schema=[]), "action_schema must be an object"),
         (lambda d: d.pop("patient_id"), "missing key 'patient_id'"),

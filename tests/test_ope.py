@@ -859,6 +859,20 @@ class TestProbTableColumns:
             assert str(raised.value) == str(loaded.value)
         assert not (tmp_path / "saved.json").exists()
 
+    def test_a_table_holds_a_read_only_copy_of_its_dict(self):
+        dataset = _view_dataset([[0, 1]])
+        traces = [RewardTrace([], [0.0], 1.0)]
+        probs = {("p0", 0): (0.5, 0.5)}
+        table = PolicyProbTable(probs)
+        assert wis(dataset, traces, table) == 1.0
+        probs[("p0", 0)] = (0.5, 0.0)
+        assert table.probs == {("p0", 0): (0.5, 0.5)}
+        assert table == PolicyProbTable({("p0", 0): (0.5, 0.5)})
+        for read_only in (table, identity_prob_table(dataset)):
+            with pytest.raises(TypeError):
+                read_only.probs[("p0", 0)] = (0.5, 0.0)
+        assert table.columns.p_behavior.tolist() == [0.5]
+
     def test_dict_table_columns_sorted_by_patient_and_t(self):
         table = PolicyProbTable({("p2", 4): (0.1, 0.2), ("p1", 7): (0.3, 0.4), ("p1", 2): (0.5, 0.6)})
         spans, t, p_eval, p_behavior = table.columns
