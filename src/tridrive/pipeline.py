@@ -4,8 +4,9 @@ A run directory holds one manifest plus one subdirectory per stage:
 
     manifest.json           deterministic run record (hashes, statuses, champion)
     timing.json             wall-clock info (dataset load and the loaded dataset's
-                            shape, per-stage seconds, stages skipped as fresh);
-                            the only volatile file, excluded from the
+                            shape, per-stage seconds, stages skipped as fresh)
+    hashes.json             each hashed file's stat key and sha256 (_HashCache);
+                            like timing.json, volatile and excluded from the
                             reproducibility digest
     stats/metadata.json
     features/report.json    features/rounds/round_XXX.json
@@ -25,6 +26,22 @@ with nothing to run reads no dataset, writes no manifest and records
 "load_seconds": null and "dataset_shape": null. Each stage is one function
 (stats_stage ... ope_stage) that the matching CLI subcommand calls too, so
 both write the same files.
+
+The ope stage also records the sha256 of each probability table it read,
+as "inputs": {"probs": [...]} in config order, and is fresh only while
+those still match, so a table rewritten in place reruns ope alone. The
+table paths stay in the run id, since wis.json and wis_series.csv name
+each table by its path.
+
+Every sha256 a run takes (the dataset's, the tables', the outputs') goes
+through hashes.json: a file whose size, mtime, ctime, inode and device are
+unchanged, and whose mtime is older than hashes.json's, is trusted to hold
+the bytes last hashed, so a settled resume reads only the manifest and the
+cache. ctime cannot be set from user space, so a rewrite that puts its
+mtime back is still caught. Not caught: a rewrite within the same clock
+tick between a file's stat and the cache write, a filesystem that keeps no
+POSIX ctime, and tampering with the clock or the block device. A
+missing or unreadable hashes.json only means hashing everything again.
 """
 
 from __future__ import annotations
@@ -33,6 +50,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shutil
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
@@ -72,7 +90,7 @@ from .ope import (
 from .pareto import Candidate, ParetoResult, pareto_result_to_json, select_champion
 from .rewards import RewardSpec, load_reward_spec, reward_spec_to_json, trace
 
-VOLATILE_FILES = {"timing.json"}
+VOLATILE_FILES = {"timing.json", "hashes.json"}
 
 SPLIT_NAMES = ("policy_train", "reward_train", "policy_test", "reward_test")
 
@@ -117,8 +135,57 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
+class _HashCache:
+    """Each file's sha256, reused while the file's stat key is unchanged.
+
+    The cache file maps a file's absolute path to [[st_size, st_mtime_ns,
+    st_ctime_ns, st_ino, st_dev], sha256]. A recorded digest is reused only
+    when the key is equal and the file's mtime is older than the cache
+    file's own (git's "racy git" rule: a file changed within the tick the
+    cache was written is hashed again). A cache file that cannot be read or
+    is not a JSON object is read as empty.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.loaded: dict = {}
+        self.written_ns = 0
+        self.seen: dict = {}
+        try:
+            with open(path, "rb") as fh:
+                written_ns = os.fstat(fh.fileno()).st_mtime_ns
+                doc = json.loads(fh.read())
+        except (OSError, ValueError, RecursionError):  # missing, unreadable, not JSON
+            return
+        if isinstance(doc, dict):
+            self.loaded, self.written_ns = doc, written_ns
+
+    def sha256(self, path: str | Path) -> str:
+        """The file's digest; raises OSError when it cannot be read. The file
+        is stat'ed before it is hashed, so a change during the hash shows as
+        a new key next time."""
+        st = os.stat(path)
+        key = [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino, st.st_dev]
+        name = os.path.abspath(path)
+        entry = self.loaded.get(name)
+        if (
+            isinstance(entry, list) and len(entry) == 2 and entry[0] == key
+            and isinstance(entry[1], str) and st.st_mtime_ns < self.written_ns
+        ):
+            digest = entry[1]
+        else:
+            digest = sha256_file(path)
+        self.seen[name] = [key, digest]
+        return digest
+
+    def save(self) -> None:
+        """Write the entries of the files looked up, unless they are the loaded ones."""
+        if self.seen != self.loaded:
+            write_json(self.path, self.seen)
+
+
 def run_digest(run_dir: str | Path) -> str:
-    """Digest of the whole run directory, skipping the volatile timing file."""
+    """Digest of the whole run directory, skipping the volatile files."""
     root = Path(run_dir)
     h = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
@@ -507,8 +574,14 @@ def _stage_record_ok(record) -> bool:
     """Whether a manifest stage record has the shape _stage_fresh reads."""
     if not isinstance(record, dict) or not isinstance(record.get("status"), str):
         return False
-    outputs = record.get("outputs", {})
-    return isinstance(outputs, dict) and all(isinstance(sha, str) for sha in outputs.values())
+    outputs, inputs = record.get("outputs", {}), record.get("inputs", {})
+    return (
+        isinstance(outputs, dict) and all(isinstance(sha, str) for sha in outputs.values())
+        and isinstance(inputs, dict) and all(
+            isinstance(shas, list) and all(isinstance(sha, str) for sha in shas)
+            for shas in inputs.values()
+        )
+    )
 
 
 class PipelineRun:
@@ -519,8 +592,9 @@ class PipelineRun:
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
+        self.hashes = _HashCache(self.out / "hashes.json")
         try:
-            dataset_sha = sha256_file(config.dataset)
+            dataset_sha = self.hashes.sha256(config.dataset)
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {config.dataset}: {exc}") from exc
         config_sha = sha256_bytes(config.canonical_json().encode("utf-8"))
@@ -548,8 +622,8 @@ class PipelineRun:
             ):
                 raise FormatError(
                     f"{self.manifest_path}: run manifest needs a stages object of records, "
-                    "each with a string status and any outputs as an object of file hashes, "
-                    "and a string or null champion"
+                    "each with a string status, any outputs as an object of file hashes and "
+                    "any inputs as an object of hash lists, and a string or null champion"
                 )
             return manifest
         # A reset removes stage directories; without a manifest, this run
@@ -569,11 +643,25 @@ class PipelineRun:
         }
 
     def _stage_fresh(self, name: str) -> bool:
+        """Complete, with every recorded output and input hash still current."""
         record = self.manifest["stages"].get(name, {})
-        paths = ((self.out / rel, sha) for rel, sha in record.get("outputs", {}).items())
-        return record.get("status") == "complete" and all(
-            path.exists() and sha256_file(path) == sha for path, sha in paths
-        )
+        if record.get("status") != "complete":
+            return False
+        try:
+            return all(
+                self.hashes.sha256(self.out / rel) == sha
+                for rel, sha in record.get("outputs", {}).items()
+            ) and record.get("inputs") == self._inputs(name)
+        except OSError:  # a recorded output or an input is gone or unreadable
+            return False
+
+    def _inputs(self, name: str) -> dict | None:
+        """The hashed inputs the stage records beside its outputs: the ope
+        stage's probability tables, in config order. Raises OSError when a
+        table cannot be read."""
+        if name != "ope":
+            return None
+        return {"probs": [self.hashes.sha256(path) for path in self.config.probs]}
 
     def _reset(self, names: Sequence[str]) -> None:
         """Mark the stages pending (and the champion unset when selection is
@@ -587,11 +675,15 @@ class PipelineRun:
             if (self.out / name).exists():
                 shutil.rmtree(self.out / name)
 
-    def _record_outputs(self, name: str) -> None:
-        """Mark the stage complete with the hash of every file under its directory."""
+    def _record_outputs(self, name: str, inputs: dict | None) -> None:
+        """Mark the stage complete with the hash of every file under its
+        directory, and with its inputs' hashes when it has any."""
         files = sorted(p for p in (self.out / name).rglob("*") if p.is_file())
-        outputs = {f.relative_to(self.out).as_posix(): sha256_file(f) for f in files}
-        self.manifest["stages"][name] = {"status": "complete", "outputs": outputs}
+        outputs = {f.relative_to(self.out).as_posix(): self.hashes.sha256(f) for f in files}
+        record = {"status": "complete", "outputs": outputs}
+        if inputs is not None:
+            record["inputs"] = inputs
+        self.manifest["stages"][name] = record
         write_json(self.manifest_path, self.manifest)
 
     # -- stages ---------------------------------------------------------
@@ -615,8 +707,8 @@ class PipelineRun:
             for name in todo:
                 start = time.perf_counter()
                 try:
-                    getattr(self, f"_run_{name}")(dataset)
-                    self._record_outputs(name)
+                    inputs = getattr(self, f"_run_{name}")(dataset)
+                    self._record_outputs(name, inputs)
                 except TridriveError as exc:
                     self.manifest["stages"][name] = {"status": "failed", "error": str(exc)}
                     write_json(self.manifest_path, self.manifest)
@@ -625,6 +717,7 @@ class PipelineRun:
         finally:
             written_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
             write_json(self.out / "timing.json", {"written_at": written_at, **timing})
+            self.hashes.save()
         return self.manifest
 
     def _load_dataset(self, timing: dict) -> TrajectoryDataset:
@@ -637,7 +730,8 @@ class PipelineRun:
             raise PipelineError("dataset (after split filtering) has no trajectories")
         return dataset
 
-    # Each _run_<stage> calls its stage function, writing into its directory.
+    # Each _run_<stage> calls its stage function, writing into its directory,
+    # and returns the hashes of the inputs it read beyond earlier stages' (or None).
 
     def _run_stats(self, dataset: TrajectoryDataset) -> None:
         stats_stage(dataset, self.out / "stats/metadata.json")
@@ -681,11 +775,15 @@ class PipelineRun:
         src, dst = self.out / "fitness/report.json", self.out / "selection/report.json"
         self.manifest["champion"] = selection_stage(src, dst).champion
 
-    def _run_ope(self, dataset: TrajectoryDataset) -> None:
+    def _run_ope(self, dataset: TrajectoryDataset) -> dict:
         champion_id = self.manifest["champion"]
         candidates = self.out / "candidates"
         if champion_id not in _spec_ids(candidates):
             raise FormatError(f"{self.manifest_path}: champion {champion_id!r} is not a candidate")
+        try:  # before the stage reads them, so a later rewrite reruns it
+            inputs = self._inputs("ope")
+        except OSError as exc:
+            raise FormatError(f"cannot read probability table {exc.filename}: {exc}") from exc
         ope_stage(
             dataset,
             load_reward_spec(candidates / f"{champion_id}.json"),
@@ -697,6 +795,7 @@ class PipelineRun:
             bins=self.config.bins,
             champion=champion_id,
         )
+        return inputs
 
 
 def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> dict:

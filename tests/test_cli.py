@@ -652,7 +652,8 @@ def test_subcommands_write_what_the_pipeline_writes(workdir, tmp_path):
     def files(root):
         return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
-    assert files(cli) == [f for f in files(run) if f not in ("manifest.json", "timing.json")]
+    run_only = ("manifest.json", "timing.json", "hashes.json")
+    assert files(cli) == [f for f in files(run) if f not in run_only]
     assert len(list((cli / "features/rounds").iterdir())) == 20
     assert len(list((cli / "candidates").glob("spec_*.json"))) == 20
     for rel in files(cli):

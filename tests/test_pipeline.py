@@ -733,10 +733,11 @@ class TestCrashSafety:
 
 
 def _assert_owned(out: Path) -> None:
-    """The root holds the manifest, timing.json and the stage directories
-    alone, and each stage records exactly the files under its directory."""
+    """The root holds the manifest, timing.json, hashes.json and the stage
+    directories alone, and each stage records exactly the files under its
+    directory."""
     assert sorted(p.name for p in out.iterdir()) == sorted(
-        ["manifest.json", "timing.json", *STAGES]
+        ["manifest.json", "timing.json", "hashes.json", *STAGES]
     )
     manifest = json.loads((out / "manifest.json").read_text())
     for name in STAGES:
