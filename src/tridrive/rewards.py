@@ -182,13 +182,14 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 # validate, its reciprocal is inf, and 0 * inf would turn the full trust
 # of a fresh measurement into NaN.
 #
-# trace's returns come from _block_returns, which by the shaping identity
-# needs potentials at two rows of each trajectory; its lists for the last
-# block and spec are kept in a one-slot memo (see trace), the only cache on
-# this path. The per-step lists come from _step_rewards over the
-# trajectory's own rows, only when read. A block column the spec does not
-# name is never read, and a spec that names every column reads them in
-# place.
+# trace's returns come from the block's _BlockReturns plan, which by the
+# shaping identity needs potentials at two rows of each trajectory; the
+# plan and the returns of the last spec traced on it are kept in a one-slot
+# memo (see trace), the only cache on this path. The per-step lists come
+# from _step_rewards over the trajectory's own rows, only when read. A
+# plan reads every feature column's finiteness once per block; a spec's
+# potentials read only the columns it names, gathered at two rows per
+# trajectory.
 
 
 def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
@@ -313,65 +314,110 @@ def _step_rewards(cols: CohortColumns, spec: RewardSpec):
     return rewards, potentials
 
 
-def _block_returns(block: CohortColumns, spec: RewardSpec):
-    """(cumulative[n], sets_undeclared[n]) of every trajectory of the block.
+def _transition_rows(offsets: np.ndarray) -> np.ndarray:
+    """A flag per row of a block: True for every row but its trajectory's last."""
+    transition = np.ones(offsets[-1], dtype=bool)
+    transition[offsets[1:][np.diff(offsets) > 0] - 1] = False
+    return transition
+
+
+class _BlockReturns:
+    """The returns of every trajectory of one block, spec after spec.
 
     By the shaping identity, trajectory k's discounted return is
     gamma**(len - 1) * phi[last] - phi[first] - lam * sum_i gamma**i * cost_i
-    over its transitions i, so potentials are computed at its first and last
-    rows only, and the costs are summed over its transition rows (every row
-    but its last). A trajectory of one row or none has no transition, and
-    its return is 0. A full sum of rewards turns non-finite when any row's
-    potential does, so the return is NaN for a trajectory with a non-finite
-    time, or value or staleness of a feature the spec names, in any row; a
-    non-finite action level reaches the cost sum itself. sets_undeclared[k]
-    is True when a transition of trajectory k sets an action the spec does
-    not declare (flagged only when lam is not 0).
+    over its transitions i (every row but its last). What does not depend on
+    the spec is built once, with the plan: the moving trajectories (those
+    of two rows or more; any other returns 0) and their lengths, one gather
+    of their first and last rows, whether t and each feature column are
+    finite in all of a trajectory's rows, and which actions its transitions
+    set. A cost is linear in the levels, so each action's discounted level
+    sum over a trajectory's transitions is costed once; those sums depend
+    on gamma alone, and each distinct gamma's are computed once
+    (_level_sums) and kept. A spec then costs one _potentials call on the
+    gather, and reads its named columns' flags and declared actions' sums.
     """
-    offsets = block.offsets
-    lengths = np.diff(offsets)
-    cumulative, sets_undeclared = np.zeros(len(lengths)), np.zeros(len(lengths), dtype=bool)
-    moving = np.flatnonzero(lengths > 1)
-    if not moving.size:
+
+    __slots__ = ("block", "moving", "lengths", "ends", "finite", "sets", "sums")
+
+    def __init__(self, block: CohortColumns):
+        offsets = block.offsets
+        lengths = np.diff(offsets)
+        nonempty = lengths > 0
+        starts = offsets[:-1][nonempty]
+        self.block = block
+        self.moving = np.flatnonzero(lengths > 1)
+        self.lengths = lengths[self.moving]
+        self.ends = block.take_rows(
+            np.concatenate([offsets[self.moving], offsets[self.moving + 1] - 1])
+        )
+        self.sums: dict[float, np.ndarray] = {}
+        # [n, A]: whether a transition of trajectory k sets action a.
+        self.sets = np.zeros((len(lengths), len(block.action_ids)), dtype=bool)
+        sets = block.action_mask & _transition_rows(offsets)[:, None]
+        self.sets[nonempty] = np.logical_or.reduceat(sets, starts)
+        # [moving, 1 + F]: t's flag, then one per feature column. The cell
+        # flags are built in place, so at most two [N, F] arrays are alive.
+        cells = np.isfinite(block.values)
+        cells &= np.isfinite(block.staleness)
+        moved = lengths[nonempty] > 1
+        self.finite = np.column_stack(
+            [
+                np.logical_and.reduceat(np.isfinite(block.t), starts)[moved],
+                np.logical_and.reduceat(cells, starts)[moved],
+            ]
+        )
+
+    def _level_sums(self, gamma: float) -> np.ndarray:
+        """[A, moving]: each action's levels summed over each moving
+        trajectory's transitions, the i-th weighted gamma**i. The levels
+        are gathered a column at a time, which is much faster than
+        gathering rows of a matrix this narrow."""
+        offsets = self.block.offsets
+        rows = np.flatnonzero(_transition_rows(offsets))
+        moves = np.maximum(np.diff(offsets) - 1, 0)
+        discounts = np.power(gamma, rows - np.repeat(offsets[:-1], moves))
+        firsts = (np.cumsum(moves) - moves)[self.moving]
+        columns = self.block.actions.T
+        return np.array(
+            [np.add.reduceat(levels[rows] * discounts, firsts) for levels in columns]
+        ).reshape(len(columns), len(self.moving))
+
+    def returns(self, spec: RewardSpec):
+        """(cumulative[n], sets_undeclared[n]) of every trajectory of the
+        block. A full sum of rewards turns non-finite when any row's
+        potential does, so the return is NaN for a trajectory with a
+        non-finite time, or value or staleness of a feature the spec names,
+        in any row; a non-finite action level reaches the cost sum itself.
+        sets_undeclared[k] is True when a transition of trajectory k sets
+        an action the spec does not declare (flagged only when lam is not 0).
+        """
+        n = len(self.block.offsets) - 1
+        cumulative, sets_undeclared = np.zeros(n), np.zeros(n, dtype=bool)
+        if not self.moving.size:
+            return cumulative, sets_undeclared
+        select = _feature_columns(spec, self.block.feature_ids)[0]
+        finite = self.finite[:, 0] & self.finite[:, 1:][:, select].all(axis=1)
+        # Values that overflow or turn NaN stay in their own trajectory's return.
+        with np.errstate(all="ignore"):
+            first, last = np.split(_potentials(self.ends, spec), 2)
+            returns = np.power(spec.gamma, self.lengths - 1) * last - first
+            if spec.lam != 0.0:
+                ids = self.block.action_ids
+                declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
+                undeclared = [j for j, aid in enumerate(ids) if aid not in spec.action_max]
+                if undeclared:
+                    sets_undeclared = self.sets[:, undeclared].any(axis=1)
+                sums = self.sums.get(spec.gamma)
+                if sums is None:
+                    sums = self.sums[spec.gamma] = self._level_sums(spec.gamma)
+                maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
+                returns -= spec.lam * _competence_costs(
+                    sums[declared].T, maxima, spec.action_cost_scale
+                )
+        returns[~finite] = np.nan
+        cumulative[self.moving] = returns
         return cumulative, sets_undeclared
-    nonempty = lengths > 0
-    select = _feature_columns(spec, block.feature_ids)[0]
-    starts = offsets[:-1][nonempty]
-    cells = np.isfinite(block.values[:, select]) & np.isfinite(block.staleness[:, select])
-    finite = np.logical_and.reduceat(cells, starts).all(axis=1)
-    finite &= np.logical_and.reduceat(np.isfinite(block.t), starts)
-    finite = finite[lengths[nonempty] > 1]
-    # Values that overflow or turn NaN stay in their own trajectory's return.
-    with np.errstate(all="ignore"):
-        ends = np.concatenate([offsets[moving], offsets[moving + 1] - 1])
-        first, last = np.split(_potentials(block.take_rows(ends), spec), 2)
-        returns = np.power(spec.gamma, lengths[moving] - 1) * last - first
-        if spec.lam != 0.0:
-            ids = block.action_ids
-            declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
-            undeclared = [j for j, aid in enumerate(ids) if aid not in spec.action_max]
-            transition = np.ones(len(block.t), dtype=bool)
-            transition[offsets[1:][nonempty] - 1] = False
-            if undeclared:
-                sets = block.action_mask[:, undeclared].any(axis=1) & transition
-                owners = np.searchsorted(offsets, np.flatnonzero(sets), side="right") - 1
-                sets_undeclared[owners] = True
-            # A cost is linear in the levels, so each action's discounted
-            # level sum over a trajectory's transitions is costed once. The
-            # levels are gathered a column at a time, which is much faster
-            # than gathering rows of a matrix this narrow.
-            rows = np.flatnonzero(transition)
-            moves = np.maximum(lengths - 1, 0)
-            discounts = np.power(spec.gamma, rows - np.repeat(offsets[:-1], moves))
-            firsts = (np.cumsum(moves) - moves)[moving]
-            sums = np.array(
-                [np.add.reduceat(block.actions[:, j][rows] * discounts, firsts) for j in declared]
-            ).reshape(len(declared), len(moving))
-            maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
-            returns -= spec.lam * _competence_costs(sums.T, maxima, spec.action_cost_scale)
-    returns[~finite] = np.nan
-    cumulative[moving] = returns
-    return cumulative, sets_undeclared
 
 
 def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
@@ -436,14 +482,16 @@ class _LazyFloats(Sequence):
         return repr(self._list())
 
 
-# The returns of the last block pass, keyed on the block and the spec
-# themselves: one slot, so memory does not grow with the number of specs or
-# blocks. Both are frozen, so a call whose block and spec are the cached
-# objects reads the cached lists; the slot holds them, so neither id can be
-# reused while it is there. It is read and replaced as one (block, spec,
-# lists) tuple, so concurrent calls never pair a key with another key's
-# lists; at worst they recompute.
-_last_block: tuple = (None, None, None)
+# The last block's plan and the returns of its last spec, keyed on the
+# block and the spec themselves: one slot, so memory does not grow with the
+# number of blocks or specs (the plan's level sums grow only with the
+# distinct gammas traced on its block). Both keys are frozen, so a call
+# whose block and spec are the cached objects reads the cached lists, and
+# a new spec on the cached block reuses its plan; the slot holds them, so
+# neither id can be reused while it is there. It is read and replaced as
+# one (block, plan, spec, lists) tuple, so concurrent calls never pair a
+# key with another key's plan or lists; at worst they recompute.
+_last_block: tuple = (None, None, None, None)
 
 
 def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
@@ -453,21 +501,25 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     with lambda 0 the actions are not read at all.
 
     The return is computed for every trajectory of the trajectory's block
-    (the cohort's block for a view, its own columns otherwise) by
-    _block_returns, and kept for the next call whose block and spec are the
-    same objects, so tracing a cohort costs one pass per spec that reads
-    two rows' potentials per trajectory. A spec is frozen, so any other
-    spec, equal or not (a dataclasses.replace copy, say), is traced afresh.
-    The per-step rewards and potentials are computed from the trajectory's
-    own columns when first read.
+    (the cohort's block for a view, its own columns otherwise) from the
+    block's _BlockReturns plan, which is built once per block, and kept
+    for the next call whose block and spec are the same objects. So
+    tracing a cohort costs one plan per block, and per spec one
+    potentials pass over two rows per trajectory (plus, once per distinct
+    gamma, the discounted action level sums). A spec is frozen, so any
+    other spec, equal or not (a dataclasses.replace copy, say), is traced
+    afresh on the same plan. The per-step rewards and potentials are
+    computed from the trajectory's own columns when first read.
     """
     global _last_block
     block, k = trajectory.block
-    cached_block, cached_spec, lists = _last_block
-    if cached_block is not block or cached_spec is not spec:
-        cumulative, sets_undeclared = _block_returns(block, spec)
+    cached_block, plan, cached_spec, lists = _last_block
+    if cached_block is not block:
+        plan, cached_spec = _BlockReturns(block), None
+    if cached_spec is not spec:
+        cumulative, sets_undeclared = plan.returns(spec)
         lists = (cumulative.tolist(), sets_undeclared.tolist())
-        _last_block = (block, spec, lists)
+        _last_block = (block, plan, spec, lists)
     cumulative, sets_undeclared = lists
     if sets_undeclared[k]:
         _check_undeclared_unset(trajectory, spec)

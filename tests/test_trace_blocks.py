@@ -1,5 +1,6 @@
-"""trace over column blocks: one returns pass per spec, which computes
-potentials at two rows per trajectory, and per-step lists computed on read.
+"""trace over column blocks: one plan per block, one returns pass per spec
+on it, which computes potentials at two rows per trajectory, and per-step
+lists computed on read.
 
 Every trace is checked against the scalar oracle, on blocks whose
 trajectories sit at the edges of the block's arrays, with replaced specs
@@ -24,7 +25,7 @@ from tridrive import rewards
 from tridrive.errors import SchemaError, ValidationError
 from tridrive.fitness import CompMetricConfig
 from tridrive.llm import LlmClientConfig
-from tridrive.model import CohortColumns, Trajectory
+from tridrive.model import _ROW_COLUMNS, CohortColumns, Trajectory
 from tridrive.ope import bootstrap_ci, identity_prob_table
 from tridrive.pipeline import PipelineConfig, filter_split, ope_stage, score_specs
 from tridrive.rewards import (
@@ -511,15 +512,110 @@ class TestStepLists:
         _assert_matches_oracle(traj, _spec(lam=0.0))
 
 
+class TestTwoSpecsOnOneBlock:
+    """Two specs that differ in gamma, in the features they name and in the
+    actions they declare, traced on one block in either interleaving: each
+    call reads the one plan of the block, and each return is, bit for bit,
+    the one its spec gets on a plan of its own (and the oracle's to 1e-12)."""
+
+    def _views(self):
+        rng = np.random.default_rng(71)
+        step_lists = [_steps(rng, n, actions=("drug_a",)) for n in (4, 1, 5, 3, 0, 6)]
+        _act(step_lists[2], 1, drug_b=2)  # on two transitions of p2; the first is named
+        _act(step_lists[2], 3, drug_b=1)
+        _act(step_lists[3], 2, drug_b=1)  # on p3's last step, which is not read
+        return _views(step_lists)
+
+    def _specs(self, lam):
+        wide = _spec(lam)  # f1, f2 and f3; drug_a and drug_b; gamma 0.95
+        narrow = dataclasses.replace(
+            wide,
+            gamma=0.8,
+            survival={fid: wide.survival[fid] for fid in ("f1", "f3")},
+            confidence_tau={"f1": 8.0, "f3": 2.0},
+            action_max={"drug_a": 3.0},
+        )
+        return wide, narrow
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("order", ["spec-major", "trajectory-major"])
+    def test_each_return_is_its_own_specs(self, order, lam):
+        views = self._views()
+        specs = self._specs(lam)
+        block = views[0].block[0]
+        alone = [rewards._BlockReturns(block).returns(spec)[0] for spec in specs]
+        ks = range(len(views))
+        if order == "spec-major":
+            calls = [(i, k) for i in (0, 1) for k in ks]
+        else:
+            calls = [(i, k) for k in ks for i in (0, 1)]
+        t = views[2].steps[1].t
+        plans = set()
+        for i, k in calls:
+            spec = specs[i]
+            if lam and i == 1 and k == 2:
+                with pytest.raises(
+                    SchemaError,
+                    match=rf"^patient 'p2': action 'drug_b' not declared in the reward spec's "
+                          rf"action_max at t={t}$",
+                ):
+                    trace(views[k], spec)
+            else:
+                got = _assert_matches_oracle(views[k], spec)
+                assert got.cumulative.hex() == alone[i][k].item().hex(), (i, k)
+            plans.add(id(rewards._last_block[1]))
+        assert len(plans) == 1
+
+
+def test_the_memo_retains_at_most_an_eighth_of_the_block(monkeypatch, cohort5000):
+    """After a pool of 20 specs is scored, the memo holds the block's plan
+    (the two-row gather, the flags, and one [actions, trajectories] level
+    sum per distinct gamma) and the last spec's lists: at most an eighth
+    of the bytes of the block's row columns."""
+    config, dataset = cohort5000
+    block = dataset.columns
+    base = reference_spec(config)
+    specs = [
+        (f"s{i}", dataclasses.replace(base, gamma=(0.99, 0.95)[i % 2], decay_half_life=24.0 + i))
+        for i in range(20)
+    ]
+    monkeypatch.setattr(rewards, "_last_block", (None, None, None, None))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = score_specs(dataset, specs)
+        del rows
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    cached_block, plan, cached_spec, _ = rewards._last_block
+    assert cached_block is block and cached_spec is specs[-1][1]
+    assert sorted(plan.sums) == [0.95, 0.99]
+    for sums in plan.sums.values():
+        assert sums.shape == (len(block.action_ids), len(dataset.trajectories))
+    row_bytes = sum(getattr(block, name).nbytes for name in _ROW_COLUMNS)
+    assert retained <= row_bytes / 8, (retained, row_bytes)
+
+
 def test_score_specs_reads_two_potential_rows_per_trajectory(monkeypatch, tmp_path):
     """One _potentials call per spec, on each trajectory's first and last
-    rows; neither scoring nor OPE computes a per-step list."""
+    rows; neither scoring nor OPE computes a per-step list. Scoring four
+    specs of two gammas, then OPE on the same dataset, gathers those rows
+    from the block once and sums the discounted action levels once per
+    gamma."""
     config = CohortConfig(n_patients=30, seed=5)
     dataset = generate(config)
     base = reference_spec(config)
-    specs = [(f"s{i}", dataclasses.replace(base, gamma=0.9 + 0.02 * i)) for i in range(4)]
-    calls, step_lists = [], []
+    assert base.lam != 0.0
+    gammas = [0.9, base.gamma, 0.9, base.gamma]
+    specs = [
+        (f"s{i}", dataclasses.replace(base, gamma=g, decay_half_life=20.0 + i))
+        for i, g in enumerate(gammas)
+    ]
+    calls, step_lists, gathers, fills = [], [], [], []
     kernel, per_step = rewards._potentials, rewards._step_rewards
+    take_rows, level_sums = CohortColumns.take_rows, rewards._BlockReturns._level_sums
 
     def counted(cols, spec):
         calls.append(cols)
@@ -529,8 +625,19 @@ def test_score_specs_reads_two_potential_rows_per_trajectory(monkeypatch, tmp_pa
         step_lists.append(cols)
         return per_step(cols, spec)
 
+    def counted_take_rows(self, rows):
+        if self is dataset.columns:
+            gathers.append(len(rows))
+        return take_rows(self, rows)
+
+    def counted_level_sums(self, gamma):
+        fills.append(gamma)
+        return level_sums(self, gamma)
+
     monkeypatch.setattr(rewards, "_potentials", counted)
     monkeypatch.setattr(rewards, "_step_rewards", listed)
+    monkeypatch.setattr(CohortColumns, "take_rows", counted_take_rows)
+    monkeypatch.setattr(rewards._BlockReturns, "_level_sums", counted_level_sums)
     rows = score_specs(dataset, specs)
     assert [row["spec_id"] for row in rows if "error" not in row] == [s for s, _ in specs]
     assert len(calls) == len(specs)
@@ -542,6 +649,8 @@ def test_score_specs_reads_two_potential_rows_per_trajectory(monkeypatch, tmp_pa
     ope_stage(dataset, base, [], tmp_path, level=0.9, resamples=20, seed=0, bins=3)
     assert len(calls) == len(specs) + 1
     assert step_lists == []
+    assert gathers == [2 * len(dataset.trajectories)]
+    assert sorted(fills) == [0.9, base.gamma]
 
 
 @pytest.mark.parametrize(
@@ -568,15 +677,19 @@ def test_a_spec_mapping_refuses_item_assignment(name):
 
 
 def test_no_traced_spec_outlives_the_memo():
+    """The memo's plan keeps only the distinct gammas' level sums, never a
+    spec: the first spec goes once a second is traced, whatever its gamma."""
     views = _views([_steps(np.random.default_rng(41), n) for n in (3, 5)])
-    first, second = _spec(lam=0.3), _spec(lam=0.1)
-    config = weakref.ref(first.survival["f2"])
-    for spec in (first, second):
-        for traj in views:
-            trace(traj, spec)
-    del first
-    gc.collect()
-    assert config() is None
+    for gamma in (0.95, 0.8):
+        first, second = _spec(lam=0.3), dataclasses.replace(_spec(lam=0.1), gamma=gamma)
+        config = weakref.ref(first.survival["f2"])
+        for spec in (first, second):
+            for traj in views:
+                trace(traj, spec)
+        assert sorted(rewards._last_block[1].sums) == sorted({0.95, gamma})
+        del first
+        gc.collect()
+        assert config() is None, gamma
 
 
 def test_threads_tracing_different_blocks_and_specs_get_their_own_slices():
@@ -608,9 +721,15 @@ def test_threads_tracing_different_blocks_and_specs_get_their_own_slices():
     assert mismatches == []
 
 
-def test_survival_exponents_peak_at_three_outputs_on_a_5000_patient_block():
+@pytest.fixture(scope="module")
+def cohort5000():
     config = CohortConfig(n_patients=5000, seed=3)
-    cols = generate(config).columns
+    return config, generate(config)
+
+
+def test_survival_exponents_peak_at_three_outputs_on_a_5000_patient_block(cohort5000):
+    config, dataset = cohort5000
+    cols = dataset.columns
     spec = reference_spec(config)
     select, c, b, m, _, _ = rewards._feature_columns(spec, cols.feature_ids)
     values = cols.values[:, select]
