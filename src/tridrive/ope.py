@@ -9,12 +9,13 @@ and confidence intervals come from trajectory-level percentile bootstrap.
 Every bootstrap resample draws from its own generator keyed on (seed, b),
 so results do not depend on evaluation order. The draws depend only on
 (seed, n, resamples), so they are made once, kept as how many times each
-resample drew each trajectory, and shared, read-only, by every table of a
-checkpoint series: a table's resample sums are then products of blocks of
-that count matrix with its weights. The counts are read from PCG64's raw
-outputs with numpy's own bounded-draw method, a chunk of resamples at a
-time, and any resample where that method might reject a word is drawn by
-numpy itself. A table's weights come from one join of its rows to the
+resample drew each trajectory (one byte per count, unless a count exceeds
+255), and shared, read-only, by every table of a checkpoint series: a
+table's resample sums are then products of blocks of that count matrix,
+each cast into one reused float buffer, with its weights. The counts are
+read from PCG64's raw outputs with numpy's own bounded-draw method, a chunk
+of resamples at a time, and any resample where that method might reject a
+word is drawn by numpy itself. A table's weights come from one join of its rows to the
 transition rows of the dataset's block; trajectory_weight, called per
 trajectory, reads them, or works out alone one the join flags. The OPE
 stage (tridrive.pipeline.ope_stage) evaluates a series' tables one at a
@@ -317,10 +318,13 @@ def wis(
     return float(np.dot(weights, returns) / total)
 
 
-# Counts per block of resamples. Each block's sums are one [rows, n] @ [n, 2]
-# product of at most 2**17 counts: 1 MB as floats, which stays in cache, and
-# rows * n * 2 <= 262,144, the size up to which OpenBLAS keeps a product on
-# one thread (its hand-off to a worker thread is slow on small products).
+# Counts per block of resamples. bootstrap_ci casts each block into one
+# [rows, n] float buffer, made once per call, and writes the block's sums
+# into their rows of one [resamples, 2] array by one [rows, n] @ [n, 2]
+# product. A block holds at most 2**17 counts: 1 MB as floats, which stays
+# in cache, and rows * n * 2 <= 262,144, the size up to which OpenBLAS keeps
+# a product on one thread (its hand-off to a worker thread is slow on small
+# products).
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -329,14 +333,24 @@ _BLOCK_ENTRIES = 1 << 17
 _CHUNK_ROWS = 64
 
 
+def _filled(out: np.ndarray, rows, counts: np.ndarray) -> np.ndarray:
+    """out, with counts written at out[rows]; first widened to the smallest
+    unsigned dtype that holds n, out's row length, if a count does not fit."""
+    if counts.max(initial=0) > np.iinfo(out.dtype).max:
+        out = out.astype(np.min_scalar_type(out.shape[1]))
+    out[rows] = counts
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
     """Read-only [resamples, n] bootstrap counts: entry [b, i] is how many
-    times resample b drew trajectory i, in the smallest unsigned dtype that
-    holds n. Row b holds the draws of
-    `default_rng(SeedSequence([seed, b])).integers(0, n, size=n)`, made by
-    one generator reseated per row. The counts of the last key are kept, so
-    the tables of a series, which share (seed, n, resamples), share them.
+    times resample b drew trajectory i, as uint8, unless a count exceeds
+    255: then in the smallest unsigned dtype that holds n. Row b holds the
+    draws of `default_rng(SeedSequence([seed, b])).integers(0, n, size=n)`,
+    made by one generator reseated per row. The counts of the last key are
+    kept, so the tables of a series, which share (seed, n, resamples),
+    share them.
 
     numpy draws each value below n by Lemire's method: a 32-bit word u
     (PCG64's 64-bit outputs split low half first) gives m = u * n, and the
@@ -346,7 +360,7 @@ def resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
     read in chunks of rows from the raw outputs, and counted with one
     bincount per chunk. The few other rows are drawn again by numpy itself.
     """
-    out = np.empty((resamples, n), dtype=np.min_scalar_type(n))
+    out = np.empty((resamples, n), dtype=np.uint8)
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
     states = seed_states(seed, np.arange(resamples))
@@ -368,12 +382,14 @@ def resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
         draws >>= np.uint64(32)
         draws += offsets[:rows]  # row i counts into bins i * n to i * n + n - 1
         # One statement, so no chunk's counts are alive while the next are made.
-        out[start : start + rows] = np.bincount(
-            draws.view(np.int64).ravel(), minlength=rows * n
-        ).reshape(rows, n)
+        out = _filled(
+            out,
+            slice(start, start + rows),
+            np.bincount(draws.view(np.int64).ravel(), minlength=rows * n).reshape(rows, n),
+        )
         for i in redraw:
             reseat(bits, chunk[i])
-            out[start + i] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            out = _filled(out, start + i, np.bincount(rng.integers(0, n, size=n), minlength=n))
     out.flags.writeable = False
     return out
 
@@ -416,18 +432,23 @@ def bootstrap_ci(
     value = float(np.dot(weights, returns) / total)
     n = len(weights)
 
-    # Per resample, the sum of the drawn weights and of the drawn w * R.
+    # Per resample, the sum of the drawn weights and of the drawn w * R:
+    # each block of counts is cast into one float buffer and multiplied
+    # into its rows of sums.
     terms = np.stack([weights, weights * returns], axis=1)
     counts = resample_counts(seed, n, resamples)
-    kept = []
-    skipped = 0
     rows = max(1, _BLOCK_ENTRIES // n)
+    block = np.empty((min(rows, resamples), n))
+    sums = np.empty((resamples, 2))
     for start in range(0, resamples, rows):
-        sw, numerator = (counts[start : start + rows].astype(float) @ terms).T
-        keep = ~(sw <= 0.0)
-        skipped += len(sw) - int(keep.sum())
-        kept.append(numerator[keep] / sw[keep])
-    estimates = np.concatenate(kept)
+        part = counts[start : start + rows]
+        cast = block[: len(part)]
+        np.copyto(cast, part)
+        np.matmul(cast, terms, out=sums[start : start + len(part)])
+    sw, numerator = sums.T
+    keep = ~(sw <= 0.0)
+    skipped = resamples - int(keep.sum())
+    estimates = numerator[keep] / sw[keep]
     if not estimates.size:
         raise DegenerateStatisticError("every bootstrap resample was degenerate")
     alpha = (1.0 - level) / 2.0

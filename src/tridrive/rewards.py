@@ -141,14 +141,53 @@ class RewardTrace:
     rewards[i] belongs to the transition steps[i] -> steps[i+1];
     potentials[i] belongs to steps[i]. cumulative is the discounted sum of
     rewards where the discount exponent is the transition position (not
-    the absolute hour). The reference models hold plain lists; trace holds
-    read-only sequences that compute both lists on first read, and compare
-    equal to the lists they hold.
+    the absolute hour). The reference models hold plain lists. A trace made
+    by trace holds its return and computes both lists together from the
+    trajectory's columns on the first read of either, as read-only
+    sequences that compare equal to the lists they hold.
     """
+
+    __slots__ = ("rewards", "potentials", "cumulative", "_trajectory", "_spec")
 
     rewards: Sequence[float]
     potentials: Sequence[float]
     cumulative: float
+
+    def __getattr__(self, name: str):
+        # Reached only for slots not set, such as the lists of a trace made
+        # by trace before either is read. Two threads that both compute
+        # them assign equal lists.
+        if name not in ("rewards", "potentials"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rewards, potentials = _step_rewards(self._trajectory.columns, self._spec)
+        lists = {"rewards": _Floats(rewards.tolist()), "potentials": _Floats(potentials.tolist())}
+        self.rewards, self.potentials = lists.values()
+        return lists[name]
+
+
+class _Floats(Sequence):
+    """A read-only list of floats, equal to a list (or another such
+    sequence) holding the same floats."""
+
+    __slots__ = ("_list",)
+
+    def __init__(self, values: list[float]):
+        self._list = values
+
+    def __getitem__(self, i):
+        return self._list[i]
+
+    def __len__(self) -> int:
+        return len(self._list)
+
+    def __iter__(self):
+        return iter(self._list)
+
+    def __eq__(self, other):
+        return self._list == other
+
+    def __repr__(self) -> str:
+        return repr(self._list)
 
 
 def trace_returns(dataset: TrajectoryDataset, traces: Sequence[RewardTrace]) -> np.ndarray:
@@ -435,53 +474,6 @@ def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
             )
 
 
-class _StepLists:
-    """A trajectory's per-step rewards and potentials under a spec,
-    computed together from its columns on first read and kept."""
-
-    __slots__ = ("trajectory", "spec", "lists")
-
-    def __init__(self, trajectory: Trajectory, spec: RewardSpec):
-        self.trajectory, self.spec, self.lists = trajectory, spec, None
-
-    def read(self) -> tuple[list[float], list[float]]:
-        # Assigned whole, once computed; two threads that both compute them
-        # assign equal lists.
-        lists = self.lists
-        if lists is None:
-            rewards, potentials = _step_rewards(self.trajectory.columns, self.spec)
-            lists = self.lists = (rewards.tolist(), potentials.tolist())
-        return lists
-
-
-class _LazyFloats(Sequence):
-    """One of a trace's per-step lists: read-only, computed on first read,
-    and equal to a list (or another such sequence) holding the same floats."""
-
-    __slots__ = ("_source", "_which")
-
-    def __init__(self, source: _StepLists, which: int):
-        self._source, self._which = source, which
-
-    def _list(self) -> list[float]:
-        return self._source.read()[self._which]
-
-    def __getitem__(self, i):
-        return self._list()[i]
-
-    def __len__(self) -> int:
-        return len(self._list())
-
-    def __iter__(self):
-        return iter(self._list())
-
-    def __eq__(self, other):
-        return self._list() == other
-
-    def __repr__(self) -> str:
-        return repr(self._list())
-
-
 # The last block's plan and the returns of its last spec, keyed on the
 # block and the spec themselves: one slot, so memory does not grow with the
 # number of blocks or specs (the plan's level sums grow only with the
@@ -512,7 +504,7 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     computed from the trajectory's own columns when first read.
     """
     global _last_block
-    block, k = trajectory.block
+    block, k = trajectory.__dict__.get("_view") or (trajectory.columns, 0)
     cached_block, plan, cached_spec, lists = _last_block
     if cached_block is not block:
         plan, cached_spec = _BlockReturns(block), None
@@ -523,8 +515,9 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     cumulative, sets_undeclared = lists
     if sets_undeclared[k]:
         _check_undeclared_unset(trajectory, spec)
-    steps = _StepLists(trajectory, spec)
-    return RewardTrace(_LazyFloats(steps, 0), _LazyFloats(steps, 1), cumulative[k])
+    got = RewardTrace.__new__(RewardTrace)
+    got.cumulative, got._trajectory, got._spec = cumulative[k], trajectory, spec
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -519,15 +519,15 @@ _GOLDEN_COUNTS_0_50_100 = "e8f2494d06ee83b3d1a0db62b75fe478e999b85457e1d1f221f82
 class TestResampleMemo:
     def test_counts_are_the_per_resample_draws(self):
         counts = resample_counts(5, 300, 40)
-        assert counts.shape == (40, 300) and counts.dtype == np.uint16
+        assert counts.shape == (40, 300) and counts.dtype == np.uint8
         assert (counts.sum(axis=1) == 300).all()
         for b in (0, 17, 39):
             rng = np.random.default_rng(np.random.SeedSequence([5, b]))
             draws = rng.integers(0, 300, size=300)
             assert np.array_equal(counts[b], np.bincount(draws, minlength=300))
-        # A count reaches n when one trajectory is drawn n times.
+        # One byte per count whatever n, unless a count exceeds 255.
         assert resample_counts(0, 255, 3).dtype == np.uint8
-        assert resample_counts(0, 256, 3).dtype == np.uint16
+        assert resample_counts(0, 256, 3).dtype == np.uint8
 
     @pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 500, 501])
     @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 3])
@@ -537,7 +537,7 @@ class TestResampleMemo:
         expected = oracle_resample_counts(seed, n, 129)
         for resamples in (1, 40, 63, 64, 65, 129):
             counts = resample_counts(seed, n, resamples)
-            assert counts.dtype == expected.dtype
+            assert counts.dtype == np.uint8
             assert np.array_equal(counts, expected[:resamples])
 
     def test_counts_match_oracle_where_rows_are_redrawn(self):
@@ -552,6 +552,41 @@ class TestResampleMemo:
         assert redrawn == 43
         expected = oracle_resample_counts(0, n, resamples)
         assert np.array_equal(resample_counts(0, n, resamples), expected)
+
+    def test_counts_widen_when_one_exceeds_a_byte(self, monkeypatch):
+        class PCG64(np.random.PCG64):  # the state setter checks the class name
+            def random_raw(self, size=None, output=True):
+                return np.full(size, np.iinfo(np.uint64).max, dtype=np.uint64)
+
+        # Every word is 2**32 - 1, so every draw is n - 1, and no word is rejected.
+        n, resamples = 300, 70
+        monkeypatch.setattr(np.random, "PCG64", PCG64)
+        resample_counts.cache_clear()
+        try:
+            counts = resample_counts(0, n, resamples)
+        finally:
+            resample_counts.cache_clear()
+        expected = np.zeros((resamples, n), dtype=np.uint16)
+        expected[:, -1] = n
+        assert counts.dtype == np.uint16
+        assert np.array_equal(counts, expected)
+
+    def test_a_series_bootstrap_holds_one_byte_per_count(self):
+        ds, traces, a = _random_cohort(500, seed=1)
+        _, _, b = _random_cohort(500, seed=2)
+        bootstrap_ci(ds, traces, a, resamples=10)  # numpy's first-use allocations
+        resample_counts.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for table in (a, b):
+                bootstrap_ci(ds, traces, table, resamples=5000)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # Counts of two bytes would be 5 MB alone; of one, 2.5 MB, next to a
+        # float block of at most 1 MB and a chunk's buffers.
+        assert peak < 4_500_000
 
     def test_counts_hold_no_whole_matrix_of_words(self):
         resample_counts(0, 2, 1)  # numpy's first-use allocations, outside the trace

@@ -497,6 +497,21 @@ class TestStepLists:
         assert not any(thread.is_alive() for thread in threads)
         assert len(reads[0]) == len(traces) and reads[0] == reads[1]
 
+    def test_a_warm_trace_is_one_object(self):
+        views, spec, _ = self._traces()
+        calls = 500
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            traces = [trace(views[k % len(views)], spec) for k in range(calls)]
+            made = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        # The trace itself; the lists are made only when read.
+        assert made <= calls + 10
+        assert traces[0].rewards == list(trace(views[0], spec).rewards)
+
     def test_an_undeclared_action_in_a_block_of_one(self):
         steps = _steps(np.random.default_rng(53), 4)
         _act(steps, 1, mystery=1)
