@@ -9,7 +9,6 @@ documents).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import sys
 from pathlib import Path
 
@@ -47,21 +46,19 @@ from .synth import CohortConfig, generate, load_cohort_config, reference_spec
 _USAGE_ERRORS = (ConfigError, FormatError, ValidationError, SchemaError)
 
 
-def _exit_codes(command):
-    """The command, with toolkit errors mapped onto the exit-code contract."""
+class _Commands(click.Group):
+    """The command group, which maps toolkit errors of every command onto
+    the exit-code contract."""
 
-    @functools.wraps(command)
-    def run(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            command(*args, **kwargs)
+            return super().invoke(ctx)
         except _USAGE_ERRORS as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
         except (TridriveError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-
-    return run
 
 
 def _load_split(dataset_path: str, split: str | None):
@@ -71,7 +68,7 @@ def _load_split(dataset_path: str, split: str | None):
 _SPLIT_CHOICE = click.Choice(["all", *SPLIT_NAMES])
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="tridrive")
 def main():
     """Reward engineering toolkit: generate, score, select, and verify
@@ -85,7 +82,6 @@ def main():
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Dataset file to write.")
 @click.option("--reference-spec", "spec_path", type=click.Path(), default=None,
               help="Also write the generator-aligned reward spec here.")
-@_exit_codes
 def synth(config_path, seed, out_path, spec_path):
     """Generate a synthetic cohort dataset."""
     config = load_cohort_config(config_path) if config_path else CohortConfig()
@@ -103,7 +99,6 @@ def synth(config_path, seed, out_path, spec_path):
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
-@_exit_codes
 def stats(dataset_path, out_path, split):
     """Write the per-feature statistical metadata report."""
     metadata = stats_stage(_load_split(dataset_path, split), Path(out_path))
@@ -121,7 +116,6 @@ def stats(dataset_path, out_path, split):
 @click.option("--out", "out_dir", required=True, type=click.Path(),
               help="Directory for the report and per-round audit log.")
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
-@_exit_codes
 def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, out_dir, split):
     """Run ensemble feature selection and write the consensus feature set."""
     selected = features_stage(
@@ -146,7 +140,6 @@ def select_features(dataset_path, client, endpoint, rounds, threshold, k, task, 
 @click.option("--task", default=defaults.TASK_DESCRIPTION, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
-@_exit_codes
 def generate_cmd(dataset_path, features_path, client, endpoint, candidates, task, out_dir, split):
     """Generate candidate reward specs into a directory."""
     valid = candidates_stage(
@@ -171,7 +164,6 @@ def generate_cmd(dataset_path, features_path, client, endpoint, candidates, task
 @click.option("--alpha", type=float, default=defaults.DOSE_ALPHA, show_default=True)
 @click.option("--aggregation", type=click.Choice(["mean", "sum"]), default="mean")
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
-@_exit_codes
 def score(dataset_path, specs_dir, out_path, features_path, epsilon, sigmoid_k, alpha,
           aggregation, split):
     """Compute the three-part fitness vector for every spec in a directory."""
@@ -191,7 +183,6 @@ def score(dataset_path, specs_dir, out_path, features_path, epsilon, sigmoid_k, 
 @main.command()
 @click.option("--fitness", "fitness_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@_exit_codes
 def pareto(fitness_path, out_path):
     """Rank a fitness report and select the utopia-nearest champion."""
     result = selection_stage(Path(fitness_path), Path(out_path))
@@ -212,7 +203,6 @@ def pareto(fitness_path, out_path):
               help="Cap each per-step likelihood ratio; omit for the textbook estimator.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", type=_SPLIT_CHOICE, default="all")
-@_exit_codes
 def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_ratio,
         out_dir, split):
     """Off-policy evaluation of one reward spec: WIS with bootstrap CIs plus
@@ -243,7 +233,6 @@ def ope(dataset_path, spec_path, probs_paths, bootstrap, level, bins, seed, max_
 @click.option("--bootstrap", type=int, default=None)
 @click.option("--level", type=float, default=None)
 @click.option("--split", type=_SPLIT_CHOICE, default=None)
-@_exit_codes
 def pipeline(config_path, out_dir, **overrides):
     """Run the full staged pipeline (stats -> features -> candidates ->
     fitness -> selection -> OPE) into a resumable run directory. Each flag

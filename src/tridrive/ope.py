@@ -15,9 +15,10 @@ table's resample sums are then products of blocks of that count matrix,
 each cast into one reused float buffer, with its weights. The counts are
 read from PCG64's raw outputs with numpy's own bounded-draw method, a chunk
 of resamples at a time, and any resample where that method might reject a
-word is drawn by numpy itself. A table's weights come from one join of its rows to the
-transition rows of the dataset's block; trajectory_weight, called per
-trajectory, reads them, or works out alone one the join flags. The OPE
+word is drawn by numpy itself. A table's weights come from one join of
+its rows to the transition rows of the dataset's block; trajectory_weight,
+called per trajectory, reads them, or, for a trajectory the join flags,
+finds each step's row by t and raises for a step with none. The OPE
 stage (tridrive.pipeline.ope_stage) evaluates a series' tables one at a
 time, so memory does not grow with the table count. A table file is a
 format-4 column file, read by the dataset files' reader
@@ -208,19 +209,16 @@ def trajectory_weight(
     steps = trajectory.columns.t[:-1]
     table = probs.columns
     span = slice(*table.spans.get(pid, (0, 0)))
-    t, p_eval, p_behavior = table.t[span], table.p_eval[span], table.p_behavior[span]
-    # Usually the patient's rows are the steps, as equal bytes of one dtype.
-    if not (t.dtype == steps.dtype and t.tobytes() == steps.tobytes()):
-        at = np.searchsorted(t, steps)
-        found = np.zeros(len(steps), dtype=bool)
-        inside = at < len(t)
-        found[inside] = t[at[inside]] == steps[inside]
-        if not found.all():
-            raise SchemaError(
-                f"no policy probabilities for patient {pid!r} at t={steps[~found][0].item()}"
-            )
-        p_eval, p_behavior = p_eval[at], p_behavior[at]
-    ratios = p_eval / p_behavior
+    t = table.t[span]
+    at = np.searchsorted(t, steps)
+    found = np.zeros(len(steps), dtype=bool)
+    inside = at < len(t)
+    found[inside] = t[at[inside]] == steps[inside]
+    if not found.all():
+        raise SchemaError(
+            f"no policy probabilities for patient {pid!r} at t={steps[~found][0].item()}"
+        )
+    ratios = table.p_eval[span][at] / table.p_behavior[span][at]
     if max_ratio is not None:
         ratios = np.minimum(ratios, max_ratio)
     # math.prod multiplies in step order, as a loop would.

@@ -537,7 +537,9 @@ class PipelineConfig:
             raise ConfigError("bootstrap and bins must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.split is not None and self.split != "all" and self.split not in SPLIT_NAMES:
+        if self.split == "all":  # the whole cohort, as when omitted: one run id for both
+            object.__setattr__(self, "split", None)
+        if self.split is not None and self.split not in SPLIT_NAMES:
             raise ConfigError(f"unknown split {self.split!r}")
 
     def canonical_json(self) -> str:
@@ -695,7 +697,14 @@ class PipelineRun:
         outputs of those before it) are reset, then run after one dataset
         load, so a resume with every stage fresh reads no dataset and writes
         no manifest. Only the stages that call the model build an LLM client.
+        It first deletes the .<name>.<pid>.tmp files that writes killed
+        before their rename left in the root (a listing, not a glob, which
+        would cost a fresh process's resume a pattern compile): a run
+        directory has one writer at a time.
         """
+        for name in os.listdir(self.out):
+            if name.startswith(".") and name.endswith(".tmp"):
+                (self.out / name).unlink(missing_ok=True)
         timing = {"load_seconds": None, "dataset_shape": None, "stage_seconds": {}, "skipped": []}
         try:
             todo = list(STAGES)

@@ -228,7 +228,7 @@ def _discounted_sum(rewards: list[float], gamma: float) -> float:
 # from _step_rewards over the trajectory's own rows, only when read. A
 # plan reads every feature column's finiteness once per block; a spec's
 # potentials read only the columns it names, gathered at two rows per
-# trajectory.
+# trajectory, and its costs only the actions it declares.
 
 
 def _survival_exponents(values: np.ndarray, c, b, m) -> np.ndarray:
@@ -274,6 +274,14 @@ def _feature_columns(spec: RewardSpec, feature_ids: list[str]):
     ]
     table = np.array(rows, dtype=float).reshape(len(rows), 5).T.copy()
     return _selector(picked, len(feature_ids)), *table
+
+
+def _declared_actions(action_ids: list[str], spec: RewardSpec):
+    """(selector, maxima): the block action columns the spec declares, and
+    their maxima, in block order."""
+    declared = [j for j, aid in enumerate(action_ids) if aid in spec.action_max]
+    maxima = np.array([spec.action_max[action_ids[j]] for j in declared], dtype=float)
+    return _selector(declared, len(action_ids)), maxima
 
 
 def _check_declared_actions(action_ids, spec: RewardSpec) -> None:
@@ -345,19 +353,10 @@ def _step_rewards(cols: CohortColumns, spec: RewardSpec):
         potentials = _potentials(cols, spec)
         rewards = spec.gamma * potentials[1:] - potentials[:-1]
         if spec.lam != 0.0:
-            ids = cols.action_ids
-            declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
-            maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
-            levels = cols.actions[:-1, _selector(declared, len(ids))]
+            select, maxima = _declared_actions(cols.action_ids, spec)
+            levels = cols.actions[:-1, select]
             rewards -= spec.lam * _competence_costs(levels, maxima, spec.action_cost_scale)
     return rewards, potentials
-
-
-def _transition_rows(offsets: np.ndarray) -> np.ndarray:
-    """A flag per row of a block: True for every row but its trajectory's last."""
-    transition = np.ones(offsets[-1], dtype=bool)
-    transition[offsets[1:][np.diff(offsets) > 0] - 1] = False
-    return transition
 
 
 class _BlockReturns:
@@ -368,16 +367,16 @@ class _BlockReturns:
     over its transitions i (every row but its last). What does not depend on
     the spec is built once, with the plan: the moving trajectories (those
     of two rows or more; any other returns 0) and their lengths, one gather
-    of their first and last rows, whether t and each feature column are
-    finite in all of a trajectory's rows, and which actions its transitions
-    set. A cost is linear in the levels, so each action's discounted level
-    sum over a trajectory's transitions is costed once; those sums depend
-    on gamma alone, and each distinct gamma's are computed once
-    (_level_sums) and kept. A spec then costs one _potentials call on the
-    gather, and reads its named columns' flags and declared actions' sums.
+    of their first and last rows, and whether t and each feature column are
+    finite in all of a trajectory's rows. A cost is linear in the levels, so
+    each action's discounted level sum over a trajectory's transitions is
+    costed once; those sums depend on gamma alone, and each distinct gamma's
+    are computed once (_level_sums) and kept. A spec then costs one
+    _potentials call on the gather, and reads its named columns' flags and
+    declared actions' sums.
     """
 
-    __slots__ = ("block", "moving", "lengths", "ends", "finite", "sets", "sums")
+    __slots__ = ("block", "moving", "lengths", "ends", "finite", "sums")
 
     def __init__(self, block: CohortColumns):
         offsets = block.offsets
@@ -391,10 +390,6 @@ class _BlockReturns:
             np.concatenate([offsets[self.moving], offsets[self.moving + 1] - 1])
         )
         self.sums: dict[float, np.ndarray] = {}
-        # [n, A]: whether a transition of trajectory k sets action a.
-        self.sets = np.zeros((len(lengths), len(block.action_ids)), dtype=bool)
-        sets = block.action_mask & _transition_rows(offsets)[:, None]
-        self.sets[nonempty] = np.logical_or.reduceat(sets, starts)
         # [moving, 1 + F]: t's flag, then one per feature column. The cell
         # flags are built in place, so at most two [N, F] arrays are alive.
         cells = np.isfinite(block.values)
@@ -413,28 +408,27 @@ class _BlockReturns:
         are gathered a column at a time, which is much faster than
         gathering rows of a matrix this narrow."""
         offsets = self.block.offsets
-        rows = np.flatnonzero(_transition_rows(offsets))
         moves = np.maximum(np.diff(offsets) - 1, 0)
-        discounts = np.power(gamma, rows - np.repeat(offsets[:-1], moves))
-        firsts = (np.cumsum(moves) - moves)[self.moving]
+        starts = np.cumsum(moves) - moves
+        steps = np.arange(moves.sum()) - np.repeat(starts, moves)  # i of each transition
+        rows = np.repeat(offsets[:-1], moves) + steps
+        discounts = np.power(gamma, steps)
+        firsts = starts[self.moving]
         columns = self.block.actions.T
         return np.array(
             [np.add.reduceat(levels[rows] * discounts, firsts) for levels in columns]
         ).reshape(len(columns), len(self.moving))
 
-    def returns(self, spec: RewardSpec):
-        """(cumulative[n], sets_undeclared[n]) of every trajectory of the
-        block. A full sum of rewards turns non-finite when any row's
-        potential does, so the return is NaN for a trajectory with a
-        non-finite time, or value or staleness of a feature the spec names,
-        in any row; a non-finite action level reaches the cost sum itself.
-        sets_undeclared[k] is True when a transition of trajectory k sets
-        an action the spec does not declare (flagged only when lam is not 0).
+    def returns(self, spec: RewardSpec) -> np.ndarray:
+        """cumulative[n]: the return of every trajectory of the block. A
+        full sum of rewards turns non-finite when any row's potential does,
+        so the return is NaN for a trajectory with a non-finite time, or
+        value or staleness of a feature the spec names, in any row; a
+        non-finite level of a declared action reaches the cost sum itself.
         """
-        n = len(self.block.offsets) - 1
-        cumulative, sets_undeclared = np.zeros(n), np.zeros(n, dtype=bool)
+        cumulative = np.zeros(len(self.block.offsets) - 1)
         if not self.moving.size:
-            return cumulative, sets_undeclared
+            return cumulative
         select = _feature_columns(spec, self.block.feature_ids)[0]
         finite = self.finite[:, 0] & self.finite[:, 1:][:, select].all(axis=1)
         # Values that overflow or turn NaN stay in their own trajectory's return.
@@ -442,31 +436,27 @@ class _BlockReturns:
             first, last = np.split(_potentials(self.ends, spec), 2)
             returns = np.power(spec.gamma, self.lengths - 1) * last - first
             if spec.lam != 0.0:
-                ids = self.block.action_ids
-                declared = [j for j, aid in enumerate(ids) if aid in spec.action_max]
-                undeclared = [j for j, aid in enumerate(ids) if aid not in spec.action_max]
-                if undeclared:
-                    sets_undeclared = self.sets[:, undeclared].any(axis=1)
                 sums = self.sums.get(spec.gamma)
                 if sums is None:
                     sums = self.sums[spec.gamma] = self._level_sums(spec.gamma)
-                maxima = np.array([spec.action_max[ids[j]] for j in declared], dtype=float)
+                select, maxima = _declared_actions(self.block.action_ids, spec)
                 returns -= spec.lam * _competence_costs(
-                    sums[declared].T, maxima, spec.action_cost_scale
+                    sums[select].T, maxima, spec.action_cost_scale
                 )
         returns[~finite] = np.nan
         cumulative[self.moving] = returns
-        return cumulative, sets_undeclared
+        return cumulative
 
 
 def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
     """Raises SchemaError naming the patient, the first action in block
     order that a transition of the trajectory sets and the spec does not
-    declare, and the first t at which it is set."""
+    declare, and the first t at which it is set. Returns if there is none."""
     block, k = trajectory.block
     lo, hi = block.offsets[k : k + 2].tolist()
+    transitions = block.action_mask[lo : max(hi - 1, lo)]
     for j, aid in enumerate(block.action_ids):
-        (rows,) = np.nonzero(block.action_mask[lo : hi - 1, j])
+        (rows,) = np.nonzero(transitions[:, j])
         if rows.size and aid not in spec.action_max:
             raise SchemaError(
                 f"patient {trajectory.patient_id!r}: action {aid!r} not declared in the reward "
@@ -474,15 +464,16 @@ def _check_undeclared_unset(trajectory: Trajectory, spec: RewardSpec) -> None:
             )
 
 
-# The last block's plan and the returns of its last spec, keyed on the
-# block and the spec themselves: one slot, so memory does not grow with the
-# number of blocks or specs (the plan's level sums grow only with the
-# distinct gammas traced on its block). Both keys are frozen, so a call
-# whose block and spec are the cached objects reads the cached lists, and
-# a new spec on the cached block reuses its plan; the slot holds them, so
-# neither id can be reused while it is there. It is read and replaced as
-# one (block, plan, spec, lists) tuple, so concurrent calls never pair a
-# key with another key's plan or lists; at worst they recompute.
+# The last block's plan, and the returns of its last spec with whether
+# trace must check that spec's undeclared actions, keyed on the block and
+# the spec themselves: one slot, so memory does not grow with the number of
+# blocks or specs (the plan's level sums grow only with the distinct gammas
+# traced on its block). Both keys are frozen, so a call whose block and spec
+# are the cached objects reads the cached returns, and a new spec on the
+# cached block reuses its plan; the slot holds them, so neither id can be
+# reused while it is there. It is read and replaced as one (block, plan,
+# spec, (returns, check)) tuple, so concurrent calls never pair a key with
+# another key's plan or returns; at worst they recompute.
 _last_block: tuple = (None, None, None, None)
 
 
@@ -500,20 +491,23 @@ def trace(trajectory: Trajectory, spec: RewardSpec) -> RewardTrace:
     potentials pass over two rows per trajectory (plus, once per distinct
     gamma, the discounted action level sums). A spec is frozen, so any
     other spec, equal or not (a dataclasses.replace copy, say), is traced
-    afresh on the same plan. The per-step rewards and potentials are
-    computed from the trajectory's own columns when first read.
+    afresh on the same plan. Only when lambda is not 0 and the spec leaves
+    a block action undeclared does each call check the trajectory's own
+    rows for a transition that sets one. The per-step rewards and
+    potentials are computed from the trajectory's own columns when first
+    read.
     """
     global _last_block
     block, k = trajectory.__dict__.get("_view") or (trajectory.columns, 0)
-    cached_block, plan, cached_spec, lists = _last_block
+    cached_block, plan, cached_spec, memo = _last_block
     if cached_block is not block:
         plan, cached_spec = _BlockReturns(block), None
     if cached_spec is not spec:
-        cumulative, sets_undeclared = plan.returns(spec)
-        lists = (cumulative.tolist(), sets_undeclared.tolist())
-        _last_block = (block, plan, spec, lists)
-    cumulative, sets_undeclared = lists
-    if sets_undeclared[k]:
+        check = spec.lam != 0.0 and not spec.action_max.keys() >= set(block.action_ids)
+        memo = (plan.returns(spec).tolist(), check)
+        _last_block = (block, plan, spec, memo)
+    cumulative, check = memo
+    if check:
         _check_undeclared_unset(trajectory, spec)
     got = RewardTrace.__new__(RewardTrace)
     got.cumulative, got._trajectory, got._spec = cumulative[k], trajectory, spec

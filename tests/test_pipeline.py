@@ -688,6 +688,17 @@ class TestRunId:
         assert (out / "manifest.json").read_bytes() == manifest
         assert run_digest(out) == digest
 
+    def test_a_whole_cohort_run_resumes_without_its_split_key(
+        self, small_dataset_path, tmp_path
+    ):
+        out = tmp_path / "run"
+        doc = {"dataset": str(small_dataset_path), "rounds": 4, "candidates": 6, "bootstrap": 80}
+        run_pipeline(pipeline_config_from_json({**doc, "split": "all"}), out)
+        digest = run_digest(out)
+        run_pipeline(pipeline_config_from_json(doc), out)
+        assert json.loads((out / "timing.json").read_text())["skipped"] == list(STAGES)
+        assert run_digest(out) == digest
+
 
 class TestStages:
     def test_empty_vote_fails_the_features_stage(self, small_dataset_path, tmp_path):
@@ -730,6 +741,44 @@ class TestCrashSafety:
         assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
         run_pipeline(config, out)
         assert run_digest(out) == run_digest(tmp_path / "whole")
+
+    def test_process_killed_in_manifest_write_resumes_to_same_digest(
+        self, small_dataset_path, tmp_path, whole_run
+    ):
+        """A process killed inside the manifest write that records the
+        fitness stage as complete leaves that write's temporary in the run
+        root; the resume removes it and ends where an uninterrupted run
+        does."""
+        config = _config(small_dataset_path)
+        out = tmp_path / "run"
+        doc = {**json.loads(config.canonical_json()), "dataset": config.dataset}
+        code = (
+            "import json, os\n"
+            "from pathlib import Path\n"
+            "from tridrive.pipeline import pipeline_config_from_json, run_pipeline\n"
+            "real_replace = os.replace\n"
+            "def replace(src, dst):\n"
+            "    doc = json.loads(Path(src).read_text())\n"
+            "    if Path(dst).name == 'manifest.json' and (\n"
+            "        doc['stages']['fitness']['status'] == 'complete'\n"
+            "    ):\n"
+            "        os._exit(9)\n"
+            "    real_replace(src, dst)\n"
+            "os.replace = replace\n"
+            f"run_pipeline(pipeline_config_from_json({doc!r}), {str(out)!r})\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 9, done.stderr
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"]["fitness"]["status"] == "pending"
+        assert [p.name for p in out.glob(".manifest.json.*.tmp")] != []
+        run_pipeline(config, out)
+        assert run_digest(out) == whole_run
+        _assert_owned(out)
 
 
 def _assert_owned(out: Path) -> None:

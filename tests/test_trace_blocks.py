@@ -11,6 +11,7 @@ values no kernel should read.
 import dataclasses
 import gc
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -112,14 +113,30 @@ LENGTHS = [
 ]
 
 
-# Spec settings besides _spec's own (gamma 0.95, normalized potentials).
-VARIANTS = {"gamma=1": {"gamma": 1.0}, "unnormalized": {"normalize_potential": False}}
+# Spec settings besides _spec's own (gamma 0.95, normalized potentials,
+# both actions declared).
+VARIANTS = {
+    "gamma=1": {"gamma": 1.0},
+    "unnormalized": {"normalize_potential": False},
+    "drug_b undeclared": {"action_max": {"drug_a": 4.0}},
+}
 
 
 def _every_view_matches_the_oracle(lengths, spec):
+    """Each view's trace matches the oracle's, or, where the oracle raises
+    for a transition's undeclared action, raises its error with the
+    patient and the first t at which drug_b is set."""
     rng = np.random.default_rng(sum(lengths) * 10 + len(lengths))
     views = _views([_steps(rng, n) for n in lengths])
     for traj, n in zip(views, lengths):
+        try:
+            oracle_trace(traj, spec)
+        except SchemaError as exc:
+            t = next(step.t for step in traj.steps[:-1] if "drug_b" in step.action)
+            message = f"patient {traj.patient_id!r}: {exc} at t={t}"
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                trace(traj, spec)
+            continue
         got = _assert_matches_oracle(traj, spec)
         if n <= 1:
             assert got.rewards == [] and got.cumulative == 0.0
@@ -558,7 +575,7 @@ class TestTwoSpecsOnOneBlock:
         views = self._views()
         specs = self._specs(lam)
         block = views[0].block[0]
-        alone = [rewards._BlockReturns(block).returns(spec)[0] for spec in specs]
+        alone = [rewards._BlockReturns(block).returns(spec) for spec in specs]
         ks = range(len(views))
         if order == "spec-major":
             calls = [(i, k) for i in (0, 1) for k in ks]
