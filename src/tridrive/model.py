@@ -326,8 +326,9 @@ class TrajectoryDataset:
 
     def validate(self) -> None:
         """Check every type invariant; raises ValidationError naming the
-        first offending trajectory, its first offending row and that row's
-        first broken rule, checking features and then actions in id order."""
+        first offending trajectory (first, a patient id seen before), its
+        first offending row and that row's first broken rule, checking
+        features and then actions in id order."""
         for fid, spec in self.feature_schema.items():
             if spec.feature_type is FeatureType.NORMAL_RANGE:
                 if spec.healthy_interval is None:
@@ -345,17 +346,24 @@ class TrajectoryDataset:
         cols = self.columns
         lengths = np.diff(cols.offsets)
         baselines = np.array([traj.sofa_baseline for traj in self.trajectories], dtype=float)
+        seen: set[str] = set()  # repeated: True at each id's second and later uses
+        repeated = np.array(
+            [traj.patient_id in seen or seen.add(traj.patient_id) for traj in self.trajectories],
+            dtype=bool,
+        )
         short = lengths < 2
         unsound = ~((0.0 <= baselines) & (baselines < math.inf))
         broken = self._broken_rules(cols, lengths)
         bad_rows = np.flatnonzero(broken.any(axis=1))[:1]
-        bad = short | unsound
+        bad = repeated | short | unsound
         bad[np.searchsorted(cols.offsets, bad_rows, side="right") - 1] = True
         if not bad.any():
             return
         k = int(np.argmax(bad))
         traj = self.trajectories[k]
         where = f"patient {traj.patient_id!r}"
+        if repeated[k]:
+            raise ValidationError(f"{where}: appears more than once")
         if short[k]:
             raise ValidationError(f"{where}: needs >= 2 steps (a reward requires a transition)")
         if unsound[k]:

@@ -16,9 +16,11 @@ each cast into one reused float buffer, with its weights. The counts are
 read from PCG64's raw outputs with numpy's own bounded-draw method, a chunk
 of resamples at a time, and any resample where that method might reject a
 word is drawn by numpy itself. A table's weights come from one join of
-its rows to the transition rows of the dataset's block; trajectory_weight,
-called per trajectory, reads them, or, for a trajectory the join flags,
-finds each step's row by t and raises for a step with none. The OPE
+its rows to the transition rows of a block (_join_weights): each
+transition's row is guessed from its position in the trajectory, and a
+trajectory whose guess misses is searched for by t in its patient's rows.
+trajectory_weight, called per trajectory, reads the weights of the
+dataset's join, or joins its own trajectory alone. The OPE
 stage (tridrive.pipeline.ope_stage) evaluates a series' tables one at a
 time, so memory does not grow with the table count. A table file is a
 format-4 column file, read by the dataset files' reader
@@ -29,11 +31,10 @@ load is one read, a small JSON header and a view per column.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -68,31 +69,17 @@ class PolicyProbTable:
     evaluation and behavior policies. Keyed on (patient_id, t) where t is
     the absolute time index of the step whose action was taken.
 
-    Held as columns, checked (_check_rows) when made: by of_columns for a
-    loaded or identity table, whose probs dict is built only when read;
-    once, on first use, for a table built from a dict, PolicyProbTable(probs),
-    which holds a read-only copy of the dict and whose columns are sorted
-    by (patient, t).
+    Held as columns, checked (_check_rows) when the table is made: by
+    of_columns for a loaded or identity table, and by PolicyProbTable(probs)
+    for a table built from a dict, whose columns are sorted by (patient, t).
+    Raises ValidationError naming the first key of such a dict, in row
+    order, whose t is not a whole number below 2**53 in magnitude (so that
+    a float holds it exactly), or else what _check_rows raises.
     """
 
     def __init__(self, probs: dict[tuple[str, int], tuple[float, float]]):
-        self.__dict__["probs"] = MappingProxyType(dict(probs))
-
-    @classmethod
-    def of_columns(cls, columns: ProbColumns) -> "PolicyProbTable":
-        _check_rows(columns)
-        table = cls.__new__(cls)
-        table.__dict__["columns"] = columns
-        return table
-
-    @cached_property
-    def columns(self) -> ProbColumns:
-        """The rows, derived from probs once, on first use, for a dict-built
-        table. Raises ValidationError naming the first key, in row order,
-        whose t is not a whole number below 2**53 in magnitude (so that a
-        float holds it exactly), or else what _check_rows raises."""
-        keys = sorted(self.probs)
-        values = list(map(self.probs.__getitem__, keys))
+        keys = sorted(probs)
+        values = list(map(probs.__getitem__, keys))
         rows = Counter(map(itemgetter(0), keys))  # per patient, in sorted order
         ends = list(accumulate(rows.values()))
 
@@ -106,14 +93,20 @@ class PolicyProbTable:
             raise ValidationError(
                 f"({pid!r}, t={step}): t not a whole number of magnitude below 2**53"
             )
-        columns = ProbColumns(
+        self.columns = ProbColumns(
             dict(zip(rows, zip([0, *ends], ends))),
             t.astype(np.int64),
             column(values, 0, float),
             column(values, 1, float),
         )
+        _check_rows(self.columns)
+
+    @classmethod
+    def of_columns(cls, columns: ProbColumns) -> "PolicyProbTable":
         _check_rows(columns)
-        return columns
+        table = cls.__new__(cls)
+        table.columns = columns
+        return table
 
     @cached_property
     def probs(self) -> dict[tuple[str, int], tuple[float, float]]:
@@ -188,50 +181,33 @@ def trajectory_weight(
 
     max_ratio optionally caps each per-step ratio; disabled (None) gives the
     textbook estimator. Raises SchemaError for the first step the table has
-    no row for. Every p_behavior of a table in use is > 0: a table with a
-    bad row, any patient's, raises ValidationError when first used.
+    no row for. Every p_behavior of a table is > 0: a table checks its rows
+    when it is made.
 
     Called by wis and bootstrap_ci once per trajectory of a dataset, it
     returns the weight their one join of the table to the dataset's block
-    computed (_join_weights), unless the join flagged the trajectory.
+    computed; called otherwise, it joins the table to the trajectory's own
+    rows. Either way the weight comes from _join_weights.
     """
     block, k = trajectory.block
-    joined_block, joined_probs, joined_max_ratio, patient_ids, weights, flagged = _joined
+    joined_block, joined_probs, joined_max_ratio, patient_ids, weights = _joined
     if (
         joined_block is block
         and joined_probs is probs
         and joined_max_ratio == max_ratio
         and patient_ids[k] == trajectory.patient_id
-        and not flagged[k]
     ):
         return weights[k]
-    pid = trajectory.patient_id
-    steps = trajectory.columns.t[:-1]
-    table = probs.columns
-    span = slice(*table.spans.get(pid, (0, 0)))
-    t = table.t[span]
-    at = np.searchsorted(t, steps)
-    found = np.zeros(len(steps), dtype=bool)
-    inside = at < len(t)
-    found[inside] = t[at[inside]] == steps[inside]
-    if not found.all():
-        raise SchemaError(
-            f"no policy probabilities for patient {pid!r} at t={steps[~found][0].item()}"
-        )
-    ratios = table.p_eval[span][at] / table.p_behavior[span][at]
-    if max_ratio is not None:
-        ratios = np.minimum(ratios, max_ratio)
-    # math.prod multiplies in step order, as a loop would.
-    return math.prod(ratios.tolist(), start=1.0)
+    return _join_weights(trajectory.columns, [trajectory.patient_id], probs, max_ratio)[0]
 
 
 # The weights of the table being evaluated by _weights_and_returns, keyed on
-# the dataset's block, the table and max_ratio: (block, table,
-# max_ratio, patient_ids, weights, flagged). One slot, emptied before
-# _weights_and_returns returns, so no table outlives its evaluation. It is
-# read and replaced as one tuple, so concurrent calls never pair a key with
-# another key's weights; at worst they compute afresh.
-_NOT_JOINED = (None, None, None, None, None, None)
+# the dataset's block, the table and max_ratio: (block, table, max_ratio,
+# patient_ids, weights). One slot, emptied before _weights_and_returns
+# returns, so no table outlives its evaluation. It is read and replaced as
+# one tuple, so concurrent calls never pair a key with another key's
+# weights; at worst they join afresh.
+_NOT_JOINED = (None, None, None, None, None)
 _joined: tuple = _NOT_JOINED
 
 
@@ -240,38 +216,52 @@ def _join_weights(
     patient_ids: list[str],
     probs: PolicyProbTable,
     max_ratio: float | None,
-) -> tuple[list[float], list[bool]]:
-    """Every trajectory's weight from one join of the table's rows to the
-    block's transition rows (each trajectory's rows but its last), and
-    whether it is flagged: its rows are not exactly its patient's table
-    rows, as equal t of one integer dtype. A flagged trajectory's weight is
-    left to trajectory_weight's own code, which raises for it or matches
-    rows by t."""
+) -> list[float]:
+    """Every trajectory's weight, from one join of the table's rows to the
+    block's transition rows (each trajectory's rows but its last) by
+    (patient, t). The row of a trajectory's i-th transition is first
+    guessed to be row lo + i of its patient's rows [lo, hi), which is right
+    whenever the patient has one row per transition; for each trajectory
+    whose guess misses, its rows are found by one search of t in [lo, hi).
+    Raises SchemaError for the first transition, in block order, with no
+    row."""
     table = probs.columns
     n = len(patient_ids)
-    steps = np.maximum(np.diff(block.offsets), 1) - 1
-    spans = [table.spans.get(pid, (0, 0)) for pid in patient_ids]
-    lo, hi = np.array(spans, dtype=np.int64).reshape(n, 2).T
-    end = min(len(table.t), len(table.p_eval), len(table.p_behavior))
-    exact = (hi - lo == steps) & (0 <= lo) & (hi <= end)
-    exact &= table.t.dtype == block.t.dtype and table.t.dtype.kind in "iu"
-    counts = np.where(exact, steps, 0)
+    counts = np.maximum(np.diff(block.offsets), 1) - 1  # transitions per trajectory
     starts = np.cumsum(counts) - counts
     within = np.arange(counts.sum()) - np.repeat(starts, counts)
+    t = block.t[np.repeat(block.offsets[:-1], counts) + within]
+    spans = chain.from_iterable(table.spans.get(pid, (0, 0)) for pid in patient_ids)
+    lo, hi = np.fromiter(spans, np.int64, 2 * n).reshape(n, 2).T
     rows = np.repeat(lo, counts) + within
-    block_rows = np.repeat(block.offsets[:-1], counts) + within
-    exact[np.repeat(np.arange(n), counts)[table.t[rows] != block.t[block_rows]]] = False
+    guessed = rows < np.repeat(hi, counts)
+    guessed[guessed] = table.t[rows[guessed]] == t[guessed]
+    if not guessed.all():
+        missed = np.zeros(n, dtype=bool)
+        missed[np.repeat(np.arange(n), counts)[~guessed]] = True
+        for k in np.flatnonzero(missed).tolist():
+            span = slice(starts[k], starts[k] + counts[k])
+            steps, own = t[span], table.t[lo[k] : hi[k]]
+            at = np.searchsorted(own, steps)
+            found = at < len(own)
+            found[found] = own[at[found]] == steps[found]
+            if not found.all():
+                raise SchemaError(
+                    f"no policy probabilities for patient {patient_ids[k]!r} "
+                    f"at t={steps[~found][0].item()}"
+                )
+            rows[span] = lo[k] + at
     ratios = table.p_eval[rows] / table.p_behavior[rows]
     if max_ratio is not None:
         np.minimum(ratios, max_ratio, out=ratios)
     weights = np.ones(n)  # a trajectory of one step has no ratio
     nonempty = counts > 0
     if nonempty.any():
-        # Multiplied in step order, as math.prod does; and, as there, an
-        # overflow or inf * 0 gives inf or NaN without a warning.
+        # Multiplied in step order, as a loop would; an overflow or inf * 0
+        # gives inf or NaN without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
             weights[nonempty] = np.multiply.reduceat(ratios, starts[nonempty])
-    return weights.tolist(), (~exact).tolist()
+    return weights.tolist()
 
 
 def _weights_and_returns(
@@ -279,10 +269,13 @@ def _weights_and_returns(
     traces: Sequence[RewardTrace],
     probs: PolicyProbTable,
     max_ratio: float | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each trajectory's weight, by trajectory_weight, and return. The
-    table is joined to the dataset's block once first, and
-    trajectory_weight reads the joined weights."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Each trajectory's weight, by trajectory_weight, its return, and the
+    self-normalized estimate sum(w_i * R_i) / sum(w_i). The table is joined
+    to the dataset's block once first, and trajectory_weight reads the
+    joined weights. Raises ValidationError naming the first patient whose
+    weight, and then the first whose return, is not finite; and
+    DegenerateStatisticError when the weights sum to zero."""
     global _joined
     returns = trace_returns(dataset, traces)
     if max_ratio is not None and not max_ratio > 0.0:
@@ -290,13 +283,26 @@ def _weights_and_returns(
     patient_ids = [traj.patient_id for traj in dataset.trajectories]
     try:
         joined = _join_weights(dataset.columns, patient_ids, probs, max_ratio)
-        _joined = (dataset.columns, probs, max_ratio, patient_ids, *joined)
+        _joined = (dataset.columns, probs, max_ratio, patient_ids, joined)
         weights = np.array(
             [trajectory_weight(traj, probs, max_ratio) for traj in dataset.trajectories]
         )
     finally:
         _joined = _NOT_JOINED
-    return weights, returns
+    for name, values in (("weight", weights), ("return", returns)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ValidationError(
+                f"patient {dataset.trajectories[k].patient_id!r}: trajectory {name} "
+                f"{values[k].item()} is not finite"
+            )
+    total = weights.sum()
+    if total <= 0.0:
+        raise DegenerateStatisticError(
+            "all trajectory weights are zero; the estimate is undefined"
+        )
+    return weights, returns, float(np.dot(weights, returns) / total)
 
 
 def wis(
@@ -306,14 +312,9 @@ def wis(
     max_ratio: float | None = None,
 ) -> float:
     """Self-normalized importance-sampling estimate of the evaluation
-    policy's expected return: sum(w_i * R_i) / sum(w_i)."""
-    weights, returns = _weights_and_returns(dataset, traces, probs, max_ratio)
-    total = weights.sum()
-    if total <= 0.0:
-        raise DegenerateStatisticError(
-            "all trajectory weights are zero; the estimate is undefined"
-        )
-    return float(np.dot(weights, returns) / total)
+    policy's expected return: sum(w_i * R_i) / sum(w_i). Every trajectory
+    weight and return must be finite."""
+    return _weights_and_returns(dataset, traces, probs, max_ratio)[2]
 
 
 # Counts per block of resamples. bootstrap_ci casts each block into one
@@ -415,19 +416,7 @@ def bootstrap_ci(
         raise ValidationError("seed must be nonnegative")
     if len(dataset.trajectories) < 2:
         raise ValidationError("bootstrap_ci needs at least 2 trajectories")
-    weights, returns = _weights_and_returns(dataset, traces, probs, max_ratio)
-    for name, values in (("weight", weights), ("return", returns)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise ValidationError(
-                f"patient {dataset.trajectories[k].patient_id!r}: trajectory {name} "
-                f"{values[k].item()} is not finite"
-            )
-    total = weights.sum()
-    if total <= 0.0:
-        raise DegenerateStatisticError("all trajectory weights are zero")
-    value = float(np.dot(weights, returns) / total)
+    weights, returns, value = _weights_and_returns(dataset, traces, probs, max_ratio)
     n = len(weights)
 
     # Per resample, the sum of the drawn weights and of the drawn w * R:
@@ -455,7 +444,7 @@ def bootstrap_ci(
         value=value,
         ci_low=ci_low,
         ci_high=ci_high,
-        n_effective=float(total**2 / np.dot(weights, weights)),
+        n_effective=float(weights.sum() ** 2 / np.dot(weights, weights)),
         skipped_resamples=skipped,
     )
 

@@ -373,8 +373,12 @@ def oracle_validate(dataset):
     """The message of the first rule a trajectory of the dataset breaks,
     checked one step at a time (features, then actions, in id order), or
     None when every trajectory is valid."""
+    seen = set()
     for traj in dataset.trajectories:
         pid = traj.patient_id
+        if pid in seen:
+            return f"patient {pid!r}: appears more than once"
+        seen.add(pid)
         if len(traj.steps) < 2:
             return f"patient {pid!r}: needs >= 2 steps (a reward requires a transition)"
         if not (0.0 <= traj.sofa_baseline < math.inf):

@@ -330,6 +330,25 @@ def test_save_refuses_what_the_file_cannot_hold(tmp_path, trajs, message):
     assert not (tmp_path / "d.json").exists()
 
 
+@pytest.mark.parametrize(
+    "repeat",
+    [
+        pytest.param(Trajectory("a", _OK, False, 5.0), id="valid-repeat"),
+        # The repeat is reported before the trajectory's own rules.
+        pytest.param(Trajectory("a", _OK[:1], False, -1.0), id="short-repeat"),
+    ],
+)
+def test_save_refuses_a_repeated_patient_id(tmp_path, repeat):
+    # A dataset file names each patient once, and load_dataset refuses a repeat.
+    dataset = _offender_dataset([Trajectory("a", _OK, True, 5.0), Trajectory("b", _OK, True, 5.0),
+                                 repeat])
+    message = "patient 'a': appears more than once"
+    assert oracle_validate(dataset) == message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        save_dataset(dataset, tmp_path / "d.json")
+    assert not (tmp_path / "d.json").exists()
+
+
 @_OFFENDERS
 def test_validate_reports_the_first_offender(trajs, message):
     with pytest.raises(ValidationError, match=f"^{message}"):

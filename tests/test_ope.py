@@ -3,6 +3,7 @@ import gc
 import hashlib
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -137,19 +138,18 @@ class TestTrajectoryWeight:
     @given(_weight_cases())
     def test_matches_dict_oracle(self, case):
         trajs, probs, max_ratio = case
-        tables = [PolicyProbTable(probs)]
         zeros = sorted(key for key, (_, p_behavior) in probs.items() if p_behavior == 0.0)
         if zeros:
-            # The table is refused at first use, at its first zero row in
-            # (patient, t) order, whichever trajectory uses it.
+            # The table is refused when made, at its first zero row in
+            # (patient, t) order.
             pid, t = zeros[0]
             message = (f"({pid!r}, t={t}): p_behavior 0.0 must lie in (0,1] "
                        "(logged actions need behavior-policy support)")
-            for traj in trajs:
-                with pytest.raises(ValidationError) as raised:
-                    trajectory_weight(traj, tables[0], max_ratio)
-                assert str(raised.value) == message
+            with pytest.raises(ValidationError) as raised:
+                PolicyProbTable(probs)
+            assert str(raised.value) == message
             return
+        tables = [PolicyProbTable(probs)]
         tables.append(prob_table_from_json(*prob_table_to_json(tables[0])))
         for traj in trajs:
             try:
@@ -175,17 +175,17 @@ def _view_dataset(times):
 
 
 def _assert_weights_match_oracle(dataset, table, max_ratio):
-    """_weights_and_returns raises what the oracle first raises, in trajectory
-    order, or gives its weights bit for bit."""
-    traces = [RewardTrace([], [0.0], 0.0) for _ in dataset.trajectories]
+    """_join_weights raises what the oracle first raises, in trajectory
+    order, or gives its weights (inf and NaN included) bit for bit."""
+    patient_ids = [traj.patient_id for traj in dataset.trajectories]
     try:
         expected = [oracle_trajectory_weight(t, table, max_ratio) for t in dataset.trajectories]
     except (SchemaError, ValidationError) as exc:
         with pytest.raises(type(exc)) as raised:
-            ope._weights_and_returns(dataset, traces, table, max_ratio)
+            ope._join_weights(dataset.columns, patient_ids, table, max_ratio)
         assert str(raised.value) == str(exc)
         return
-    weights, _ = ope._weights_and_returns(dataset, traces, table, max_ratio)
+    weights = ope._join_weights(dataset.columns, patient_ids, table, max_ratio)
     assert np.array_equal(weights, expected, equal_nan=True)
     assert np.array_equal(np.signbit(weights), np.signbit(expected))
 
@@ -209,10 +209,7 @@ class TestJoinedWeights:
         dataset = generate(CohortConfig(n_patients=80, horizon_min=2, horizon_max=30, seed=seed))
         table = _random_table(dataset, seed, zero_eval=0.02)
         patient_ids = [traj.patient_id for traj in dataset.trajectories]
-        weights, flagged = ope._join_weights(
-            dataset.columns, patient_ids, table, max_ratio
-        )
-        assert not any(flagged)
+        weights = ope._join_weights(dataset.columns, patient_ids, table, max_ratio)
         expected = [oracle_trajectory_weight(t, table, max_ratio) for t in dataset.trajectories]
         assert weights == expected
         _assert_weights_match_oracle(dataset, table, max_ratio)
@@ -236,7 +233,7 @@ class TestJoinedWeights:
         weights = np.array([oracle_trajectory_weight(t, table, None) for t in trajs])
         returns = np.array([t.cumulative for t in traces])
         assert wis(dataset, traces, table) == float(np.dot(weights, returns) / weights.sum())
-        assert len(joins) == 1 and not any(joins[0][1])
+        assert len(joins) == 1
 
     def test_overflowing_products_match_without_warnings(self):
         # p0's product overflows to inf; p1's then meets a zero ratio: NaN.
@@ -254,30 +251,34 @@ class TestJoinedWeights:
             {("p1", 3): (0.5, 0.25), ("p1", 4): (0.3, 0.9), ("p4", 2): (1.0, 0.5)}
         )
         patient_ids = [traj.patient_id for traj in dataset.trajectories]
-        weights, flagged = ope._join_weights(dataset.columns, patient_ids, table, None)
+        weights = ope._join_weights(dataset.columns, patient_ids, table, None)
         assert weights[0] == weights[2] == weights[3] == 1.0
-        assert not any(flagged)
         _assert_weights_match_oracle(dataset, table, None)
 
     @pytest.mark.parametrize(
-        "rows, flagged",
+        "rows",
         [
-            pytest.param({("p1", 9): (0.5, 0.5)}, [False, True, False], id="extra-row"),
-            pytest.param({("p0", 0): (0.5, 0.5)}, [True, False, False], id="extra-row-first"),
-            pytest.param({("p1", 4): None}, [False, True, False], id="skipped-step"),
-            pytest.param({("p1", 5): (0.5, 0.5), ("p1", 4): None}, [False, True, False],
-                         id="row-off-the-steps"),
+            pytest.param({("p1", 9): (0.5, 0.5)}, id="extra-row"),
+            pytest.param({("p0", 0): (0.5, 0.5)}, id="extra-row-first"),
+            pytest.param({("p1", 4): None}, id="skipped-step"),
+            pytest.param({("p1", 5): (0.5, 0.5), ("p1", 4): None}, id="row-off-the-steps"),
+            pytest.param(None, id="generated-cohort-extra-first-rows"),
         ],
     )
-    def test_rows_that_do_not_match_are_flagged(self, rows, flagged):
-        dataset = _view_dataset([[1], [3, 4, 6], [7, 8, 10]])
-        probs = {("p1", 3): (0.5, 0.25), ("p1", 4): (0.3, 0.9), ("p2", 7): (0.4, 0.5),
-                 ("p2", 8): (0.9, 0.3)}
-        probs.update(rows)
-        probs = {key: p for key, p in probs.items() if p is not None}
+    def test_rows_that_do_not_match_are_flagged(self, rows):
+        if rows is None:
+            # Every patient has a row before its first step, so no row is
+            # where its position guesses, and every trajectory is searched.
+            dataset = generate(CohortConfig(n_patients=40, horizon_min=2, horizon_max=12, seed=5))
+            probs = dict(_random_table(dataset, seed=5).probs)
+            probs |= {(t.patient_id, t.steps[0].t - 1): (0.5, 0.25) for t in dataset.trajectories}
+        else:
+            dataset = _view_dataset([[1], [3, 4, 6], [7, 8, 10]])
+            probs = {("p1", 3): (0.5, 0.25), ("p1", 4): (0.3, 0.9), ("p2", 7): (0.4, 0.5),
+                     ("p2", 8): (0.9, 0.3)}
+            probs.update(rows)
+            probs = {key: p for key, p in probs.items() if p is not None}
         table = PolicyProbTable(probs)
-        patient_ids = [traj.patient_id for traj in dataset.trajectories]
-        assert ope._join_weights(dataset.columns, patient_ids, table, None)[1] == flagged
         for max_ratio in (None, 1.5):
             _assert_weights_match_oracle(dataset, table, max_ratio)
 
@@ -291,19 +292,17 @@ class TestJoinedWeights:
         with pytest.raises(SchemaError, match=r"^no policy probabilities for patient 'p1' at t=1"):
             bootstrap_ci(dataset, [RewardTrace([], [0.0], 0.0)] * 4, table, resamples=10)
         _assert_weights_match_oracle(dataset, table, None)
-        # Without p1, the join flags p3 alone, and its own weight raises.
+        # Without p1, p3 is the first trajectory with a missing row.
         first, _, *rest = dataset.trajectories
         dataset = dataclasses.replace(dataset, trajectories=[first, *rest])
         with pytest.raises(SchemaError, match=r"^no policy probabilities for patient 'p3' at t=1$"):
             wis(dataset, [RewardTrace([], [0.0], 0.0)] * 3, table)
         assert ope._joined == ope._NOT_JOINED
-        # A zero p_behavior refuses the whole table at first use, before any
-        # trajectory's weight.
-        zero = PolicyProbTable({**table.probs, ("p3", 1): (0.5, 0.0)})
+        # A zero p_behavior refuses the whole table when it is made.
         with pytest.raises(
             ValidationError, match=r"^\('p3', t=1\): p_behavior 0.0 must lie in \(0,1\] "
         ):
-            wis(dataset, [RewardTrace([], [0.0], 0.0)] * 3, zero)
+            PolicyProbTable({**table.probs, ("p3", 1): (0.5, 0.0)})
         assert ope._joined == ope._NOT_JOINED
 
     def test_dataset_not_a_view_of_one_block(self):
@@ -330,11 +329,10 @@ class TestJoinedWeights:
         n = len(trajs)
         monkeypatch.setattr(
             ope, "_joined",
-            (dataset.columns, table, 5.0, patient_ids, [7.0] * n, [False] * (n - 1) + [True]),
+            (dataset.columns, table, 5.0, patient_ids, [7.0] * n),
         )
         assert trajectory_weight(trajs[0], table, 5.0) == 7.0  # read from the slot
         expected = [oracle_trajectory_weight(t, table, 5.0) for t in trajs]
-        assert trajectory_weight(trajs[-1], table, 5.0) == expected[-1]  # flagged
         assert trajectory_weight(trajs[0], twin, 5.0) == expected[0]
         assert trajectory_weight(trajs[0], table) == oracle_trajectory_weight(trajs[0], table)
         assert trajectory_weight(trajs[0], table, 4.0) == oracle_trajectory_weight(
@@ -407,6 +405,34 @@ class TestWis:
                 wis(ds, traces, table, max_ratio=bad)
             with pytest.raises(ValidationError, match="max_ratio must be > 0"):
                 bootstrap_ci(ds, traces, table, resamples=10, max_ratio=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_return_rejected(self, bad):
+        ds, traces = _cohort([1.0, bad, 3.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                ValidationError, match=rf"^patient 'p1': trajectory return {bad} is not finite$"
+            ):
+                wis(ds, traces, _table(ds, [1.0, 2.0, 0.5]))
+        assert caught == []
+
+    @pytest.mark.parametrize("last_eval, weight", [(1.0, "inf"), (0.0, "nan")])
+    def test_non_finite_weight_rejected(self, last_eval, weight):
+        # As bootstrap_ci's: p1's ratios overflow to inf, then meet a zero.
+        ds = _view_dataset([[0, 1], [0, 1, 2, 3], [0, 1]])
+        traces = [RewardTrace([], [0.0], r) for r in (1.0, 2.0, 3.0)]
+        table = PolicyProbTable({
+            ("p0", 0): (0.5, 0.5), ("p2", 0): (0.5, 0.5),
+            ("p1", 0): (1.0, 1e-300), ("p1", 1): (1.0, 1e-300), ("p1", 2): (last_eval, 0.5),
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(
+                ValidationError, match=rf"^patient 'p1': trajectory weight {weight} is not finite$"
+            ):
+                wis(ds, traces, table)
+        assert caught == []
 
 
 class TestBootstrap:
@@ -798,23 +824,23 @@ class TestProbTableIO:
 
     @pytest.mark.parametrize("t", [2**31, -(2**31), 2**40])
     def test_time_beyond_the_file_is_refused_before_writing(self, tmp_path, t):
-        table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", t): (0.5, 0.5)})
         with pytest.raises(ValidationError, match=rf"\('p1', t={t}\): t not of magnitude"):
+            table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", t): (0.5, 0.5)})
             save_prob_table(table, tmp_path / "probs.json")
         assert not (tmp_path / "probs.json").exists()
 
     @pytest.mark.parametrize("t", [1.5, math.nan, math.inf], ids=["fraction", "nan", "inf"])
     def test_time_not_whole_is_refused_before_writing(self, tmp_path, t):
-        table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", t): (0.5, 0.5)})
         with pytest.raises(ValidationError, match=rf"\('p1', t={t}\): t not a whole number"):
+            table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", t): (0.5, 0.5)})
             save_prob_table(table, tmp_path / "probs.json")
         assert not (tmp_path / "probs.json").exists()
 
     def test_time_past_float_precision_is_refused_before_writing(self, tmp_path):
         # 2**60 is whole, but a float cannot hold every whole number that large.
-        table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", 2**60): (0.5, 0.5)})
         message = rf"^\('p1', t={2**60}\): t not a whole number of magnitude below 2\*\*53$"
         with pytest.raises(ValidationError, match=message):
+            table = PolicyProbTable({("p1", 0): (0.5, 0.5), ("p1", 2**60): (0.5, 0.5)})
             save_prob_table(table, tmp_path / "probs.json")
         assert not (tmp_path / "probs.json").exists()
 
