@@ -327,8 +327,8 @@ class TrajectoryDataset:
     def validate(self) -> None:
         """Check every type invariant; raises ValidationError naming the
         first offending trajectory (first, a patient id seen before), its
-        first offending row and that row's first broken rule, checking
-        features and then actions in id order."""
+        first offending row and that row's first broken rule. The rules are
+        checked one at a time, features and then actions in id order."""
         for fid, spec in self.feature_schema.items():
             if spec.feature_type is FeatureType.NORMAL_RANGE:
                 if spec.healthy_interval is None:
@@ -343,105 +343,94 @@ class TrajectoryDataset:
         for aid, spec in self.action_schema.items():
             if not (0.0 < spec.max_value < math.inf):
                 raise ValidationError(f"action {aid!r}: max {spec.max_value} not finite and > 0")
-        cols = self.columns
-        lengths = np.diff(cols.offsets)
-        baselines = np.array([traj.sofa_baseline for traj in self.trajectories], dtype=float)
+        trajs, cols = self.trajectories, self.columns
         seen: set[str] = set()  # repeated: True at each id's second and later uses
-        repeated = np.array(
-            [traj.patient_id in seen or seen.add(traj.patient_id) for traj in self.trajectories],
-            dtype=bool,
-        )
-        short = lengths < 2
-        unsound = ~((0.0 <= baselines) & (baselines < math.inf))
-        broken = self._broken_rules(cols, lengths)
-        bad_rows = np.flatnonzero(broken.any(axis=1))[:1]
-        bad = repeated | short | unsound
-        bad[np.searchsorted(cols.offsets, bad_rows, side="right") - 1] = True
-        if not bad.any():
-            return
-        k = int(np.argmax(bad))
-        traj = self.trajectories[k]
-        where = f"patient {traj.patient_id!r}"
-        if repeated[k]:
-            raise ValidationError(f"{where}: appears more than once")
-        if short[k]:
-            raise ValidationError(f"{where}: needs >= 2 steps (a reward requires a transition)")
-        if unsound[k]:
-            raise ValidationError(
-                f"{where}: sofa_baseline {traj.sofa_baseline} not finite and >= 0"
-            )
-        row = int(bad_rows[0])
-        raise ValidationError(f"{where}: {self._messages(cols, row)[np.argmax(broken[row])]}")
-
-    def _broken_rules(self, cols: CohortColumns, lengths: np.ndarray) -> np.ndarray:
-        """[rows, rules]: True where a row breaks a rule. The rules are in
-        the order they are checked, the order of _messages."""
-        n = len(cols.t)
-        first = np.repeat(cols.offsets[:-1], lengths)
-        backwards = np.zeros(n, dtype=bool)
-        backwards[1:] = cols.t[1:] <= cols.t[:-1]
-        schemas = [self.action_schema.get(aid) for aid in cols.action_ids]
-        maxima = [getattr(spec, "max_value", math.inf) for spec in schemas]
-        discrete = np.array([getattr(spec, "discrete", False) for spec in schemas], dtype=bool)
-        return np.column_stack([
-            ~_whole_below(np.abs(cols.t), I4_LIMIT),
-            backwards & (np.arange(n) != first),
-            ~((0.0 <= cols.sofa) & (cols.sofa < math.inf)),
-            (cols.mask != cols.mask[first]).any(axis=1),
-            _per_column(
-                cols.mask,
-                np.array([fid not in self.feature_schema for fid in cols.feature_ids], dtype=bool),
-                ~((0.0 <= cols.values) & (cols.values <= 1.0)),
-                ~(cols.staleness >= 0),
-                ~_whole_below(cols.staleness, I4_LIMIT),
-            ),
-            _per_column(
-                cols.action_mask,
-                np.array([aid not in self.action_schema for aid in cols.action_ids], dtype=bool),
-                ~(cols.actions >= 0),
-                cols.actions > np.array(maxima, dtype=float),
-                discrete & (np.trunc(cols.actions) != cols.actions),
-            ),
+        repeated = [traj.patient_id in seen or seen.add(traj.patient_id) for traj in trajs]
+        found = _first_offender([
+            (np.array(repeated, dtype=bool), lambda k: "appears more than once"),
+            (np.diff(cols.offsets) < 2,
+             lambda k: "needs >= 2 steps (a reward requires a transition)"),
+            (np.array([not 0.0 <= traj.sofa_baseline < math.inf for traj in trajs], dtype=bool),
+             lambda k: f"sofa_baseline {trajs[k].sofa_baseline} not finite and >= 0"),
         ])
+        # A trajectory's own rules come first: search rows only before its first row.
+        in_rows = _first_offender(self._row_rules(cols), cols.offsets[found[0]] if found else None)
+        if in_rows:
+            found = int(np.searchsorted(cols.offsets, in_rows[0], side="right")) - 1, in_rows[1]
+        if found:
+            raise ValidationError(f"patient {trajs[found[0]].patient_id!r}: {found[1]}")
 
-    def _messages(self, cols: CohortColumns, row: int) -> list[str]:
-        """The message of each rule of _broken_rules, at a row."""
-        at = f"at t={cols.t[row].item()}"
-        messages = [
-            f"time index {cols.t[row].item()} not a whole number of magnitude below 2**31",
-            f"non-increasing time index {at}",
-            f"sofa {cols.sofa[row].item()} not finite and >= 0 {at}",
-            f"feature set changes {at}",
-        ]
-        for fid, dt in zip(cols.feature_ids, cols.staleness[row].tolist()):
-            messages += [
-                f"feature {fid!r} not in feature_schema",
-                f"feature {fid!r} value out of [0,1] {at}",
-                f"feature {fid!r} staleness negative {at}",
-                f"feature {fid!r} staleness {dt} not a whole number below 2**31 {at}",
-            ]
-        for aid, level, whole in zip(cols.action_ids, cols.actions[row].tolist(), cols.whole):
-            level = int(level) if whole else level
-            maximum = getattr(self.action_schema.get(aid), "max_value", None)
-            messages += [
-                f"action {aid!r} not in action_schema",
-                f"action {aid!r} level {level} not >= 0 {at}",
-                f"action {aid!r} level {level} exceeds max {maximum} {at}",
-                f"discrete action {aid!r} level {level} not a whole number {at}",
-            ]
-        return messages
+    def _row_rules(self, cols: CohortColumns):
+        """Each row rule in check order, as (flags, message): flags is True
+        at each row that breaks the rule, and message gives its message at
+        such a row. An id's rules apply where it is present, and read copies
+        of its columns (numpy is several times slower on a strided column)."""
+        t, sofa, n = cols.t, cols.sofa, len(cols.t)
+        later = np.arange(n) != np.repeat(cols.offsets[:-1], np.diff(cols.offsets))
+        changes = np.zeros(n, dtype=bool)
+        # The first row whose feature set differs from its trajectory's first
+        # row's is the first to differ from the row before it.
+        for j in range(len(cols.feature_ids)):
+            changes[1:] |= cols.mask[1:, j] != cols.mask[:-1, j]
+
+        def at(i):
+            return f"at t={t[i].item()}"
+
+        def feature(j, fid):
+            present, values, dt = (c[:, j].copy() for c in (cols.mask, cols.values, cols.staleness))
+            yield present & (fid not in self.feature_schema), (
+                lambda i: f"feature {fid!r} not in feature_schema")
+            yield present & ~((0.0 <= values) & (values <= 1.0)), (
+                lambda i: f"feature {fid!r} value out of [0,1] {at(i)}")
+            yield present & ~(dt >= 0), lambda i: f"feature {fid!r} staleness negative {at(i)}"
+            yield present & ~_whole_below(dt, I4_LIMIT), lambda i: (
+                f"feature {fid!r} staleness {dt[i].item()} not a whole number below 2**31 "
+                f"{at(i)}")
+
+        def action(j, aid, spec):
+            present, levels = cols.action_mask[:, j].copy(), cols.actions[:, j].copy()
+            if spec is None:
+                yield present, lambda i: f"action {aid!r} not in action_schema"
+                return
+            def shown(i):  # an int when its whole column is whole
+                return int(levels[i]) if cols.whole[j] else levels[i].item()
+            yield present & ~(levels >= 0), (
+                lambda i: f"action {aid!r} level {shown(i)} not >= 0 {at(i)}")
+            yield present & (levels > spec.max_value), lambda i: (
+                f"action {aid!r} level {shown(i)} exceeds max {spec.max_value} {at(i)}")
+            if spec.discrete:
+                yield present & (np.trunc(levels) != levels), lambda i: (
+                    f"discrete action {aid!r} level {shown(i)} not a whole number {at(i)}")
+
+        yield ~_whole_below(np.abs(t), I4_LIMIT), (
+            lambda i: f"time index {t[i].item()} not a whole number of magnitude below 2**31")
+        yield later & np.append(False, t[1:] <= t[:-1]), (
+            lambda i: f"non-increasing time index {at(i)}")
+        yield ~((0.0 <= sofa) & (sofa < math.inf)), (
+            lambda i: f"sofa {sofa[i].item()} not finite and >= 0 {at(i)}")
+        yield later & changes, lambda i: f"feature set changes {at(i)}"
+        for j, fid in enumerate(cols.feature_ids):
+            yield from feature(j, fid)
+        for j, aid in enumerate(cols.action_ids):
+            yield from action(j, aid, self.action_schema.get(aid))
+
+
+def _first_offender(rules, stop: int | None = None) -> tuple[int, str] | None:
+    """(index, message) of the first index below stop that a rule flags,
+    or None when none is flagged. rules are (flags, message) pairs in check
+    order: flags a 1-D bool array, and message a function of a flagged
+    index. Each rule is searched only before the best index so far, so at
+    a tie the earlier rule wins."""
+    best = None
+    for flags, message in rules:
+        if flags[:stop].any():
+            stop, best = int(flags[:stop].argmax()), message
+    return None if best is None else (stop, best(stop))
 
 
 def _whole_below(x: np.ndarray, limit: int) -> np.ndarray:
     """Where x is a whole number in [0, limit)."""
     return (0 <= x) & (x < limit) & (np.trunc(x) == x)
-
-
-def _per_column(present: np.ndarray, *rules: np.ndarray) -> np.ndarray:
-    """[rows, k * columns]: per column, where each of k rules ([rows,
-    columns], or [columns] for every row) is broken at a present entry."""
-    broken = np.stack(np.broadcast_arrays(*rules), axis=2) & present[:, :, None]
-    return broken.reshape(len(present), len(rules) * present.shape[1])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ from .errors import DegenerateStatisticError, FormatError, SchemaError, Validati
 from .fitness import _quantiles
 from .jsonio import read_columns, write_columns
 from .model import (
-    F8, I4, I4_LIMIT, CohortColumns, RaggedColumns, Trajectory, TrajectoryDataset, pack_columns,
+    F8, I4, I4_LIMIT, CohortColumns, RaggedColumns, Trajectory, TrajectoryDataset, _first_offender,
+    pack_columns,
 )
 from .rewards import RewardTrace, trace_returns
 from .streams import reseat, seed_states
@@ -127,24 +128,18 @@ class PolicyProbTable:
 def _check_rows(columns: ProbColumns) -> None:
     """Raises ValidationError at the first row, in row order, whose t is
     not below 2**31 in magnitude, whose p_eval is outside [0, 1] or whose
-    p_behavior is outside (0, 1], checked in that order."""
+    p_behavior is outside (0, 1]: one rule at a time, in that order."""
     spans, t, p_eval, p_behavior = columns
-    bad_t = ~((-I4_LIMIT < t) & (t < I4_LIMIT))
-    bad_eval = ~((0.0 <= p_eval) & (p_eval <= 1.0))
-    bad = bad_t | bad_eval | ~((0.0 < p_behavior) & (p_behavior <= 1.0))
-    if not bad.any():
-        return
-    row = int(np.argmax(bad))
-    pid = next(pid for pid, (lo, hi) in spans.items() if lo <= row < hi)
-    where = f"({pid!r}, t={t[row].item()})"
-    if bad_t[row]:
-        raise ValidationError(f"{where}: t not of magnitude below 2**31")
-    if bad_eval[row]:
-        raise ValidationError(f"{where}: p_eval {p_eval[row].item()} out of [0,1]")
-    raise ValidationError(
-        f"{where}: p_behavior {p_behavior[row].item()} must lie in (0,1] "
-        "(logged actions need behavior-policy support)"
-    )
+    found = _first_offender([
+        (~((-I4_LIMIT < t) & (t < I4_LIMIT)), lambda i: "t not of magnitude below 2**31"),
+        (~((0.0 <= p_eval) & (p_eval <= 1.0)),
+         lambda i: f"p_eval {p_eval[i].item()} out of [0,1]"),
+        (~((0.0 < p_behavior) & (p_behavior <= 1.0)), lambda i: f"p_behavior "
+         f"{p_behavior[i].item()} must lie in (0,1] (logged actions need behavior-policy support)"),
+    ])
+    if found:
+        pid = next(pid for pid, (lo, hi) in spans.items() if lo <= found[0] < hi)
+        raise ValidationError(f"({pid!r}, t={t[found[0]].item()}): {found[1]}")
 
 
 @dataclass
@@ -275,7 +270,9 @@ def _weights_and_returns(
     to the dataset's block once first, and trajectory_weight reads the
     joined weights. Raises ValidationError naming the first patient whose
     weight, and then the first whose return, is not finite; and
-    DegenerateStatisticError when the weights sum to zero."""
+    DegenerateStatisticError when the weights sum to zero. The weights are
+    scaled by a power of two, the largest into [0.5, 1): that changes no
+    estimate, and keeps their sums, dot products and squares in range."""
     global _joined
     returns = trace_returns(dataset, traces)
     if max_ratio is not None and not max_ratio > 0.0:
@@ -297,6 +294,7 @@ def _weights_and_returns(
                 f"patient {dataset.trajectories[k].patient_id!r}: trajectory {name} "
                 f"{values[k].item()} is not finite"
             )
+    weights = np.ldexp(weights, -np.frexp(weights.max(initial=0.0))[1])
     total = weights.sum()
     if total <= 0.0:
         raise DegenerateStatisticError(

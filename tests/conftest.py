@@ -372,7 +372,16 @@ def oracle_trace(trajectory, spec):
 def oracle_validate(dataset):
     """The message of the first rule a trajectory of the dataset breaks,
     checked one step at a time (features, then actions, in id order), or
-    None when every trajectory is valid."""
+    None when every trajectory is valid. A message shows a level as an int
+    only when its action is discrete and each of its levels in the dataset
+    is a whole number."""
+    whole = {
+        aid: spec.discrete and all(
+            float(step.action[aid]).is_integer()
+            for traj in dataset.trajectories for step in traj.steps if aid in step.action
+        )
+        for aid, spec in dataset.action_schema.items()
+    }
     seen = set()
     for traj in dataset.trajectories:
         pid = traj.patient_id
@@ -412,6 +421,7 @@ def oracle_validate(dataset):
             for aid, level in sorted(step.action.items()):
                 if aid not in dataset.action_schema:
                     return f"patient {pid!r}: action {aid!r} not in action_schema"
+                level = int(level) if whole[aid] else float(level)
                 if not (level >= 0):
                     return f"patient {pid!r}: action {aid!r} level {level} not >= 0 at t={step.t}"
                 if level > dataset.action_schema[aid].max_value:

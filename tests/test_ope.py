@@ -495,6 +495,46 @@ class TestBootstrap:
             bootstrap_ci(ds, traces, identity_prob_table(ds), level=1.0)
 
 
+def _first_step_table(dataset, p_eval, p_behavior):
+    """The identity table, but with (p_eval[k], p_behavior) at trajectory
+    k's first transition."""
+    columns = identity_prob_table(dataset).columns
+    first = [lo for lo, hi in columns.spans.values()]
+    evals, behaviors = columns.p_eval.copy(), columns.p_behavior.copy()
+    evals[first], behaviors[first] = p_eval, p_behavior
+    return PolicyProbTable.of_columns(columns._replace(p_eval=evals, p_behavior=behaviors))
+
+
+class TestScaledWeights:
+    """The estimates do not change when every weight is multiplied by one
+    constant, and they are computed from weights scaled by a power of two,
+    so finite weights far from 1 give the estimates of ordinary ones."""
+
+    @pytest.mark.parametrize(
+        "eval_scale, p_behavior", [(1.0, 1e-200), (1.0, 1e-308), (1e-308, 1.0)],
+        ids=["weights-1e200", "weights-1e308", "weights-1e-308"],
+    )
+    def test_extreme_weights_give_the_estimates_of_ordinary_ones(self, eval_scale, p_behavior):
+        config = CohortConfig(n_patients=20, seed=3)
+        dataset = generate(config)
+        traces = [trace(traj, reference_spec(config)) for traj in dataset.trajectories]
+        ratios = np.random.default_rng(3).uniform(0.1, 1.0, 20)
+        extreme = _first_step_table(dataset, ratios * eval_scale, p_behavior)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = bootstrap_ci(dataset, traces, extreme, resamples=200, seed=1)
+            value = wis(dataset, traces, extreme)
+        assert caught == []
+        ordinary = _first_step_table(dataset, ratios, 1.0)
+        want = bootstrap_ci(dataset, traces, ordinary, resamples=200, seed=1)
+        assert value == pytest.approx(wis(dataset, traces, ordinary), rel=1e-12, abs=1e-12)
+        for name in ("value", "ci_low", "ci_high", "n_effective"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=1e-12)
+        # The per-trajectory weight stays the unscaled product.
+        first = trajectory_weight(dataset.trajectories[0], extreme)
+        assert first == pytest.approx(ratios[0] * eval_scale / p_behavior, rel=1e-12)
+
+
 def _random_cohort(n, seed, zeros=0):
     """n trajectories with normal returns and random ratios, the first
     `zeros` of which have a zero-probability evaluation action."""
