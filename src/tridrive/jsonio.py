@@ -56,14 +56,18 @@ def read_json(path: str | Path, what: str):
 
 
 def write_bytes(path: str | Path, *chunks: bytes) -> Path:
-    """Write the chunks, in order, to path atomically, creating its
-    directory; returns the path."""
+    """Write the chunks, in order, to path atomically; returns the path.
+    Its directory is made only when it is missing."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # Not named *.json, so globs over a stage's outputs never match it.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
+        fh = open(tmp, "wb")
+    except FileNotFoundError:  # no directory yet; not probed before the open
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "wb")
+    try:
+        with fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)

@@ -404,8 +404,7 @@ class TrajectoryDataset:
 
         yield ~_whole_below(np.abs(t), I4_LIMIT), (
             lambda i: f"time index {t[i].item()} not a whole number of magnitude below 2**31")
-        yield later & np.append(False, t[1:] <= t[:-1]), (
-            lambda i: f"non-increasing time index {at(i)}")
+        yield _non_increasing(t, cols.offsets), lambda i: f"non-increasing time index {at(i)}"
         yield ~((0.0 <= sofa) & (sofa < math.inf)), (
             lambda i: f"sofa {sofa[i].item()} not finite and >= 0 {at(i)}")
         yield later & changes, lambda i: f"feature set changes {at(i)}"
@@ -426,6 +425,14 @@ def _first_offender(rules, stop: int | None = None) -> tuple[int, str] | None:
         if flags[:stop].any():
             stop, best = int(flags[:stop].argmax()), message
     return None if best is None else (stop, best(stop))
+
+
+def _non_increasing(t: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Where a row after its trajectory's first has a t no greater than the row before's."""
+    flags = np.zeros(len(t) + 1, dtype=bool)  # a slot past the last row, for offsets[-1]
+    flags[1:-1] = t[1:] <= t[:-1]
+    flags[offsets] = False
+    return flags[:-1]
 
 
 def _whole_below(x: np.ndarray, limit: int) -> np.ndarray:

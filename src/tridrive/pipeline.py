@@ -53,7 +53,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -146,7 +146,7 @@ class _HashCache:
     is not a JSON object is read as empty.
     """
 
-    def __init__(self, path: Path):
+    def __init__(self, path: str):
         self.path = path
         self.loaded: dict = {}
         self.written_ns = 0
@@ -543,9 +543,16 @@ class PipelineConfig:
             raise ConfigError(f"unknown split {self.split!r}")
 
     def canonical_json(self) -> str:
-        """Every setting but the dataset's path: the run id hashes its bytes."""
-        doc = {key: value for key, value in asdict(self).items() if key != "dataset"}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        """Every setting but the dataset's path: the run id hashes its bytes.
+        The JSON of asdict, without its deep copy."""
+        doc = _fields(self)
+        del doc["dataset"]
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), default=_fields)
+
+
+def _fields(obj) -> dict:
+    """A dataclass's values by field name, as they are."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def pipeline_config_from_json(doc: dict) -> PipelineConfig:
@@ -592,9 +599,12 @@ class PipelineRun:
     def __init__(self, config: PipelineConfig, out_dir: str | Path):
         self.config = config
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
+        # A resume joins each recorded output to this string: a third of a Path's cost.
+        self.root = os.path.abspath(self.out)
+        if not os.path.isdir(self.root):
+            self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
-        self.hashes = _HashCache(self.out / "hashes.json")
+        self.hashes = _HashCache(os.path.join(self.root, "hashes.json"))
         try:
             dataset_sha = self.hashes.sha256(config.dataset)
         except OSError as exc:
@@ -651,7 +661,7 @@ class PipelineRun:
             return False
         try:
             return all(
-                self.hashes.sha256(self.out / rel) == sha
+                self.hashes.sha256(os.path.join(self.root, rel)) == sha
                 for rel, sha in record.get("outputs", {}).items()
             ) and record.get("inputs") == self._inputs(name)
         except OSError:  # a recorded output or an input is gone or unreadable
@@ -702,7 +712,7 @@ class PipelineRun:
         would cost a fresh process's resume a pattern compile): a run
         directory has one writer at a time.
         """
-        for name in os.listdir(self.out):
+        for name in os.listdir(self.root):
             if name.startswith(".") and name.endswith(".tmp"):
                 (self.out / name).unlink(missing_ok=True)
         timing = {"load_seconds": None, "dataset_shape": None, "stage_seconds": {}, "skipped": []}
@@ -725,7 +735,7 @@ class PipelineRun:
                 timing["stage_seconds"][name] = round(time.perf_counter() - start, 6)
         finally:
             written_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-            write_json(self.out / "timing.json", {"written_at": written_at, **timing})
+            write_json(os.path.join(self.root, "timing.json"), {"written_at": written_at, **timing})
             self.hashes.save()
         return self.manifest
 

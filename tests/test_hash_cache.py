@@ -141,8 +141,16 @@ class TestHashCache:
         _settle(out)
         cache = os.stat(out / "hashes.json")
         hashed = _count_hashes(monkeypatch)
+        made, replaced = [], []
+        real_mkdir, real_replace = os.mkdir, os.replace
+        monkeypatch.setattr(os, "mkdir", lambda *a, **k: made.append(a[0]) or real_mkdir(*a, **k))
+        monkeypatch.setattr(
+            os, "replace", lambda src, dst: replaced.append(os.fspath(dst)) or real_replace(src, dst)
+        )
         run_pipeline(config, out)
-        assert hashed == []
+        # It makes no directory, hashes nothing and writes timing.json alone.
+        assert (hashed, made) == ([], [])
+        assert replaced == [str(out / "timing.json")]
         assert _timing(out)["skipped"] == list(STAGES)
         assert (out / "manifest.json").read_bytes() == manifest
         # Nothing changed, so the cache is not written again.

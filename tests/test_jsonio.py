@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tridrive.errors import FormatError
 from tridrive.fitness import CompMetricConfig
-from tridrive.jsonio import fields_from_json, from_json, to_json
+from tridrive.jsonio import fields_from_json, from_json, to_json, write_bytes
 from tridrive.llm import LlmClientConfig
 from tridrive.model import ActionSpec, FeatureSpec, FeatureType
 from tridrive.pipeline import SPLIT_NAMES, PipelineConfig, pipeline_config_from_json
@@ -186,3 +187,30 @@ def test_a_bad_nested_value_names_its_document(read, edit, message):
     edit(doc)
     with pytest.raises(FormatError, match=f"^{message}$"):
         read(doc)
+
+
+def _count_mkdirs(monkeypatch) -> list:
+    made, real = [], os.mkdir
+    monkeypatch.setattr(os, "mkdir", lambda path, *a, **k: made.append(path) or real(path, *a, **k))
+    return made
+
+
+def test_a_write_into_a_missing_directory_makes_it(tmp_path, monkeypatch):
+    made = _count_mkdirs(monkeypatch)
+    path = tmp_path / "a" / "b" / "doc.json"
+    assert write_bytes(path, b"x", b"y") == path
+    assert path.read_bytes() == b"xy"
+    assert made
+    # Into a directory that is there, no directory is made or probed.
+    made.clear()
+    write_bytes(path, b"z")
+    assert (path.read_bytes(), made) == (b"z", [])
+
+
+@pytest.mark.parametrize("nested", [False, True], ids=["existing-dir", "missing-dir"])
+def test_a_failed_write_leaves_no_temporary(tmp_path, nested):
+    path = tmp_path / "a" / "doc.json" if nested else tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_bytes(path, b"x", "not bytes")
+    assert not path.exists()
+    assert list(path.parent.iterdir()) == []

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tridrive.model import Trajectory
+from tridrive.model import Trajectory, TrajectoryDataset
 from tridrive.ope import PolicyProbTable, bootstrap_ci, identity_prob_table
 from tridrive.pipeline import score_specs
 from tridrive.rewards import trace
@@ -60,6 +60,43 @@ def test_a_return_does_not_depend_on_the_block_that_holds_it(lams, config, gamma
         for traj in dataset.trajectories:
             got = trace(traj, spec).cumulative.hex()
             assert got == alone[traj.patient_id], (name, traj.patient_id)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=small_cohorts(), lam=st.sampled_from([0.0, 0.5]), data=st.data())
+def test_renaming_the_features_in_order_changes_no_return(config, lam, data):
+    """Feature names. A feature is found by its id, in the schema, the
+    steps and the spec, and a block holds its features in id order. So new
+    ids that sort as the old ones do, given in the schema, the data and the
+    spec, leave every return bit for bit the same, even with each renamed
+    mapping built in the reverse of its insertion order."""
+    cohort = generate(config)
+    spec = dataclasses.replace(reference_spec(config), lam=lam)
+    old = sorted(cohort.feature_schema)
+    new = sorted(data.draw(st.lists(
+        st.text("abxyz_0", min_size=1, max_size=4), min_size=len(old), max_size=len(old),
+        unique=True,
+    )))
+    to = dict(zip(old, new))
+
+    def renamed(mapping):
+        return {to[fid]: value for fid, value in reversed(mapping.items())}
+
+    trajs = [
+        Trajectory(traj.patient_id, [
+            dataclasses.replace(step, observations=renamed(step.observations))
+            for step in traj.steps
+        ], traj.survived, traj.sofa_baseline)
+        for traj in cohort.trajectories
+    ]
+    dataset = TrajectoryDataset(trajs, renamed(cohort.feature_schema), cohort.action_schema)
+    spec_renamed = dataclasses.replace(
+        spec, survival=renamed(spec.survival), confidence_tau=renamed(spec.confidence_tau)
+    )
+    assert dataset.columns.feature_ids == [to[fid] for fid in cohort.columns.feature_ids]
+    for before, after in zip(cohort.trajectories, dataset.trajectories, strict=True):
+        got = trace(after, spec_renamed).cumulative.hex()
+        assert got == trace(before, spec).cumulative.hex(), before.patient_id
 
 
 def _random_table(dataset, seed):

@@ -920,15 +920,15 @@ class TestStageOwnership:
             assert (out / "ope/wis_series.csv").exists()
 
 
-def test_fresh_pipeline_process_does_not_import_numpy_ma(small_dataset_path, tmp_path):
-    """numpy.ma costs every fresh process 14-22 ms to import; np.quantile
-    reaches it through np.unique, so the stages take quantiles without it."""
+def _run_in_fresh_process(dataset_path, out: Path, shown: str) -> str:
+    """What a new interpreter prints of the expression shown after running
+    a small pipeline into out."""
     code = (
         "import sys\n"
         "from tridrive.pipeline import PipelineConfig, run_pipeline\n"
-        f"run_pipeline(PipelineConfig(dataset={str(small_dataset_path)!r}, rounds=2, candidates=3,"
-        f" bootstrap=40, bins=2), {str(tmp_path / 'run')!r})\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"run_pipeline(PipelineConfig(dataset={str(dataset_path)!r}, rounds=2, candidates=3,"
+        f" bootstrap=40, bins=2), {str(out)!r})\n"
+        f"print({shown})\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -936,4 +936,21 @@ def test_fresh_pipeline_process_does_not_import_numpy_ma(small_dataset_path, tmp
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.strip()
+
+
+def test_fresh_pipeline_process_does_not_import_numpy_ma(small_dataset_path, tmp_path):
+    """numpy.ma costs every fresh process 14-22 ms to import; np.quantile
+    reaches it through np.unique, so the stages take quantiles without it."""
+    shown = _run_in_fresh_process(small_dataset_path, tmp_path / "run", "'numpy.ma' in sys.modules")
+    assert shown == "False"
+
+
+def test_settled_resume_process_does_not_import_numpy_random(small_dataset_path, tmp_path):
+    """numpy.random costs a fresh process about 7 ms and 2 MB of peak RSS
+    to import, and only the bootstrap's resample_counts draws from it, so
+    a resume with every stage fresh never imports it."""
+    out, shown = tmp_path / "run", "'numpy.random' in sys.modules"
+    assert _run_in_fresh_process(small_dataset_path, out, shown) == "True"  # the bootstrap's
+    assert _run_in_fresh_process(small_dataset_path, out, shown) == "False"
+    assert json.loads((out / "timing.json").read_text())["skipped"] == list(STAGES)
